@@ -17,6 +17,7 @@ __all__ = [
     "ChannelConfig",
     "decode_latent",
     "clip_linf",
+    "resampled_length",
     "emulate_audio_channel",
     "emulate_image_channel",
     "stft",
@@ -101,10 +102,15 @@ def clip_linf(delta: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(np.asarray(delta, dtype=np.float64), -epsilon, epsilon)
 
 
+def resampled_length(n: int, source_rate: int, target_rate: int) -> int:
+    """Sample count of an n-sample signal after linear resampling."""
+    return int(round(n * target_rate / source_rate))
+
+
 def _resample_linear(x: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
     if source_rate == target_rate:
         return x
-    out_len = int(round(x.shape[-1] * target_rate / source_rate))
+    out_len = resampled_length(x.shape[-1], source_rate, target_rate)
     # Output sample i sits at source position i * source/target; positions
     # past the last input sample clamp to it.
     pos = np.arange(out_len) * (source_rate / target_rate)

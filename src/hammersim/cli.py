@@ -99,10 +99,10 @@ def cmd_feasibility(args) -> int:
     sys.stdout.write("\n")
     sys.stdout.write(report.format_expectation_table(rows))
 
-    problems = report.check_golden(rows) if args.golden else []
+    summary = report.feasibility_summary(rows)
+    problems = report.check_golden(summary["rows"]) if args.golden else []
     if args.out:
         outputs = report.write_feasibility_files(args.out, rows)
-        summary = report.feasibility_summary(rows)
         summary["golden_checked"] = bool(args.golden)
         summary["golden_mismatches"] = problems
         _write_common_outputs(args.out, exp, "feasibility", outputs, summary, started)
@@ -243,27 +243,10 @@ def cmd_report(args) -> int:
     with open(os.path.join(root, "report.txt"), "r", encoding="ascii") as f:
         sys.stdout.write(f.read())
     if args.golden:
-        feas = [r for r in merged["runs"] if r["command"] == "feasibility"]
         problems = []
-        for run in feas:
-            problems.extend(run["summary"].get("golden_mismatches", []))
-            if not run["summary"].get("golden_checked"):
-                # re-derive from the stored summary rows
-                golden_by_key = {
-                    (m, s): (h, e, v) for m, s, h, e, v in report.GOLDEN_FEASIBILITY
-                }
-                for row in run["summary"].get("rows", []):
-                    golden = golden_by_key.get((row["model"], row["sparsity"]))
-                    if golden is None:
-                        continue
-                    if row["hmax_k"] != golden[0]:
-                        problems.append(
-                            f"{row['model']}@{row['sparsity']}: H_max {row['hmax_k']}K, golden {golden[0]}K"
-                        )
-                    if row["e_act_k"] is not None and abs(row["e_act_k"] - golden[1]) > 1:
-                        problems.append(
-                            f"{row['model']}@{row['sparsity']}: E[A] {row['e_act_k']}K, golden {golden[1]}K (+-1)"
-                        )
+        for run in merged["runs"]:
+            if run["command"] == "feasibility":
+                problems.extend(report.check_golden(run["summary"].get("rows", [])))
         if problems:
             raise GoldenMismatchError(problems)
         print("golden check: all values match")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .adversary import PolicyConfig, RewardConfig
-from .channel import ChannelConfig
+from .channel import ChannelConfig, resampled_length
 from .dram import DramConfig, ThresholdTable, TrrConfig, builtin_thresholds, read_threshold_file
 from .memlayout import DramMapping
 from .metrics import BandwidthModel
@@ -236,8 +236,6 @@ class ExperimentConfig:
                 refresh_period_s=g("dram", "refresh_period_s"),
                 ref_commands=g("dram", "ref_commands"),
                 trc_effective_s=g("dram", "trc_effective_ns") * 1e-9,
-                data_rate_mts=g("dram", "data_rate_mts"),
-                bit_width=g("dram", "bit_width"),
             )
         except ValueError as exc:
             raise ConfigError(f"bad [dram] settings: {exc}") from exc
@@ -335,9 +333,19 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not 0 <= g("dram", "row_fill") <= 0xFF:
         raise ConfigError("[dram] row_fill must be a byte")
     # construct the typed views once so schema-level mistakes surface here
-    cfg.channel_config()
+    channel = cfg.channel_config()
     cfg.reward_config()
     cfg.dram_config()
     cfg.dram_mapping()
     cfg.trr_config()
     cfg.bandwidth()
+    # every client row goes through the resampler before local training,
+    # which needs exactly in_dim samples back
+    in_dim = g("federation", "in_dim")
+    resampled = resampled_length(in_dim, channel.source_rate_hz, channel.target_rate_hz)
+    if resampled != in_dim:
+        raise ConfigError(
+            f"[channel] source_rate_hz = {channel.source_rate_hz} and target_rate_hz = "
+            f"{channel.target_rate_hz} resample the {in_dim}-sample input to {resampled} "
+            f"samples, but the model takes [federation] in_dim = {in_dim}"
+        )

@@ -57,8 +57,6 @@ class DramConfig:
     refresh_period_s: float = 0.064
     ref_commands: int = 8192
     trc_effective_s: float = 49e-9
-    data_rate_mts: int = 2400
-    bit_width: int = 64
 
     def __post_init__(self) -> None:
         if self.refresh_period_s <= 0 or self.trc_effective_s <= 0:
@@ -309,27 +307,24 @@ class TraceRateError(ValueError):
 
 
 class ActivationLedger:
-    """Mutable per-row state: open rows, counts, neighbor exposure.
+    """Mutable per-row state: open rows, neighbor exposure, armed flags.
 
-    Indexing is flat: g = bank * rows_per_bank + row.  act_count holds
-    activations since the row's own refresh; exp_lo / exp_hi hold the
-    activations of the row's low / high neighbor since the row's own
-    refresh (its accumulated disturbance).  armed marks rows that have
-    not flipped since their last refresh.
+    Indexing is flat: g = bank * rows_per_bank + row.  exp_lo / exp_hi
+    hold the activations of the row's low / high neighbor since the row's
+    own refresh (its accumulated disturbance).  armed marks rows that
+    have not flipped since their last refresh.
     """
 
     def __init__(self, mapping: DramMapping):
         n = mapping.bank_count * mapping.rows_per_bank
         self.mapping = mapping
         self.open_row = [-1] * mapping.bank_count
-        self.act_count = [0] * n
         self.exp_lo = [0] * n
         self.exp_hi = [0] * n
         self.armed = [True] * n
 
     def refresh_row(self, bank: int, row: int) -> None:
         g = bank * self.mapping.rows_per_bank + row
-        self.act_count[g] = 0
         self.exp_lo[g] = 0
         self.exp_hi[g] = 0
         self.armed[g] = True
@@ -482,7 +477,6 @@ class _Engine:
             return
         self.ledger.open_row[bank] = row
         g = bank * self.nr + row
-        self.ledger.act_count[g] += 1
         self.total_acts += 1
         bank_total = self.window_bank_acts[bank] + 1
         if bank_total > self.act_cap:

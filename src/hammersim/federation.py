@@ -4,8 +4,8 @@ The server holds a flat parameter vector theta.  Each round, every client
 runs local gradient descent on its (possibly perturbed) shard, keeps the
 top-k entries of its delta by magnitude, and sends them up.  The server
 accumulates contributions per index, averages, and writes the result back
-into theta.  Aggregation also emits the logical memory-access script that
-the server-side buffer layout turns into a physical access trace.
+into theta.  The round's record (the union of client index sets) is what
+replay later turns into the server's buffer accesses.
 """
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ __all__ = [
     "ParameterStore",
     "SparseUpdate",
     "RoundRecord",
-    "ScriptOp",
-    "UpdateMessage",
-    "AccessScript",
     "FederationState",
     "init_federation",
     "local_train",
@@ -128,13 +125,6 @@ class ParameterStore:
     def copy(self) -> "ParameterStore":
         return ParameterStore(self.spec, self.values.copy())
 
-    def layer_view(self, name: str) -> np.ndarray:
-        offsets = self.spec.layer_offsets
-        for i, l in enumerate(self.spec.layers):
-            if l.name == name:
-                return self.values[offsets[i]: offsets[i + 1]]
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class SparseUpdate:
@@ -159,10 +149,6 @@ class SparseUpdate:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
-    @property
-    def k(self) -> int:
-        return int(self.indices.size)
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -184,42 +170,6 @@ class RoundRecord:
         m = np.zeros(total_params, dtype=np.float64)
         m[self.indices] = 1.0
         return m
-
-
-# Logical memory operations produced by aggregation.  Offsets and counts
-# are in elements of the named region; the layout module resolves them to
-# physical byte ranges.
-@dataclass(frozen=True)
-class ScriptOp:
-    region: str  # "ingress" | "accumulator" | "writeback" | "values"
-    layer: int  # -1 for the global ingress queue
-    offset: int
-    count: int
-    kind: str  # "R" | "W"
-
-    def __post_init__(self) -> None:
-        if self.region not in ("ingress", "accumulator", "writeback", "values"):
-            raise ValueError(f"unknown region {self.region!r}")
-        if self.kind not in ("R", "W"):
-            raise ValueError(f"kind must be 'R' or 'W', got {self.kind!r}")
-        if self.offset < 0 or self.count <= 0:
-            raise ValueError("offset must be >= 0 and count positive")
-
-
-@dataclass(frozen=True)
-class UpdateMessage:
-    client_id: int
-    size_bytes: int
-    ops: tuple[ScriptOp, ...]
-
-
-@dataclass(frozen=True)
-class AccessScript:
-    """Ordered per-message ops plus round-end writeback ops."""
-
-    round_number: int
-    messages: tuple[UpdateMessage, ...]
-    writeback_ops: tuple[ScriptOp, ...]
 
 
 @dataclass
@@ -384,42 +334,12 @@ def sparsify_topk(delta: np.ndarray, sparsity: str | float | Fraction, round_num
     return SparseUpdate(round_number, client_id, chosen, delta[chosen])
 
 
-def _runs(sorted_indices: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers as (start, count)."""
-    idx = np.asarray(sorted_indices, dtype=np.int64)
-    breaks = np.flatnonzero(np.diff(idx) != 1) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [idx.size]))
-    return list(zip(idx[starts].tolist(), (ends - starts).tolist()))
-
-
-def _per_layer_runs(spec: ModelSpec, indices: np.ndarray) -> list[tuple[int, int, int]]:
-    """(layer, offset within layer, count) runs, split at layer borders."""
-    offsets = spec.layer_offsets
-    out = []
-    for start, count in _runs(indices):
-        while count > 0:
-            layer = spec.layer_of(start)
-            room = offsets[layer + 1] - start
-            take = min(count, room)
-            out.append((layer, start - offsets[layer], take))
-            start += take
-            count -= take
-    return out
-
-
-def aggregate(
-    store: ParameterStore,
-    updates: list[SparseUpdate],
-    metadata_bytes_per_entry: int = 0,
-) -> tuple[ParameterStore, AccessScript]:
-    """Mean-of-contributions aggregation; returns new params and the script.
+def aggregate(store: ParameterStore, updates: list[SparseUpdate]) -> ParameterStore:
+    """Mean-of-contributions aggregation; returns the new params.
 
     Updates are consumed in ascending client_id order regardless of input
     order.  Per touched index: accumulated sum / contribution count is
-    added to theta.  The script records, per message, the ingress-queue
-    write and the accumulator read+write per entry run, then the round-end
-    writeback (accumulator read, writeback-buffer write, values write).
+    added to theta.
     """
     if not updates:
         raise ValueError("aggregate needs at least one update")
@@ -429,46 +349,25 @@ def aggregate(
     ids = [u.client_id for u in updates]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client_id in round updates")
-    round_number = rounds.pop()
-    spec = store.spec
-    m = spec.total_params
-    precision = spec.uniform_precision_bits
+    m = store.spec.total_params
 
     sums = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
-    messages = []
-    ingress_offset = 0
     for u in sorted(updates, key=lambda u: u.client_id):
         if u.indices[-1] >= m:
             raise ValueError(f"client {u.client_id}: index out of range")
         sums[u.indices] += u.values
         counts[u.indices] += 1
-        size_bytes = -(-(u.k * precision) // 8) + u.k * metadata_bytes_per_entry
-        ops = [ScriptOp("ingress", -1, ingress_offset, size_bytes, "W")]
-        for layer, off, count in _per_layer_runs(spec, u.indices):
-            ops.append(ScriptOp("accumulator", layer, off, count, "R"))
-            ops.append(ScriptOp("accumulator", layer, off, count, "W"))
-        messages.append(UpdateMessage(u.client_id, size_bytes, tuple(ops)))
-        ingress_offset += size_bytes
 
     touched = np.flatnonzero(counts)
     new_values = store.values.copy()
     new_values[touched] += sums[touched] / counts[touched]
-
-    wb_ops = []
-    for layer, off, count in _per_layer_runs(spec, touched):
-        wb_ops.append(ScriptOp("accumulator", layer, off, count, "R"))
-        wb_ops.append(ScriptOp("writeback", layer, off, count, "W"))
-        wb_ops.append(ScriptOp("values", layer, off, count, "W"))
-
-    script = AccessScript(round_number, tuple(messages), tuple(wb_ops))
-    return ParameterStore(spec, new_values), script
+    return ParameterStore(store.spec, new_values)
 
 
 @dataclass
 class RoundResult:
     record: RoundRecord
-    script: AccessScript
     updates: list[SparseUpdate] = field(repr=False, default_factory=list)
 
 
@@ -476,7 +375,6 @@ def run_round(
     fed: FederationState,
     perturbations: dict[int, np.ndarray] | None = None,
     channel_cfg: channel_mod.ChannelConfig | None = None,
-    metadata_bytes_per_entry: int = 0,
 ) -> RoundResult:
     """One communication round; advances fed.round_number and theta.
 
@@ -515,13 +413,12 @@ def run_round(
         dense = local_train(fed, c, fed.params, (x_in, y))
         updates.append(sparsify_topk(dense, fed.sparsity, t, c))
 
-    new_params, script = aggregate(fed.params, updates, metadata_bytes_per_entry)
-    fed.params = new_params
+    fed.params = aggregate(fed.params, updates)
     fed.round_number = t + 1
 
     union = np.unique(np.concatenate([u.indices for u in updates]))
     record = RoundRecord(t, union)
-    return RoundResult(record, script, updates)
+    return RoundResult(record, updates)
 
 
 def write_round_records(path, records: list[RoundRecord], header: dict[str, str] | None = None) -> None:

@@ -6,10 +6,12 @@ ingress queue.  A page table maps 2 MB-aligned virtual pages to physical
 frames; a configurable DRAM address hash then splits physical addresses
 into (bank, row, column).
 
-trace_update_processing turns the logical access script of one round into
-a time-stamped physical event trace.  Each update message occupies
-size_bytes / bandwidth seconds, events inside a message are spaced
-uniformly, and round-end writeback events land on the round boundary.
+An AccessScript is the logical access pattern of one round: the update
+message's ops (ingress write, accumulator read+write per entry run) and
+the round-end writeback ops.  trace_update_processing turns it into a
+time-stamped physical event trace.  The message occupies size_bytes /
+bandwidth seconds, its events are spaced uniformly, and the writeback
+events land on the round boundary.
 Contiguous element runs become single burst events, split at row and page
 borders, which leaves the per-bank row-activation sequence identical to
 per-element events while keeping traces tractable.
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .federation import AccessScript, ModelSpec, ScriptOp
+from .federation import ModelSpec
 from .metrics import BandwidthModel
 from .seeding import generator
 
@@ -31,6 +33,8 @@ __all__ = [
     "Region",
     "MemoryLayout",
     "build_layout",
+    "ScriptOp",
+    "AccessScript",
     "physical_to_dram",
     "dram_to_physical",
     "AccessEvent",
@@ -218,6 +222,35 @@ def build_layout(
     return MemoryLayout(spec, mapping, regions, page_table, int(seed))
 
 
+# Offsets and counts are in elements of the named region; the layout
+# resolves them to physical byte ranges.
+@dataclass(frozen=True)
+class ScriptOp:
+    region: str  # "ingress" | "accumulator" | "writeback" | "values"
+    layer: int  # -1 for the global ingress queue
+    offset: int
+    count: int
+    kind: str  # "R" | "W"
+
+    def __post_init__(self) -> None:
+        if self.region not in ("ingress", "accumulator", "writeback", "values"):
+            raise ValueError(f"unknown region {self.region!r}")
+        if self.kind not in ("R", "W"):
+            raise ValueError(f"kind must be 'R' or 'W', got {self.kind!r}")
+        if self.offset < 0 or self.count <= 0:
+            raise ValueError("offset must be >= 0 and count positive")
+
+
+@dataclass(frozen=True)
+class AccessScript:
+    """One round: the update message's ops plus round-end writeback ops."""
+
+    round_number: int
+    size_bytes: int
+    ops: tuple[ScriptOp, ...]
+    writeback_ops: tuple[ScriptOp, ...]
+
+
 class AccessEvent(NamedTuple):
     time_ns: int
     paddr: int
@@ -259,21 +292,17 @@ def trace_update_processing(
     start_time_ns: int = 0,
 ) -> AccessTrace:
     """Physical access trace of one aggregation round."""
-    bw_bytes = bw.bytes_per_second
-    events: list[AccessEvent] = []
+    budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
+    pieces: list[tuple[int, int, str]] = []
+    for op in script.ops:
+        pieces.extend((p, n, op.kind) for p, n in _physical_pieces(layout, op))
+    if not pieces:
+        raise ValueError("update message with no operations")
     t = float(start_time_ns)
-    for msg in script.messages:
-        budget_ns = msg.size_bytes * 1e9 / bw_bytes
-        pieces: list[tuple[int, int, str]] = []
-        for op in msg.ops:
-            pieces.extend((p, n, op.kind) for p, n in _physical_pieces(layout, op))
-        if not pieces:
-            raise ValueError("update message with no operations")
-        step = budget_ns / len(pieces)
-        for i, (paddr, size, kind) in enumerate(pieces):
-            events.append(AccessEvent(int(t + i * step), paddr, kind, size))
-        t += budget_ns
-    round_end = int(t)
+    step = budget_ns / len(pieces)
+    events = [AccessEvent(int(t + i * step), paddr, kind, size)
+              for i, (paddr, size, kind) in enumerate(pieces)]
+    round_end = int(t + budget_ns)
     for op in script.writeback_ops:
         for paddr, size in _physical_pieces(layout, op):
             events.append(AccessEvent(round_end, paddr, kind=op.kind, size=size))

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import metrics
 from .dram import (
     DramConfig,
@@ -28,11 +30,41 @@ from .dram import (
     VulnerabilityMap,
     simulate_trace,
 )
-from .federation import AccessScript, RoundRecord, ScriptOp, UpdateMessage, _per_layer_runs
-from .memlayout import AccessEvent, MemoryLayout, trace_update_processing
+from .federation import ModelSpec, RoundRecord
+from .memlayout import AccessEvent, AccessScript, MemoryLayout, ScriptOp, trace_update_processing
 from .metrics import BandwidthModel
 
 __all__ = ["ReplaySummary", "round_script", "iter_replay_events", "replay_records"]
+
+
+def _runs(sorted_indices: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive integers as (start, count)."""
+    idx = np.asarray(sorted_indices, dtype=np.int64)
+    breaks = np.flatnonzero(np.diff(idx) != 1) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [idx.size]))
+    return list(zip(idx[starts].tolist(), (ends - starts).tolist()))
+
+
+def _per_layer_runs(spec: ModelSpec, indices: np.ndarray) -> list[tuple[int, int, int]]:
+    """(layer, offset within layer, count) runs, split at layer borders."""
+    offsets = spec.layer_offsets
+    out = []
+    for start, count in _runs(indices):
+        while count > 0:
+            layer = spec.layer_of(start)
+            room = offsets[layer + 1] - start
+            take = min(count, room)
+            out.append((layer, start - offsets[layer], take))
+            start += take
+            count -= take
+    return out
+
+
+def _update_bytes(spec: ModelSpec, record: RoundRecord, metadata_bytes_per_entry: int) -> int:
+    """Bytes of one replayed update: packed values plus per-entry metadata."""
+    k = int(record.indices.size)
+    return -(-(k * spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
 
 
 def round_script(
@@ -47,9 +79,7 @@ def round_script(
         raise ValueError(
             f"round {record.round_number}: index {record.indices[-1]} outside the model"
         )
-    precision = spec.uniform_precision_bits
-    k = int(record.indices.size)
-    size_bytes = -(-(k * precision) // 8) + k * metadata_bytes_per_entry
+    size_bytes = _update_bytes(spec, record, metadata_bytes_per_entry)
     ops = [ScriptOp("ingress", -1, ingress_offset, size_bytes, "W")]
     runs = _per_layer_runs(spec, record.indices)
     for layer, off, count in runs:
@@ -60,8 +90,7 @@ def round_script(
         wb_ops.append(ScriptOp("accumulator", layer, off, count, "R"))
         wb_ops.append(ScriptOp("writeback", layer, off, count, "W"))
         wb_ops.append(ScriptOp("values", layer, off, count, "W"))
-    message = UpdateMessage(0, size_bytes, tuple(ops))
-    return AccessScript(record.round_number, (message,), tuple(wb_ops))
+    return AccessScript(record.round_number, size_bytes, tuple(ops), tuple(wb_ops))
 
 
 def iter_replay_events(
@@ -79,8 +108,7 @@ def iter_replay_events(
     offset = 0
     t = 0
     for record in records:
-        k = int(record.indices.size)
-        size = -(-(k * layout.spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
+        size = _update_bytes(layout.spec, record, metadata_bytes_per_entry)
         if size > ingress_size:
             raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
         if offset + size > ingress_size:
@@ -129,12 +157,7 @@ def replay_records(
     """
     if not records:
         raise ValueError("no rounds to replay")
-    precision = layout.spec.uniform_precision_bits
-    total_bytes = sum(
-        -(-(int(r.indices.size) * precision) // 8)
-        + int(r.indices.size) * metadata_bytes_per_entry
-        for r in records
-    )
+    total_bytes = sum(_update_bytes(layout.spec, r, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
     hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
     events = iter_replay_events(layout, records, bw, metadata_bytes_per_entry)

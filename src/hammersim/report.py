@@ -72,26 +72,28 @@ def fill_verdicts(rows: list[FeasibilityRow], table: ThresholdTable) -> None:
         }
 
 
-def check_golden(rows: list[FeasibilityRow]) -> list[str]:
-    """Mismatch descriptions against the golden table; empty means clean."""
-    by_key = {(r.model, r.sparsity): r for r in rows}
+def check_golden(summary_rows: list[dict]) -> list[str]:
+    """Mismatches of feasibility_summary rows against the golden table.
+
+    Empty means clean.  Works on the manifest form, so a fresh run and a
+    stored run are checked by the same rule.
+    """
+    by_key = {(r["model"], r["sparsity"]): r for r in summary_rows}
     problems = []
     for model, sparsity, hmax_k, eact_k, verdict in GOLDEN_FEASIBILITY:
         row = by_key.get((model, sparsity))
         if row is None:
             problems.append(f"{model}@{sparsity}: row missing")
             continue
-        got_h = to_kilo(row.hmax)
-        if got_h != hmax_k:
-            problems.append(f"{model}@{sparsity}: H_max {got_h}K, golden {hmax_k}K")
-        if row.e_act is None or row.verdict is None:
+        if row["hmax_k"] != hmax_k:
+            problems.append(f"{model}@{sparsity}: H_max {row['hmax_k']}K, golden {hmax_k}K")
+        if row["e_act_k"] is None or row["verdict"] is None:
             problems.append(f"{model}@{sparsity}: no expectation computed")
             continue
-        got_e = to_kilo(row.e_act)
-        if abs(got_e - eact_k) > 1:
-            problems.append(f"{model}@{sparsity}: E[A] {got_e}K, golden {eact_k}K (+-1)")
-        if row.verdict != verdict:
-            problems.append(f"{model}@{sparsity}: verdict {row.verdict}, golden {verdict}")
+        if abs(row["e_act_k"] - eact_k) > 1:
+            problems.append(f"{model}@{sparsity}: E[A] {row['e_act_k']}K, golden {eact_k}K (+-1)")
+        if row["verdict"] != verdict:
+            problems.append(f"{model}@{sparsity}: verdict {row['verdict']}, golden {verdict}")
     return problems
 
 

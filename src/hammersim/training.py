@@ -57,7 +57,6 @@ class AttackEnv:
         self.modality = self.channel_cfg.modality
         self.epsilon = g("adversary", "epsilon")
         self.latent_dim = g("adversary", "latent_dim")
-        self.metadata_bytes_per_entry = g("metrics", "metadata_bytes_per_entry")
         self._init_kwargs = dict(
             in_dim=self.in_dim,
             hidden_dim=g("federation", "hidden_dim"),
@@ -96,7 +95,7 @@ class AttackEnv:
         """
         delta = self.action_to_delta(np.asarray(z, dtype=np.float64))
         perturbations = {c: delta for c in range(self.n_clients)}
-        res = run_round(self.fed, perturbations, self.channel_cfg, self.metadata_bytes_per_entry)
+        res = run_round(self.fed, perturbations, self.channel_cfg)
         u = res.record.index_set()
         breakdown = compute_reward(
             self.u_prev, u, self.window, delta, self.x_summary,

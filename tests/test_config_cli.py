@@ -135,6 +135,32 @@ def test_feasibility_golden_mismatch(tmp_path, capsys):
     assert "golden mismatch" in capsys.readouterr().err
 
 
+def test_golden_verdict_mismatch_feasibility_and_report(tmp_path, capsys):
+    # thresholds of 100K turn the four marginal/infeasible golden rows into
+    # feasible ones; H_max and E[A] do not depend on the table
+    table = tmp_path / "thresholds.txt"
+    table.write_text("# published_average=100000\n0xff,0x00,single,100000\n0xff,0x00,double,60000\n")
+    path = _write_cfg(tmp_path, f"[thresholds]\nsource = {table}\n")
+    assert main(["feasibility", "--config", path, "--golden"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(": verdict ") == 4 and "H_max" not in err and "E[A]" not in err
+    # the stored summary of an unchecked run goes through the same check
+    out = tmp_path / "runs"
+    assert main(["feasibility", "--config", path, "--out", str(out / "feas")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", path, "--golden", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count(": verdict ") == 4
+
+
+def test_rate_mismatch_rejected_at_load(tmp_path, capsys):
+    path = _write_cfg(tmp_path, "[channel]\ntarget_rate_hz = 8000\n")
+    with pytest.raises(ConfigError, match="16000.*8000"):
+        load_config(path)
+    assert main(["train", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "16000" in err and "8000" in err
+
+
 def test_config_error_exit(tmp_path, capsys):
     path = _write_cfg(tmp_path, "[run]\nbogus = 1\n")
     assert main(["feasibility", "--config", path]) == 1

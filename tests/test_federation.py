@@ -14,9 +14,8 @@ from hammersim.federation import (
     run_round,
     sparsify_topk,
     write_round_records,
-    _per_layer_runs,
-    _runs,
 )
+from hammersim.replay import _per_layer_runs, _runs
 from hammersim.seeding import generator
 
 
@@ -117,7 +116,7 @@ def test_sparsify_full_density():
     assert u.round_number == 3 and u.client_id == 2
 
 
-# -- run splitting ----------------------------------------------------------
+# -- run splitting of record indices (replay helpers) -----------------------
 
 def test_runs_grouping():
     assert _runs(np.array([4])) == [(4, 1)]
@@ -140,7 +139,7 @@ def test_aggregate_mean_of_contributions():
     u0 = sparsify_topk(np.eye(m)[3] * 4.0 + np.eye(m)[10] * 2.0, "0.011", 0, 0)
     u1 = sparsify_topk(np.eye(m)[3] * 2.0 + np.eye(m)[50] * 6.0, "0.011", 0, 1)
     before = fed.params.values.copy()
-    after, script = aggregate(fed.params, [u0, u1])
+    after = aggregate(fed.params, [u0, u1])
     diff = after.values - before
     assert diff[3] == pytest.approx(3.0)  # both touched index 3: mean of 4 and 2
     assert diff[10] == pytest.approx(2.0)
@@ -154,26 +153,9 @@ def test_aggregate_order_invariant():
     ups = []
     for c in range(3):
         ups.append(sparsify_topk(rng.standard_normal(fed.spec.total_params), "0.05", 0, c))
-    a, sa = aggregate(fed.params, ups)
-    b, sb = aggregate(fed.params, list(reversed(ups)))
+    a = aggregate(fed.params, ups)
+    b = aggregate(fed.params, list(reversed(ups)))
     np.testing.assert_array_equal(a.values, b.values)
-    assert [m.client_id for m in sa.messages] == [0, 1, 2]
-    assert sa == sb
-
-
-def test_aggregate_script_shape():
-    fed = small_fed()
-    m = fed.spec.total_params
-    u = sparsify_topk(np.eye(m)[0] + 2 * np.eye(m)[1], "0.01", 0, 0)  # k = 2
-    _, script = aggregate(fed.params, [u], metadata_bytes_per_entry=4)
-    (msg,) = script.messages
-    # 2 entries * 32 bits / 8 + 2 * 4 metadata bytes
-    assert msg.size_bytes == 8 + 8
-    kinds = [(op.region, op.kind) for op in msg.ops]
-    assert kinds[0] == ("ingress", "W")
-    assert ("accumulator", "R") in kinds and ("accumulator", "W") in kinds
-    regions = {op.region for op in script.writeback_ops}
-    assert regions == {"accumulator", "writeback", "values"}
 
 
 def test_aggregate_rejects_bad_batches():

@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
-from hammersim.federation import AccessScript, ScriptOp, UpdateMessage, make_mlp_spec
+from hammersim.federation import RoundRecord, make_mlp_spec
 from hammersim.memlayout import (
     PAGE_BYTES,
+    AccessScript,
     AccessTrace,
     DramMapping,
+    ScriptOp,
     build_layout,
     dram_to_physical,
     physical_to_dram,
@@ -16,6 +18,7 @@ from hammersim.memlayout import (
     _physical_pieces,
 )
 from hammersim.metrics import BandwidthModel
+from hammersim.replay import round_script
 from hammersim.seeding import generator
 
 
@@ -149,11 +152,23 @@ def one_op_script():
     ops = (ScriptOp("ingress", -1, 0, 64, "W"),
            ScriptOp("accumulator", 0, 0, 16, "R"),
            ScriptOp("accumulator", 0, 0, 16, "W"))
-    msg = UpdateMessage(0, 64, ops)
     wb = (ScriptOp("accumulator", 0, 0, 16, "R"),
           ScriptOp("writeback", 0, 0, 16, "W"),
           ScriptOp("values", 0, 0, 16, "W"))
-    return AccessScript(0, (msg,), wb)
+    return AccessScript(0, 64, ops, wb)
+
+
+def test_round_script_shape():
+    spec = make_mlp_spec(20, 8, 3)
+    layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
+    script = round_script(layout, RoundRecord(0, np.array([0, 1])), metadata_bytes_per_entry=4)
+    # 2 entries * 32 bits / 8 + 2 * 4 metadata bytes
+    assert script.size_bytes == 8 + 8
+    kinds = [(op.region, op.kind) for op in script.ops]
+    assert kinds[0] == ("ingress", "W")
+    assert ("accumulator", "R") in kinds and ("accumulator", "W") in kinds
+    regions = {op.region for op in script.writeback_ops}
+    assert regions == {"accumulator", "writeback", "values"}
 
 
 def test_trace_times_monotone_and_budgeted():
