@@ -243,10 +243,12 @@ def cmd_report(args) -> int:
     with open(os.path.join(root, "report.txt"), "r", encoding="ascii") as f:
         sys.stdout.write(f.read())
     if args.golden:
+        feasibility = [run for run in merged["runs"] if run["command"] == "feasibility"]
+        if not feasibility:
+            raise ConfigError(f"--golden: no feasibility run under {root} to check")
         problems = []
-        for run in merged["runs"]:
-            if run["command"] == "feasibility":
-                problems.extend(report.check_golden(run["summary"].get("rows", [])))
+        for run in feasibility:
+            problems.extend(report.check_golden(run["summary"].get("rows", [])))
         if problems:
             raise GoldenMismatchError(problems)
         print("golden check: all values match")

@@ -319,6 +319,12 @@ def _validate(cfg: ExperimentConfig) -> None:
     g = cfg.get
     if g("run", "iterations") <= 0 or g("run", "rounds_per_episode") <= 0:
         raise ConfigError("[run] iterations and rounds_per_episode must be positive")
+    for key in ("in_dim", "hidden_dim", "out_dim", "n_clients", "shard_size"):
+        if g("federation", key) <= 0:
+            raise ConfigError(f"[federation] {key} must be positive, got {g('federation', key)}")
+    if g("federation", "learning_rate") < 0:
+        raise ConfigError(
+            f"[federation] learning_rate must be non-negative, got {g('federation', 'learning_rate')}")
     p = Fraction(g("federation", "sparsity"))
     if not 0 < p <= 1:
         raise ConfigError(f"[federation] sparsity must be in (0, 1], got {p}")

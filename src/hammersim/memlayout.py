@@ -6,12 +6,13 @@ ingress queue.  A page table maps 2 MB-aligned virtual pages to physical
 frames; a configurable DRAM address hash then splits physical addresses
 into (bank, row, column).
 
-An AccessScript is the logical access pattern of one round: the update
-message's ops (ingress write, accumulator read+write per entry run) and
-the round-end writeback ops.  trace_update_processing turns it into a
-time-stamped physical event trace.  The message occupies size_bytes /
-bandwidth seconds, its events are spaced uniformly, and the writeback
-events land on the round boundary.
+An AccessScript is the logical access pattern of a block of consecutive
+rounds, held as op columns: per round the update message's ops (ingress
+write, accumulator read+write per entry run) and the round-end writeback
+ops.  trace_update_processing turns it into time-stamped physical event
+columns.  Each message occupies size_bytes / bandwidth seconds, its
+events are spaced uniformly, and the writeback events land on the round
+boundary.
 Contiguous element runs become single burst events, split at row and page
 borders, which leaves the per-bank row-activation sequence identical to
 per-element events while keeping traces tractable.
@@ -19,7 +20,8 @@ per-element events while keeping traces tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,11 +35,12 @@ __all__ = [
     "Region",
     "MemoryLayout",
     "build_layout",
-    "ScriptOp",
+    "SCRIPT_REGIONS",
     "AccessScript",
     "physical_to_dram",
     "dram_to_physical",
     "AccessEvent",
+    "EventColumns",
     "AccessTrace",
     "trace_update_processing",
     "write_trace",
@@ -164,6 +167,29 @@ class MemoryLayout:
             raise ValueError(f"vaddr {vaddr:#x} not mapped")
         return frame * PAGE_BYTES + offset
 
+    # Lookup tables for the columnar trace stage, built on first use (a
+    # layout is not changed after build_layout).
+    @cached_property
+    def _script_region_table(self) -> np.ndarray:
+        """Arrays virtual_start, elem_bits, virtual_end; entry r * (layers + 1) + layer + 1
+        is SCRIPT_REGIONS[r] of that layer (an empty range where there is none)."""
+        width = len(self.spec.layers) + 1
+        table = np.zeros((3, len(SCRIPT_REGIONS) * width), dtype=np.int64)
+        for code, name in enumerate(SCRIPT_REGIONS):
+            for layer in range(-1, width - 1):
+                region = self.regions.get((name, layer))
+                if region is not None:
+                    table[:, code * width + layer + 1] = (
+                        region.virtual_start, region.elem_bits, region.virtual_end)
+        return table
+
+    @cached_property
+    def _frame_table(self) -> np.ndarray:
+        """Physical frame per virtual page, -1 where the page is not mapped."""
+        frames = np.full(max(self.page_table, default=-1) + 1, -1, dtype=np.int64)
+        frames[list(self.page_table)] = list(self.page_table.values())
+        return frames
+
 
 def build_layout(
     spec: ModelSpec,
@@ -222,33 +248,31 @@ def build_layout(
     return MemoryLayout(spec, mapping, regions, page_table, int(seed))
 
 
-# Offsets and counts are in elements of the named region; the layout
-# resolves them to physical byte ranges.
-@dataclass(frozen=True)
-class ScriptOp:
-    region: str  # "ingress" | "accumulator" | "writeback" | "values"
-    layer: int  # -1 for the global ingress queue
-    offset: int
-    count: int
-    kind: str  # "R" | "W"
-
-    def __post_init__(self) -> None:
-        if self.region not in ("ingress", "accumulator", "writeback", "values"):
-            raise ValueError(f"unknown region {self.region!r}")
-        if self.kind not in ("R", "W"):
-            raise ValueError(f"kind must be 'R' or 'W', got {self.kind!r}")
-        if self.offset < 0 or self.count <= 0:
-            raise ValueError("offset must be >= 0 and count positive")
+# Regions an access script touches; the script's region column indexes this.
+SCRIPT_REGIONS = ("ingress", "accumulator", "writeback", "values")
 
 
 @dataclass(frozen=True)
 class AccessScript:
-    """One round: the update message's ops plus round-end writeback ops."""
+    """A block of consecutive rounds as op columns, in the order the ops run.
 
-    round_number: int
-    size_bytes: int
-    ops: tuple[ScriptOp, ...]
-    writeback_ops: tuple[ScriptOp, ...]
+    Per round the update message's ops come first (ingress write, then an
+    accumulator read and write per entry run), then its round-end
+    writeback ops (accumulator read, writeback write, values write per
+    run).  Offsets and counts are in elements of the op's region; the
+    layout resolves them to physical byte ranges.
+    """
+
+    round_numbers: np.ndarray  # per round
+    size_bytes: np.ndarray  # per round: update message bytes
+    ingress_offset: np.ndarray  # per round: where the message lands in the ingress queue
+    op_round: np.ndarray  # per op: index into the block's rounds
+    writeback: np.ndarray  # per op: bool, a round-end writeback op
+    region: np.ndarray  # per op: index into SCRIPT_REGIONS
+    layer: np.ndarray  # per op: -1 for the global ingress queue
+    offset: np.ndarray
+    count: np.ndarray
+    write: np.ndarray  # per op: bool, "W" where set, else "R"
 
 
 class AccessEvent(NamedTuple):
@@ -258,31 +282,116 @@ class AccessEvent(NamedTuple):
     size: int
 
 
+_KINDS = np.array(["R", "W"], dtype=object)
+_ITER_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class EventColumns:
+    """Physical events in trace order, one numpy column per AccessEvent field."""
+
+    time_ns: np.ndarray
+    paddr: np.ndarray
+    write: np.ndarray  # bool: kind "W" where set, else "R"
+    size: np.ndarray
+
+    def __len__(self) -> int:
+        return self.time_ns.size
+
+    def __iter__(self) -> Iterator[tuple[int, int, str, int]]:
+        """(time_ns, paddr, kind, size) tuples in AccessEvent field order.
+
+        Columns turn into Python objects a chunk at a time, which keeps
+        the lists small next to the arrays.
+        """
+        for a in range(0, self.time_ns.size, _ITER_CHUNK):
+            b = a + _ITER_CHUNK
+            yield from zip(self.time_ns[a:b].tolist(), self.paddr[a:b].tolist(),
+                           _KINDS[self.write[a:b].view(np.uint8)].tolist(), self.size[a:b].tolist())
+
+
 @dataclass
 class AccessTrace:
-    events: list[AccessEvent]
+    events: list[AccessEvent] | EventColumns
     meta: dict[str, str] = field(default_factory=dict)
 
 
-def _physical_pieces(layout: MemoryLayout, op: ScriptOp) -> list[tuple[int, int]]:
-    """(paddr, size) pieces of one logical op.
+def _op_byte_ranges(layout: MemoryLayout, script: AccessScript) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual [start, end) byte range of every op of the script."""
+    key = script.region * (len(layout.spec.layers) + 1) + script.layer + 1
+    base, bits, limit = (column[key] for column in layout._script_region_table)
+    start = base + script.offset * bits // 8
+    end = base - (-(script.offset + script.count) * bits // 8)
+    bad = (script.offset < 0) | (script.count <= 0) | (end > limit)
+    if bad.any():
+        i = bad.nonzero()[0][0]
+        raise ValueError(
+            f"op [{script.offset[i]}, {script.offset[i] + script.count[i]}) invalid or outside "
+            f"region {SCRIPT_REGIONS[script.region[i]]}/{script.layer[i]}"
+        )
+    return start, end
 
-    Bursts never cross a huge-page border (translation changes) nor a DRAM
-    row border (each piece touches exactly one row).
+
+def _row_pieces(start: np.ndarray, end: np.ndarray, row_size: int) -> tuple[np.ndarray, ...]:
+    """Cut every [start, end) range at row borders.
+
+    Returns (pieces per range, piece start, piece size); piece k of a
+    range covers its part of the k-th row the range touches.
     """
-    region = layout.region(op.region, op.layer)
-    start, end = region.byte_range_of_elems(op.offset, op.count)
-    row_size = layout.mapping.row_size_bytes
-    pieces = []
-    v = start
-    while v < end:
-        page_end = (v // PAGE_BYTES + 1) * PAGE_BYTES
-        p = layout.virtual_to_physical(v)
-        row_end_p = (p // row_size + 1) * row_size
-        piece = min(end - v, page_end - v, row_end_p - p)
-        pieces.append((p, piece))
-        v += piece
-    return pieces
+    first_row = start // row_size
+    n_pieces = (end - 1) // row_size - first_row + 1
+    row = np.arange(n_pieces.sum()) - (n_pieces.cumsum() - n_pieces - first_row).repeat(n_pieces)
+    row *= row_size
+    piece_start = np.maximum(row, start.repeat(n_pieces))
+    row += row_size
+    size = np.minimum(row, end.repeat(n_pieces))
+    size -= piece_start
+    return n_pieces, piece_start, size
+
+
+def _translate(layout: MemoryLayout, addr: np.ndarray) -> None:
+    """Turn virtual addresses into physical ones in place, through the page table."""
+    frames = layout._frame_table
+    page = addr // PAGE_BYTES
+    frame = frames[np.minimum(page, frames.size - 1)]
+    unmapped = (page >= frames.size) | (frame < 0)
+    if unmapped.any():
+        raise ValueError(f"vaddr {addr[unmapped.nonzero()[0][0]]:#x} not mapped")
+    frame -= page
+    frame *= PAGE_BYTES
+    addr += frame
+
+
+def _piece_times(
+    script: AccessScript, n_pieces: np.ndarray, bw: BandwidthModel, start_time_ns: int
+) -> tuple[np.ndarray, int]:
+    """Time of every piece, and the end of the block's last round.
+
+    Each round is a message segment of ops, then a writeback segment.
+    Rounds start at the previous round's integer end (the only per-round
+    recurrence); message piece i of a round is at int(start + i * step),
+    and writeback pieces are at the round's end (step 0).
+    """
+    budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
+    seg_t0 = []
+    t = start_time_ns
+    for budget in budget_ns.tolist():
+        start = t
+        t = int(t + budget)
+        seg_t0 += (start, t)
+    seg = 2 * script.op_round + script.writeback
+    piece_bounds = np.zeros(seg.size + 1, dtype=np.int64)  # each op's first piece, then the end
+    n_pieces.cumsum(out=piece_bounds[1:])
+    seg_first_piece = piece_bounds[seg.searchsorted(np.arange(len(seg_t0)))]
+    message_pieces = seg_first_piece[1::2] - seg_first_piece[::2]
+    if not message_pieces.all():
+        raise ValueError("update message with no operations")
+    seg_step = np.zeros(len(seg_t0))
+    seg_step[::2] = budget_ns / message_pieces
+    i = np.arange(piece_bounds[-1]) - seg_first_piece[seg].repeat(n_pieces)
+    time_ns = i * seg_step[seg].repeat(n_pieces)
+    time_ns += np.array(seg_t0, dtype=np.float64)[seg].repeat(n_pieces)
+    return time_ns.astype(np.int64), t
 
 
 def trace_update_processing(
@@ -291,25 +400,22 @@ def trace_update_processing(
     bw: BandwidthModel,
     start_time_ns: int = 0,
 ) -> AccessTrace:
-    """Physical access trace of one aggregation round."""
-    budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
-    pieces: list[tuple[int, int, str]] = []
-    for op in script.ops:
-        pieces.extend((p, n, op.kind) for p, n in _physical_pieces(layout, op))
-    if not pieces:
-        raise ValueError("update message with no operations")
-    t = float(start_time_ns)
-    step = budget_ns / len(pieces)
-    events = [AccessEvent(int(t + i * step), paddr, kind, size)
-              for i, (paddr, size, kind) in enumerate(pieces)]
-    round_end = int(t + budget_ns)
-    for op in script.writeback_ops:
-        for paddr, size in _physical_pieces(layout, op):
-            events.append(AccessEvent(round_end, paddr, kind=op.kind, size=size))
+    """Physical access trace of a block of consecutive aggregation rounds.
+
+    Rounds play back to back from start_time_ns.  A round's message
+    occupies size_bytes / bandwidth; its pieces are spaced uniformly over
+    that budget, and its writeback pieces land on the round's end.  Each
+    piece is one burst that stays inside one DRAM row; the row size divides
+    the huge page, so no piece crosses a page either.
+    """
+    n_pieces, paddr, size = _row_pieces(*_op_byte_ranges(layout, script), layout.mapping.row_size_bytes)
+    _translate(layout, paddr)
+    time_ns, end_ns = _piece_times(script, n_pieces, bw, start_time_ns)
+    events = EventColumns(time_ns, paddr, script.write.repeat(n_pieces), size)
     meta = {
-        "round": str(script.round_number),
+        "rounds": f"{script.round_numbers[0]}-{script.round_numbers[-1]}",
         "start_ns": str(start_time_ns),
-        "end_ns": str(round_end),
+        "end_ns": str(end_ns),
     }
     return AccessTrace(events, meta)
 
@@ -319,8 +425,8 @@ def write_trace(path, trace: AccessTrace) -> None:
     with open(path, "w", encoding="ascii") as f:
         for key, value in trace.meta.items():
             f.write(f"# {key}={value}\n")
-        for e in trace.events:
-            f.write(f"{e.time_ns},{e.paddr:#x},{e.kind},{e.size}\n")
+        for time_ns, paddr, kind, size in trace.events:
+            f.write(f"{time_ns},{paddr:#x},{kind},{size}\n")
 
 
 def read_trace(path) -> AccessTrace:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,66 +31,135 @@ from .dram import (
     simulate_trace,
 )
 from .federation import ModelSpec, RoundRecord
-from .memlayout import AccessEvent, AccessScript, MemoryLayout, ScriptOp, trace_update_processing
+from .memlayout import SCRIPT_REGIONS, AccessScript, MemoryLayout, trace_update_processing
 from .metrics import BandwidthModel
 
-__all__ = ["ReplaySummary", "round_script", "iter_replay_events", "replay_records"]
+__all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "iter_replay_events", "replay_records"]
 
 
-def _runs(sorted_indices: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers as (start, count)."""
-    idx = np.asarray(sorted_indices, dtype=np.int64)
-    breaks = np.flatnonzero(np.diff(idx) != 1) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [idx.size]))
-    return list(zip(idx[starts].tolist(), (ends - starts).tolist()))
+# Rounds become events a block at a time.  A block holds whole consecutive
+# rounds with at most this many record indices between them (a larger
+# round is a block of its own), which bounds the memory of the columns.
+BLOCK_INDICES = 8192
+
+# the five ops of one entry run: accumulator read and write in the update
+# message, then accumulator read, writeback write and values write at the
+# round's end
+_RUN_OP_REGIONS = np.array([SCRIPT_REGIONS.index(name) for name in (
+    "accumulator", "accumulator", "accumulator", "writeback", "values")])
+_RUN_OP_WRITES = np.array([False, True, False, True, True])
+_RUN_OP_WRITEBACK = np.array([False, False, True, True, True])
 
 
-def _per_layer_runs(spec: ModelSpec, indices: np.ndarray) -> list[tuple[int, int, int]]:
-    """(layer, offset within layer, count) runs, split at layer borders."""
-    offsets = spec.layer_offsets
-    out = []
-    for start, count in _runs(indices):
-        while count > 0:
-            layer = spec.layer_of(start)
-            room = offsets[layer + 1] - start
-            take = min(count, room)
-            out.append((layer, start - offsets[layer], take))
-            start += take
-            count -= take
-    return out
-
-
-def _update_bytes(spec: ModelSpec, record: RoundRecord, metadata_bytes_per_entry: int) -> int:
-    """Bytes of one replayed update: packed values plus per-entry metadata."""
-    k = int(record.indices.size)
+def _update_bytes(spec: ModelSpec, k: int, metadata_bytes_per_entry: int) -> int:
+    """Bytes of one replayed update of k entries: packed values plus metadata."""
     return -(-(k * spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
 
 
 def round_script(
     layout: MemoryLayout,
-    record: RoundRecord,
+    records: Sequence[RoundRecord],
     metadata_bytes_per_entry: int = 0,
     ingress_offset: int = 0,
 ) -> AccessScript:
-    """Access script replaying one recorded round as a single message."""
+    """Access script replaying consecutive recorded rounds, one message each.
+
+    The ingress queue is a ring buffer: the first message lands at
+    ingress_offset, each next one right after it, and a message that would
+    overflow the queue wraps to offset 0.
+    """
+    if not records:
+        raise ValueError("no rounds to script")
     spec = layout.spec
-    if record.indices[-1] >= spec.total_params:
-        raise ValueError(
-            f"round {record.round_number}: index {record.indices[-1]} outside the model"
-        )
-    size_bytes = _update_bytes(spec, record, metadata_bytes_per_entry)
-    ops = [ScriptOp("ingress", -1, ingress_offset, size_bytes, "W")]
-    runs = _per_layer_runs(spec, record.indices)
-    for layer, off, count in runs:
-        ops.append(ScriptOp("accumulator", layer, off, count, "R"))
-        ops.append(ScriptOp("accumulator", layer, off, count, "W"))
-    wb_ops = []
-    for layer, off, count in runs:
-        wb_ops.append(ScriptOp("accumulator", layer, off, count, "R"))
-        wb_ops.append(ScriptOp("writeback", layer, off, count, "W"))
-        wb_ops.append(ScriptOp("values", layer, off, count, "W"))
-    return AccessScript(record.round_number, size_bytes, tuple(ops), tuple(wb_ops))
+    n_params = spec.total_params
+    ingress_size = layout.region("ingress").size_bytes
+    sizes, ring = [], []
+    round_bounds = [0]  # where each round's indices start in the block, then the end
+    offset = ingress_offset
+    for record in records:
+        idx = record.indices
+        if not idx.size:
+            raise ValueError(f"round {record.round_number}: empty record")
+        if idx[0] < 0 or idx[-1] >= n_params:
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise ValueError(f"round {record.round_number}: index {bad} outside the model [0, {n_params})")
+        size = _update_bytes(spec, idx.size, metadata_bytes_per_entry)
+        if size > ingress_size:
+            raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
+        if offset + size > ingress_size:
+            offset = 0
+        sizes.append(size)
+        ring.append(offset)
+        round_bounds.append(round_bounds[-1] + idx.size)
+        offset += size
+
+    # entry runs, split at index gaps, round changes and layer borders:
+    # adding the number of layer borders at or below each index turns a
+    # border into a gap.  run_bounds holds each run's start, then the end.
+    idx = np.concatenate([r.indices for r in records])
+    stepped = idx
+    for border in spec.layer_offsets[1:-1]:
+        stepped = stepped + (idx >= border)
+    new_run = np.empty(idx.size + 1, dtype=bool)
+    np.not_equal(stepped[1:], stepped[:-1] + 1, out=new_run[1:-1])
+    new_run[round_bounds] = True
+    run_bounds = new_run.nonzero()[0]
+    run_start = run_bounds[:-1]
+    n_runs = run_start.size
+    run_layer = stepped[run_start] - idx[run_start]
+    run_offset = idx[run_start] - np.array(spec.layer_offsets)[run_layer]
+    run_count = run_bounds[1:] - run_start
+    round_runs = run_bounds.searchsorted(round_bounds)  # each round's first run, then n_runs
+    runs = round_runs[1:] - round_runs[:-1]
+
+    # op table: per round its ingress op, then 2 message ops per run, then
+    # 3 writeback ops per run.  Round r's ingress op is at r + 5 * (runs
+    # before r); the block's run j, in round r, has its message ops from
+    # 2j + r + 1 + 3 * (runs before r) and its writeback ops from
+    # 3j + r + 1 + 2 * (runs up to and including r).
+    n_rounds = len(sizes)
+    rounds = np.arange(n_rounds)
+    first_op = rounds + 5 * round_runs[:-1]
+    j = np.arange(n_runs)
+    message_op = 2 * j + (rounds + 1 + 3 * round_runs[:-1]).repeat(runs)
+    writeback_op = 3 * j + (rounds + 1 + 2 * round_runs[1:]).repeat(runs)
+    run_op = np.concatenate((message_op[:, None] + (0, 1), writeback_op[:, None] + (0, 1, 2)), axis=1)
+    n_ops = n_rounds + 5 * n_runs
+    columns = {}
+    for name, ingress, per_run in (
+        ("region", SCRIPT_REGIONS.index("ingress"), _RUN_OP_REGIONS),
+        ("layer", -1, run_layer[:, None]),
+        ("offset", ring, run_offset[:, None]),
+        ("count", sizes, run_count[:, None]),
+        ("write", True, _RUN_OP_WRITES),
+        ("writeback", False, _RUN_OP_WRITEBACK),
+    ):
+        column = np.empty(n_ops, dtype=per_run.dtype)
+        column[first_op] = ingress
+        column[run_op] = per_run
+        columns[name] = column
+    return AccessScript(
+        round_numbers=np.array([r.round_number for r in records], dtype=np.int64),
+        size_bytes=np.array(sizes, dtype=np.int64),
+        ingress_offset=np.array(ring, dtype=np.int64),
+        op_round=rounds.repeat(1 + 5 * runs),
+        **columns,
+    )
+
+
+def _blocks(records: Iterable[RoundRecord]) -> Iterator[list[RoundRecord]]:
+    """Consecutive records grouped into blocks of at most BLOCK_INDICES indices."""
+    block: list[RoundRecord] = []
+    n = 0
+    for record in records:
+        k = record.indices.size
+        if block and n + k > BLOCK_INDICES:
+            yield block
+            block, n = [], 0
+        block.append(record)
+        n += k
+    if block:
+        yield block
 
 
 def iter_replay_events(
@@ -98,26 +167,23 @@ def iter_replay_events(
     records: Iterable[RoundRecord],
     bw: BandwidthModel,
     metadata_bytes_per_entry: int = 0,
-) -> Iterator[AccessEvent]:
+) -> Iterator[tuple[int, int, str, int]]:
     """Stream the physical events of consecutive rounds, back to back.
 
-    The ingress queue is used as a ring buffer: successive rounds land at
-    increasing offsets and wrap when the next update would overflow it.
+    Events come as (time_ns, paddr, kind, size) tuples in AccessEvent
+    field order, generated a block of rounds at a time; the ingress ring
+    offset and the clock carry over from block to block.
     """
-    ingress_size = layout.region("ingress").size_bytes
     offset = 0
     t = 0
-    for record in records:
-        size = _update_bytes(layout.spec, record, metadata_bytes_per_entry)
-        if size > ingress_size:
-            raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
-        if offset + size > ingress_size:
-            offset = 0
-        script = round_script(layout, record, metadata_bytes_per_entry, offset)
+    for block in _blocks(records):
+        script = round_script(layout, block, metadata_bytes_per_entry, offset)
+        offset = int(script.ingress_offset[-1] + script.size_bytes[-1])
         trace = trace_update_processing(layout, script, bw, t)
-        yield from trace.events
         t = int(trace.meta["end_ns"])
-        offset += size
+        del script
+        yield from trace.events
+        del trace  # free the block's columns before building the next block
 
 
 @dataclass
@@ -157,7 +223,7 @@ def replay_records(
     """
     if not records:
         raise ValueError("no rounds to replay")
-    total_bytes = sum(_update_bytes(layout.spec, r, metadata_bytes_per_entry) for r in records)
+    total_bytes = sum(_update_bytes(layout.spec, r.indices.size, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
     hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
     events = iter_replay_events(layout, records, bw, metadata_bytes_per_entry)

@@ -2,7 +2,8 @@
 
 Everything here recomputes results with a different algorithmic shape
 than the production code: the DRAM recount works from sorted time lists
-and bisect arithmetic instead of incremental counters, the distance
+and bisect arithmetic instead of incremental counters, the replay trace
+walks one access op and one row piece at a time, the distance
 metrics use exhaustive grids and subset enumeration, and the spectrum
 uses the direct transform sum.  Slow on purpose.
 """
@@ -12,6 +13,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from hammersim.dram import (
     TrrConfig,
     VulnerabilityMap,
 )
-from hammersim.memlayout import DramMapping, physical_to_dram
+from hammersim.memlayout import PAGE_BYTES, AccessEvent, DramMapping, MemoryLayout, physical_to_dram
+from hammersim.metrics import BandwidthModel
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,106 @@ def oracle_simulate(
                     armed = False
     flips.sort()
     return window_rows, window_banks, flips, total_acts
+
+
+# ---------------------------------------------------------------------------
+# Replay trace generation
+# ---------------------------------------------------------------------------
+
+class ScriptOp(NamedTuple):
+    region: str  # "ingress" | "accumulator" | "writeback" | "values"
+    layer: int  # -1 for the global ingress queue
+    offset: int  # in elements of the region
+    count: int
+    kind: str  # "R" | "W"
+
+
+def _reference_runs(spec, indices) -> list[tuple[int, int, int]]:
+    """(layer, offset within layer, count) runs of a sorted index list."""
+    out = []
+    idx = [int(i) for i in indices]
+    i = 0
+    while i < len(idx):
+        start = idx[i]
+        j = i + 1
+        while j < len(idx) and idx[j] == idx[j - 1] + 1:
+            j += 1
+        count = j - i
+        while count > 0:
+            layer = spec.layer_of(start)
+            take = min(count, spec.layer_offsets[layer + 1] - start)
+            out.append((layer, start - spec.layer_offsets[layer], take))
+            start += take
+            count -= take
+        i = j
+    return out
+
+
+def _reference_pieces(layout: MemoryLayout, op: ScriptOp) -> list[tuple[int, int]]:
+    """(paddr, size) pieces of one op, cut at page and physical row borders."""
+    region = layout.region(op.region, op.layer)
+    start, end = region.byte_range_of_elems(op.offset, op.count)
+    row_size = layout.mapping.row_size_bytes
+    pieces = []
+    v = start
+    while v < end:
+        page_end = (v // PAGE_BYTES + 1) * PAGE_BYTES
+        p = layout.virtual_to_physical(v)
+        row_end_p = (p // row_size + 1) * row_size
+        piece = min(end - v, page_end - v, row_end_p - p)
+        pieces.append((p, piece))
+        v += piece
+    return pieces
+
+
+def reference_replay_events(
+    layout: MemoryLayout,
+    records,
+    bw: BandwidthModel,
+    metadata_bytes_per_entry: int = 0,
+) -> list[AccessEvent]:
+    """Replay events built one round, one op and one piece at a time.
+
+    Per round: the update message (ingress write, then accumulator read
+    and write per run) spread uniformly over size / bandwidth, then the
+    writeback ops (accumulator read, writeback write, values write per
+    run) at the round's integer end, where the next round starts.  The
+    ingress queue is a ring that wraps when the next update would
+    overflow it.
+    """
+    spec = layout.spec
+    ingress_size = layout.region("ingress").size_bytes
+    events = []
+    offset = 0
+    t_ns = 0
+    for record in records:
+        k = len(record.indices)
+        size = -(-(k * spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
+        if size > ingress_size:
+            raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
+        if offset + size > ingress_size:
+            offset = 0
+        runs = _reference_runs(spec, record.indices)
+        ops = [ScriptOp("ingress", -1, offset, size, "W")]
+        writeback_ops = []
+        for layer, off, count in runs:
+            ops.append(ScriptOp("accumulator", layer, off, count, "R"))
+            ops.append(ScriptOp("accumulator", layer, off, count, "W"))
+            writeback_ops.append(ScriptOp("accumulator", layer, off, count, "R"))
+            writeback_ops.append(ScriptOp("writeback", layer, off, count, "W"))
+            writeback_ops.append(ScriptOp("values", layer, off, count, "W"))
+        budget_ns = size * 1e9 / bw.bytes_per_second
+        pieces = [(p, n, op.kind) for op in ops for p, n in _reference_pieces(layout, op)]
+        t = float(t_ns)
+        step = budget_ns / len(pieces)
+        events.extend(AccessEvent(int(t + i * step), p, kind, n)
+                      for i, (p, n, kind) in enumerate(pieces))
+        round_end = int(t + budget_ns)
+        for op in writeback_ops:
+            events.extend(AccessEvent(round_end, p, op.kind, n) for p, n in _reference_pieces(layout, op))
+        t_ns = round_end
+        offset += size
+    return events
 
 
 # ---------------------------------------------------------------------------

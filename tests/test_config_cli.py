@@ -161,6 +161,17 @@ def test_rate_mismatch_rejected_at_load(tmp_path, capsys):
     assert "config error" in err and "16000" in err and "8000" in err
 
 
+def test_model_sizes_rejected_at_load(tmp_path, capsys):
+    bad = {"in_dim": 0, "hidden_dim": 0, "out_dim": -1, "n_clients": 0,
+           "shard_size": 0, "learning_rate": -0.05}
+    for key, value in bad.items():
+        path = _write_cfg(tmp_path, f"[federation]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"\\[federation\\] {key} "):
+            load_config(path)
+        assert main(["train", "--config", path]) == 1, key
+        assert f"[federation] {key} " in capsys.readouterr().err
+
+
 def test_config_error_exit(tmp_path, capsys):
     path = _write_cfg(tmp_path, "[run]\nbogus = 1\n")
     assert main(["feasibility", "--config", path]) == 1
@@ -216,6 +227,33 @@ def test_simulate_requires_records(tmp_path, monkeypatch, capsys):
 def test_report_without_manifests(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_report_golden_without_feasibility_run(tmp_path, capsys):
+    cfg = _write_cfg(
+        tmp_path,
+        """\
+        [run]
+        iterations = 1
+        rounds_per_episode = 8
+
+        [federation]
+        in_dim = 24
+        hidden_dim = 10
+        shard_size = 6
+
+        [adversary]
+        stft_frame = 16
+        stft_hop = 8
+        warmup_rounds = 4
+        """,
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", cfg, "--golden", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "no feasibility run" in captured.err
+    assert "all values match" not in captured.out
 
 
 def test_train_simulate_report_end_to_end(tmp_path, capsys):

@@ -15,7 +15,8 @@ from hammersim.federation import (
     sparsify_topk,
     write_round_records,
 )
-from hammersim.replay import _per_layer_runs, _runs
+from hammersim.memlayout import SCRIPT_REGIONS, DramMapping, build_layout
+from hammersim.replay import round_script
 from hammersim.seeding import generator
 
 
@@ -116,18 +117,30 @@ def test_sparsify_full_density():
     assert u.round_number == 3 and u.client_id == 2
 
 
-# -- run splitting of record indices (replay helpers) -----------------------
+# -- run splitting of record indices (replay script) ------------------------
+
+def record_runs(spec, indices):
+    """(layer, offset within layer, count) of the runs replay makes of one record."""
+    mapping = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192)
+    script = round_script(build_layout(spec, None, mapping, seed=1), [RoundRecord(0, np.array(indices))])
+    # each run's first message op is its accumulator read
+    reads = (script.region == SCRIPT_REGIONS.index("accumulator")) & ~script.write & ~script.writeback
+    return list(zip(script.layer[reads].tolist(), script.offset[reads].tolist(),
+                    script.count[reads].tolist()))
+
 
 def test_runs_grouping():
-    assert _runs(np.array([4])) == [(4, 1)]
-    assert _runs(np.array([1, 2, 3, 7, 9, 10])) == [(1, 3), (7, 1), (9, 2)]
+    spec = make_mlp_spec(20, 8, 3)  # first layer holds indices 0..159
+    assert [(o, c) for _, o, c in record_runs(spec, [4])] == [(4, 1)]
+    runs = record_runs(spec, [1, 2, 3, 7, 9, 10])
+    assert [(o, c) for _, o, c in runs] == [(1, 3), (7, 1), (9, 2)]
 
 
 def test_per_layer_runs_split_at_borders():
     spec = make_mlp_spec(20, 8, 3)  # borders at 160, 168, 192
-    runs = _per_layer_runs(spec, np.array([158, 159, 160, 161]))
+    runs = record_runs(spec, [158, 159, 160, 161])
     assert runs == [(0, 158, 2), (1, 0, 2)]
-    runs2 = _per_layer_runs(spec, np.arange(166, 170))
+    runs2 = record_runs(spec, np.arange(166, 170))
     assert runs2 == [(1, 6, 2), (2, 0, 2)]
 
 

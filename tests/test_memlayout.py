@@ -5,17 +5,16 @@ import pytest
 from hammersim.federation import RoundRecord, make_mlp_spec
 from hammersim.memlayout import (
     PAGE_BYTES,
+    SCRIPT_REGIONS,
     AccessScript,
     AccessTrace,
     DramMapping,
-    ScriptOp,
     build_layout,
     dram_to_physical,
     physical_to_dram,
     read_trace,
     trace_update_processing,
     write_trace,
-    _physical_pieces,
 )
 from hammersim.metrics import BandwidthModel
 from hammersim.replay import round_script
@@ -121,6 +120,41 @@ def test_virtual_to_physical_uses_page_table():
         layout.virtual_to_physical(10**12)
 
 
+# -- op columns --------------------------------------------------------------
+
+def one_round_script(ops, writeback_ops=(), size_bytes=64):
+    """AccessScript of one round from (region, layer, offset, count, kind) ops."""
+    rows = list(ops) + list(writeback_ops)
+    col = lambda i: np.array([row[i] for row in rows], dtype=np.int64)
+    return AccessScript(
+        round_numbers=np.array([0]),
+        size_bytes=np.array([size_bytes]),
+        ingress_offset=np.array([0]),
+        op_round=np.zeros(len(rows), dtype=np.int64),
+        writeback=np.arange(len(rows)) >= len(ops),
+        region=np.array([SCRIPT_REGIONS.index(row[0]) for row in rows]),
+        layer=col(1),
+        offset=col(2),
+        count=col(3),
+        write=np.array([row[4] == "W" for row in rows]),
+    )
+
+
+def physical_pieces(layout, op):
+    """(paddr, size) pieces of one op, read off its trace."""
+    trace = trace_update_processing(layout, one_round_script([op]), BandwidthModel())
+    return [(paddr, size) for _, paddr, _, size in trace.events]
+
+
+def script_ops(script, writeback):
+    """(region, layer, offset, count, kind) of the script's message or writeback ops."""
+    return [(SCRIPT_REGIONS[r], l, o, c, "W" if w else "R")
+            for r, l, o, c, w, wb in zip(script.region.tolist(), script.layer.tolist(),
+                                          script.offset.tolist(), script.count.tolist(),
+                                          script.write.tolist(), script.writeback.tolist())
+            if wb == writeback]
+
+
 # -- piece splitting --------------------------------------------------------
 
 def test_pieces_never_cross_row_borders():
@@ -128,8 +162,7 @@ def test_pieces_never_cross_row_borders():
     mapping = DramMapping(bank_count=4, rows_per_bank=16384, row_size_bytes=256)
     layout = build_layout(spec, None, mapping, seed=3)
     # a long run through the accumulator spans several 256-byte rows
-    op = ScriptOp("accumulator", 0, 0, 300, "R")
-    pieces = _physical_pieces(layout, op)
+    pieces = physical_pieces(layout, ("accumulator", 0, 0, 300, "R"))
     assert sum(n for _, n in pieces) == 1200
     for paddr, size in pieces:
         assert paddr // 256 == (paddr + size - 1) // 256
@@ -139,35 +172,45 @@ def test_pieces_cover_exact_byte_range():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     region = layout.region("accumulator", 0)
-    op = ScriptOp("accumulator", 0, 5, 7, "W")
     start, end = region.byte_range_of_elems(5, 7)
     assert (start, end) == (region.virtual_start + 20, region.virtual_start + 48)
-    pieces = _physical_pieces(layout, op)
+    pieces = physical_pieces(layout, ("accumulator", 0, 5, 7, "W"))
     assert sum(n for _, n in pieces) == end - start
+
+
+def test_op_outside_region_rejected():
+    spec = make_mlp_spec(20, 8, 3)
+    layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
+    n = layout.region("accumulator", 0).size_bytes // 4
+    physical_pieces(layout, ("accumulator", 0, n - 1, 1, "R"))
+    for op in (("accumulator", 0, n - 1, 2, "R"), ("accumulator", 0, -1, 1, "R"),
+               ("accumulator", 0, 0, 0, "R")):
+        with pytest.raises(ValueError, match="accumulator/0"):
+            physical_pieces(layout, op)
 
 
 # -- trace building ---------------------------------------------------------
 
 def one_op_script():
-    ops = (ScriptOp("ingress", -1, 0, 64, "W"),
-           ScriptOp("accumulator", 0, 0, 16, "R"),
-           ScriptOp("accumulator", 0, 0, 16, "W"))
-    wb = (ScriptOp("accumulator", 0, 0, 16, "R"),
-          ScriptOp("writeback", 0, 0, 16, "W"),
-          ScriptOp("values", 0, 0, 16, "W"))
-    return AccessScript(0, 64, ops, wb)
+    ops = (("ingress", -1, 0, 64, "W"),
+           ("accumulator", 0, 0, 16, "R"),
+           ("accumulator", 0, 0, 16, "W"))
+    wb = (("accumulator", 0, 0, 16, "R"),
+          ("writeback", 0, 0, 16, "W"),
+          ("values", 0, 0, 16, "W"))
+    return one_round_script(ops, wb, size_bytes=64)
 
 
 def test_round_script_shape():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
-    script = round_script(layout, RoundRecord(0, np.array([0, 1])), metadata_bytes_per_entry=4)
+    script = round_script(layout, [RoundRecord(0, np.array([0, 1]))], metadata_bytes_per_entry=4)
     # 2 entries * 32 bits / 8 + 2 * 4 metadata bytes
-    assert script.size_bytes == 8 + 8
-    kinds = [(op.region, op.kind) for op in script.ops]
+    assert script.size_bytes.tolist() == [8 + 8]
+    kinds = [(region, kind) for region, _, _, _, kind in script_ops(script, writeback=False)]
     assert kinds[0] == ("ingress", "W")
     assert ("accumulator", "R") in kinds and ("accumulator", "W") in kinds
-    regions = {op.region for op in script.writeback_ops}
+    regions = {region for region, *_ in script_ops(script, writeback=True)}
     assert regions == {"accumulator", "writeback", "values"}
 
 
@@ -176,7 +219,7 @@ def test_trace_times_monotone_and_budgeted():
     layout = build_layout(spec, None, LAYOUT_MAP, seed=5)
     bw = BandwidthModel()
     trace = trace_update_processing(layout, one_op_script(), bw, start_time_ns=1000)
-    times = [e.time_ns for e in trace.events]
+    times = [time_ns for time_ns, *_ in trace.events]
     assert times == sorted(times)
     assert times[0] == 1000
     assert trace.meta["start_ns"] == "1000"
@@ -190,7 +233,7 @@ def test_trace_addresses_follow_page_table():
     trace = trace_update_processing(layout, one_op_script(), BandwidthModel())
     region = layout.region("ingress")
     expected = layout.virtual_to_physical(region.virtual_start)
-    assert trace.events[0].paddr == expected
+    assert next(iter(trace.events))[1] == expected
 
 
 def test_trace_roundtrip(tmp_path):
@@ -200,7 +243,7 @@ def test_trace_roundtrip(tmp_path):
     path = tmp_path / "trace.txt"
     write_trace(path, trace)
     back = read_trace(path)
-    assert back.events == trace.events
+    assert back.events == list(trace.events)
     assert back.meta == trace.meta
 
 
