@@ -18,16 +18,24 @@ otherwise.  Thresholds scale with a per-row multiplier.
 Event ordering at coincident times: refresh commands fire before events
 with the same timestamp, and before the aligned-window rollover when a
 command lands exactly on a window boundary.
+
+The engine works on chunks of event columns: it decodes and splits them
+into row pieces, collapses open-row hits per bank, counts ACTs per window
+with array operations, builds the chunk's refresh schedule as arrays and
+finds flips as first crossings of cumulative neighbor ACTs between a
+victim's refreshes.  What it carries from chunk to chunk is sized by
+banks x rows, never by the trace.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Iterable
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .memlayout import AccessTrace, DramMapping
+from .memlayout import AccessTrace, DramMapping, EventColumns
 from .seeding import generator
 
 __all__ = [
@@ -41,9 +49,7 @@ __all__ = [
     "WindowSummary",
     "SimulationResult",
     "TraceRateError",
-    "ActivationLedger",
     "simulate_trace",
-    "check_flip",
     "builtin_thresholds",
     "write_threshold_file",
     "read_threshold_file",
@@ -294,7 +300,6 @@ class WindowSummary:
 class SimulationResult:
     windows: list[WindowSummary]
     flips: list[BitFlip]
-    ledger: "ActivationLedger"
     total_events: int
     total_acts: int
 
@@ -306,30 +311,6 @@ class TraceRateError(ValueError):
     """Trace demands more ACTs per bank and window than the bus can issue."""
 
 
-class ActivationLedger:
-    """Mutable per-row state: open rows, neighbor exposure, armed flags.
-
-    Indexing is flat: g = bank * rows_per_bank + row.  exp_lo / exp_hi
-    hold the activations of the row's low / high neighbor since the row's
-    own refresh (its accumulated disturbance).  armed marks rows that
-    have not flipped since their last refresh.
-    """
-
-    def __init__(self, mapping: DramMapping):
-        n = mapping.bank_count * mapping.rows_per_bank
-        self.mapping = mapping
-        self.open_row = [-1] * mapping.bank_count
-        self.exp_lo = [0] * n
-        self.exp_hi = [0] * n
-        self.armed = [True] * n
-
-    def refresh_row(self, bank: int, row: int) -> None:
-        g = bank * self.mapping.rows_per_bank + row
-        self.exp_lo[g] = 0
-        self.exp_hi[g] = 0
-        self.armed[g] = True
-
-
 def _bit_positions(victim_fill: int, aggressor_fill: int) -> tuple[int, ...]:
     """Bits at risk: positions where the fills differ, else the victim's
     charged bits (identical-pattern classes still flip, just later)."""
@@ -339,167 +320,457 @@ def _bit_positions(victim_fill: int, aggressor_fill: int) -> tuple[int, ...]:
     return tuple(b for b in range(8) if (diff >> b) & 1)
 
 
-class _Engine:
-    def __init__(
-        self,
-        cfg: DramConfig,
-        mapping: DramMapping,
-        thresholds: ThresholdTable,
-        trr: TrrConfig,
-        vmap: VulnerabilityMap,
-        contents: RowContents,
-    ):
+# Events enter the engine in chunks of at most this many.  Every array the
+# engine allocates is sized by one chunk, or by banks x rows for the state
+# it carries from one chunk to the next.
+CHUNK_EVENTS = 1 << 16
+# At most this many (refresh command, row) cells are ranked for TRR at once.
+_TRR_CELLS = 1 << 20
+
+_EVENT_DTYPE = np.dtype([("time_ns", np.int64), ("paddr", np.int64), ("kind", object), ("size", np.int64)])
+
+
+def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(time_ns, paddr, size) columns of consecutive events, at most chunk events each.
+
+    Reads an AccessTrace, EventColumns, or an iterable of either event
+    tuples or EventColumns blocks; blocks are cut or joined to chunk size.
+    """
+    events = trace.events if isinstance(trace, AccessTrace) else trace
+    if isinstance(events, EventColumns):
+        events = (events,)
+    it = iter(events)
+    first = next(it, None)
+    if first is None:
+        return
+    it = itertools.chain((first,), it)
+    if not isinstance(first, EventColumns):
+        while True:
+            rows = np.fromiter(itertools.islice(it, chunk), dtype=_EVENT_DTYPE)
+            if not rows.size:
+                return
+            yield rows["time_ns"], rows["paddr"], rows["size"]
+    parts, n = [], 0
+    for block in it:
+        columns = (block.time_ns, block.paddr, block.size)
+        a = 0
+        while a < len(block):
+            b = min(len(block), a + chunk - n)
+            parts.append([c[a:b] for c in columns])
+            n += b - a
+            a = b
+            if n == chunk:
+                yield tuple(np.concatenate(c) for c in zip(*parts))
+                parts, n = [], 0
+    if parts:
+        yield tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
+    """Per element, the number of k >= 1 with k * step <= t (< t if strict).
+
+    The products k * step are the float products of the refresh clock, so
+    an event or a command on an exact tick or window boundary lands on the
+    same side of it as in a one-step-at-a-time replay.
+    """
+    k = np.maximum(np.floor(t / step), 0).astype(np.int64)
+    if strict:
+        k -= (k > 0) & (k * step >= t)
+        k += (k + 1) * step < t
+    else:
+        k -= (k > 0) & (k * step > t)
+        k += (k + 1) * step <= t
+    return k
+
+
+def _locate(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each x in a sorted unique array, and whether it is there."""
+    i = np.searchsorted(sorted_values, x)
+    found = i < sorted_values.size
+    found[found] = sorted_values[i[found]] == x[found]
+    return i, found
+
+
+def _group_rank(key: np.ndarray) -> np.ndarray:
+    """Rank of every element of a sorted key array within its run of equal keys."""
+    return np.arange(key.size) - np.searchsorted(key, key)
+
+
+class _ColumnEngine:
+    """Open-row engine that consumes events a chunk of columns at a time.
+
+    Flat row index g = bank * rows_per_bank + row.  Carried from chunk to
+    chunk: each bank's open row; each row's low / high neighbor ACTs since
+    its last refresh and whether it may still flip (rows with any such
+    state are "dirty"); the current window's ACT counts; the number of
+    refresh commands issued; and the last event time.
+    """
+
+    def __init__(self, cfg: DramConfig, mapping: DramMapping, thresholds: ThresholdTable,
+                 trr: TrrConfig, vmap: VulnerabilityMap, contents: RowContents):
         self.cfg = cfg
         self.mapping = mapping
         self.thresholds = thresholds
         self.trr = trr
         self.vmap = vmap
         self.contents = contents
-        self.ledger = ActivationLedger(mapping)
-
-        self.nr = mapping.rows_per_bank
         self.nb = mapping.bank_count
+        self.nr = mapping.rows_per_bank
+        n = self.nb * self.nr
         self.rows_per_ref = max(1, self.nr // cfg.ref_commands)
-        self.trefi_ns = cfg.trefi_ns
-        self.window_ns = cfg.window_ns
-        self.act_cap = cfg.act_cap
+        # no flip threshold of any row is below its multiplier times this
+        self.min_double = min(e.double for e in thresholds.entries)
 
-        self.tick_index = 1
-        self.ref_ptr = 0
-        self.window_index = 0
-        self.window_row_acts: list[dict[int, int]] = [dict() for _ in range(self.nb)]
-        self.window_bank_acts = [0] * self.nb
+        self.open_g = np.full(self.nb, -1, dtype=np.int64)
+        self.exp_lo = np.zeros(n, dtype=np.int64)
+        self.exp_hi = np.zeros(n, dtype=np.int64)
+        self.armed = np.ones(n, dtype=bool)
+        self.dirty = np.zeros(0, dtype=np.int64)  # sorted rows with exposure or disarmed
+        self.window = 0  # window of the last ACT, whose counts are held below
+        self.win_counts = np.zeros(n, dtype=np.int64)
+        self.win_rows = np.zeros(0, dtype=np.int64)  # sorted rows with a count
+        self.bank_acts = np.zeros(self.nb, dtype=np.int64)
+        self.ticks = 0  # refresh commands issued so far
+        self.last_t: int | None = None
+
         self.windows: list[WindowSummary] = []
         self.flips: list[BitFlip] = []
+        self.total_events = 0
         self.total_acts = 0
-        self._vuln = self.vmap.vulnerable.tolist()
-        self._mult = self.vmap.multiplier.tolist()
-        self._victim_cache: dict[int, tuple[float, float, float, float, float]] = {}
+        self._victim_cache: dict[int, tuple[float, float, float, float]] = {}
 
-    # -- per-victim threshold cache ------------------------------------
-    def _victim_thresholds(self, bank: int, row: int, g: int):
+    def _victim_thresholds(self, g: int) -> tuple[float, float, float, float]:
+        """(single, double) thresholds against the low and then the high neighbor."""
         cached = self._victim_cache.get(g)
         if cached is None:
+            bank, row = divmod(g, self.nr)
             fill_v = self.contents.fill(bank, row)
-            mult = self._mult[g]
-            if row > 0:
-                cls_lo = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, row - 1))
-                ts_lo, td_lo = cls_lo.single * mult, cls_lo.double * mult
-            else:
-                ts_lo = td_lo = float("inf")
-            if row < self.nr - 1:
-                cls_hi = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, row + 1))
-                ts_hi, td_hi = cls_hi.single * mult, cls_hi.double * mult
-            else:
-                ts_hi = td_hi = float("inf")
-            cheap = min(ts_lo, ts_hi, td_lo, td_hi)
-            cached = (ts_lo, ts_hi, td_lo, td_hi, cheap)
+            mult = float(self.vmap.multiplier[g])
+            sides = []
+            for agg in (row - 1, row + 1):
+                if 0 <= agg < self.nr:
+                    cls = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, agg))
+                    sides.append((cls.single * mult, cls.double * mult))
+                else:
+                    sides.append((math.inf, math.inf))
+            cached = (sides[0][0], sides[1][0], sides[0][1], sides[1][1])
             self._victim_cache[g] = cached
         return cached
 
-    def _check_victim(self, bank: int, row: int, time_ns: int) -> None:
-        g = bank * self.nr + row
-        led = self.ledger
-        if not led.armed[g] or not self._vuln[g]:
+    # -- input checks ----------------------------------------------------
+    def feed(self, t: np.ndarray, paddr: np.ndarray, size: np.ndarray) -> None:
+        """Process one chunk; a bad event raises after the events before it ran."""
+        prev = np.empty_like(t)
+        prev[1:] = t[:-1]
+        prev[0] = t[0] if self.last_t is None else self.last_t
+        back = t < prev
+        outside = (paddr < 0) | (paddr + size > self.mapping.capacity_bytes)
+        bad = back | outside
+        if not bad.any():
+            self._run(t, paddr, size)
             return
-        lo = led.exp_lo[g]
-        hi = led.exp_hi[g]
-        ts_lo, ts_hi, td_lo, td_hi, cheap = self._victim_thresholds(bank, row, g)
-        if lo + hi < cheap:
+        e = int(bad.argmax())
+        if e:
+            self._run(t[:e], paddr[:e], size[:e])
+        if back[e]:
+            raise ValueError(f"trace time goes backwards at {t[e]}")
+        raise ValueError(f"event at {int(paddr[e]):#x}+{size[e]} outside module capacity")
+
+    # -- one chunk -----------------------------------------------------------
+    def _run(self, t: np.ndarray, paddr: np.ndarray, size: np.ndarray) -> None:
+        m = self.mapping
+        nb, nr = self.nb, self.nr
+        self.total_events += t.size
+        self.last_t = int(t[-1])
+
+        # every row-sized block an event covers, decoded to its flat row
+        block = paddr >> m.col_bits
+        n_pieces = np.where(size > 0, ((paddr + size - 1) >> m.col_bits) - block + 1, 0)
+        ev = np.repeat(np.arange(t.size), n_pieces)
+        block = block[ev] + np.arange(ev.size) - np.repeat(n_pieces.cumsum() - n_pieces, n_pieces)
+        row = block >> m.bank_bits
+        bank = block & (nb - 1)
+        if m.bank_xor:
+            bank ^= row & (nb - 1)
+        g = bank * nr + row
+
+        # open-row collapse: a piece activates when its bank had another row open
+        order = np.argsort(bank, kind="stable")
+        gs = g[order]
+        new_bank = np.ones(gs.size, dtype=bool)
+        new_bank[1:] = bank[order[1:]] != bank[order[:-1]]
+        prev = np.empty_like(gs)
+        prev[1:] = gs[:-1]
+        prev[new_bank] = self.open_g[bank[order[new_bank]]]
+        last_of_bank = np.roll(new_bank, -1)
+        self.open_g[bank[order[last_of_bank]]] = gs[last_of_bank]
+        is_act = np.empty(gs.size, dtype=bool)
+        is_act[order] = gs != prev
+        act_g = g[is_act]
+        act_t = t[ev[is_act]]
+        n = act_g.size
+        self.total_acts += n
+
+        w = _multiples(act_t, self.cfg.window_ns)
+        self._check_rate(act_g, w)
+        # ticks[p]: refresh commands issued before ACT p (p = n: by the chunk's last event)
+        ticks = _multiples(np.append(act_t, t[-1]), self.cfg.trefi_ns)
+        self._refresh_and_flip(act_g, act_t, w, ticks)
+        self._count_windows(act_g, w)
+        self.ticks = int(ticks[-1])
+
+    def _check_rate(self, act_g: np.ndarray, w: np.ndarray) -> None:
+        """Raise at the first ACT that takes its bank past act_cap in its window."""
+        cap = self.cfg.act_cap
+        key = (w - self.window) * self.nb + act_g // self.nr
+        groups, counts = np.unique(key, return_counts=True)
+        before = np.where(groups < self.nb, self.bank_acts[groups % self.nb], 0)
+        over = before + counts > cap
+        if not over.any():
             return
-        if lo >= hi:
-            td, ts, agg_row = td_lo, ts_lo, row - 1
-        else:
-            td, ts, agg_row = td_hi, ts_hi, row + 1
-        if lo >= td / 2 and hi >= td / 2:
-            mode, eff, thr = "double", lo + hi, td
-        else:
-            mode, eff, thr = "single", max(lo, hi), ts
-        if eff < thr:
-            return
-        fill_v = self.contents.fill(bank, row)
-        fill_a = self.contents.fill(bank, agg_row)
-        self.flips.append(
-            BitFlip(bank, row, _bit_positions(fill_v, fill_a), time_ns, eff, mode, fill_v, fill_a, thr)
+        order = np.argsort(key, kind="stable")
+        pos = order[np.searchsorted(key[order], groups[over]) + cap - before[over]].min()
+        raise TraceRateError(
+            f"bank {act_g[pos] // self.nr} exceeds {cap} activations in window "
+            f"{w[pos]}: the trace outruns the row-cycle budget"
         )
-        led.armed[g] = False
 
-    # -- refresh machinery ---------------------------------------------
-    def _trr_tracked(self, bank: int) -> list[int]:
-        acts = self.window_row_acts[bank]
-        if not acts or self.trr.capacity == 0:
-            return []
-        top = heapq.nsmallest(self.trr.capacity, acts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [row for row, _ in top]
+    # -- refresh schedule and flips ----------------------------------------
+    def _refresh_and_flip(self, act_g, act_t, w, ticks) -> None:
+        """Apply the chunk's refresh commands and neighbor ACTs to the dirty rows.
 
-    def _do_tick(self) -> None:
-        for bank in range(self.nb):
-            for j in range(self.rows_per_ref):
-                self.ledger.refresh_row(bank, (self.ref_ptr + j) % self.nr)
-            if self.trr.capacity > 0:
-                for row in self._trr_tracked(bank):
-                    for d in range(1, self.trr.neighbor_radius + 1):
-                        if row - d >= 0:
-                            self.ledger.refresh_row(bank, row - d)
-                        if row + d < self.nr:
-                            self.ledger.refresh_row(bank, row + d)
-        self.ref_ptr = (self.ref_ptr + self.rows_per_ref) % self.nr
-        self.tick_index += 1
+        A command before ACT p resets its rows before that ACT.  Victims
+        whose exposure could reach their cheapest threshold are swept
+        ACT by ACT between their refreshes (cumulative sums per segment);
+        every other row only needs its exposure after its last refresh.
+        """
+        nr = self.nr
+        n = act_g.size
+        by_row = np.argsort(act_g, kind="stable")
+        row_key = act_g[by_row] * (n + 1) + by_row  # sorted (row, position)
 
-    def _roll_window(self) -> None:
-        row_acts = {}
-        for bank in range(self.nb):
-            for row, count in self.window_row_acts[bank].items():
-                row_acts[(bank, row)] = count
-        self.windows.append(
-            WindowSummary(self.window_index, self.window_index * self.window_ns,
-                          row_acts, list(self.window_bank_acts))
-        )
-        self.window_index += 1
-        self.window_row_acts = [dict() for _ in range(self.nb)]
-        self.window_bank_acts = [0] * self.nb
+        def acts_from(u: np.ndarray, q) -> np.ndarray:
+            """ACTs of rows u at positions >= q."""
+            return np.searchsorted(row_key, (u + 1) * (n + 1)) - np.searchsorted(row_key, u * (n + 1) + q)
 
-    def advance_time(self, t: int) -> None:
-        """Apply all refresh commands and window rollovers up to time t."""
-        while True:
-            tick_t = self.tick_index * self.trefi_ns
-            window_t = (self.window_index + 1) * self.window_ns
-            if tick_t <= t and tick_t <= window_t:
-                self._do_tick()
-            elif window_t <= t:
-                self._roll_window()
-            else:
-                return
-
-    # -- event processing ----------------------------------------------
-    def touch(self, bank: int, row: int, time_ns: int) -> None:
-        if self.ledger.open_row[bank] == row:
+        acted = np.unique(act_g)
+        acted_row = acted % nr
+        touched = np.union1d(self.dirty, np.concatenate((acted[acted_row > 0] - 1, acted[acted_row < nr - 1] + 1)))
+        if not touched.size:
             return
-        self.ledger.open_row[bank] = row
-        g = bank * self.nr + row
-        self.total_acts += 1
-        bank_total = self.window_bank_acts[bank] + 1
-        if bank_total > self.act_cap:
-            raise TraceRateError(
-                f"bank {bank} exceeds {self.act_cap} activations in window "
-                f"{self.window_index}: the trace outruns the row-cycle budget"
-            )
-        self.window_bank_acts[bank] = bank_total
-        acts = self.window_row_acts[bank]
-        acts[row] = acts.get(row, 0) + 1
-        if row > 0:
-            self.ledger.exp_hi[g - 1] += 1
-            self._check_victim(bank, row - 1, time_ns)
-        if row < self.nr - 1:
-            self.ledger.exp_lo[g + 1] += 1
-            self._check_victim(bank, row + 1, time_ns)
+        vrow = touched % nr
+        has_lo, has_hi = vrow > 0, vrow < nr - 1
+        exposure = (self.exp_lo[touched] + self.exp_hi[touched]
+                    + np.where(has_lo, acts_from(touched - 1, 0), 0)
+                    + np.where(has_hi, acts_from(touched + 1, 0), 0))
+        cand_of = np.flatnonzero(self.vmap.vulnerable[touched]
+                                 & (exposure >= self.min_double * self.vmap.multiplier[touched]))
+        cand = touched[cand_of]
 
-    def finish(self) -> None:
-        self._roll_window()
+        # last round-robin refresh: sweep position x refreshes row x % nr at
+        # command x // rows_per_ref + 1; take the last x of each row
+        rpr = self.rows_per_ref
+        end = int(ticks[-1]) * rpr
+        x = end - 1 - (end - 1 - vrow) % nr
+        last = np.where(x >= self.ticks * rpr, np.searchsorted(ticks, x // rpr + 1), -1)
+
+        trr_pos, trr_vic = [last[:0]], [last[:0]]
+        for pos, ref in self._trr_refreshes(act_g, w, ticks):
+            i, hit = _locate(touched, ref)
+            np.maximum.at(last, i[hit], pos[hit])
+            i, hit = _locate(cand, ref)
+            trr_pos.append(pos[hit])
+            trr_vic.append(i[hit])
+
+        flip_vic, flip_pos = self._sweep(cand, act_g, act_t, ticks, by_row, trr_pos, trr_vic)
+
+        fresh = last >= 0
+        q = np.maximum(last, 0)
+        lo = np.where(has_lo, acts_from(touched - 1, q), 0) + np.where(fresh, 0, self.exp_lo[touched])
+        hi = np.where(has_hi, acts_from(touched + 1, q), 0) + np.where(fresh, 0, self.exp_hi[touched])
+        armed = fresh | self.armed[touched]
+        flipped = cand_of[flip_vic]
+        armed[flipped[flip_pos >= last[flipped]]] = False
+        self.exp_lo[touched] = lo
+        self.exp_hi[touched] = hi
+        self.armed[touched] = armed
+        self.dirty = touched[(lo > 0) | (hi > 0) | ~armed]
+
+    def _trr_refreshes(self, act_g, w, ticks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(position, refreshed row) of the sampler's refreshes, in batches.
+
+        A command ranks the rows of each bank by their ACTs in the current
+        window before the command, ties to the lower row, and refreshes the
+        neighbors of the top capacity rows.  Commands at the same position
+        see the same counts, and one landing in a later window than the
+        ACT before it sees an empty window, so one ranking per position
+        covers all of them.
+        """
+        cap = self.trr.capacity
+        n = act_g.size
+        issued = ticks.copy()
+        issued[1:] -= ticks[:-1]
+        issued[0] -= self.ticks
+        pos = np.flatnonzero(issued)
+        if cap == 0 or not pos.size:
+            return
+        nb, nr = self.nb, self.nr
+        N = nb * nr
+        w_before = np.full(pos.size, self.window)
+        after_act = pos > 0
+        w_before[after_act] = w[pos[after_act] - 1]
+        first_tick = (ticks[pos] - issued[pos] + 1) * self.cfg.trefi_ns
+        ranked = _multiples(first_tick, self.cfg.window_ns, strict=True) == w_before
+        pos, w_before = pos[ranked], w_before[ranked]
+        if not pos.size:
+            return
+
+        # one entity per (window, row): key = window rank * N + row, where
+        # rank 0 is the carried window and its counts are the base
+        wins = np.unique(np.append(self.window, w))
+        act_key = np.searchsorted(wins, w) * N + act_g
+        by_key = np.argsort(act_key, kind="stable")
+        acts = act_key[by_key] * (n + 1) + by_key  # sorted (entity, position)
+        ent = np.union1d(act_key, self.win_rows)
+        base = np.where(ent < N, self.win_counts[ent % N], 0)
+        first = np.searchsorted(acts, ent * (n + 1))
+        row = ent % nr
+        bank = ent % N // nr
+
+        rank = np.searchsorted(wins, w_before)
+        lo_e = np.searchsorted(ent, rank * N)
+        n_cells = np.searchsorted(ent, (rank + 1) * N) - lo_e
+        bounds = np.concatenate(([0], n_cells.cumsum()))
+        a = 0
+        while a < pos.size:
+            b = max(a + 1, int(np.searchsorted(bounds, bounds[a] + _TRR_CELLS, "right")) - 1)
+            state = np.repeat(np.arange(a, b), n_cells[a:b])
+            cell = np.arange(state.size) + np.repeat(lo_e[a:b] - bounds[a:b] + bounds[a], n_cells[a:b])
+            p = pos[state]
+            count = base[cell] + np.searchsorted(acts, ent[cell] * (n + 1) + p) - first[cell]
+            live = count > 0
+            state, cell, p, count = state[live], cell[live], p[live], count[live]
+            group = state * nb + bank[cell]
+            order = np.lexsort((row[cell], -count, group))
+            top = order[_group_rank(group[order]) < cap]
+            p, g = p[top], ent[cell[top]] % N
+            r = g % nr
+            out_p, out_g = [], []
+            for d in range(1, self.trr.neighbor_radius + 1):
+                for sel, ref in ((r >= d, g - d), (r + d < nr, g + d)):
+                    out_p.append(p[sel])
+                    out_g.append(ref[sel])
+            yield np.concatenate(out_p), np.concatenate(out_g)
+            a = b
+
+    def _sweep(self, cand, act_g, act_t, ticks, by_row, trr_pos, trr_vic) -> tuple[np.ndarray, np.ndarray]:
+        """Record the flips of candidate victims; returns (candidate index, position) per flip.
+
+        Each victim's neighbor ACTs are cut into segments by its refreshes
+        (round robin and TRR); exposure is the cumulative count within a
+        segment, plus the carried exposure in a segment no refresh began.
+        A flip is the first ACT of a segment that meets the rule while the
+        victim is armed.
+        """
+        none = np.zeros(0, dtype=np.int64)
+        if not cand.size:
+            return none, none
+        nr = self.nr
+        n = act_g.size
+        vrow = cand % nr
+        sorted_g = act_g[by_row]
+        aggressor = np.concatenate((np.where(vrow > 0, cand - 1, -1), np.where(vrow < nr - 1, cand + 1, -1)))
+        a = np.searchsorted(sorted_g, aggressor)
+        count = np.searchsorted(sorted_g, aggressor, "right") - a
+        vic = np.repeat(np.tile(np.arange(cand.size), 2), count)
+        is_lo = np.repeat(np.arange(2 * cand.size) < cand.size, count)
+        p = by_row[np.arange(vic.size) + np.repeat(a - count.cumsum() + count, count)]
+        order = np.lexsort((p, vic))
+        vic, is_lo, p = vic[order], is_lo[order], p[order]
+
+        # segment number: round-robin sweeps past the victim plus TRR
+        # refreshes of it, both counted up to each ACT
+        rpr = self.rows_per_ref
+        rr = (ticks[p] * rpr - 1 - vrow[vic]) // nr
+        trr = np.concatenate(trr_vic) * (n + 1) + np.concatenate(trr_pos)
+        trr.sort()
+        seg = rr + np.searchsorted(trr, vic * (n + 1) + p, "right") - np.searchsorted(trr, vic * (n + 1))
+        carried = seg == ((self.ticks * rpr - 1 - vrow) // nr)[vic]
+        new = np.ones(vic.size, dtype=bool)
+        new[1:] = (vic[1:] != vic[:-1]) | (seg[1:] != seg[:-1])
+        seg_id = new.cumsum() - 1
+        starts = np.flatnonzero(new)
+        lo = is_lo.cumsum()
+        lo -= (lo - is_lo)[starts][seg_id]
+        hi = (~is_lo).cumsum()
+        hi -= (hi - ~is_lo)[starts][seg_id]
+        lo += np.where(carried, self.exp_lo[cand][vic], 0)
+        hi += np.where(carried, self.exp_hi[cand][vic], 0)
+        armed = ~carried | self.armed[cand][vic]
+
+        ts_lo, ts_hi, td_lo, td_hi = np.array([self._victim_thresholds(int(v)) for v in cand]).T[:, vic]
+        low_side = lo >= hi
+        td = np.where(low_side, td_lo, td_hi)
+        double = (lo >= td / 2) & (hi >= td / 2)
+        eff = np.where(double, lo + hi, np.maximum(lo, hi))
+        thr = np.where(double, td, np.where(low_side, ts_lo, ts_hi))
+        hits = np.flatnonzero(armed & (eff >= thr))
+        _, first_hit = np.unique(seg_id[hits], return_index=True)
+        f = hits[first_hit]
+        f = f[np.lexsort((cand[vic[f]], p[f]))]
+
+        for i in f.tolist():
+            gv = int(cand[vic[i]])
+            bank, row = divmod(gv, nr)
+            agg_row = row - 1 if low_side[i] else row + 1
+            fill_v = self.contents.fill(bank, row)
+            fill_a = self.contents.fill(bank, agg_row)
+            self.flips.append(BitFlip(
+                bank, row, _bit_positions(fill_v, fill_a), int(act_t[p[i]]), int(eff[i]),
+                "double" if double[i] else "single", fill_v, fill_a, float(thr[i]),
+            ))
+        return vic[f], p[f]
+
+    # -- windows -------------------------------------------------------------
+    def _count_windows(self, act_g: np.ndarray, w: np.ndarray) -> None:
+        """Add the chunk's ACTs to the window counts, closing finished windows."""
+        if not act_g.size:
+            return
+        N = self.nb * self.nr
+        keys, counts = np.unique((w - self.window) * N + act_g, return_counts=True)
+        offset = keys // N
+        start = self.window
+        rel, bounds = np.unique(offset, return_index=True)
+        for k, a, b in zip(rel.tolist(), bounds.tolist(), np.append(bounds[1:], keys.size).tolist()):
+            if k:
+                self._roll_to(start + k)
+            rows, c = keys[a:b] % N, counts[a:b]
+            self.win_counts[rows] += c
+            self.win_rows = np.union1d(self.win_rows, rows)
+            self.bank_acts += np.bincount(rows // self.nr, weights=c, minlength=self.nb).astype(np.int64)
+
+    def _roll_to(self, index: int) -> None:
+        """Close the held window and every empty window before index."""
+        nb, nr = self.nb, self.nr
+        rows = self.win_rows
+        row_acts = dict(zip(zip((rows // nr).tolist(), (rows % nr).tolist()), self.win_counts[rows].tolist()))
+        self.windows.append(WindowSummary(self.window, self.window * self.cfg.window_ns,
+                                          row_acts, self.bank_acts.tolist()))
+        for i in range(self.window + 1, index):
+            self.windows.append(WindowSummary(i, i * self.cfg.window_ns, {}, [0] * nb))
+        self.win_counts[rows] = 0
+        self.win_rows = rows[:0]
+        self.bank_acts = np.zeros(nb, dtype=np.int64)
+        self.window = index
+
+    def finish(self) -> SimulationResult:
+        last = 0 if self.last_t is None else int(_multiples(np.array([self.last_t]), self.cfg.window_ns)[0])
+        self._roll_to(last + 1)
+        return SimulationResult(self.windows, self.flips, self.total_events, self.total_acts)
 
 
 def simulate_trace(
-    trace: AccessTrace | Iterable,
+    trace: AccessTrace | EventColumns | Iterable,
     cfg: DramConfig,
     mapping: DramMapping,
     thresholds: ThresholdTable,
@@ -510,93 +781,20 @@ def simulate_trace(
 ) -> SimulationResult:
     """Run the access trace through the bank/row state machine.
 
-    Accepts an AccessTrace or any iterable of AccessEvents (a generator
-    streams long replays without materializing them).  Raises
-    TraceRateError when any bank sees more activations inside one aligned
-    refresh window than the row-cycle time permits.
+    Accepts an AccessTrace, EventColumns, or any iterable of AccessEvent
+    tuples or of EventColumns blocks (a generator streams long replays
+    without materializing them).  Raises ValueError at the first event
+    that goes back in time or leaves the module, and TraceRateError at
+    the first ACT that takes a bank past act_cap in one aligned refresh
+    window.
     """
-    events = trace.events if isinstance(trace, AccessTrace) else trace
     if trr is None:
         trr = TrrConfig()
     if vmap is None:
         vmap = VulnerabilityMap.from_seed(mapping, seed)
     if contents is None:
         contents = RowContents()
-    eng = _Engine(cfg, mapping, thresholds, trr, vmap, contents)
-
-    row_size = mapping.row_size_bytes
-    col_bits = mapping.col_bits
-    bank_bits = mapping.bank_bits
-    bank_mask = mapping.bank_count - 1
-    xor = mapping.bank_xor
-    capacity = mapping.capacity_bytes
-
-    last_t = None
-    n_events = 0
-    for time_ns, paddr, kind, size in events:
-        n_events += 1
-        if last_t is not None and time_ns < last_t:
-            raise ValueError(f"trace time goes backwards at {time_ns}")
-        last_t = time_ns
-        if paddr < 0 or paddr + size > capacity:
-            raise ValueError(f"event at {paddr:#x}+{size} outside module capacity")
-        eng.advance_time(time_ns)
-        addr = paddr
-        remaining = size
-        while remaining > 0:
-            row = addr >> (col_bits + bank_bits)
-            bank = (addr >> col_bits) & bank_mask
-            if xor:
-                bank ^= row & bank_mask
-            eng.touch(bank, row, time_ns)
-            chunk = min(remaining, row_size - (addr & (row_size - 1)))
-            addr += chunk
-            remaining -= chunk
-    eng.finish()
-    return SimulationResult(eng.windows, eng.flips, eng.ledger, n_events, eng.total_acts)
-
-
-def check_flip(
-    ledger: ActivationLedger,
-    vmap: VulnerabilityMap,
-    thresholds: ThresholdTable,
-    contents: RowContents,
-    time_ns: int = 0,
-) -> list[BitFlip]:
-    """Evaluate the flip condition for every armed row at the current state.
-
-    Pure query: the ledger is not modified.  The engine applies the same
-    rule incrementally as exposures grow.
-    """
-    mapping = ledger.mapping
-    nr = mapping.rows_per_bank
-    flips = []
-    vuln = vmap.vulnerable
-    mult = vmap.multiplier
-    for bank in range(mapping.bank_count):
-        base = bank * nr
-        for row in range(nr):
-            g = base + row
-            if not ledger.armed[g] or not vuln[g]:
-                continue
-            lo = ledger.exp_lo[g]
-            hi = ledger.exp_hi[g]
-            if lo == 0 and hi == 0:
-                continue
-            fill_v = contents.fill(bank, row)
-            agg_row = row - 1 if lo >= hi else row + 1
-            if not 0 <= agg_row < nr:
-                continue
-            fill_a = contents.fill(bank, agg_row)
-            cls = thresholds.nearest_class(fill_v, fill_a)
-            m = float(mult[g])
-            td = cls.double * m
-            if lo >= td / 2 and hi >= td / 2:
-                mode, eff, thr = "double", lo + hi, td
-            else:
-                mode, eff, thr = "single", max(lo, hi), cls.single * m
-            if eff >= thr:
-                flips.append(
-                    BitFlip(bank, row, _bit_positions(fill_v, fill_a), time_ns, eff, mode, fill_v, fill_a, thr)
-                )
-    return flips
+    eng = _ColumnEngine(cfg, mapping, thresholds, trr, vmap, contents)
+    for columns in _event_chunks(trace, CHUNK_EVENTS):
+        eng.feed(*columns)
+    return eng.finish()

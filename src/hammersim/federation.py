@@ -9,7 +9,6 @@ replay later turns into the server's buffer accesses.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -87,12 +86,6 @@ class ModelSpec:
         if len(bits) != 1:
             raise ValueError(f"mixed layer precisions {sorted(bits)}")
         return bits.pop()
-
-    def layer_of(self, index: int) -> int:
-        """Layer number containing flat index."""
-        if not 0 <= index < self.total_params:
-            raise ValueError(f"index {index} out of range")
-        return bisect.bisect_right(self.layer_offsets, index) - 1
 
 
 def make_mlp_spec(in_dim: int, hidden_dim: int, out_dim: int) -> ModelSpec:

@@ -135,16 +135,6 @@ class Region:
     def virtual_end(self) -> int:
         return self.virtual_start + self.size_bytes
 
-    def byte_range_of_elems(self, offset: int, count: int) -> tuple[int, int]:
-        """Virtual [start, end) byte range of an element run."""
-        start_bit = offset * self.elem_bits
-        end_bit = (offset + count) * self.elem_bits
-        start = self.virtual_start + start_bit // 8
-        end = self.virtual_start + -(-end_bit // 8)
-        if end > self.virtual_end:
-            raise ValueError(f"run [{offset}, {offset + count}) overflows region {self.name}/{self.layer}")
-        return start, end
-
 
 @dataclass
 class MemoryLayout:
@@ -159,13 +149,6 @@ class MemoryLayout:
             return self.regions[(name, layer)]
         except KeyError:
             raise KeyError(f"no region {name!r} for layer {layer}") from None
-
-    def virtual_to_physical(self, vaddr: int) -> int:
-        page, offset = divmod(vaddr, PAGE_BYTES)
-        frame = self.page_table.get(page)
-        if frame is None:
-            raise ValueError(f"vaddr {vaddr:#x} not mapped")
-        return frame * PAGE_BYTES + offset
 
     # Lookup tables for the columnar trace stage, built on first use (a
     # layout is not changed after build_layout).

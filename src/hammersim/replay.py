@@ -31,7 +31,7 @@ from .dram import (
     simulate_trace,
 )
 from .federation import ModelSpec, RoundRecord
-from .memlayout import SCRIPT_REGIONS, AccessScript, MemoryLayout, trace_update_processing
+from .memlayout import SCRIPT_REGIONS, AccessScript, EventColumns, MemoryLayout, trace_update_processing
 from .metrics import BandwidthModel
 
 __all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "iter_replay_events", "replay_records"]
@@ -162,17 +162,15 @@ def _blocks(records: Iterable[RoundRecord]) -> Iterator[list[RoundRecord]]:
         yield block
 
 
-def iter_replay_events(
+def _event_blocks(
     layout: MemoryLayout,
     records: Iterable[RoundRecord],
     bw: BandwidthModel,
     metadata_bytes_per_entry: int = 0,
-) -> Iterator[tuple[int, int, str, int]]:
-    """Stream the physical events of consecutive rounds, back to back.
+) -> Iterator[EventColumns]:
+    """Physical event columns of consecutive rounds, back to back, one block at a time.
 
-    Events come as (time_ns, paddr, kind, size) tuples in AccessEvent
-    field order, generated a block of rounds at a time; the ingress ring
-    offset and the clock carry over from block to block.
+    The ingress ring offset and the clock carry over from block to block.
     """
     offset = 0
     t = 0
@@ -182,8 +180,23 @@ def iter_replay_events(
         trace = trace_update_processing(layout, script, bw, t)
         t = int(trace.meta["end_ns"])
         del script
-        yield from trace.events
+        yield trace.events
         del trace  # free the block's columns before building the next block
+
+
+def iter_replay_events(
+    layout: MemoryLayout,
+    records: Iterable[RoundRecord],
+    bw: BandwidthModel,
+    metadata_bytes_per_entry: int = 0,
+) -> Iterator[tuple[int, int, str, int]]:
+    """Stream the physical events of consecutive rounds, back to back.
+
+    Events come as (time_ns, paddr, kind, size) tuples in AccessEvent
+    field order, generated a block of rounds at a time.
+    """
+    for columns in _event_blocks(layout, records, bw, metadata_bytes_per_entry):
+        yield from columns
 
 
 @dataclass
@@ -226,9 +239,8 @@ def replay_records(
     total_bytes = sum(_update_bytes(layout.spec, r.indices.size, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
     hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
-    events = iter_replay_events(layout, records, bw, metadata_bytes_per_entry)
     result = simulate_trace(
-        events, dram_cfg, layout.mapping, thresholds,
+        _event_blocks(layout, records, bw, metadata_bytes_per_entry), dram_cfg, layout.mapping, thresholds,
         trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
     )
     return ReplaySummary(

@@ -10,6 +10,7 @@ import json
 import os
 from fractions import Fraction
 
+from .config import ConfigError
 from .dram import ThresholdTable
 from .metrics import FeasibilityRow, to_kilo
 
@@ -269,7 +270,7 @@ def merge_reports(root: str, out_dir: str) -> dict:
     """
     manifests = collect_manifests(root)
     if not manifests:
-        raise ValueError(f"no manifest.json found under {root!r}")
+        raise ConfigError(f"no manifest.json found under {root!r}")
     hashes = {m.get("config_hash") for _, m in manifests}
     if len(hashes) != 1:
         raise ValueError(

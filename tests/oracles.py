@@ -2,14 +2,16 @@
 
 Everything here recomputes results with a different algorithmic shape
 than the production code: the DRAM recount works from sorted time lists
-and bisect arithmetic instead of incremental counters, the replay trace
-walks one access op and one row piece at a time, the distance
+and bisect arithmetic, the incremental engine steps one event and one
+ACT at a time where the package works on columns of events, the replay
+trace walks one access op and one row piece at a time, the distance
 metrics use exhaustive grids and subset enumeration, and the spectrum
 uses the direct transform sum.  Slow on purpose.
 """
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -18,13 +20,28 @@ from typing import NamedTuple
 import numpy as np
 
 from hammersim.dram import (
+    BitFlip,
     DramConfig,
     RowContents,
+    SimulationResult,
     ThresholdTable,
+    TraceRateError,
     TrrConfig,
     VulnerabilityMap,
+    WindowSummary,
+    _bit_positions,
 )
-from hammersim.memlayout import PAGE_BYTES, AccessEvent, DramMapping, MemoryLayout, physical_to_dram
+from hammersim.federation import ModelSpec
+from hammersim.memlayout import (
+    PAGE_BYTES,
+    AccessEvent,
+    AccessTrace,
+    DramMapping,
+    EventColumns,
+    MemoryLayout,
+    Region,
+    physical_to_dram,
+)
 from hammersim.metrics import BandwidthModel
 
 
@@ -183,6 +200,332 @@ def oracle_simulate(
 
 
 # ---------------------------------------------------------------------------
+# Incremental DRAM engine
+# ---------------------------------------------------------------------------
+
+class ActivationLedger:
+    """Mutable per-row state: open rows, neighbor exposure, armed flags.
+
+    Indexing is flat: g = bank * rows_per_bank + row.  exp_lo / exp_hi
+    hold the activations of the row's low / high neighbor since the row's
+    own refresh (its accumulated disturbance).  armed marks rows that
+    have not flipped since their last refresh.
+    """
+
+    def __init__(self, mapping: DramMapping):
+        n = mapping.bank_count * mapping.rows_per_bank
+        self.mapping = mapping
+        self.open_row = [-1] * mapping.bank_count
+        self.exp_lo = [0] * n
+        self.exp_hi = [0] * n
+        self.armed = [True] * n
+
+    def refresh_row(self, bank: int, row: int) -> None:
+        g = bank * self.mapping.rows_per_bank + row
+        self.exp_lo[g] = 0
+        self.exp_hi[g] = 0
+        self.armed[g] = True
+
+
+class IncrementalEngine:
+    """The DRAM engine stepped one event and one ACT at a time; the reference
+    for dram.simulate_trace, which works on chunks of event columns."""
+
+    def __init__(
+        self,
+        cfg: DramConfig,
+        mapping: DramMapping,
+        thresholds: ThresholdTable,
+        trr: TrrConfig,
+        vmap: VulnerabilityMap,
+        contents: RowContents,
+    ):
+        self.cfg = cfg
+        self.mapping = mapping
+        self.thresholds = thresholds
+        self.trr = trr
+        self.vmap = vmap
+        self.contents = contents
+        self.ledger = ActivationLedger(mapping)
+
+        self.nr = mapping.rows_per_bank
+        self.nb = mapping.bank_count
+        self.rows_per_ref = max(1, self.nr // cfg.ref_commands)
+        self.trefi_ns = cfg.trefi_ns
+        self.window_ns = cfg.window_ns
+        self.act_cap = cfg.act_cap
+
+        self.tick_index = 1
+        self.ref_ptr = 0
+        self.window_index = 0
+        self.window_row_acts: list[dict[int, int]] = [dict() for _ in range(self.nb)]
+        self.window_bank_acts = [0] * self.nb
+        self.windows: list[WindowSummary] = []
+        self.flips: list[BitFlip] = []
+        self.total_acts = 0
+        self._vuln = self.vmap.vulnerable.tolist()
+        self._mult = self.vmap.multiplier.tolist()
+        self._victim_cache: dict[int, tuple[float, float, float, float, float]] = {}
+
+    # -- per-victim threshold cache ------------------------------------
+    def _victim_thresholds(self, bank: int, row: int, g: int):
+        cached = self._victim_cache.get(g)
+        if cached is None:
+            fill_v = self.contents.fill(bank, row)
+            mult = self._mult[g]
+            if row > 0:
+                cls_lo = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, row - 1))
+                ts_lo, td_lo = cls_lo.single * mult, cls_lo.double * mult
+            else:
+                ts_lo = td_lo = float("inf")
+            if row < self.nr - 1:
+                cls_hi = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, row + 1))
+                ts_hi, td_hi = cls_hi.single * mult, cls_hi.double * mult
+            else:
+                ts_hi = td_hi = float("inf")
+            cheap = min(ts_lo, ts_hi, td_lo, td_hi)
+            cached = (ts_lo, ts_hi, td_lo, td_hi, cheap)
+            self._victim_cache[g] = cached
+        return cached
+
+    def _check_victim(self, bank: int, row: int, time_ns: int) -> None:
+        g = bank * self.nr + row
+        led = self.ledger
+        if not led.armed[g] or not self._vuln[g]:
+            return
+        lo = led.exp_lo[g]
+        hi = led.exp_hi[g]
+        ts_lo, ts_hi, td_lo, td_hi, cheap = self._victim_thresholds(bank, row, g)
+        if lo + hi < cheap:
+            return
+        if lo >= hi:
+            td, ts, agg_row = td_lo, ts_lo, row - 1
+        else:
+            td, ts, agg_row = td_hi, ts_hi, row + 1
+        if lo >= td / 2 and hi >= td / 2:
+            mode, eff, thr = "double", lo + hi, td
+        else:
+            mode, eff, thr = "single", max(lo, hi), ts
+        if eff < thr:
+            return
+        fill_v = self.contents.fill(bank, row)
+        fill_a = self.contents.fill(bank, agg_row)
+        self.flips.append(
+            BitFlip(bank, row, _bit_positions(fill_v, fill_a), time_ns, eff, mode, fill_v, fill_a, thr)
+        )
+        led.armed[g] = False
+
+    # -- refresh machinery ---------------------------------------------
+    def _trr_tracked(self, bank: int) -> list[int]:
+        acts = self.window_row_acts[bank]
+        if not acts or self.trr.capacity == 0:
+            return []
+        top = heapq.nsmallest(self.trr.capacity, acts.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [row for row, _ in top]
+
+    def _do_tick(self) -> None:
+        for bank in range(self.nb):
+            for j in range(self.rows_per_ref):
+                self.ledger.refresh_row(bank, (self.ref_ptr + j) % self.nr)
+            if self.trr.capacity > 0:
+                for row in self._trr_tracked(bank):
+                    for d in range(1, self.trr.neighbor_radius + 1):
+                        if row - d >= 0:
+                            self.ledger.refresh_row(bank, row - d)
+                        if row + d < self.nr:
+                            self.ledger.refresh_row(bank, row + d)
+        self.ref_ptr = (self.ref_ptr + self.rows_per_ref) % self.nr
+        self.tick_index += 1
+
+    def _roll_window(self) -> None:
+        row_acts = {}
+        for bank in range(self.nb):
+            for row, count in self.window_row_acts[bank].items():
+                row_acts[(bank, row)] = count
+        self.windows.append(
+            WindowSummary(self.window_index, self.window_index * self.window_ns,
+                          row_acts, list(self.window_bank_acts))
+        )
+        self.window_index += 1
+        self.window_row_acts = [dict() for _ in range(self.nb)]
+        self.window_bank_acts = [0] * self.nb
+
+    def advance_time(self, t: int) -> None:
+        """Apply all refresh commands and window rollovers up to time t."""
+        while True:
+            tick_t = self.tick_index * self.trefi_ns
+            window_t = (self.window_index + 1) * self.window_ns
+            if tick_t <= t and tick_t <= window_t:
+                self._do_tick()
+            elif window_t <= t:
+                self._roll_window()
+            else:
+                return
+
+    # -- event processing ----------------------------------------------
+    def touch(self, bank: int, row: int, time_ns: int) -> None:
+        if self.ledger.open_row[bank] == row:
+            return
+        self.ledger.open_row[bank] = row
+        g = bank * self.nr + row
+        self.total_acts += 1
+        bank_total = self.window_bank_acts[bank] + 1
+        if bank_total > self.act_cap:
+            raise TraceRateError(
+                f"bank {bank} exceeds {self.act_cap} activations in window "
+                f"{self.window_index}: the trace outruns the row-cycle budget"
+            )
+        self.window_bank_acts[bank] = bank_total
+        acts = self.window_row_acts[bank]
+        acts[row] = acts.get(row, 0) + 1
+        if row > 0:
+            self.ledger.exp_hi[g - 1] += 1
+            self._check_victim(bank, row - 1, time_ns)
+        if row < self.nr - 1:
+            self.ledger.exp_lo[g + 1] += 1
+            self._check_victim(bank, row + 1, time_ns)
+
+    def finish(self) -> None:
+        self._roll_window()
+
+
+def incremental_simulate(
+    trace,
+    cfg: DramConfig,
+    mapping: DramMapping,
+    thresholds: ThresholdTable,
+    trr: TrrConfig | None = None,
+    vmap: VulnerabilityMap | None = None,
+    contents: RowContents | None = None,
+    seed: int = 0,
+) -> tuple[SimulationResult, ActivationLedger]:
+    """dram.simulate_trace computed one event and one ACT at a time.
+
+    Returns (SimulationResult, final ActivationLedger).  Accepts the same
+    inputs, but reads EventColumns blocks as tuples.
+    """
+    events = trace.events if isinstance(trace, AccessTrace) else trace
+    if not isinstance(events, EventColumns):
+        events = itertools.chain.from_iterable(
+            e if isinstance(e, EventColumns) else (e,) for e in events)
+    if trr is None:
+        trr = TrrConfig()
+    if vmap is None:
+        vmap = VulnerabilityMap.from_seed(mapping, seed)
+    if contents is None:
+        contents = RowContents()
+    eng = IncrementalEngine(cfg, mapping, thresholds, trr, vmap, contents)
+
+    row_size = mapping.row_size_bytes
+    col_bits = mapping.col_bits
+    bank_bits = mapping.bank_bits
+    bank_mask = mapping.bank_count - 1
+    xor = mapping.bank_xor
+    capacity = mapping.capacity_bytes
+
+    last_t = None
+    n_events = 0
+    for time_ns, paddr, kind, size in events:
+        n_events += 1
+        if last_t is not None and time_ns < last_t:
+            raise ValueError(f"trace time goes backwards at {time_ns}")
+        last_t = time_ns
+        if paddr < 0 or paddr + size > capacity:
+            raise ValueError(f"event at {paddr:#x}+{size} outside module capacity")
+        eng.advance_time(time_ns)
+        addr = paddr
+        remaining = size
+        while remaining > 0:
+            row = addr >> (col_bits + bank_bits)
+            bank = (addr >> col_bits) & bank_mask
+            if xor:
+                bank ^= row & bank_mask
+            eng.touch(bank, row, time_ns)
+            chunk = min(remaining, row_size - (addr & (row_size - 1)))
+            addr += chunk
+            remaining -= chunk
+    eng.finish()
+    return SimulationResult(eng.windows, eng.flips, n_events, eng.total_acts), eng.ledger
+
+
+def check_flip(
+    ledger: ActivationLedger,
+    vmap: VulnerabilityMap,
+    thresholds: ThresholdTable,
+    contents: RowContents,
+    time_ns: int = 0,
+) -> list[BitFlip]:
+    """Evaluate the flip condition for every armed row at the current state.
+
+    Pure query: the ledger is not modified.  IncrementalEngine applies the
+    same rule as exposures grow.
+    """
+    mapping = ledger.mapping
+    nr = mapping.rows_per_bank
+    flips = []
+    vuln = vmap.vulnerable
+    mult = vmap.multiplier
+    for bank in range(mapping.bank_count):
+        base = bank * nr
+        for row in range(nr):
+            g = base + row
+            if not ledger.armed[g] or not vuln[g]:
+                continue
+            lo = ledger.exp_lo[g]
+            hi = ledger.exp_hi[g]
+            if lo == 0 and hi == 0:
+                continue
+            fill_v = contents.fill(bank, row)
+            agg_row = row - 1 if lo >= hi else row + 1
+            if not 0 <= agg_row < nr:
+                continue
+            fill_a = contents.fill(bank, agg_row)
+            cls = thresholds.nearest_class(fill_v, fill_a)
+            m = float(mult[g])
+            td = cls.double * m
+            if lo >= td / 2 and hi >= td / 2:
+                mode, eff, thr = "double", lo + hi, td
+            else:
+                mode, eff, thr = "single", max(lo, hi), cls.single * m
+            if eff >= thr:
+                flips.append(
+                    BitFlip(bank, row, _bit_positions(fill_v, fill_a), time_ns, eff, mode, fill_v, fill_a, thr)
+                )
+    return flips
+
+
+# ---------------------------------------------------------------------------
+# Layout lookups, one address or index at a time
+# ---------------------------------------------------------------------------
+
+def layer_of(spec: ModelSpec, index: int) -> int:
+    """Layer number containing a flat parameter index."""
+    if not 0 <= index < spec.total_params:
+        raise ValueError(f"index {index} out of range")
+    return bisect.bisect_right(spec.layer_offsets, index) - 1
+
+
+def byte_range_of_elems(region: Region, offset: int, count: int) -> tuple[int, int]:
+    """Virtual [start, end) byte range of an element run of a region."""
+    start_bit = offset * region.elem_bits
+    end_bit = (offset + count) * region.elem_bits
+    start = region.virtual_start + start_bit // 8
+    end = region.virtual_start + -(-end_bit // 8)
+    if end > region.virtual_end:
+        raise ValueError(f"run [{offset}, {offset + count}) overflows region {region.name}/{region.layer}")
+    return start, end
+
+
+def virtual_to_physical(layout: MemoryLayout, vaddr: int) -> int:
+    """Physical address of a virtual one, through the layout's page table."""
+    page, offset = divmod(vaddr, PAGE_BYTES)
+    frame = layout.page_table.get(page)
+    if frame is None:
+        raise ValueError(f"vaddr {vaddr:#x} not mapped")
+    return frame * PAGE_BYTES + offset
+
+
+# ---------------------------------------------------------------------------
 # Replay trace generation
 # ---------------------------------------------------------------------------
 
@@ -206,7 +549,7 @@ def _reference_runs(spec, indices) -> list[tuple[int, int, int]]:
             j += 1
         count = j - i
         while count > 0:
-            layer = spec.layer_of(start)
+            layer = layer_of(spec, start)
             take = min(count, spec.layer_offsets[layer + 1] - start)
             out.append((layer, start - spec.layer_offsets[layer], take))
             start += take
@@ -218,13 +561,13 @@ def _reference_runs(spec, indices) -> list[tuple[int, int, int]]:
 def _reference_pieces(layout: MemoryLayout, op: ScriptOp) -> list[tuple[int, int]]:
     """(paddr, size) pieces of one op, cut at page and physical row borders."""
     region = layout.region(op.region, op.layer)
-    start, end = region.byte_range_of_elems(op.offset, op.count)
+    start, end = byte_range_of_elems(region, op.offset, op.count)
     row_size = layout.mapping.row_size_bytes
     pieces = []
     v = start
     while v < end:
         page_end = (v // PAGE_BYTES + 1) * PAGE_BYTES
-        p = layout.virtual_to_physical(v)
+        p = virtual_to_physical(layout, v)
         row_end_p = (p // row_size + 1) * row_size
         piece = min(end - v, page_end - v, row_end_p - p)
         pieces.append((p, piece))

@@ -478,7 +478,7 @@ def test_criterion_10_replay_budget_and_cli_determinism(tmp_path, monkeypatch, c
     if summary.h_max_analytic != analytic:
         bad.append(f"analytic budget {summary.h_max_analytic} != {analytic}")
     acc = layout.region("accumulator", 0)
-    bank, row, _ = physical_to_dram(layout.virtual_to_physical(acc.virtual_start), mapping)
+    bank, row, _ = physical_to_dram(oracles.virtual_to_physical(layout, acc.virtual_start), mapping)
     acts = summary.result.windows[0].row_acts[(bank, row)]
     if abs(acts - analytic) > analytic / 100:
         bad.append(f"accumulator row saw {acts} activations vs budget {analytic}")

@@ -225,7 +225,7 @@ def test_simulate_requires_records(tmp_path, monkeypatch, capsys):
 
 
 def test_report_without_manifests(tmp_path, capsys):
-    assert main(["report", "--out", str(tmp_path)]) == 3
+    assert main(["report", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
 
 

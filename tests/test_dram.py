@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from hammersim import dram
 from hammersim.dram import (
     BitFlip,
     DramConfig,
@@ -12,13 +13,12 @@ from hammersim.dram import (
     TrrConfig,
     VulnerabilityMap,
     builtin_thresholds,
-    check_flip,
     read_threshold_file,
     simulate_trace,
     write_threshold_file,
     _bit_positions,
 )
-from hammersim.memlayout import AccessEvent, AccessTrace, DramMapping, dram_to_physical
+from hammersim.memlayout import AccessEvent, AccessTrace, DramMapping, EventColumns, dram_to_physical
 from hammersim.seeding import generator
 
 import oracles
@@ -281,19 +281,25 @@ def test_trr_protects_lone_aggressor_pair():
     assert any(f.row in (4, 6) for f in res_free.flips)
 
 
+def incremental_ledger(events):
+    _, ledger = oracles.incremental_simulate(AccessTrace(list(events)), TOY_CFG, TOY, LOW, NO_TRR,
+                                             VulnerabilityMap.all_vulnerable(TOY), RowContents())
+    return ledger
+
+
 def test_check_flip_query_matches_engine_state():
-    res = run(hammer(0, 5, 8))
+    ledger = incremental_ledger(hammer(0, 5, 8))
     # after the run the victims flipped and were disarmed, so a fresh
     # query of the final ledger reports nothing new for them
-    again = check_flip(res.ledger, VulnerabilityMap.all_vulnerable(TOY), LOW, RowContents())
+    again = oracles.check_flip(ledger, VulnerabilityMap.all_vulnerable(TOY), LOW, RowContents())
     assert not any(f.row in (4, 6) and f.bank == 0 for f in again)
     assert isinstance(again, list)
 
 
 def test_check_flip_sees_armed_state():
-    res = run(hammer(0, 5, 7))  # one short of the single-sided threshold
-    flips = check_flip(res.ledger, VulnerabilityMap.all_vulnerable(TOY),
-                       ThresholdTable([ThresholdEntry(0x00, 0x00, 7, 6)]), RowContents())
+    ledger = incremental_ledger(hammer(0, 5, 7))  # one short of the single-sided threshold
+    flips = oracles.check_flip(ledger, VulnerabilityMap.all_vulnerable(TOY),
+                               ThresholdTable([ThresholdEntry(0x00, 0x00, 7, 6)]), RowContents())
     assert any(f.bank == 0 and f.row == 4 for f in flips)
 
 
@@ -333,3 +339,178 @@ def test_engine_matches_recount_oracle_on_random_traces():
         got = sorted((f.time_ns, f.bank, f.row, f.mode, f.effective_count, f.threshold)
                      for f in res.flips)
         assert got == flips
+
+
+# -- columnar engine vs the incremental engine and the recount oracle ------
+
+XOR = DramMapping(bank_count=4, rows_per_bank=64, row_size_bytes=1024, bank_xor=True)
+TABLE_12_8 = ThresholdTable([ThresholdEntry(0x00, 0x00, 12, 8)])
+
+
+def assert_engines_agree(events, trr=NO_TRR, vmap=None, contents=None, cfg=TOY_CFG,
+                         mapping=TOY, thresholds=LOW):
+    """simulate_trace must equal the incremental engine and the recount oracle."""
+    vmap = vmap or VulnerabilityMap.all_vulnerable(mapping)
+    contents = contents or RowContents()
+    args = (cfg, mapping, thresholds, trr, vmap, contents)
+    res = simulate_trace(AccessTrace(list(events)), *args)
+    ref, _ = oracles.incremental_simulate(AccessTrace(list(events)), *args)
+    w_rows, w_banks, flips, total = oracles.oracle_simulate(events, *args)
+    assert res.total_acts == ref.total_acts == total
+    assert res.total_events == ref.total_events == len(events)
+    assert ([(w.index, w.start_ns, w.row_acts, w.bank_acts) for w in res.windows]
+            == [(w.index, w.start_ns, w.row_acts, w.bank_acts) for w in ref.windows])
+    assert [w.row_acts for w in res.windows] == w_rows
+    assert [w.bank_acts for w in res.windows] == w_banks
+    assert res.flips == ref.flips  # in order, with time, mode, count, threshold
+    assert sorted((f.time_ns, f.bank, f.row, f.mode, f.effective_count, f.threshold)
+                  for f in res.flips) == flips
+    return res
+
+
+def decoyed_and_protected(windows=2, step=64_000, protected_step=1_200_000):
+    """Toy version of the hammer-trr trace.
+
+    Bank 1 hammers rows 9 and 11 (victim 10) behind four decoys that stay
+    ahead of the pair in every window's counts; bank 2 alternates rows 39
+    and 41 (victim 40) slowly enough that a refresh per tick keeps the pair
+    under the double-sided threshold.
+    """
+    decoys = [20, 23, 26, 29]
+    window_ns = int(TOY_CFG.window_ns)
+    events = []
+    for w in range(windows):
+        seq = decoys + (decoys + [9, 11]) * ((window_ns // step - 4) // 6)
+        events += [ev(w * window_ns + i * step, 1, r) for i, r in enumerate(seq)]
+        n = (window_ns - protected_step // 2) // protected_step
+        events += [ev(w * window_ns + protected_step // 2 + i * protected_step, 2, (39, 41)[i % 2])
+                   for i in range(n)]
+    return sorted(events, key=lambda e: e.time_ns)
+
+
+def test_decoyed_and_protected_pairs_match_references():
+    events = decoyed_and_protected()
+    with_trr = assert_engines_agree(events, trr=TrrConfig(capacity=4), thresholds=TABLE_12_8)
+    assert any((f.bank, f.row, f.mode) == (1, 10, "double") for f in with_trr.flips)
+    assert not any(f.bank == 2 for f in with_trr.flips)
+    without = assert_engines_agree(events, trr=NO_TRR, thresholds=TABLE_12_8)
+    assert any((f.bank, f.row) == (2, 40) for f in without.flips)
+
+
+def random_trace_on(mapping, rng, n_events=300, t_span=40_000_000, max_size=3000):
+    events = []
+    t = 0
+    for _ in range(n_events):
+        t += int(rng.integers(0, t_span // n_events))
+        paddr = int(rng.integers(0, mapping.capacity_bytes))
+        size = min(int(rng.integers(1, max_size)), mapping.capacity_bytes - paddr)
+        events.append(AccessEvent(t, paddr, "R", size))
+    return events
+
+
+def test_row_spanning_events_on_xor_map_match_references():
+    rng = generator(7, "dram-xor-spans")
+    for case in range(12):
+        events = random_trace_on(XOR, rng, max_size=5000)
+        assert any(p // 1024 != (p + s - 1) // 1024 for _, p, _, s in events)
+        vmap = VulnerabilityMap.from_seed(XOR, case, probability=0.8, multiplier_high=1.5)
+        assert_engines_agree(events, trr=TrrConfig(capacity=case % 3), vmap=vmap,
+                             mapping=XOR, thresholds=TABLE_12_8)
+
+
+def test_ticks_on_window_boundaries_match_references():
+    # 8 ticks per window: the 8th lands on the boundary and must rank the
+    # ending window; events sit on, just before and just after ticks
+    trefi = int(TOY_CFG.trefi_ns)
+    window_ns = int(TOY_CFG.window_ns)
+    events = []
+    for k in range(1, 18):
+        for dt in (-1, 0, 1):
+            events += [ev(k * trefi + dt, 0, 5), ev(k * trefi + dt, 0, 7)]
+    events += hammer(0, 5, 30, start=window_ns - 3000, step=100)
+    events = sorted(events, key=lambda e: e.time_ns)
+    for trr in (NO_TRR, TrrConfig(capacity=1), TrrConfig(capacity=2, neighbor_radius=2)):
+        res = assert_engines_agree(events, trr=trr)
+        assert len(res.windows) == 3
+    # a period that is not a whole number of nanoseconds: float tick products
+    odd = DramConfig(refresh_period_s=0.000064, ref_commands=8, trc_effective_s=49e-9)
+    step = odd.trefi_ns
+    times = sorted({int(k * step) + dt for k in range(1, 40) for dt in (-1, 0, 1)})
+    events = [ev(t, 0, (3, 5, 7)[i % 3]) for i, t in enumerate(times)]
+    for trr in (NO_TRR, TrrConfig(capacity=2)):
+        assert_engines_agree(events, trr=trr, cfg=odd)
+
+
+def test_victim_flips_again_after_refresh():
+    trefi = int(TOY_CFG.trefi_ns)  # tick 1 refreshes rows 0..7
+    events = hammer(0, 5, 10, start=0, step=1000) + hammer(0, 5, 10, start=trefi + 1000, step=1000)
+    res = assert_engines_agree(events)
+    times = [f.time_ns for f in res.flips if (f.bank, f.row) == (0, 4)]
+    assert len(times) == 2 and times[0] < trefi < times[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_small_chunks_carry_state(monkeypatch, chunk):
+    rng = generator(chunk, "dram-chunks")
+    traces = [decoyed_and_protected(windows=1, step=400_000)]
+    traces += [random_trace_on(TOY, rng, n_events=120) for _ in range(4)]
+    results = [
+        [simulate_trace(AccessTrace(events), TOY_CFG, TOY, TABLE_12_8, TrrConfig(capacity=c),
+                        VulnerabilityMap.all_vulnerable(TOY), RowContents()) for c in (0, 2)]
+        for events in traces
+    ]
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
+    for events, whole in zip(traces, results):
+        for c, expected in zip((0, 2), whole):
+            trr = TrrConfig(capacity=c)
+            res = assert_engines_agree(events, trr=trr, thresholds=TABLE_12_8)
+            assert res == expected
+            # event columns, whole or in blocks, read the same as tuples
+            t, paddr, kind, size = (np.array(c) for c in zip(*events))
+            columns = (t, paddr, kind == "W", size)
+            blocks = (EventColumns(*(c[a:a + 5] for c in columns)) for a in range(0, len(events), 5))
+            for trace in (EventColumns(*columns), blocks):
+                assert simulate_trace(trace, TOY_CFG, TOY, TABLE_12_8, trr,
+                                      VulnerabilityMap.all_vulnerable(TOY), RowContents()) == expected
+
+
+# -- error parity with the incremental engine -------------------------------
+
+def first_error(simulate, events, cfg):
+    with pytest.raises(ValueError) as info:
+        simulate(AccessTrace(list(events)), cfg, TOY, LOW, NO_TRR,
+                 VulnerabilityMap.all_vulnerable(TOY), RowContents())
+    return type(info.value), str(info.value)
+
+
+TIGHT = DramConfig(refresh_period_s=0.064, ref_commands=8, trc_effective_s=0.008)  # act_cap 8
+
+
+def error_cases():
+    """Case name -> (events, exception type the first bad event raises)."""
+    base = hammer(0, 5, 3, step=100)  # 6 ACTs in bank 0
+    over_cap = hammer(0, 5, 5, start=1000, step=100)  # takes bank 0 past 8
+    backwards = [ev(10, 1, 3)]
+    outside = [AccessEvent(2000, TOY.capacity_bytes - 4, "R", 8)]
+    negative = [AccessEvent(2000, -8, "R", 8)]
+    return {
+        "backwards": (base + backwards, ValueError),
+        "outside": (base + outside, ValueError),
+        "negative": (base + negative, ValueError),
+        "over cap": (base + over_cap, TraceRateError),
+        "one past cap": (base + over_cap[:3], TraceRateError),
+        "backwards before cap": (base + backwards + over_cap, ValueError),
+        "cap before outside": (base + over_cap + [AccessEvent(5000, TOY.capacity_bytes, "R", 1)],
+                               TraceRateError),
+        "outside before backwards": (base + outside + backwards, ValueError),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
+@pytest.mark.parametrize("case", sorted(error_cases()))
+def test_errors_match_incremental_engine(monkeypatch, case, chunk):
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
+    events, kind = error_cases()[case]
+    expected = first_error(oracles.incremental_simulate, events, TIGHT)
+    assert expected[0] is kind
+    assert first_error(simulate_trace, events, TIGHT) == expected

@@ -19,6 +19,8 @@ from hammersim.memlayout import SCRIPT_REGIONS, DramMapping, build_layout
 from hammersim.replay import round_script
 from hammersim.seeding import generator
 
+from oracles import layer_of
+
 
 def small_fed(seed=1, n_clients=3, in_dim=20, hidden=8, out=3, sparsity="0.05"):
     spec = make_mlp_spec(in_dim, hidden, out)
@@ -32,10 +34,10 @@ def test_mlp_spec_layout():
     spec = make_mlp_spec(20, 8, 3)
     assert spec.total_params == 20 * 8 + 8 + 8 * 3 + 3
     assert spec.layer_offsets == (0, 160, 168, 192, 195)
-    assert spec.layer_of(0) == 0
-    assert spec.layer_of(159) == 0
-    assert spec.layer_of(160) == 1
-    assert spec.layer_of(194) == 3
+    assert layer_of(spec, 0) == 0
+    assert layer_of(spec, 159) == 0
+    assert layer_of(spec, 160) == 1
+    assert layer_of(spec, 194) == 3
     assert spec.uniform_precision_bits == 32
 
 

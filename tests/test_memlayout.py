@@ -20,6 +20,8 @@ from hammersim.metrics import BandwidthModel
 from hammersim.replay import round_script
 from hammersim.seeding import generator
 
+from oracles import byte_range_of_elems, virtual_to_physical
+
 
 TOY = DramMapping(bank_count=4, rows_per_bank=64, row_size_bytes=1024, bank_xor=True)
 # big enough for the 2 MB huge-page allocator (8 MB module)
@@ -114,10 +116,10 @@ def test_virtual_to_physical_uses_page_table():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=2)
     frame = layout.page_table[0]
-    assert layout.virtual_to_physical(0) == frame * PAGE_BYTES
-    assert layout.virtual_to_physical(123) == frame * PAGE_BYTES + 123
+    assert virtual_to_physical(layout, 0) == frame * PAGE_BYTES
+    assert virtual_to_physical(layout, 123) == frame * PAGE_BYTES + 123
     with pytest.raises(ValueError):
-        layout.virtual_to_physical(10**12)
+        virtual_to_physical(layout, 10**12)
 
 
 # -- op columns --------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_pieces_cover_exact_byte_range():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     region = layout.region("accumulator", 0)
-    start, end = region.byte_range_of_elems(5, 7)
+    start, end = byte_range_of_elems(region, 5, 7)
     assert (start, end) == (region.virtual_start + 20, region.virtual_start + 48)
     pieces = physical_pieces(layout, ("accumulator", 0, 5, 7, "W"))
     assert sum(n for _, n in pieces) == end - start
@@ -232,7 +234,7 @@ def test_trace_addresses_follow_page_table():
     layout = build_layout(spec, None, LAYOUT_MAP, seed=6)
     trace = trace_update_processing(layout, one_op_script(), BandwidthModel())
     region = layout.region("ingress")
-    expected = layout.virtual_to_physical(region.virtual_start)
+    expected = virtual_to_physical(layout, region.virtual_start)
     assert next(iter(trace.events))[1] == expected
 
 
