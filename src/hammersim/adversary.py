@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import stft
+from .metrics import index_array
 from .seeding import generator
 
 __all__ = [
@@ -60,14 +61,14 @@ def compute_emd(u_prev: Iterable[int], u_curr: Iterable[int], total_params: int)
     difference.  For equal-size sets this equals the mean absolute
     difference of the sorted matched indices over total_params.
     """
-    a = np.array(sorted(set(int(i) for i in u_prev)), dtype=np.float64)
-    b = np.array(sorted(set(int(i) for i in u_curr)), dtype=np.float64)
+    a = index_array(u_prev)
+    b = index_array(u_curr)
     if a.size == 0 or b.size == 0:
         raise ValueError("EMD needs two nonempty index sets")
     if total_params <= 0 or a[-1] >= total_params or b[-1] >= total_params:
         raise ValueError("indices out of range for total_params")
-    a /= total_params
-    b /= total_params
+    a = a / total_params
+    b = b / total_params
     support = np.concatenate([a, b])
     support.sort(kind="mergesort")
     deltas = np.diff(support)
@@ -94,11 +95,11 @@ class TargetWindow:
 
 def target_focus(u_curr: Iterable[int], window: TargetWindow) -> float:
     """Fraction of the round's indices inside the window; 0 on empty set."""
-    u = [int(i) for i in u_curr]
-    if not u:
+    u = index_array(u_curr)
+    if u.size == 0:
         return 0.0
-    inside = sum(1 for i in u if window.start <= i < window.end)
-    return inside / len(u)
+    inside = np.searchsorted(u, window.end) - np.searchsorted(u, window.start)
+    return int(inside) / u.size
 
 
 def select_target_window(
@@ -118,12 +119,12 @@ def select_target_window(
         raise ValueError(f"window_len {window_len} out of range for M={total_params}")
     if len(index_sets) < warmup_rounds:
         raise ValueError(f"need {warmup_rounds} warmup rounds, have {len(index_sets)}")
-    counts = np.zeros(total_params, dtype=np.int64)
-    for u in index_sets[:warmup_rounds]:
-        for i in u:
-            if not 0 <= int(i) < total_params:
-                raise ValueError(f"index {i} out of range")
-            counts[int(i)] += 1
+    warm = [index_array(u) for u in index_sets[:warmup_rounds]]
+    warm = np.concatenate([np.empty(0, np.int64)] + warm)
+    outside = warm[(warm < 0) | (warm >= total_params)]
+    if outside.size:
+        raise ValueError(f"index {outside[0]} out of range")
+    counts = np.bincount(warm, minlength=total_params)
     # zero-prefixed cumsum: sums[s] covers counts[s .. s+window_len-1]
     cumulative = np.concatenate(([0], np.cumsum(counts)))
     sums = cumulative[window_len:] - cumulative[:-window_len]
@@ -138,15 +139,23 @@ def perceptibility_audio(
     lambda2: float,
     frame_len: int = 256,
     hop: int = 128,
+    *,
+    clean_spectrum: np.ndarray | None = None,
 ) -> float:
-    """Spectral distortion plus RMS energy of an audio perturbation."""
+    """Spectral distortion plus RMS energy of an audio perturbation.
+
+    clean_spectrum, if given, is stft(x_clean, frame_len, hop) computed
+    once by a caller that scores many perturbations of one signal.
+    """
     delta = np.asarray(delta, dtype=np.float64)
     x_clean = np.asarray(x_clean, dtype=np.float64)
     if delta.shape != x_clean.shape:
         raise ValueError("delta and x_clean shapes differ")
     spec_term = 0.0
     if lambda1 != 0.0:
-        diff = stft(x_clean + delta, frame_len, hop) - stft(x_clean, frame_len, hop)
+        if clean_spectrum is None:
+            clean_spectrum = stft(x_clean, frame_len, hop)
+        diff = stft(x_clean + delta, frame_len, hop) - clean_spectrum
         spec_term = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
     rms = float(np.sqrt(np.mean(delta**2)))
     return lambda1 * spec_term + lambda2 * rms
@@ -192,12 +201,15 @@ def compute_reward(
     cfg: RewardConfig,
     modality: str,
     total_params: int,
+    *,
+    clean_spectrum: np.ndarray | None = None,
 ) -> RewardBreakdown:
     """total = alpha * stability + beta * focus - gamma * stealth.
 
     stability is 1 - EMD of consecutive index sets (0 when there is no
     previous round), focus is the window hit fraction (0 without a frozen
     window yet), stealth is the modality's perceptibility measure.
+    clean_spectrum is passed on to perceptibility_audio.
     """
     if modality not in ("audio", "image"):
         raise ValueError(f"unknown modality {modality!r}")
@@ -207,7 +219,8 @@ def compute_reward(
     focus = 0.0 if window is None else target_focus(u_curr, window)
     if modality == "audio":
         stealth = perceptibility_audio(
-            delta, x_clean, cfg.lambda1, cfg.lambda2, cfg.stft_frame, cfg.stft_hop
+            delta, x_clean, cfg.lambda1, cfg.lambda2, cfg.stft_frame, cfg.stft_hop,
+            clean_spectrum=clean_spectrum,
         )
     else:
         stealth = perceptibility_image(delta, cfg.lambda_image)
@@ -446,6 +459,7 @@ def ppo_update(
     weights = {k: v.copy() for k, v in state.weights.items()}
     adam_m = {k: v.copy() for k, v in state.adam_m.items()}
     adam_v = {k: v.copy() for k, v in state.adam_v.items()}
+    scratch = {k: np.empty_like(v) for k, v in weights.items()}
     step = state.adam_step
     losses = []
     for _ in range(cfg.epochs):
@@ -458,18 +472,34 @@ def ppo_update(
             )
             losses.append(loss)
             if cfg.max_grad_norm > 0:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                norm = np.sqrt(sum(
+                    float(np.sum(np.multiply(g, g, out=scratch[k]))) for k, g in grads.items()
+                ))
                 if norm > cfg.max_grad_norm:
                     scale = cfg.max_grad_norm / norm
-                    grads = {k: g * scale for k, g in grads.items()}
+                    for g in grads.values():
+                        g *= scale
             step += 1
+            m_bias = 1.0 - 0.9**step
+            v_bias = 1.0 - 0.999**step
             for key in WEIGHT_KEYS:
-                g = grads[key]
-                adam_m[key] = 0.9 * adam_m[key] + 0.1 * g
-                adam_v[key] = 0.999 * adam_v[key] + 0.001 * g**2
-                m_hat = adam_m[key] / (1.0 - 0.9**step)
-                v_hat = adam_v[key] / (1.0 - 0.999**step)
-                weights[key] = weights[key] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                # w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8), in place on the
+                # copies above with the same operations in the same order;
+                # the gradient's own array is spent as the second buffer
+                g, m, v, tmp = grads[key], adam_m[key], adam_v[key], scratch[key]
+                m *= 0.9
+                m += np.multiply(g, 0.1, out=tmp)
+                v *= 0.999
+                g *= g
+                g *= 0.001
+                v += g
+                np.divide(m, m_bias, out=tmp)
+                tmp *= cfg.learning_rate
+                np.divide(v, v_bias, out=g)
+                np.sqrt(g, out=g)
+                g += 1e-8
+                tmp /= g
+                weights[key] -= tmp
     new_state = AgentState(cfg, weights, adam_m, adam_v, step)
     stats = {
         "loss": float(np.mean(losses)),

@@ -9,6 +9,7 @@ rescale) for images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -18,7 +19,7 @@ __all__ = [
     "decode_latent",
     "clip_linf",
     "resampled_length",
-    "emulate_audio_channel",
+    "audio_channel",
     "emulate_image_channel",
     "stft",
 ]
@@ -107,37 +108,42 @@ def resampled_length(n: int, source_rate: int, target_rate: int) -> int:
     return int(round(n * target_rate / source_rate))
 
 
-def _resample_linear(x: np.ndarray, source_rate: int, target_rate: int) -> np.ndarray:
-    if source_rate == target_rate:
-        return x
-    out_len = resampled_length(x.shape[-1], source_rate, target_rate)
-    # Output sample i sits at source position i * source/target; positions
-    # past the last input sample clamp to it.
-    pos = np.arange(out_len) * (source_rate / target_rate)
-    return np.interp(pos, np.arange(x.shape[-1]), x)
-
-
-def emulate_audio_channel(
+def audio_channel(
     x: np.ndarray,
     delta: np.ndarray,
     cfg: ChannelConfig,
-    seed: np.random.Generator | int,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Air-gap audio path: x + delta + noise, then linear resampling.
+    """Air-gap audio path over a client stack: x + delta + noise, then resampling.
 
-    With delta = 0, noise_std = 0 and equal rates this is the identity map.
+    x is (C, n, L): n signals of L samples for each of C clients.  delta
+    is (C, L), one perturbation per client, added to every one of its
+    signals.  rngs holds one generator per client; client c's noise is
+    drawn as one (n, L) block, the same stream as n draws of L samples in
+    row order.  Linear resampling from source_rate_hz to target_rate_hz
+    places output sample i at source position i * source/target; positions
+    past the last input sample clamp to it.  With delta = 0, noise_std = 0
+    and equal rates this is the identity map.
     """
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"audio signal must be 1-D, got shape {x.shape}")
-    if delta.shape != x.shape:
-        raise ValueError(f"delta shape {delta.shape} does not match signal {x.shape}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
-    y = x + delta
+    if x.ndim != 3:
+        raise ValueError(f"audio stack must be (clients, signals, samples), got shape {x.shape}")
+    clients, _, length = x.shape
+    if delta.shape != (clients, length):
+        raise ValueError(f"delta shape {delta.shape} does not match stack {x.shape}")
+    if len(rngs) != clients:
+        raise ValueError(f"need one generator per client, got {len(rngs)} for {clients}")
+    y = x + delta[:, None, :]
     if cfg.noise_std > 0:
-        y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
-    return _resample_linear(y, cfg.source_rate_hz, cfg.target_rate_hz)
+        y = y + np.stack([rng.normal(0.0, cfg.noise_std, size=x.shape[1:]) for rng in rngs])
+    if cfg.source_rate_hz != cfg.target_rate_hz:
+        out_len = resampled_length(length, cfg.source_rate_hz, cfg.target_rate_hz)
+        pos = np.arange(out_len) * (cfg.source_rate_hz / cfg.target_rate_hz)
+        grid = np.arange(length)
+        rows = [np.interp(pos, grid, row) for row in y.reshape(-1, length)]
+        y = np.reshape(rows, y.shape[:2] + (out_len,))
+    return y
 
 
 def _resize_linear_1d(x: np.ndarray, new_len: int, axis: int) -> np.ndarray:

@@ -10,7 +10,6 @@ replay later turns into the server's buffer accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -156,9 +155,6 @@ class RoundRecord:
             raise ValueError("record indices must be sorted and unique")
         object.__setattr__(self, "indices", idx)
 
-    def index_set(self) -> frozenset[int]:
-        return frozenset(int(i) for i in self.indices)
-
     def mask(self, total_params: int) -> np.ndarray:
         m = np.zeros(total_params, dtype=np.float64)
         m[self.indices] = 1.0
@@ -167,10 +163,16 @@ class RoundRecord:
 
 @dataclass
 class FederationState:
+    """Server parameters plus the client stack.
+
+    Client c's shard is (x[c], y[c]); k is the per-client top-k count.
+    """
+
     spec: ModelSpec
     params: ParameterStore
-    shards: list[tuple[np.ndarray, np.ndarray]]
-    sparsity: str
+    x: np.ndarray  # (n_clients, shard_size, in_dim)
+    y: np.ndarray  # (n_clients, shard_size)
+    k: int
     learning_rate: float
     seed: int
     round_number: int = 0
@@ -180,7 +182,7 @@ class FederationState:
 
     @property
     def n_clients(self) -> int:
-        return len(self.shards)
+        return self.x.shape[0]
 
 
 def init_federation(
@@ -224,19 +226,20 @@ def init_federation(
 
     teacher_rng = generator(seed, "teacher")
     teacher = teacher_rng.normal(0.0, 1.0, size=(in_dim, out_dim))
-    shards = []
+    x = np.empty((n_clients, shard_size, in_dim))
+    y = np.empty((n_clients, shard_size), dtype=np.int64)
     for c in range(n_clients):
         rng = generator(seed, "shard", c)
-        x = rng.normal(0.0, 1.0, size=(shard_size, in_dim))
-        logits = x @ teacher + rng.normal(0.0, 0.5, size=(shard_size, out_dim))
-        y = np.argmax(logits, axis=1).astype(np.int64)
-        shards.append((x, y))
+        x[c] = rng.normal(0.0, 1.0, size=(shard_size, in_dim))
+        logits = x[c] @ teacher + rng.normal(0.0, 0.5, size=(shard_size, out_dim))
+        y[c] = np.argmax(logits, axis=1)
 
     return FederationState(
         spec=model_spec,
         params=params,
-        shards=shards,
-        sparsity=str(sparsity),
+        x=x,
+        y=y,
+        k=metrics.topk_count(sparsity, model_spec.total_params),
         learning_rate=float(learning_rate),
         seed=int(seed),
         in_dim=in_dim,
@@ -254,77 +257,76 @@ def _unpack(fed: FederationState, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def model_loss(fed: FederationState, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean softmax cross-entropy of the MLP on a batch."""
-    w1, b1, w2, b2 = _unpack(fed, theta)
-    h = np.maximum(x @ w1 + b1, 0.0)
-    logits = h @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(logits).sum(axis=1))
-    return float(np.mean(log_z - logits[np.arange(x.shape[0]), y]))
-
-
 def local_train(
     fed: FederationState,
-    client_id: int,
     global_params: ParameterStore,
     input_batch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """One full-batch gradient step; returns the dense delta (-lr * grad)."""
-    if not 0 <= client_id < fed.n_clients:
-        raise ValueError(f"client_id {client_id} out of range")
+    """One full-batch gradient step for every client at once.
+
+    input_batch is the client stack (x, y) of shapes (C, n, in_dim) and
+    (C, n).  Returns the (C, M) dense deltas (-lr * grad), row c for
+    client c.  Each client's arithmetic is the same as a pass over its
+    own shard alone: the products are per-client matrix products and the
+    sums run over that client's samples only.
+    """
     x, y = input_batch
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != fed.in_dim or x.shape[0] != y.shape[0]:
+    if x.ndim != 3 or x.shape[2] != fed.in_dim or y.shape != x.shape[:2]:
         raise ValueError(f"bad batch shapes {x.shape}, {y.shape}")
-    theta = global_params.values
-    w1, b1, w2, b2 = _unpack(fed, theta)
+    w1, b1, w2, b2 = _unpack(fed, global_params.values)
+    clients, n, _ = x.shape
 
     pre = x @ w1 + b1
     h = np.maximum(pre, 0.0)
     logits = h @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=2, keepdims=True)
     exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = x.shape[0]
-    d_logits = probs.copy()
-    d_logits[np.arange(n), y] -= 1.0
+    d_logits = exp / exp.sum(axis=2, keepdims=True)
+    d_logits[np.arange(clients)[:, None], np.arange(n), y] -= 1.0
     d_logits /= n
-    g_w2 = h.T @ d_logits
-    g_b2 = d_logits.sum(axis=0)
+    g_w2 = h.transpose(0, 2, 1) @ d_logits
+    g_b2 = d_logits.sum(axis=1)
     d_h = (d_logits @ w2.T) * (pre > 0.0)
-    g_w1 = x.T @ d_h
-    g_b1 = d_h.sum(axis=0)
+    g_w1 = x.transpose(0, 2, 1) @ d_h
+    g_b1 = d_h.sum(axis=1)
 
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
-    if not np.all(np.isfinite(grad)):
-        raise ValueError(f"client {client_id}: non-finite gradient")
+    grad = np.concatenate(
+        [g_w1.reshape(clients, -1), g_b1, g_w2.reshape(clients, -1), g_b2], axis=1
+    )
+    finite = np.isfinite(grad).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"client {int(np.argmin(finite))}: non-finite gradient")
     return -fed.learning_rate * grad
 
 
-def sparsify_topk(delta: np.ndarray, sparsity: str | float | Fraction, round_number: int, client_id: int) -> SparseUpdate:
-    """Keep the k = ceil(sparsity * M) largest-magnitude entries.
+def sparsify_topk(delta: np.ndarray, k: int, round_number: int) -> list[SparseUpdate]:
+    """Keep the k largest-magnitude entries of every row of a (C, M) delta.
 
-    Ties in magnitude resolve to the lower index; the returned indices are
-    sorted ascending.
+    Row c becomes client c's update.  Ties in magnitude resolve to the
+    lower index, as in a stable descending sort; each update's indices
+    are sorted ascending.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim != 1 or delta.size == 0:
-        raise ValueError("delta must be a nonempty 1-D array")
-    k = metrics.topk_count(sparsity, delta.size)
+    if delta.ndim != 2 or delta.size == 0:
+        raise ValueError("delta must be a nonempty (clients, params) array")
+    clients, m = delta.shape
+    if not 0 < k <= m:
+        raise ValueError(f"k = {k} out of range for {m} parameters")
     av = np.abs(delta)
-    if k >= delta.size:
-        chosen = np.arange(delta.size, dtype=np.int64)
-    else:
-        # partition instead of a full sort; ties at the cut value resolve
-        # to the lowest indices, same as a stable descending sort
-        part = np.argpartition(-av, k - 1)[:k]
-        cut = av[part].min()
-        greater = np.flatnonzero(av > cut)
-        ties = np.flatnonzero(av == cut)[: k - greater.size]
-        chosen = np.sort(np.concatenate([greater, ties]))
-    return SparseUpdate(round_number, client_id, chosen, delta[chosen])
+    # partition instead of a full sort: the cut is each row's k-th largest
+    # magnitude, and a row keeps more than k entries only when several tie
+    # at the cut; its highest-indexed ties then go
+    cut = np.partition(av, m - k, axis=1)[:, m - k: m - k + 1]
+    keep = av >= cut
+    surplus = np.count_nonzero(keep, axis=1) - k
+    for c in np.flatnonzero(surplus):
+        ties = np.flatnonzero(av[c] == cut[c])
+        keep[c, ties[ties.size - surplus[c]:]] = False
+    chosen = np.flatnonzero(keep).reshape(clients, k) % m
+    values = np.take_along_axis(delta, chosen, axis=1)
+    return [SparseUpdate(round_number, c, chosen[c], values[c]) for c in range(clients)]
 
 
 def aggregate(store: ParameterStore, updates: list[SparseUpdate]) -> ParameterStore:
@@ -366,45 +368,28 @@ class RoundResult:
 
 def run_round(
     fed: FederationState,
-    perturbations: dict[int, np.ndarray] | None = None,
+    perturbation: np.ndarray | None = None,
     channel_cfg: channel_mod.ChannelConfig | None = None,
 ) -> RoundResult:
     """One communication round; advances fed.round_number and theta.
 
-    perturbations maps client_id to an input-space delta added to every
-    sample of that client's shard through the channel model.  Clients run
-    in ascending id order.
+    perturbation is an input-space delta added to every sample of a
+    client's shard through the channel model: shape (in_dim,) for all
+    clients alike, or (n_clients, in_dim) for one row per client.  All
+    clients train in one batched pass.
     """
     t = fed.round_number
-    updates = []
-    for c in range(fed.n_clients):
-        x, y = fed.shards[c]
-        delta = None if perturbations is None else perturbations.get(c)
-        if channel_cfg is not None:
-            # batched form of emulate_audio_channel over the shard rows;
-            # one generator per (round, client) keeps the noise stream
-            # identical to calling the per-row path in row order
-            rng = generator(fed.seed, "channel", t, c)
-            d = np.zeros(fed.in_dim) if delta is None else np.asarray(delta, dtype=np.float64)
-            sig = x + d[None, :]
-            if channel_cfg.noise_std > 0:
-                sig = sig + rng.normal(0.0, channel_cfg.noise_std, size=sig.shape)
-            if channel_cfg.source_rate_hz != channel_cfg.target_rate_hz:
-                sig = np.stack(
-                    [
-                        channel_mod._resample_linear(
-                            row, channel_cfg.source_rate_hz, channel_cfg.target_rate_hz
-                        )
-                        for row in sig
-                    ]
-                )
-            x_in = sig
-        elif delta is not None:
-            x_in = x + np.asarray(delta, dtype=np.float64)[None, :]
+    x = fed.x
+    if perturbation is not None or channel_cfg is not None:
+        d = np.zeros(fed.in_dim) if perturbation is None else np.asarray(perturbation, dtype=np.float64)
+        d = np.broadcast_to(d, (fed.n_clients, fed.in_dim))
+        if channel_cfg is None:
+            x = x + d[:, None, :]
         else:
-            x_in = x
-        dense = local_train(fed, c, fed.params, (x_in, y))
-        updates.append(sparsify_topk(dense, fed.sparsity, t, c))
+            rngs = [generator(fed.seed, "channel", t, c) for c in range(fed.n_clients)]
+            x = channel_mod.audio_channel(x, d, channel_cfg, rngs)
+    dense = local_train(fed, fed.params, (x, fed.y))
+    updates = sparsify_topk(dense, fed.k, t)
 
     fed.params = aggregate(fed.params, updates)
     fed.round_number = t + 1

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "topk_count",
+    "index_array",
     "compute_rur",
     "compute_cd",
     "BandwidthModel",
@@ -67,23 +68,36 @@ def topk_count(sparsity: float | str | Fraction, total_params: int) -> int:
     return -(-num // den)
 
 
+def index_array(u: Iterable[int]) -> np.ndarray:
+    """An index set as a sorted, duplicate-free int64 array.
+
+    Accepts an array, a list, a set or any iterable of integers; repeated
+    entries count once, as in a set.
+    """
+    a = u if isinstance(u, np.ndarray) else np.fromiter(u, dtype=np.int64)
+    a = a.astype(np.int64, copy=False)
+    if a.ndim == 1 and np.all(a[1:] > a[:-1]):
+        return a  # already sorted and unique, as every round record is
+    return np.unique(a)
+
+
 def compute_rur(index_sets: Sequence[Iterable[int]]) -> float:
     """Repeated-update ratio over a trace of round index sets.
 
     Sum over consecutive pairs of |U_t intersect U_{t+1}| divided by the
     sum of |U_t| for t = 1 .. T-1 (the earlier set of each pair).
     """
-    sets = [frozenset(int(i) for i in u) for u in index_sets]
+    sets = [index_array(u) for u in index_sets]
     if len(sets) < 2:
         raise ValueError("RUR needs at least two rounds")
     for t, u in enumerate(sets):
-        if not u:
+        if u.size == 0:
             raise ValueError(f"round {t} has an empty index set")
-    repeated = 0
-    total = 0
-    for prev, curr in zip(sets[:-1], sets[1:]):
-        repeated += len(prev & curr)
-        total += len(prev)
+    repeated = sum(
+        np.intersect1d(prev, curr, assume_unique=True).size
+        for prev, curr in zip(sets[:-1], sets[1:])
+    )
+    total = sum(u.size for u in sets[:-1])
     return repeated / total
 
 
@@ -95,7 +109,7 @@ def compute_cd(indices: Iterable[int], total_params: int, coverage: float = 0.9)
     always m consecutive elements of the sorted index list, so a sliding
     window suffices.
     """
-    idx = np.array(sorted(set(int(i) for i in indices)), dtype=np.int64)
+    idx = index_array(indices)
     k = idx.size
     if k == 0:
         raise ValueError("empty index set")

@@ -273,7 +273,7 @@ def merge_reports(root: str, out_dir: str) -> dict:
         raise ConfigError(f"no manifest.json found under {root!r}")
     hashes = {m.get("config_hash") for _, m in manifests}
     if len(hashes) != 1:
-        raise ValueError(
+        raise ConfigError(
             f"conflicting config hashes under {root!r}: "
             + ", ".join(sorted(str(h)[:12] for h in hashes))
         )

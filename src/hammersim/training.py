@@ -27,7 +27,7 @@ from .adversary import (
     save_checkpoint,
     select_target_window,
 )
-from .channel import ChannelConfig, clip_linf, decode_latent
+from .channel import ChannelConfig, clip_linf, decode_latent, stft
 from .config import ConfigError, ExperimentConfig
 from .federation import RoundRecord, init_federation, make_mlp_spec, run_round, write_round_records
 from .seeding import generator
@@ -67,8 +67,9 @@ class AttackEnv:
         )
         self.fed = None
         self.window: TargetWindow | None = None
-        self.u_prev: frozenset[int] | None = None
+        self.u_prev: np.ndarray | None = None
         self.x_summary: np.ndarray | None = None
+        self.clean_spectrum: np.ndarray | None = None
 
     @property
     def obs_dim(self) -> int:
@@ -77,9 +78,11 @@ class AttackEnv:
     def reset(self) -> np.ndarray:
         self.fed = init_federation(self.spec, self.n_clients, self.seed, **self._init_kwargs)
         if self.x_summary is None:
-            self.x_summary = np.mean(
-                np.concatenate([x for x, _ in self.fed.shards], axis=0), axis=0
-            )
+            self.x_summary = np.mean(self.fed.x.reshape(-1, self.in_dim), axis=0)
+            if self.modality == "audio" and self.reward_cfg.lambda1 != 0.0:
+                self.clean_spectrum = stft(
+                    self.x_summary, self.reward_cfg.stft_frame, self.reward_cfg.stft_hop
+                )
         self.u_prev = None
         return build_observation(self.x_summary, np.zeros(self.total_params))
 
@@ -94,12 +97,12 @@ class AttackEnv:
         after the warmup rounds of the first episode.
         """
         delta = self.action_to_delta(np.asarray(z, dtype=np.float64))
-        perturbations = {c: delta for c in range(self.n_clients)}
-        res = run_round(self.fed, perturbations, self.channel_cfg)
-        u = res.record.index_set()
+        res = run_round(self.fed, delta, self.channel_cfg)
+        u = res.record.indices
         breakdown = compute_reward(
             self.u_prev, u, self.window, delta, self.x_summary,
             self.reward_cfg, self.modality, self.total_params,
+            clean_spectrum=self.clean_spectrum,
         )
         self.u_prev = u
         obs = build_observation(self.x_summary, res.record.mask(self.total_params))
@@ -181,7 +184,7 @@ def train(
     act_rng = generator(seed, "action-noise")
     base_rng = generator(seed, "baseline-actions")
 
-    warm_sets: list[frozenset[int]] = []
+    warm_sets: list[np.ndarray] = []
     stats: list[IterationStats] = []
     final_records: list[RoundRecord] = []
 
@@ -210,13 +213,13 @@ def train(
             breakdowns.append(breakdown)
             episode_records.append(record)
             if env.window is None:
-                warm_sets.append(record.index_set())
+                warm_sets.append(record.indices)
                 if len(warm_sets) == warmup:
                     env.window = select_target_window(
                         warm_sets, env.total_params, window_len, warmup
                     )
 
-        rur = metrics.compute_rur([r.index_set() for r in episode_records])
+        rur = metrics.compute_rur([r.indices for r in episode_records])
         stats.append(
             IterationStats(
                 iteration=it,

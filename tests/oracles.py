@@ -4,9 +4,11 @@ Everything here recomputes results with a different algorithmic shape
 than the production code: the DRAM recount works from sorted time lists
 and bisect arithmetic, the incremental engine steps one event and one
 ACT at a time where the package works on columns of events, the replay
-trace walks one access op and one row piece at a time, the distance
-metrics use exhaustive grids and subset enumeration, and the spectrum
-uses the direct transform sum.  Slow on purpose.
+trace walks one access op and one row piece at a time, the federated
+round trains and sparsifies one client and one shard row at a time, the
+index-set metrics work on frozensets, the distance metrics use
+exhaustive grids and subset enumeration, and the spectrum uses the
+direct transform sum.  Slow on purpose.
 """
 from __future__ import annotations
 
@@ -31,7 +33,9 @@ from hammersim.dram import (
     WindowSummary,
     _bit_positions,
 )
-from hammersim.federation import ModelSpec
+from hammersim.adversary import WEIGHT_KEYS, AgentState, TargetWindow, compute_gae, ppo_loss_and_grads
+from hammersim.channel import ChannelConfig
+from hammersim.federation import FederationState, ModelSpec
 from hammersim.memlayout import (
     PAGE_BYTES,
     AccessEvent,
@@ -43,6 +47,7 @@ from hammersim.memlayout import (
     physical_to_dram,
 )
 from hammersim.metrics import BandwidthModel
+from hammersim.seeding import generator
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +660,65 @@ def cd_reference(indices, total_params: int) -> float:
 
 
 def rur_reference(index_sets) -> float:
-    """Repeated-update ratio straight from the definition."""
+    """Repeated-update ratio straight from the definition, on frozensets."""
+    sets = [frozenset(int(i) for i in u) for u in index_sets]
+    if len(sets) < 2:
+        raise ValueError("RUR needs at least two rounds")
+    for t, u in enumerate(sets):
+        if not u:
+            raise ValueError(f"round {t} has an empty index set")
     inter = 0
     denom = 0
-    for a, b in zip(index_sets[:-1], index_sets[1:]):
-        inter += len(set(a) & set(b))
-        denom += len(set(a))
+    for a, b in zip(sets[:-1], sets[1:]):
+        inter += len(a & b)
+        denom += len(a)
     return inter / denom
+
+
+def emd_sets(u_prev, u_curr, total_params: int) -> float:
+    """Earth mover's distance of two index sets, built from frozensets."""
+    a = np.array(sorted(frozenset(int(i) for i in u_prev)), dtype=np.float64)
+    b = np.array(sorted(frozenset(int(i) for i in u_curr)), dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        raise ValueError("EMD needs two nonempty index sets")
+    if total_params <= 0 or a[-1] >= total_params or b[-1] >= total_params:
+        raise ValueError("indices out of range for total_params")
+    a /= total_params
+    b /= total_params
+    support = np.concatenate([a, b])
+    support.sort(kind="mergesort")
+    deltas = np.diff(support)
+    cdf_a = np.searchsorted(a, support[:-1], side="right") / a.size
+    cdf_b = np.searchsorted(b, support[:-1], side="right") / b.size
+    return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
+
+
+def focus_sets(u_curr, window: TargetWindow) -> float:
+    """Window hit fraction of an index set, counted member by member."""
+    u = frozenset(int(i) for i in u_curr)
+    if not u:
+        return 0.0
+    return sum(1 for i in u if window.start <= i < window.end) / len(u)
+
+
+def window_sets(index_sets, total_params: int, window_len: int, warmup_rounds: int = 10) -> TargetWindow:
+    """Densest window over the warmup sets, one index and one start at a time."""
+    if window_len <= 0 or window_len > total_params:
+        raise ValueError(f"window_len {window_len} out of range for M={total_params}")
+    if len(index_sets) < warmup_rounds:
+        raise ValueError(f"need {warmup_rounds} warmup rounds, have {len(index_sets)}")
+    counts = [0] * total_params
+    for u in index_sets[:warmup_rounds]:
+        for i in frozenset(int(i) for i in u):
+            if not 0 <= i < total_params:
+                raise ValueError(f"index {i} out of range")
+            counts[i] += 1
+    best_start, best = 0, -1
+    for start in range(total_params - window_len + 1):
+        total = sum(counts[start: start + window_len])
+        if total > best:
+            best_start, best = start, total
+    return TargetWindow(best_start, best_start + window_len)
 
 
 def stft_reference(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
@@ -677,3 +734,137 @@ def stft_reference(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
             angle = -2.0 * math.pi * k * np.arange(frame_len) / frame_len
             out[f, k] = np.sum(seg * (np.cos(angle) + 1j * np.sin(angle)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Federated round, one client and one shard row at a time
+# ---------------------------------------------------------------------------
+
+def _unpack_mlp(fed: FederationState, theta: np.ndarray):
+    o = fed.spec.layer_offsets
+    return (theta[o[0]: o[1]].reshape(fed.in_dim, fed.hidden_dim), theta[o[1]: o[2]],
+            theta[o[2]: o[3]].reshape(fed.hidden_dim, fed.out_dim), theta[o[3]: o[4]])
+
+
+def model_loss(fed: FederationState, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean softmax cross-entropy of the MLP on one client's batch."""
+    w1, b1, w2, b2 = _unpack_mlp(fed, theta)
+    h = np.maximum(x @ w1 + b1, 0.0)
+    logits = h @ w2 + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(logits).sum(axis=1))
+    return float(np.mean(log_z - logits[np.arange(x.shape[0]), y]))
+
+
+def local_train_client(fed: FederationState, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One client's full-batch gradient step on its 2-D shard: -lr * grad."""
+    w1, b1, w2, b2 = _unpack_mlp(fed, theta)
+    pre = x @ w1 + b1
+    h = np.maximum(pre, 0.0)
+    logits = h @ w2 + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = x.shape[0]
+    d_logits = probs.copy()
+    d_logits[np.arange(n), y] -= 1.0
+    d_logits /= n
+    g_w2 = h.T @ d_logits
+    g_b2 = d_logits.sum(axis=0)
+    d_h = (d_logits @ w2.T) * (pre > 0.0)
+    g_w1 = x.T @ d_h
+    g_b1 = d_h.sum(axis=0)
+    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    return -fed.learning_rate * grad
+
+
+def sparsify_client(delta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One client's top-k (indices ascending, values); ties to lower indices."""
+    av = np.abs(delta)
+    if k >= delta.size:
+        chosen = np.arange(delta.size, dtype=np.int64)
+    else:
+        part = np.argpartition(-av, k - 1)[:k]
+        cut = av[part].min()
+        greater = np.flatnonzero(av > cut)
+        ties = np.flatnonzero(av == cut)[: k - greater.size]
+        chosen = np.sort(np.concatenate([greater, ties]))
+    return chosen, delta[chosen]
+
+
+def emulate_audio_channel(x: np.ndarray, delta: np.ndarray, cfg: ChannelConfig, seed) -> np.ndarray:
+    """Audio path of one 1-D signal: x + delta + noise, then linear resampling."""
+    x = np.asarray(x, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"audio signal must be 1-D, got shape {x.shape}")
+    if delta.shape != x.shape:
+        raise ValueError(f"delta shape {delta.shape} does not match signal {x.shape}")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
+    y = x + delta
+    if cfg.noise_std > 0:
+        y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
+    if cfg.source_rate_hz == cfg.target_rate_hz:
+        return y
+    out_len = int(round(y.size * cfg.target_rate_hz / cfg.source_rate_hz))
+    pos = np.arange(out_len) * (cfg.source_rate_hz / cfg.target_rate_hz)
+    return np.interp(pos, np.arange(y.size), y)
+
+
+def reference_round(fed: FederationState, delta=None, channel_cfg: ChannelConfig | None = None):
+    """(indices, values) of every client's update in the next round, fed untouched.
+
+    delta is one (in_dim,) perturbation shared by all clients, or None.
+    """
+    t = fed.round_number
+    d = np.zeros(fed.in_dim) if delta is None else np.asarray(delta, dtype=np.float64)
+    updates = []
+    for c in range(fed.n_clients):
+        x, y = fed.x[c], fed.y[c]
+        if channel_cfg is not None:
+            rng = generator(fed.seed, "channel", t, c)
+            x = np.stack([emulate_audio_channel(row, d, channel_cfg, rng) for row in x])
+        elif delta is not None:
+            x = x + d[None, :]
+        dense = local_train_client(fed, fed.params.values, x, y)
+        updates.append(sparsify_client(dense, fed.k))
+    return updates
+
+
+# ---------------------------------------------------------------------------
+# PPO update with out-of-place Adam
+# ---------------------------------------------------------------------------
+
+def ppo_update_reference(trajectory, state: AgentState, update_seed: int = 0) -> AgentState:
+    """The PPO iteration with every clip and Adam step building new arrays."""
+    cfg = state.cfg
+    adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
+    std = adv.std()
+    if std > 1e-8:
+        adv = (adv - adv.mean()) / std
+    rng = generator(update_seed, "ppo-minibatch")
+    t_len = trajectory.obs.shape[0]
+    mb = min(cfg.minibatch_size, t_len)
+    weights, adam_m, adam_v = dict(state.weights), dict(state.adam_m), dict(state.adam_v)
+    step = state.adam_step
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(t_len)
+        for lo in range(0, t_len, mb):
+            sel = perm[lo: lo + mb]
+            _, grads = ppo_loss_and_grads(
+                weights, cfg, trajectory.obs[sel], trajectory.actions[sel],
+                trajectory.log_probs[sel], adv[sel], returns[sel],
+            )
+            if cfg.max_grad_norm > 0:
+                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                if norm > cfg.max_grad_norm:
+                    grads = {k: g * (cfg.max_grad_norm / norm) for k, g in grads.items()}
+            step += 1
+            for key in WEIGHT_KEYS:
+                g = grads[key]
+                adam_m[key] = 0.9 * adam_m[key] + 0.1 * g
+                adam_v[key] = 0.999 * adam_v[key] + 0.001 * g**2
+                m_hat = adam_m[key] / (1.0 - 0.9**step)
+                v_hat = adam_v[key] / (1.0 - 0.999**step)
+                weights[key] = weights[key] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return AgentState(cfg, weights, adam_m, adam_v, step)

@@ -94,6 +94,65 @@ def test_select_target_window_validation():
         select_target_window([[1]] * 10, 100, 0)
 
 
+# -- index sets as arrays against the frozenset references -----------------
+
+def index_set_forms(rng, size, universe):
+    """The same index set as a sorted array, an unsorted list with repeats, and a set."""
+    a = np.sort(rng.choice(universe, size=size, replace=False))
+    shuffled = rng.permutation(a).tolist()
+    return [a, shuffled + shuffled[: size // 2], set(a.tolist()),
+            np.array(shuffled + shuffled[:2], dtype=np.int64)]
+
+
+def test_set_metrics_match_frozenset_references_exactly():
+    rng = generator(59, "set-metrics")
+    window = TargetWindow(40, 90)
+    for _ in range(25):
+        prev_forms = index_set_forms(rng, int(rng.integers(1, 40)), 200)
+        curr_forms = index_set_forms(rng, int(rng.integers(1, 40)), 200)
+        want_emd = oracles.emd_sets(prev_forms[0], curr_forms[0], 200)
+        want_focus = oracles.focus_sets(curr_forms[0], window)
+        for prev in prev_forms:
+            for curr in curr_forms:
+                assert compute_emd(prev, curr, 200) == want_emd
+            assert target_focus(prev, window) == oracles.focus_sets(prev, window)
+        for curr in curr_forms:
+            assert target_focus(curr, window) == want_focus
+
+
+def test_select_target_window_matches_frozenset_reference_exactly():
+    rng = generator(61, "window-ref")
+    for trial in range(10):
+        # small sets in a small space, so several starts often tie for the densest window
+        sets = [index_set_forms(rng, 12, 60)[trial % 4] for _ in range(6)]
+        for length in (1, 5, 17, 60):
+            got = select_target_window(sets, 60, length, warmup_rounds=5)
+            want = oracles.window_sets(sets, 60, length, warmup_rounds=5)
+            assert (got.start, got.end) == (want.start, want.end)
+
+
+def test_set_metrics_empty_and_out_of_range_errors():
+    window = TargetWindow(0, 5)
+    for empty in ([], set(), np.array([], dtype=np.int64)):
+        assert target_focus(empty, window) == 0.0 == oracles.focus_sets(empty, window)
+        for fn in (compute_emd, oracles.emd_sets):
+            with pytest.raises(ValueError):
+                fn(empty, [1], 10)
+            with pytest.raises(ValueError):
+                fn([1], empty, 10)
+    for fn in (compute_emd, oracles.emd_sets):
+        with pytest.raises(ValueError):
+            fn(np.array([3, 10]), [1], 10)
+        with pytest.raises(ValueError):
+            fn({1}, {2}, 0)
+    for fn in (select_target_window, oracles.window_sets):
+        for bad in ([3, 100], {-1, 4}, np.array([100, 2])):
+            with pytest.raises(ValueError, match="out of range"):
+                fn([[1, 2]] * 9 + [bad], 100, 5)
+        # indices past the warmup rounds are not read
+        fn([[1, 2]] * 10 + [[100]], 100, 5)
+
+
 # -- perceptibility and reward ----------------------------------------------
 
 def test_perceptibility_audio_zero_delta():
@@ -129,6 +188,21 @@ def test_compute_reward_composition():
     assert br.focus == pytest.approx(2 / 3)
     assert br.stealth == pytest.approx(0.2)
     assert br.total == pytest.approx(br.stability + 0.8 * br.focus - 0.6 * br.stealth)
+
+
+def test_cached_clean_spectrum_gives_identical_reward():
+    cfg = RewardConfig(lambda1=0.4, lambda2=0.3, stft_frame=16, stft_hop=8)
+    rng = generator(67, "clean-spec")
+    x = rng.standard_normal(64)
+    spectrum = stft(x, 16, 8)
+    window = TargetWindow(0, 50)
+    for _ in range(5):
+        d = 0.1 * rng.standard_normal(64)
+        plain = compute_reward([1, 2], np.array([2, 60]), window, d, x, cfg, "audio", 100)
+        cached = compute_reward([1, 2], np.array([2, 60]), window, d, x, cfg, "audio", 100,
+                                clean_spectrum=spectrum)
+        assert cached == plain
+        assert perceptibility_audio(d, x, 0.4, 0.3, 16, 8, clean_spectrum=spectrum) == plain.stealth
 
 
 def test_compute_reward_warmup_defaults():
@@ -284,6 +358,44 @@ def test_ppo_update_is_deterministic():
     for key in WEIGHT_KEYS:
         np.testing.assert_array_equal(a.weights[key], b.weights[key])
     assert any(not np.array_equal(a.weights[k], c.weights[k]) for k in WEIGHT_KEYS)
+
+
+def ppo_trajectory(seed, t_len=30, obs_dim=6, action_dim=3):
+    rng = generator(seed, "ppo-traj")
+    return Trajectory(rng.standard_normal((t_len, obs_dim)), rng.standard_normal((t_len, action_dim)),
+                      rng.standard_normal(t_len), rng.standard_normal(t_len),
+                      rng.standard_normal(t_len))
+
+
+@pytest.mark.parametrize("max_grad_norm", [0.0, 0.05, 1e3])
+def test_ppo_update_matches_out_of_place_adam_exactly(max_grad_norm):
+    # the in-place Adam step gives the same floats as the array-building one,
+    # over two chained updates so the moments and step count carry over
+    state = agent_for_test(entropy_coef=0.01, value_coef=0.5, max_grad_norm=max_grad_norm,
+                           minibatch_size=7)
+    want = state
+    for it, seed in enumerate((41, 43)):
+        traj = ppo_trajectory(seed)
+        state, _ = ppo_update(traj, state, update_seed=it)
+        want = oracles.ppo_update_reference(traj, want, update_seed=it)
+        assert state.adam_step == want.adam_step
+        for key in WEIGHT_KEYS:
+            np.testing.assert_array_equal(state.weights[key], want.weights[key])
+            np.testing.assert_array_equal(state.adam_m[key], want.adam_m[key])
+            np.testing.assert_array_equal(state.adam_v[key], want.adam_v[key])
+
+
+def test_ppo_update_leaves_caller_state_unchanged():
+    state = agent_for_test(entropy_coef=0.01, value_coef=0.5)
+    first, _ = ppo_update(ppo_trajectory(47), state, update_seed=1)
+    before = {name: {k: v.copy() for k, v in getattr(first, name).items()}
+              for name in ("weights", "adam_m", "adam_v")}
+    second, _ = ppo_update(ppo_trajectory(53), first, update_seed=2)
+    assert first.adam_step == second.adam_step - 8
+    for name, arrays in before.items():
+        for key in WEIGHT_KEYS:
+            np.testing.assert_array_equal(getattr(first, name)[key], arrays[key])
+            assert getattr(second, name)[key] is not getattr(first, name)[key]
 
 
 def test_grad_norm_clip_bounds_update():

@@ -4,15 +4,16 @@ import pytest
 
 from hammersim.channel import (
     ChannelConfig,
+    audio_channel,
     clip_linf,
     decode_latent,
-    emulate_audio_channel,
     emulate_image_channel,
     stft,
 )
 from hammersim.seeding import generator
 
 import oracles
+from oracles import emulate_audio_channel
 
 
 # -- latent decoding --------------------------------------------------------
@@ -97,6 +98,40 @@ def test_audio_channel_shape_mismatch():
     cfg = ChannelConfig()
     with pytest.raises(ValueError):
         emulate_audio_channel(np.zeros(10), np.zeros(11), cfg, seed=0)
+
+
+BATCH_CASES = {
+    "clean": ChannelConfig(),
+    "noise": ChannelConfig(noise_std=0.1),
+    "noise, length-keeping resample": ChannelConfig(noise_std=0.1, target_rate_hz=16_050),
+    "downsample": ChannelConfig(noise_std=0.02, source_rate_hz=16_000, target_rate_hz=8_000),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_audio_channel_matches_per_row_reference(case):
+    # one generator per client; the stack draws each client's noise as a
+    # block, which must equal its rows drawn one after another
+    cfg = BATCH_CASES[case]
+    rng = generator(14, "audio-batch")
+    x = rng.standard_normal((3, 5, 40))
+    delta = rng.standard_normal((3, 40))
+    got = audio_channel(x, delta, cfg, [generator(14, "noise", c) for c in range(3)])
+    for c in range(3):
+        row_rng = generator(14, "noise", c)
+        want = np.stack([emulate_audio_channel(row, delta[c], cfg, row_rng) for row in x[c]])
+        np.testing.assert_array_equal(got[c], want)
+
+
+def test_batched_audio_channel_rejects_bad_shapes():
+    cfg = ChannelConfig()
+    rngs = [generator(0, "n", c) for c in range(2)]
+    with pytest.raises(ValueError):
+        audio_channel(np.zeros((4, 10)), np.zeros((2, 10)), cfg, rngs)
+    with pytest.raises(ValueError):
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 11)), cfg, rngs)
+    with pytest.raises(ValueError):
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), cfg, rngs[:1])
 
 
 # -- image path -------------------------------------------------------------

@@ -229,6 +229,18 @@ def test_report_without_manifests(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_report_on_mixed_config_hashes_is_a_usage_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, """\
+        [dram]
+        row_fill = 255
+        """)
+    assert main(["feasibility", "--out", str(tmp_path / "runs" / "a")]) == 0
+    assert main(["feasibility", "--config", cfg, "--out", str(tmp_path / "runs" / "b")]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "runs")]) == 1
+    assert "conflicting config hashes" in capsys.readouterr().err
+
+
 def test_report_golden_without_feasibility_run(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,

@@ -2,24 +2,32 @@
 import numpy as np
 import pytest
 
-from hammersim.channel import ChannelConfig, emulate_audio_channel
+from hammersim.channel import ChannelConfig
 from hammersim.federation import (
     RoundRecord,
+    SparseUpdate,
     aggregate,
     init_federation,
     local_train,
     make_mlp_spec,
-    model_loss,
     read_round_records,
     run_round,
     sparsify_topk,
     write_round_records,
 )
 from hammersim.memlayout import SCRIPT_REGIONS, DramMapping, build_layout
+from hammersim.metrics import topk_count
 from hammersim.replay import round_script
 from hammersim.seeding import generator
 
-from oracles import layer_of
+from oracles import (
+    emulate_audio_channel,
+    layer_of,
+    local_train_client,
+    model_loss,
+    reference_round,
+    sparsify_client,
+)
 
 
 def small_fed(seed=1, n_clients=3, in_dim=20, hidden=8, out=3, sparsity="0.05"):
@@ -49,22 +57,27 @@ def test_init_is_deterministic_per_seed():
     c = small_fed(seed=6)
     np.testing.assert_array_equal(a.params.values, b.params.values)
     assert not np.array_equal(a.params.values, c.params.values)
-    for (xa, ya), (xb, yb) in zip(a.shards, b.shards):
-        np.testing.assert_array_equal(xa, xb)
-        np.testing.assert_array_equal(ya, yb)
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.y, b.y)
 
 
 def test_shards_are_distinct_across_clients():
     fed = small_fed()
-    assert not np.array_equal(fed.shards[0][0], fed.shards[1][0])
+    assert fed.x.shape == (3, 8, 20) and fed.y.shape == (3, 8)
+    assert not np.array_equal(fed.x[0], fed.x[1])
+
+
+def test_topk_count_is_fixed_at_init():
+    fed = small_fed(sparsity="0.05")
+    assert fed.k == topk_count("0.05", fed.spec.total_params) == 10
 
 
 # -- local training ---------------------------------------------------------
 
 def test_local_train_matches_finite_difference_gradient():
     fed = small_fed(seed=9)
-    x, y = fed.shards[0]
-    delta = local_train(fed, 0, fed.params, (x, y))
+    x, y = fed.x[0], fed.y[0]
+    delta = local_train(fed, fed.params, (fed.x, fed.y))[0]
     grad = -delta / fed.learning_rate
     theta = fed.params.values
     rng = generator(9, "fd-pick")
@@ -80,9 +93,9 @@ def test_local_train_matches_finite_difference_gradient():
 
 def test_local_train_descends():
     fed = small_fed(seed=2)
-    x, y = fed.shards[1]
+    x, y = fed.x[1], fed.y[1]
     before = model_loss(fed, fed.params.values, x, y)
-    delta = local_train(fed, 1, fed.params, (x, y))
+    delta = local_train(fed, fed.params, (fed.x, fed.y))[1]
     after = model_loss(fed, fed.params.values + delta, x, y)
     assert after < before
 
@@ -97,26 +110,88 @@ def stable_topk(delta, k):
 
 def test_sparsify_matches_stable_sort():
     rng = generator(4, "topk")
-    for _ in range(20):
-        d = rng.standard_normal(200)
-        u = sparsify_topk(d, "0.05", 0, 0)
-        np.testing.assert_array_equal(u.indices, stable_topk(d, 10))
-        np.testing.assert_array_equal(u.values, d[u.indices])
+    d = rng.standard_normal((20, 200))
+    updates = sparsify_topk(d, 10, 0)
+    for c, u in enumerate(updates):
+        assert u.client_id == c
+        np.testing.assert_array_equal(u.indices, stable_topk(d[c], 10))
+        np.testing.assert_array_equal(u.values, d[c, u.indices])
 
 
 def test_sparsify_tie_handling():
     # heavy ties at the cut magnitude must resolve to the lowest indices
     d = np.array([1.0, -2.0, 2.0, 2.0, -2.0, 0.5, 2.0, 3.0])
-    u = sparsify_topk(d, "0.5", 0, 0)  # k = 4
+    (u,) = sparsify_topk(d[None, :], 4, 0)
     np.testing.assert_array_equal(u.indices, stable_topk(d, 4))
     np.testing.assert_array_equal(u.indices, [1, 2, 3, 7])
 
 
 def test_sparsify_full_density():
-    d = np.arange(1.0, 6.0)
-    u = sparsify_topk(d, "1", 3, 2)
-    np.testing.assert_array_equal(u.indices, np.arange(5))
-    assert u.round_number == 3 and u.client_id == 2
+    d = np.arange(1.0, 16.0).reshape(3, 5)
+    updates = sparsify_topk(d, 5, 3)
+    for c, u in enumerate(updates):
+        np.testing.assert_array_equal(u.indices, np.arange(5))
+        np.testing.assert_array_equal(u.values, d[c])
+        assert u.round_number == 3 and u.client_id == c
+
+
+def test_sparsify_ties_straddle_cut_in_one_client_only():
+    # row 0: four entries tie at the cut and two of them fit; row 1: the
+    # same magnitudes with the tie broken, so no row-wide tie rule applies
+    d = np.array([
+        [0.5, -2.0, 3.0, 2.0, 0.1, -2.0, 2.0, 0.0, 4.0, 1.0],
+        [0.5, -2.0, 3.0, 2.5, 0.1, -2.2, 1.5, 0.0, 4.0, 1.0],
+        [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+    ])
+    updates = sparsify_topk(d, 4, 0)
+    np.testing.assert_array_equal(updates[0].indices, [1, 2, 3, 8])
+    np.testing.assert_array_equal(updates[1].indices, [2, 3, 5, 8])
+    np.testing.assert_array_equal(updates[2].indices, [0, 1, 2, 3])
+    for c, u in enumerate(updates):
+        want_idx, want_val = sparsify_client(d[c], 4)
+        np.testing.assert_array_equal(u.indices, want_idx)
+        np.testing.assert_array_equal(u.values, want_val)
+
+
+def test_sparsify_matches_per_client_reference_on_quantised_deltas():
+    # coarse values make ties at the cut common, in some rows and not others
+    rng = generator(21, "topk-ties")
+    for k in (1, 7, 30, 59, 60):
+        d = rng.integers(-6, 7, size=(6, 60)) / 4.0
+        for c, u in enumerate(sparsify_topk(d, k, 2)):
+            want_idx, want_val = sparsify_client(d[c], k)
+            np.testing.assert_array_equal(u.indices, want_idx)
+            np.testing.assert_array_equal(u.values, want_val)
+
+
+def test_sparsify_rejects_bad_input():
+    with pytest.raises(ValueError):
+        sparsify_topk(np.ones(5), 2, 0)  # one client still needs a (1, M) stack
+    with pytest.raises(ValueError, match="out of range"):
+        sparsify_topk(np.ones((2, 5)), 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        sparsify_topk(np.ones((2, 5)), 6, 0)
+
+
+def test_local_train_matches_per_client_reference_exactly():
+    fed = small_fed(seed=10, n_clients=4)
+    dense = local_train(fed, fed.params, (fed.x, fed.y))
+    assert dense.shape == (4, fed.spec.total_params)
+    for c in range(4):
+        want = local_train_client(fed, fed.params.values, fed.x[c], fed.y[c])
+        np.testing.assert_array_equal(dense[c], want)
+
+
+def test_local_train_rejects_bad_batches():
+    fed = small_fed()
+    with pytest.raises(ValueError):
+        local_train(fed, fed.params, (fed.x[0], fed.y[0]))  # 2-D shard, not a stack
+    with pytest.raises(ValueError):
+        local_train(fed, fed.params, (fed.x, fed.y[:, :-1]))
+    x = fed.x.copy()
+    x[1, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="client 1"):
+        local_train(fed, fed.params, (x, fed.y))
 
 
 # -- run splitting of record indices (replay script) ------------------------
@@ -151,8 +226,8 @@ def test_per_layer_runs_split_at_borders():
 def test_aggregate_mean_of_contributions():
     fed = small_fed()
     m = fed.spec.total_params
-    u0 = sparsify_topk(np.eye(m)[3] * 4.0 + np.eye(m)[10] * 2.0, "0.011", 0, 0)
-    u1 = sparsify_topk(np.eye(m)[3] * 2.0 + np.eye(m)[50] * 6.0, "0.011", 0, 1)
+    eye = np.eye(m)
+    u0, u1 = sparsify_topk(np.stack([eye[3] * 4.0 + eye[10] * 2.0, eye[3] * 2.0 + eye[50] * 6.0]), 3, 0)
     before = fed.params.values.copy()
     after = aggregate(fed.params, [u0, u1])
     diff = after.values - before
@@ -165,9 +240,7 @@ def test_aggregate_mean_of_contributions():
 def test_aggregate_order_invariant():
     fed = small_fed()
     rng = generator(12, "agg-order")
-    ups = []
-    for c in range(3):
-        ups.append(sparsify_topk(rng.standard_normal(fed.spec.total_params), "0.05", 0, c))
+    ups = sparsify_topk(rng.standard_normal((3, fed.spec.total_params)), 10, 0)
     a = aggregate(fed.params, ups)
     b = aggregate(fed.params, list(reversed(ups)))
     np.testing.assert_array_equal(a.values, b.values)
@@ -175,9 +248,8 @@ def test_aggregate_order_invariant():
 
 def test_aggregate_rejects_bad_batches():
     fed = small_fed()
-    m = fed.spec.total_params
-    u0 = sparsify_topk(np.eye(m)[0], "0.011", 0, 0)
-    u1 = sparsify_topk(np.eye(m)[1], "0.011", 1, 1)
+    u0 = SparseUpdate(0, 0, np.array([0]), np.array([1.0]))
+    u1 = SparseUpdate(1, 1, np.array([1]), np.array([1.0]))
     with pytest.raises(ValueError):
         aggregate(fed.params, [])
     with pytest.raises(ValueError):
@@ -195,8 +267,7 @@ def test_run_round_advances_state():
     assert fed.round_number == 1
     assert res.record.round_number == 0
     assert not np.array_equal(fed.params.values, theta0)
-    assert res.record.index_set() == frozenset(
-        int(i) for u in res.updates for i in u.indices)
+    assert set(res.record.indices.tolist()) == {int(i) for u in res.updates for i in u.indices}
 
 
 def test_run_round_perturbation_changes_updates():
@@ -204,8 +275,27 @@ def test_run_round_perturbation_changes_updates():
     pert = small_fed(seed=3)
     r0 = run_round(base)
     delta = np.full(pert.in_dim, 2.0)
-    r1 = run_round(pert, perturbations={c: delta for c in range(pert.n_clients)})
-    assert r0.record.index_set() != r1.record.index_set()
+    r1 = run_round(pert, delta)
+    assert set(r0.record.indices.tolist()) != set(r1.record.indices.tolist())
+
+
+def test_run_round_per_client_perturbation_rows():
+    # one row per client equals the shared delta when the rows agree, and
+    # a zero row leaves that client's shard as it is
+    shared, rows, mixed = small_fed(seed=4), small_fed(seed=4), small_fed(seed=4)
+    delta = np.linspace(-1.0, 1.0, shared.in_dim)
+    a = run_round(shared, delta)
+    b = run_round(rows, np.tile(delta, (rows.n_clients, 1)))
+    for ua, ub in zip(a.updates, b.updates):
+        np.testing.assert_array_equal(ua.indices, ub.indices)
+        np.testing.assert_array_equal(ua.values, ub.values)
+    per_client = np.zeros((mixed.n_clients, mixed.in_dim))
+    per_client[1] = delta
+    c = run_round(mixed, per_client)
+    clean = small_fed(seed=4)
+    want = reference_round(clean)
+    np.testing.assert_array_equal(c.updates[0].values, want[0][1])
+    np.testing.assert_array_equal(c.updates[1].values, a.updates[1].values)
 
 
 def test_run_round_channel_matches_per_row_path():
@@ -214,20 +304,48 @@ def test_run_round_channel_matches_per_row_path():
     fed = small_fed(seed=7)
     mirror = small_fed(seed=7)
     delta = 0.1 * np.ones(fed.in_dim)
-    res = run_round(fed, perturbations={c: delta for c in range(fed.n_clients)},
-                    channel_cfg=cfg)
+    res = run_round(fed, delta, channel_cfg=cfg)
 
     t = 0
     updates = []
     for c in range(mirror.n_clients):
-        x, y = mirror.shards[c]
+        x, y = mirror.x[c], mirror.y[c]
         rng = generator(mirror.seed, "channel", t, c)
         x_in = np.stack([emulate_audio_channel(row, delta, cfg, rng) for row in x])
-        dense = local_train(mirror, c, mirror.params, (x_in, y))
-        updates.append(sparsify_topk(dense, mirror.sparsity, t, c))
-    for got, want in zip(res.updates, updates):
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_allclose(got.values, want.values, atol=1e-12)
+        dense = local_train_client(mirror, mirror.params.values, x_in, y)
+        updates.append(sparsify_client(dense, mirror.k))
+    for got, (want_indices, want_values) in zip(res.updates, updates):
+        np.testing.assert_array_equal(got.indices, want_indices)
+        np.testing.assert_allclose(got.values, want_values, atol=1e-12)
+
+
+ROUND_CASES = {
+    "clean": (None, None, "0.05"),
+    "perturbed": (0.3, None, "0.05"),
+    "noise": (0.1, ChannelConfig(noise_std=0.08), "0.05"),
+    "noise, length-keeping resample": (
+        0.1, ChannelConfig(noise_std=0.05, source_rate_hz=16_000, target_rate_hz=16_100), "0.05"),
+    "k = M": (0.2, ChannelConfig(noise_std=0.05), "1"),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_CASES))
+def test_run_round_matches_per_client_reference_exactly(case):
+    scale, cfg, sparsity = ROUND_CASES[case]
+    fed = small_fed(seed=11, sparsity=sparsity)
+    delta = None if scale is None else scale * np.sin(np.arange(fed.in_dim))
+    for t in range(3):
+        want = reference_round(fed, delta, cfg)
+        theta = fed.params.values.copy()
+        res = run_round(fed, delta, cfg)
+        assert res.record.round_number == t
+        for c, (got, (want_indices, want_values)) in enumerate(zip(res.updates, want)):
+            assert got.client_id == c and got.round_number == t
+            np.testing.assert_array_equal(got.indices, want_indices)
+            np.testing.assert_array_equal(got.values, want_values)
+        np.testing.assert_array_equal(
+            res.record.indices, np.unique(np.concatenate([i for i, _ in want])))
+        assert not np.array_equal(fed.params.values, theta)
 
 
 def test_run_round_is_deterministic():

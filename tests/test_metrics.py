@@ -17,6 +17,7 @@ from hammersim.metrics import (
     feasibility_rows,
     feasibility_verdict,
     h_max,
+    index_array,
     to_kilo,
     topk_count,
     update_size,
@@ -80,6 +81,37 @@ def test_rur_rejects_degenerate_traces():
         compute_rur([{1, 2}])
     with pytest.raises(ValueError):
         compute_rur([{1, 2}, set()])
+    for fn in (compute_rur, oracles.rur_reference):
+        with pytest.raises(ValueError, match="round 1"):
+            fn([[4], [], [4]])
+        with pytest.raises(ValueError, match="round 0"):
+            fn([np.array([], dtype=np.int64), np.array([1])])
+
+
+def test_index_array_forms():
+    want = np.array([2, 5, 9])
+    for form in ([9, 2, 5, 2], {5, 9, 2}, frozenset({2, 5, 9}), np.array([5, 9, 2, 9]),
+                 np.array([2, 5, 9], dtype=np.int32), range(2, 10, 7), (i for i in (9, 5, 2))):
+        got = index_array(form)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, [2, 9] if isinstance(form, range) else want)
+    assert index_array([]).size == 0
+
+
+def test_rur_matches_frozenset_reference_exactly_on_every_input_form():
+    rng = generator(71, "rur-forms")
+    for _ in range(15):
+        sorted_sets = [np.sort(rng.choice(300, size=int(rng.integers(1, 60)), replace=False))
+                       for _ in range(8)]
+        want = oracles.rur_reference(sorted_sets)
+        forms = [
+            sorted_sets,
+            [set(a.tolist()) for a in sorted_sets],
+            [rng.permutation(a).tolist() * 2 for a in sorted_sets],
+            [np.concatenate([rng.permutation(a), a[:3]]) for a in sorted_sets],
+        ]
+        for sets in forms:
+            assert compute_rur(sets) == want
 
 
 # -- cluster diameter -------------------------------------------------------

@@ -111,7 +111,7 @@ def test_train_seeds_differ():
 
 def test_train_stats_match_records():
     res = train(quick_config(), seed=13, iterations=2)
-    rur = compute_rur([r.index_set() for r in res.records])
+    rur = compute_rur([r.indices for r in res.records])
     assert res.stats[-1].rur == pytest.approx(rur)
 
 
