@@ -13,16 +13,3 @@ outputs.
 """
 
 __version__ = "0.1.0"
-
-from .metrics import (  # noqa: F401
-    BandwidthModel,
-    compute_cd,
-    compute_rur,
-    expected_activations,
-    feasibility_rows,
-    feasibility_verdict,
-    h_max,
-    to_kilo,
-    topk_count,
-    update_size,
-)

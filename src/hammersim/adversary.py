@@ -42,12 +42,10 @@ __all__ = [
     "gaussian_log_prob",
     "Trajectory",
     "compute_gae",
-    "ppo_loss",
     "ppo_loss_and_grads",
     "ppo_update",
     "build_observation",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -87,10 +85,6 @@ class TargetWindow:
     def __post_init__(self) -> None:
         if self.start < 0 or self.end <= self.start:
             raise ValueError(f"bad window [{self.start}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
 
 def target_focus(u_curr: Iterable[int], window: TargetWindow) -> float:
@@ -362,27 +356,6 @@ def compute_gae(
     return adv, adv + values
 
 
-def ppo_loss(
-    weights: dict[str, np.ndarray],
-    cfg: PolicyConfig,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    old_log_probs: np.ndarray,
-    advantages: np.ndarray,
-    returns: np.ndarray,
-) -> float:
-    """Clipped-surrogate PPO objective (to minimize)."""
-    mean, log_std, value, _ = _forward(weights, obs)
-    logp = gaussian_log_prob(actions, mean, log_std)
-    ratio = np.exp(logp - old_log_probs)
-    surr1 = ratio * advantages
-    surr2 = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * advantages
-    surrogate = np.minimum(surr1, surr2)
-    entropy = np.sum(log_std, axis=-1) + 0.5 * actions.shape[1] * (1.0 + LOG_2PI)
-    value_err = (value - returns) ** 2
-    return float(np.mean(-surrogate - cfg.entropy_coef * entropy + cfg.value_coef * value_err))
-
-
 def ppo_loss_and_grads(
     weights: dict[str, np.ndarray],
     cfg: PolicyConfig,
@@ -392,7 +365,8 @@ def ppo_loss_and_grads(
     advantages: np.ndarray,
     returns: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Analytic gradients of ppo_loss with respect to every weight array."""
+    """Clipped-surrogate PPO objective (to minimize) and its analytic
+    gradient with respect to every weight array."""
     batch = obs.shape[0]
     mean, log_std, value, (obs_c, h1, h2) = _forward(weights, obs)
     var = np.exp(2.0 * log_std)
@@ -524,7 +498,9 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, state: AgentState, config_hash: bytes) -> None:
-    """Binary blob: magic, version, config hash, flat float32 weights."""
+    """Binary blob: magic (4 bytes), version (4, little-endian), config hash
+    (32), weight count (8, little-endian), then the weights as little-endian
+    float32 in WEIGHT_KEYS order, each array flattened row-major."""
     if len(config_hash) != 32:
         raise ValueError("config_hash must be 32 bytes")
     flat = np.concatenate([state.weights[k].ravel() for k in WEIGHT_KEYS]).astype("<f4")
@@ -534,41 +510,3 @@ def save_checkpoint(path, state: AgentState, config_hash: bytes) -> None:
         f.write(config_hash)
         f.write(len(flat).to_bytes(8, "little"))
         f.write(flat.tobytes())
-
-
-def load_checkpoint(path, cfg: PolicyConfig) -> tuple[dict[str, np.ndarray], bytes]:
-    """Weights dict (reshaped per cfg) and the stored config hash."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file")
-    version = int.from_bytes(blob[4:8], "little")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    config_hash = blob[8:40]
-    count = int.from_bytes(blob[40:48], "little")
-    flat = np.frombuffer(blob[48:], dtype="<f4")
-    if flat.size != count:
-        raise ValueError(f"checkpoint holds {flat.size} weights, header says {count}")
-    shapes = {
-        "w1": (cfg.obs_dim, cfg.hidden1),
-        "b1": (cfg.hidden1,),
-        "w2": (cfg.hidden1, cfg.hidden2),
-        "b2": (cfg.hidden2,),
-        "wm": (cfg.hidden2, cfg.action_dim),
-        "bm": (cfg.action_dim,),
-        "ws": (cfg.hidden2, cfg.action_dim),
-        "bs": (cfg.action_dim,),
-        "wv": (cfg.hidden2, 1),
-        "bv": (1,),
-    }
-    expected = sum(int(np.prod(s)) for s in shapes.values())
-    if count != expected:
-        raise ValueError(f"checkpoint weight count {count} does not match config ({expected})")
-    weights = {}
-    cursor = 0
-    for key in WEIGHT_KEYS:
-        size = int(np.prod(shapes[key]))
-        weights[key] = flat[cursor: cursor + size].astype(np.float64).reshape(shapes[key])
-        cursor += size
-    return weights, config_hash

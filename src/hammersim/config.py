@@ -15,8 +15,10 @@ from typing import Any
 from .adversary import PolicyConfig, RewardConfig
 from .channel import ChannelConfig, resampled_length
 from .dram import DramConfig, ThresholdTable, TrrConfig, builtin_thresholds, read_threshold_file
-from .memlayout import DramMapping
-from .metrics import BandwidthModel
+from .federation import make_mlp_spec
+from .memlayout import DramMapping, build_layout
+from .metrics import BandwidthModel, topk_count
+from .replay import update_bytes
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "SCHEMA"]
 
@@ -70,10 +72,6 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "noise_std": ("float", 0.05),
         "source_rate_hz": ("int", 16000),
         "target_rate_hz": ("int", 16000),
-        "blur_radius": ("int", 0),
-        "texture_strength": ("float", 0.0),
-        "gamma_value": ("float", 1.0),
-        "rescale_factor": ("float", 1.0),
     },
     # PPO knobs here are the desk-scale profile: tight credit horizon and
     # no value/entropy terms, which the short quasi-stationary episodes
@@ -182,10 +180,6 @@ class ExperimentConfig:
                 noise_std=g("channel", "noise_std"),
                 source_rate_hz=g("channel", "source_rate_hz"),
                 target_rate_hz=g("channel", "target_rate_hz"),
-                blur_radius=g("channel", "blur_radius"),
-                texture_strength=g("channel", "texture_strength"),
-                gamma_value=g("channel", "gamma_value"),
-                rescale_factor=g("channel", "rescale_factor"),
             )
         except ValueError as exc:
             raise ConfigError(f"bad [channel] settings: {exc}") from exc
@@ -328,21 +322,25 @@ def _validate(cfg: ExperimentConfig) -> None:
     p = Fraction(g("federation", "sparsity"))
     if not 0 < p <= 1:
         raise ConfigError(f"[federation] sparsity must be in (0, 1], got {p}")
-    if g("adversary", "latent_dim") <= 0:
-        raise ConfigError("[adversary] latent_dim must be positive")
-    if g("adversary", "warmup_rounds") <= 0:
-        raise ConfigError("[adversary] warmup_rounds must be positive")
+    for key in ("latent_dim", "hidden1", "hidden2", "minibatch_size", "warmup_rounds"):
+        if g("adversary", key) <= 0:
+            raise ConfigError(f"[adversary] {key} must be positive, got {g('adversary', key)}")
     if g("adversary", "warmup_rounds") > g("run", "rounds_per_episode"):
         raise ConfigError("[adversary] warmup_rounds exceeds rounds_per_episode")
     if not 0 <= g("dram", "vulnerable_probability") <= 1:
         raise ConfigError("[dram] vulnerable_probability must be in [0, 1]")
+    low, high = g("dram", "multiplier_low"), g("dram", "multiplier_high")
+    if not 0 < low <= high:
+        raise ConfigError(f"[dram] need 0 < multiplier_low <= multiplier_high, got {low} and {high}")
     if not 0 <= g("dram", "row_fill") <= 0xFF:
         raise ConfigError("[dram] row_fill must be a byte")
+    if g("metrics", "metadata_bytes_per_entry") < 0:
+        raise ConfigError("[metrics] metadata_bytes_per_entry must be >= 0")
     # construct the typed views once so schema-level mistakes surface here
     channel = cfg.channel_config()
-    cfg.reward_config()
+    reward = cfg.reward_config()
     cfg.dram_config()
-    cfg.dram_mapping()
+    mapping = cfg.dram_mapping()
     cfg.trr_config()
     cfg.bandwidth()
     # every client row goes through the resampler before local training,
@@ -355,3 +353,35 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"{channel.target_rate_hz} resample the {in_dim}-sample input to {resampled} "
             f"samples, but the model takes [federation] in_dim = {in_dim}"
         )
+    # the latent action is upsampled to one input row
+    if g("adversary", "latent_dim") > in_dim:
+        raise ConfigError(
+            f"[adversary] latent_dim = {g('adversary', 'latent_dim')} exceeds [federation] in_dim = {in_dim}")
+    # the audio stealth term takes the spectrum of one input row
+    if channel.modality == "audio" and reward.lambda1 != 0.0:
+        if reward.stft_frame <= 0 or reward.stft_hop <= 0:
+            raise ConfigError("[adversary] stft_frame and stft_hop must be positive when lambda1 != 0")
+        if reward.stft_frame > in_dim:
+            raise ConfigError(
+                f"[adversary] stft_frame = {reward.stft_frame} is longer than the {in_dim}-sample "
+                f"input ([federation] in_dim); lambda1 != 0 needs one full frame")
+
+    spec = make_mlp_spec(in_dim, g("federation", "hidden_dim"), g("federation", "out_dim"))
+    if g("adversary", "window_len") > spec.total_params:
+        raise ConfigError(
+            f"[adversary] window_len = {g('adversary', 'window_len')} exceeds the "
+            f"model's {spec.total_params} parameters")
+    # the buffers simulate lays out must fit the module, and the ingress
+    # queue must hold the largest update train can record: the union of
+    # every client's top-k set
+    try:
+        build_layout(spec, g("memory", "capacity_bytes") or None, mapping, 0,
+                     ingress_bytes=g("memory", "ingress_bytes"), metadata_bytes=g("memory", "metadata_bytes"))
+    except ValueError as exc:
+        raise ConfigError(f"bad [memory] settings: {exc}") from exc
+    entries = min(spec.total_params, g("federation", "n_clients") * topk_count(p, spec.total_params))
+    largest = update_bytes(spec, entries, g("metrics", "metadata_bytes_per_entry"))
+    if largest > g("memory", "ingress_bytes"):
+        raise ConfigError(
+            f"[memory] ingress_bytes = {g('memory', 'ingress_bytes')} cannot hold an update of "
+            f"{entries} entries ({largest} bytes)")

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .memlayout import AccessTrace, DramMapping, EventColumns
+from .memlayout import DramMapping, EventColumns
 from .seeding import generator
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "TraceRateError",
     "simulate_trace",
     "builtin_thresholds",
-    "write_threshold_file",
     "read_threshold_file",
 ]
 
@@ -69,6 +68,8 @@ class DramConfig:
             raise ValueError("timing parameters must be positive")
         if self.ref_commands <= 0:
             raise ValueError("ref_commands must be positive")
+        if self.act_cap < 1:
+            raise ValueError("trc_effective_s exceeds refresh_period_s: no activation fits a window")
 
     @property
     def trefi_ns(self) -> float:
@@ -158,16 +159,6 @@ def builtin_thresholds() -> ThresholdTable:
     )
 
 
-def write_threshold_file(path, table: ThresholdTable) -> None:
-    """Lines of victim_hex,aggressor_hex,mode,count."""
-    with open(path, "w", encoding="ascii") as f:
-        if table.published_average is not None:
-            f.write(f"# published_average={table.published_average}\n")
-        for e in table.entries:
-            f.write(f"{e.victim_fill:#04x},{e.aggressor_fill:#04x},single,{e.single}\n")
-            f.write(f"{e.victim_fill:#04x},{e.aggressor_fill:#04x},double,{e.double}\n")
-
-
 def read_threshold_file(path) -> ThresholdTable:
     published = None
     cells: dict[tuple[int, int], dict[str, int]] = {}
@@ -248,26 +239,20 @@ class VulnerabilityMap:
             mult = rng.uniform(multiplier_low, multiplier_high, size=n)
         return cls(vulnerable, mult)
 
-    @classmethod
-    def all_vulnerable(cls, mapping: DramMapping) -> "VulnerabilityMap":
-        n = mapping.bank_count * mapping.rows_per_bank
-        return cls(np.ones(n, dtype=bool), np.ones(n))
-
 
 class RowContents:
-    """Majority byte per row: one default fill plus sparse overrides."""
+    """The majority byte of every row's contents, one fill for the module.
 
-    def __init__(self, default_fill: int = 0x00, overrides: dict[tuple[int, int], int] | None = None):
+    The engine reads a row's byte only through fill(bank, row).
+    """
+
+    def __init__(self, default_fill: int = 0x00):
         if not 0 <= default_fill <= 0xFF:
             raise ValueError("default_fill out of byte range")
         self.default_fill = default_fill
-        self.overrides = dict(overrides or {})
-        for key, b in self.overrides.items():
-            if not 0 <= b <= 0xFF:
-                raise ValueError(f"override fill {b:#x} for {key} out of range")
 
     def fill(self, bank: int, row: int) -> int:
-        return self.overrides.get((bank, row), self.default_fill)
+        return self.default_fill
 
 
 @dataclass(frozen=True)
@@ -333,13 +318,13 @@ _EVENT_DTYPE = np.dtype([("time_ns", np.int64), ("paddr", np.int64), ("kind", ob
 def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(time_ns, paddr, size) columns of consecutive events, at most chunk events each.
 
-    Reads an AccessTrace, EventColumns, or an iterable of either event
-    tuples or EventColumns blocks; blocks are cut or joined to chunk size.
+    Reads EventColumns, or an iterable of either (time_ns, paddr, kind,
+    size) tuples or EventColumns blocks; blocks are cut or joined to chunk
+    size.
     """
-    events = trace.events if isinstance(trace, AccessTrace) else trace
-    if isinstance(events, EventColumns):
-        events = (events,)
-    it = iter(events)
+    if isinstance(trace, EventColumns):
+        trace = (trace,)
+    it = iter(trace)
     first = next(it, None)
     if first is None:
         return
@@ -770,7 +755,7 @@ class _ColumnEngine:
 
 
 def simulate_trace(
-    trace: AccessTrace | EventColumns | Iterable,
+    trace: EventColumns | Iterable,
     cfg: DramConfig,
     mapping: DramMapping,
     thresholds: ThresholdTable,
@@ -781,7 +766,7 @@ def simulate_trace(
 ) -> SimulationResult:
     """Run the access trace through the bank/row state machine.
 
-    Accepts an AccessTrace, EventColumns, or any iterable of AccessEvent
+    Accepts EventColumns, or any iterable of (time_ns, paddr, kind, size)
     tuples or of EventColumns blocks (a generator streams long replays
     without materializing them).  Raises ValueError at the first event
     that goes back in time or leaves the module, and TraceRateError at

@@ -114,9 +114,6 @@ class ParameterStore:
         self.spec = spec
         self.values = values
 
-    def copy(self) -> "ParameterStore":
-        return ParameterStore(self.spec, self.values.copy())
-
 
 @dataclass(frozen=True)
 class SparseUpdate:

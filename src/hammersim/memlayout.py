@@ -19,9 +19,8 @@ per-element events while keeping traces tractable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,12 +38,9 @@ __all__ = [
     "AccessScript",
     "physical_to_dram",
     "dram_to_physical",
-    "AccessEvent",
     "EventColumns",
     "AccessTrace",
     "trace_update_processing",
-    "write_trace",
-    "read_trace",
 ]
 
 PAGE_BYTES = 2 * 1024 * 1024  # pinned huge pages
@@ -246,7 +242,6 @@ class AccessScript:
     layout resolves them to physical byte ranges.
     """
 
-    round_numbers: np.ndarray  # per round
     size_bytes: np.ndarray  # per round: update message bytes
     ingress_offset: np.ndarray  # per round: where the message lands in the ingress queue
     op_round: np.ndarray  # per op: index into the block's rounds
@@ -258,45 +253,23 @@ class AccessScript:
     write: np.ndarray  # per op: bool, "W" where set, else "R"
 
 
-class AccessEvent(NamedTuple):
-    time_ns: int
-    paddr: int
-    kind: str  # "R" | "W"
-    size: int
-
-
-_KINDS = np.array(["R", "W"], dtype=object)
-_ITER_CHUNK = 1024
-
-
 @dataclass(frozen=True)
 class EventColumns:
-    """Physical events in trace order, one numpy column per AccessEvent field."""
+    """Physical events in trace order: time, address, write flag and size per event."""
 
     time_ns: np.ndarray
     paddr: np.ndarray
-    write: np.ndarray  # bool: kind "W" where set, else "R"
+    write: np.ndarray  # bool: a write where set, else a read
     size: np.ndarray
 
     def __len__(self) -> int:
         return self.time_ns.size
 
-    def __iter__(self) -> Iterator[tuple[int, int, str, int]]:
-        """(time_ns, paddr, kind, size) tuples in AccessEvent field order.
-
-        Columns turn into Python objects a chunk at a time, which keeps
-        the lists small next to the arrays.
-        """
-        for a in range(0, self.time_ns.size, _ITER_CHUNK):
-            b = a + _ITER_CHUNK
-            yield from zip(self.time_ns[a:b].tolist(), self.paddr[a:b].tolist(),
-                           _KINDS[self.write[a:b].view(np.uint8)].tolist(), self.size[a:b].tolist())
-
 
 @dataclass
 class AccessTrace:
-    events: list[AccessEvent] | EventColumns
-    meta: dict[str, str] = field(default_factory=dict)
+    events: EventColumns
+    end_ns: int  # end of the last round
 
 
 def _op_byte_ranges(layout: MemoryLayout, script: AccessScript) -> tuple[np.ndarray, np.ndarray]:
@@ -394,48 +367,4 @@ def trace_update_processing(
     n_pieces, paddr, size = _row_pieces(*_op_byte_ranges(layout, script), layout.mapping.row_size_bytes)
     _translate(layout, paddr)
     time_ns, end_ns = _piece_times(script, n_pieces, bw, start_time_ns)
-    events = EventColumns(time_ns, paddr, script.write.repeat(n_pieces), size)
-    meta = {
-        "rounds": f"{script.round_numbers[0]}-{script.round_numbers[-1]}",
-        "start_ns": str(start_time_ns),
-        "end_ns": str(end_ns),
-    }
-    return AccessTrace(events, meta)
-
-
-def write_trace(path, trace: AccessTrace) -> None:
-    """One event per line: time_ns,paddr_hex,kind,size."""
-    with open(path, "w", encoding="ascii") as f:
-        for key, value in trace.meta.items():
-            f.write(f"# {key}={value}\n")
-        for time_ns, paddr, kind, size in trace.events:
-            f.write(f"{time_ns},{paddr:#x},{kind},{size}\n")
-
-
-def read_trace(path) -> AccessTrace:
-    events = []
-    meta: dict[str, str] = {}
-    last_t = None
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 fields")
-            t = int(parts[0])
-            paddr = int(parts[1], 16)
-            kind = parts[2]
-            size = int(parts[3])
-            if kind not in ("R", "W") or size <= 0:
-                raise ValueError(f"{path}:{line_no}: bad event")
-            if last_t is not None and t < last_t:
-                raise ValueError(f"{path}:{line_no}: time goes backwards")
-            last_t = t
-            events.append(AccessEvent(t, paddr, kind, size))
-    return AccessTrace(events, meta)
+    return AccessTrace(EventColumns(time_ns, paddr, script.write.repeat(n_pieces), size), end_ns)

@@ -34,7 +34,7 @@ from .federation import ModelSpec, RoundRecord
 from .memlayout import SCRIPT_REGIONS, AccessScript, EventColumns, MemoryLayout, trace_update_processing
 from .metrics import BandwidthModel
 
-__all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "iter_replay_events", "replay_records"]
+__all__ = ["BLOCK_INDICES", "ReplaySummary", "update_bytes", "round_script", "replay_records"]
 
 
 # Rounds become events a block at a time.  A block holds whole consecutive
@@ -51,7 +51,7 @@ _RUN_OP_WRITES = np.array([False, True, False, True, True])
 _RUN_OP_WRITEBACK = np.array([False, False, True, True, True])
 
 
-def _update_bytes(spec: ModelSpec, k: int, metadata_bytes_per_entry: int) -> int:
+def update_bytes(spec: ModelSpec, k: int, metadata_bytes_per_entry: int) -> int:
     """Bytes of one replayed update of k entries: packed values plus metadata."""
     return -(-(k * spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
 
@@ -83,7 +83,7 @@ def round_script(
         if idx[0] < 0 or idx[-1] >= n_params:
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise ValueError(f"round {record.round_number}: index {bad} outside the model [0, {n_params})")
-        size = _update_bytes(spec, idx.size, metadata_bytes_per_entry)
+        size = update_bytes(spec, idx.size, metadata_bytes_per_entry)
         if size > ingress_size:
             raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
         if offset + size > ingress_size:
@@ -139,7 +139,6 @@ def round_script(
         column[run_op] = per_run
         columns[name] = column
     return AccessScript(
-        round_numbers=np.array([r.round_number for r in records], dtype=np.int64),
         size_bytes=np.array(sizes, dtype=np.int64),
         ingress_offset=np.array(ring, dtype=np.int64),
         op_round=rounds.repeat(1 + 5 * runs),
@@ -178,32 +177,16 @@ def _event_blocks(
         script = round_script(layout, block, metadata_bytes_per_entry, offset)
         offset = int(script.ingress_offset[-1] + script.size_bytes[-1])
         trace = trace_update_processing(layout, script, bw, t)
-        t = int(trace.meta["end_ns"])
+        t = trace.end_ns
         del script
         yield trace.events
         del trace  # free the block's columns before building the next block
-
-
-def iter_replay_events(
-    layout: MemoryLayout,
-    records: Iterable[RoundRecord],
-    bw: BandwidthModel,
-    metadata_bytes_per_entry: int = 0,
-) -> Iterator[tuple[int, int, str, int]]:
-    """Stream the physical events of consecutive rounds, back to back.
-
-    Events come as (time_ns, paddr, kind, size) tuples in AccessEvent
-    field order, generated a block of rounds at a time.
-    """
-    for columns in _event_blocks(layout, records, bw, metadata_bytes_per_entry):
-        yield from columns
 
 
 @dataclass
 class ReplaySummary:
     result: SimulationResult
     rounds: int
-    total_update_bytes: int
     h_max_analytic: int
     measured_max_row_acts: int
 
@@ -236,7 +219,7 @@ def replay_records(
     """
     if not records:
         raise ValueError("no rounds to replay")
-    total_bytes = sum(_update_bytes(layout.spec, r.indices.size, metadata_bytes_per_entry) for r in records)
+    total_bytes = sum(update_bytes(layout.spec, r.indices.size, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
     hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
     result = simulate_trace(
@@ -246,7 +229,6 @@ def replay_records(
     return ReplaySummary(
         result=result,
         rounds=len(records),
-        total_update_bytes=total_bytes,
         h_max_analytic=hmax,
         measured_max_row_acts=result.max_row_acts(),
     )

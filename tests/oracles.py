@@ -9,6 +9,10 @@ round trains and sparsifies one client and one shard row at a time, the
 index-set metrics work on frozensets, the distance metrics use
 exhaustive grids and subset enumeration, and the spectrum uses the
 direct transform sum.  Slow on purpose.
+
+It also holds what only the tests use: events as tuples, the replay
+stream as tuples, the PPO loss on its own, the checkpoint reader, rows
+with their own fill, and a map where every row is vulnerable.
 """
 from __future__ import annotations
 
@@ -33,13 +37,24 @@ from hammersim.dram import (
     WindowSummary,
     _bit_positions,
 )
-from hammersim.adversary import WEIGHT_KEYS, AgentState, TargetWindow, compute_gae, ppo_loss_and_grads
+from hammersim import replay
+from hammersim.adversary import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    LOG_2PI,
+    WEIGHT_KEYS,
+    AgentState,
+    PolicyConfig,
+    TargetWindow,
+    _forward,
+    compute_gae,
+    gaussian_log_prob,
+    ppo_loss_and_grads,
+)
 from hammersim.channel import ChannelConfig
 from hammersim.federation import FederationState, ModelSpec
 from hammersim.memlayout import (
     PAGE_BYTES,
-    AccessEvent,
-    AccessTrace,
     DramMapping,
     EventColumns,
     MemoryLayout,
@@ -48,6 +63,103 @@ from hammersim.memlayout import (
 )
 from hammersim.metrics import BandwidthModel
 from hammersim.seeding import generator
+
+
+# ---------------------------------------------------------------------------
+# Test-only forms of package data
+# ---------------------------------------------------------------------------
+
+class AccessEvent(NamedTuple):
+    """One physical access, in the tuple form dram.simulate_trace accepts."""
+
+    time_ns: int
+    paddr: int
+    kind: str  # "R" | "W"
+    size: int
+
+
+def event_tuples(columns: EventColumns) -> list[AccessEvent]:
+    """EventColumns as AccessEvent tuples, in trace order."""
+    kinds = np.where(columns.write, "W", "R").tolist()
+    return [AccessEvent(*e) for e in zip(columns.time_ns.tolist(), columns.paddr.tolist(),
+                                         kinds, columns.size.tolist())]
+
+
+def iter_replay_events(layout: MemoryLayout, records, bw: BandwidthModel, metadata_bytes_per_entry: int = 0):
+    """The replay stream that replay_records simulates, as AccessEvent tuples.
+
+    Built a block of rounds at a time, as the package builds it.
+    """
+    for columns in replay._event_blocks(layout, records, bw, metadata_bytes_per_entry):
+        yield from event_tuples(columns)
+
+
+def all_vulnerable(mapping: DramMapping) -> VulnerabilityMap:
+    """Every row flips, at exactly its pattern's threshold."""
+    n = mapping.bank_count * mapping.rows_per_bank
+    return VulnerabilityMap(np.ones(n, dtype=bool), np.ones(n))
+
+
+class RowFills(RowContents):
+    """Row contents where some (bank, row) cells hold their own fill byte."""
+
+    def __init__(self, default_fill: int, overrides: dict[tuple[int, int], int]):
+        super().__init__(default_fill)
+        self.overrides = dict(overrides)
+
+    def fill(self, bank: int, row: int) -> int:
+        return self.overrides.get((bank, row), self.default_fill)
+
+
+def ppo_loss(weights, cfg: PolicyConfig, obs, actions, old_log_probs, advantages, returns) -> float:
+    """Clipped-surrogate PPO objective (to minimize), without gradients."""
+    mean, log_std, value, _ = _forward(weights, obs)
+    logp = gaussian_log_prob(actions, mean, log_std)
+    ratio = np.exp(logp - old_log_probs)
+    surr1 = ratio * advantages
+    surr2 = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio) * advantages
+    surrogate = np.minimum(surr1, surr2)
+    entropy = np.sum(log_std, axis=-1) + 0.5 * actions.shape[1] * (1.0 + LOG_2PI)
+    value_err = (value - returns) ** 2
+    return float(np.mean(-surrogate - cfg.entropy_coef * entropy + cfg.value_coef * value_err))
+
+
+def load_checkpoint(path, cfg: PolicyConfig) -> tuple[dict[str, np.ndarray], bytes]:
+    """Weights dict (reshaped per cfg) and config hash of an adversary.save_checkpoint file."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ValueError("not a checkpoint file")
+    version = int.from_bytes(blob[4:8], "little")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    config_hash = blob[8:40]
+    count = int.from_bytes(blob[40:48], "little")
+    flat = np.frombuffer(blob[48:], dtype="<f4")
+    if flat.size != count:
+        raise ValueError(f"checkpoint holds {flat.size} weights, header says {count}")
+    shapes = {
+        "w1": (cfg.obs_dim, cfg.hidden1),
+        "b1": (cfg.hidden1,),
+        "w2": (cfg.hidden1, cfg.hidden2),
+        "b2": (cfg.hidden2,),
+        "wm": (cfg.hidden2, cfg.action_dim),
+        "bm": (cfg.action_dim,),
+        "ws": (cfg.hidden2, cfg.action_dim),
+        "bs": (cfg.action_dim,),
+        "wv": (cfg.hidden2, 1),
+        "bv": (1,),
+    }
+    expected = sum(int(np.prod(s)) for s in shapes.values())
+    if count != expected:
+        raise ValueError(f"checkpoint weight count {count} does not match config ({expected})")
+    weights = {}
+    cursor = 0
+    for key in WEIGHT_KEYS:
+        size = int(np.prod(shapes[key]))
+        weights[key] = flat[cursor: cursor + size].astype(np.float64).reshape(shapes[key])
+        cursor += size
+    return weights, config_hash
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +521,10 @@ def incremental_simulate(
     Returns (SimulationResult, final ActivationLedger).  Accepts the same
     inputs, but reads EventColumns blocks as tuples.
     """
-    events = trace.events if isinstance(trace, AccessTrace) else trace
-    if not isinstance(events, EventColumns):
-        events = itertools.chain.from_iterable(
-            e if isinstance(e, EventColumns) else (e,) for e in events)
+    if isinstance(trace, EventColumns):
+        trace = (trace,)
+    events = itertools.chain.from_iterable(
+        event_tuples(e) if isinstance(e, EventColumns) else (e,) for e in trace)
     if trr is None:
         trr = TrrConfig()
     if vmap is None:

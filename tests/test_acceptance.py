@@ -22,7 +22,6 @@ from hammersim.adversary import (
     compute_emd,
     gaussian_log_prob,
     init_policy,
-    ppo_loss,
     ppo_loss_and_grads,
 )
 from hammersim.cli import main as cli_main
@@ -39,8 +38,6 @@ from hammersim.dram import (
 )
 from hammersim.federation import LayerSpec, ModelSpec, RoundRecord
 from hammersim.memlayout import (
-    AccessEvent,
-    AccessTrace,
     DramMapping,
     build_layout,
     dram_to_physical,
@@ -53,6 +50,7 @@ from hammersim.seeding import generator
 from hammersim.training import train
 
 import oracles
+from oracles import AccessEvent
 
 
 def emit(num, ok, detail):
@@ -167,7 +165,7 @@ def boundary_flips(entry, mode, count):
         builtin_thresholds(),
         TrrConfig(capacity=0),
         only_victim_vulnerable(FULL, 0, VICTIM),
-        RowContents(entry.aggressor_fill, {(0, VICTIM): entry.victim_fill}),
+        oracles.RowFills(entry.aggressor_fill, {(0, VICTIM): entry.victim_fill}),
     )
     return res.flips
 
@@ -224,7 +222,7 @@ def test_criterion_05_engine_vs_recount_oracle():
         vmap = VulnerabilityMap.from_seed(TOY, case, probability=0.8,
                                           multiplier_low=1.0, multiplier_high=1.5)
         events = random_toy_trace(rng)
-        res = simulate_trace(AccessTrace(events), TOY_CFG, TOY, table, trr,
+        res = simulate_trace(events, TOY_CFG, TOY, table, trr,
                              vmap, RowContents())
         w_rows, w_banks, flips, total = oracles.oracle_simulate(
             events, TOY_CFG, TOY, table, trr, vmap, RowContents())
@@ -262,9 +260,9 @@ def test_criterion_06_trr_sampler_bypass():
     ]
 
     def run(events):
-        return simulate_trace(AccessTrace(sorted(events)), TOY_CFG, TOY, table,
+        return simulate_trace(sorted(events), TOY_CFG, TOY, table,
                               TrrConfig(capacity=4),
-                              VulnerabilityMap.all_vulnerable(TOY), RowContents())
+                              oracles.all_vulnerable(TOY), RowContents())
 
     protected = run(aggressors)
     bypassed = run(aggressors + decoys)
@@ -384,9 +382,9 @@ def test_criterion_08_gradients_match_finite_differences():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = ppo_loss(state.weights, cfg, *args)
+                up = oracles.ppo_loss(state.weights, cfg, *args)
                 flat[i] = orig - eps
-                down = ppo_loss(state.weights, cfg, *args)
+                down = oracles.ppo_loss(state.weights, cfg, *args)
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 got = grads[key].ravel()[i]
@@ -469,7 +467,7 @@ def test_criterion_10_replay_budget_and_cli_determinism(tmp_path, monkeypatch, c
     summary = replay_records(
         records, layout, DramConfig(), BandwidthModel(), builtin_thresholds(),
         trr=TrrConfig(capacity=0),
-        vmap=VulnerabilityMap.all_vulnerable(mapping),
+        vmap=oracles.all_vulnerable(mapping),
         contents=RowContents(),
         sim_seed=3,
     )

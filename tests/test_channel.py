@@ -1,4 +1,4 @@
-"""Unit tests for latent decoding and the lossy channel models."""
+"""Unit tests for latent decoding, the lossy audio channel and the spectrum."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,6 @@ from hammersim.channel import (
     audio_channel,
     clip_linf,
     decode_latent,
-    emulate_image_channel,
     stft,
 )
 from hammersim.seeding import generator
@@ -40,20 +39,11 @@ def test_decode_latent_is_linear():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_decode_latent_2d_grid():
-    z = np.arange(4.0)
-    out = decode_latent(z, (4, 4))
-    assert out.shape == (4, 4)
-    # top-left quadrant holds z[0], bottom-right z[3]
-    assert out[0, 0] == 0.0 and out[0, 3] == 1.0
-    assert out[3, 0] == 2.0 and out[3, 3] == 3.0
-
-
 def test_decode_latent_rejects_bad_shapes():
     with pytest.raises(ValueError):
         decode_latent(np.ones(10), (5,))
     with pytest.raises(ValueError):
-        decode_latent(np.ones(3), (8, 8))  # 3 is not a square grid
+        decode_latent(np.ones(4), (8, 8))  # images are not decoded
     with pytest.raises(ValueError):
         decode_latent(np.ones(4), (10, 10, 3))
 
@@ -134,55 +124,13 @@ def test_batched_audio_channel_rejects_bad_shapes():
         audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), cfg, rngs[:1])
 
 
-# -- image path -------------------------------------------------------------
-
-def test_image_channel_identity_when_clean():
-    cfg = ChannelConfig(modality="image")
-    x = generator(5, "image-id").uniform(0.2, 0.8, size=(16, 16))
-    out = emulate_image_channel(x, np.zeros_like(x), cfg, seed=0)
-    np.testing.assert_allclose(out, x, atol=1e-12)
-
-
-def test_image_channel_blur_averages():
-    cfg = ChannelConfig(modality="image", blur_radius=1)
-    x = np.zeros((9, 9))
-    x[4, 4] = 0.9
-    out = emulate_image_channel(x, np.zeros_like(x), cfg, seed=0)
-    # a 3x3 box blur spreads the impulse evenly
-    np.testing.assert_allclose(out[3:6, 3:6], 0.1, atol=1e-12)
-    assert out[0, 0] == 0.0
-
-
-def test_image_channel_gamma_and_clamp():
-    cfg = ChannelConfig(modality="image", gamma_value=2.0)
-    x = np.full((4, 4), 0.5)
-    out = emulate_image_channel(x, np.zeros_like(x), cfg, seed=0)
-    np.testing.assert_allclose(out, 0.25, atol=1e-12)
-    # delta pushing past 1.0 is clamped before the pipeline
-    out2 = emulate_image_channel(x, np.full_like(x, 10.0), cfg, seed=0)
-    np.testing.assert_allclose(out2, 1.0, atol=1e-12)
-
-
-def test_image_channel_output_in_unit_range():
-    cfg = ChannelConfig(modality="image", blur_radius=2, texture_strength=0.3,
-                        gamma_value=0.8, rescale_factor=0.5)
-    rng = generator(6, "image-range")
-    x = rng.uniform(0, 1, size=(32, 32))
-    d = rng.normal(0, 0.5, size=(32, 32))
-    out = emulate_image_channel(x, d, cfg, seed=1)
-    assert out.shape == x.shape
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(modality="video")
     with pytest.raises(ValueError):
         ChannelConfig(noise_std=-0.1)
     with pytest.raises(ValueError):
-        ChannelConfig(texture_strength=1.5)
-    with pytest.raises(ValueError):
-        ChannelConfig(gamma_value=0.0)
+        ChannelConfig(source_rate_hz=0)
 
 
 # -- spectrum ---------------------------------------------------------------

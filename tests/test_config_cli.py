@@ -172,6 +172,146 @@ def test_model_sizes_rejected_at_load(tmp_path, capsys):
         assert f"[federation] {key} " in capsys.readouterr().err
 
 
+# configs that load_config used to accept and that then failed part-way
+# through the command named: case -> (command, config text, message)
+REJECTED_AT_LOAD = {
+    "minibatch_size zero": ("train", "[adversary]\nminibatch_size = 0\n", "minibatch_size"),
+    "hidden1 negative": ("train", "[adversary]\nhidden1 = -1\n", "hidden1"),
+    "window_len past the model": ("train", "[adversary]\nwindow_len = 100000\n", "window_len"),
+    "latent_dim past in_dim": ("train", "[federation]\nin_dim = 24\n[adversary]\nlatent_dim = 30\n",
+                               "latent_dim"),
+    "stft_frame past in_dim": ("train", "[federation]\nin_dim = 24\n[adversary]\nstft_frame = 32\n",
+                               "stft_frame"),
+    "stft_hop zero": ("train", "[adversary]\nstft_hop = 0\n", "stft_hop"),
+    "multiplier_high below multiplier_low": (
+        "simulate", "[dram]\nmultiplier_low = 2.0\nmultiplier_high = 1.5\n", "multiplier_high"),
+    "multiplier_low zero": ("simulate", "[dram]\nmultiplier_low = 0\n", "multiplier_low"),
+    "capacity below the layout": ("simulate", "[memory]\ncapacity_bytes = 1048576\n", "huge pages"),
+    "capacity negative": ("simulate", "[memory]\ncapacity_bytes = -1\n", "huge pages"),
+    "capacity past the module": ("simulate", "[memory]\ncapacity_bytes = 1099511627776\n", "capacity_bytes"),
+    "module smaller than a huge page": ("simulate", "[dram]\nrows_per_bank = 7\n", "huge pages"),
+    "row larger than a huge page": ("simulate", "[dram]\nrow_size_bytes = 4194304\n", "row size"),
+    "ingress_bytes zero": ("simulate", "[memory]\ningress_bytes = 0\n", "ingress_bytes"),
+    "ingress smaller than an update": ("simulate", "[memory]\ningress_bytes = 16\n", "ingress_bytes"),
+    "no activation per window": ("simulate", "[dram]\ntrc_effective_ns = 1e9\n", "trc_effective_s"),
+    "metadata_bytes_per_entry negative": (
+        "feasibility", "[metrics]\nmetadata_bytes_per_entry = -1\n", "metadata_bytes_per_entry"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_AT_LOAD))
+def test_config_that_would_fail_mid_run_is_rejected_at_load(tmp_path, capsys, case):
+    command, text, message = REJECTED_AT_LOAD[case]
+    path = _write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# A tiny train; every key of the sections train reads must change its output
+LIVENESS_BASE = {
+    "run": {"iterations": "2", "rounds_per_episode": "8"},
+    "federation": {"in_dim": "24", "hidden_dim": "10", "shard_size": "6"},
+    "adversary": {"stft_frame": "16", "stft_hop": "8", "warmup_rounds": "4"},
+}
+# key -> (non-default value, other keys it needs set in both runs)
+LIVENESS_VALUES = {
+    ("run", "seed"): ("2", {}),
+    ("run", "iterations"): ("3", {}),
+    ("run", "rounds_per_episode"): ("9", {}),
+    ("run", "records_file"): ("other_records.txt", {}),
+    ("federation", "in_dim"): ("20", {}),
+    ("federation", "hidden_dim"): ("8", {}),
+    ("federation", "out_dim"): ("2", {}),
+    ("federation", "n_clients"): ("4", {}),
+    ("federation", "shard_size"): ("5", {}),
+    ("federation", "sparsity"): ("0.02", {}),
+    ("federation", "learning_rate"): ("0.1", {}),
+    ("channel", "modality"): ("image", {}),
+    ("channel", "noise_std"): ("0.1", {}),
+    # rates that keep 24 samples; 16001 Hz moves them too little to change a top-k set
+    ("channel", "source_rate_hz"): ("15700", {}),
+    ("channel", "target_rate_hz"): ("16300", {}),
+    ("adversary", "latent_dim"): ("5", {}),
+    ("adversary", "epsilon"): ("1.0", {}),
+    ("adversary", "alpha"): ("0.5", {}),
+    ("adversary", "beta"): ("0.5", {}),
+    ("adversary", "gamma"): ("0.3", {}),
+    ("adversary", "lambda1"): ("0.1", {}),
+    ("adversary", "lambda2"): ("0.5", {}),
+    ("adversary", "lambda_image"): ("0.4", {("channel", "modality"): "image"}),
+    ("adversary", "stft_frame"): ("12", {}),
+    ("adversary", "stft_hop"): ("4", {}),
+    ("adversary", "hidden1"): ("8", {}),
+    ("adversary", "hidden2"): ("8", {}),
+    ("adversary", "learning_rate"): ("0.01", {}),
+    ("adversary", "clip_ratio"): ("0.05", {}),
+    ("adversary", "discount"): ("0.9", {}),
+    ("adversary", "gae_lambda"): ("0.9", {}),
+    ("adversary", "epochs"): ("2", {}),
+    ("adversary", "minibatch_size"): ("4", {}),
+    ("adversary", "entropy_coef"): ("0.1", {}),
+    ("adversary", "value_coef"): ("0.5", {}),
+    ("adversary", "log_std_init"): ("-1.0", {}),
+    ("adversary", "max_grad_norm"): ("0", {}),
+    ("adversary", "warmup_rounds"): ("3", {}),
+    ("adversary", "window_len"): ("7", {}),
+}
+LIVENESS_SECTIONS = ("run", "federation", "channel", "adversary")
+
+
+def _train_bytes(tmp_path, capsys, name, overrides):
+    """stdout and output files of a tiny train, less the bytes the config hash sets."""
+    sections = {section: dict(keys) for section, keys in LIVENESS_BASE.items()}
+    for (section, key), value in overrides.items():
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for section, keys in sections.items())
+    out = tmp_path / name
+    assert main(["train", "--config", _write_cfg(tmp_path, text, f"{name}.ini"), "--out", str(out)]) == 0
+    files = {"stdout": capsys.readouterr().out.encode()}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name in ("timing.txt", "config.txt"):
+            continue  # wall clock, and the config itself
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["config_hash"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        elif path.name == "agent.ckpt":
+            data = data[:8] + data[40:]  # bytes 8-40 hold the hash
+        else:
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b"# config_hash="))
+        files[path.name] = data
+    return files
+
+
+def test_liveness_table_covers_the_sections_train_reads():
+    assert set(LIVENESS_VALUES) == {(section, key) for section in LIVENESS_SECTIONS for key in SCHEMA[section]}
+    for (section, key), (value, _) in LIVENESS_VALUES.items():
+        assert value != str(SCHEMA[section][key][1]), (section, key)
+
+
+@pytest.mark.parametrize("section", LIVENESS_SECTIONS)
+def test_every_key_changes_train_output(tmp_path, capsys, section):
+    bases = {}
+    dead = []
+    for (sec, key), (value, needs) in LIVENESS_VALUES.items():
+        if sec != section:
+            continue
+        pairing = tuple(sorted(needs.items()))
+        if pairing not in bases:
+            bases[pairing] = _train_bytes(tmp_path, capsys, f"base{len(bases)}", needs)
+        changed = _train_bytes(tmp_path, capsys, key, {**needs, (sec, key): value})
+        if changed == bases[pairing]:
+            dead.append(f"[{sec}] {key} = {value}")
+    assert not dead, f"keys that change no output byte: {dead}"
+
+
 def test_config_error_exit(tmp_path, capsys):
     path = _write_cfg(tmp_path, "[run]\nbogus = 1\n")
     assert main(["feasibility", "--config", path]) == 1
@@ -318,18 +458,20 @@ def test_train_simulate_report_end_to_end(tmp_path, capsys):
     assert "different config" in capsys.readouterr().err
 
 
-def _run_golden_feasibility(cmd, tmp_path):
-    """Run ``cmd feasibility --golden`` as its own process and check it passes.
-
-    PYTHONPATH leads with the directory holding the imported ``hammersim``, so
-    the child runs the code under test whatever its working directory.
-    """
+def _child_env():
+    """Environment whose PYTHONPATH leads with the directory holding the
+    imported ``hammersim``, so a child process runs the code under test
+    whatever its working directory."""
     package_root = str(Path(hammersim.__file__).resolve().parent.parent)
     pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def _run_golden_feasibility(cmd, tmp_path):
+    """Run ``cmd feasibility --golden`` as its own process and check it passes."""
     proc = subprocess.run(
         [*cmd, "feasibility", "--golden"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path, timeout=120,
     )
     detail = f"{cmd} exited {proc.returncode}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     assert proc.returncode == 0, detail
@@ -358,3 +500,26 @@ def test_console_script_installed(tmp_path):
         f"from {module} import {attr}; sys.exit({attr}())"
     )
     _run_golden_feasibility([sys.executable, "-c", wrapper], tmp_path)
+
+
+def test_package_imports_numpy_only(tmp_path):
+    # every module of the package, imported in a fresh interpreter, pulls
+    # in nothing beyond the standard library and numpy
+    code = textwrap.dedent("""\
+        import importlib, json, pkgutil, sys
+        before = set(sys.modules)
+        import hammersim
+        names = [m.name for m in pkgutil.iter_modules(hammersim.__path__)]
+        for name in names:
+            importlib.import_module("hammersim." + name)
+        print(json.dumps({"modules": names, "scipy": "scipy" in sys.modules,
+                          "new": sorted({m.split(".")[0] for m in set(sys.modules) - before})}))
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert "cli" in found["modules"] and "training" in found["modules"]
+    assert not found["scipy"]
+    foreign = set(found["new"]) - set(sys.stdlib_module_names) - {"hammersim", "numpy"}
+    assert not foreign, f"hammersim imports {sorted(foreign)}"

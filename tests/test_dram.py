@@ -15,13 +15,13 @@ from hammersim.dram import (
     builtin_thresholds,
     read_threshold_file,
     simulate_trace,
-    write_threshold_file,
     _bit_positions,
 )
-from hammersim.memlayout import AccessEvent, AccessTrace, DramMapping, EventColumns, dram_to_physical
+from hammersim.memlayout import DramMapping, EventColumns, dram_to_physical
 from hammersim.seeding import generator
 
 import oracles
+from oracles import AccessEvent
 
 
 TOY = DramMapping(bank_count=4, rows_per_bank=64, row_size_bytes=1024, bank_xor=False)
@@ -47,9 +47,9 @@ def hammer(bank, row, n, start=0, step=100, other=50):
 
 
 def run(events, trr=NO_TRR, vmap=None, contents=None, cfg=TOY_CFG, thresholds=LOW):
-    vmap = vmap or VulnerabilityMap.all_vulnerable(TOY)
+    vmap = vmap or oracles.all_vulnerable(TOY)
     contents = contents or RowContents()
-    return simulate_trace(AccessTrace(list(events)), cfg, TOY, thresholds, trr, vmap, contents)
+    return simulate_trace(list(events), cfg, TOY, thresholds, trr, vmap, contents)
 
 
 # -- threshold tables -------------------------------------------------------
@@ -89,8 +89,13 @@ def test_reference_mean_fallback_rounds():
 
 
 def test_threshold_file_roundtrip(tmp_path):
+    # the builtin table, written out as victim,aggressor,mode,count lines
     path = tmp_path / "thresholds.txt"
-    write_threshold_file(path, builtin_thresholds())
+    lines = ["# published_average=240000"]
+    for e in builtin_thresholds().entries:
+        lines.append(f"{e.victim_fill:#04x},{e.aggressor_fill:#04x},single,{e.single}")
+        lines.append(f"{e.victim_fill:#04x},{e.aggressor_fill:#04x},double,{e.double}")
+    path.write_text("\n".join(lines) + "\n")
     back = read_threshold_file(path)
     assert back.published_average == 240_000
     assert back.entries == builtin_thresholds().entries
@@ -128,10 +133,9 @@ def test_vulnerability_map_seeded():
     assert (a.multiplier >= 1.0).all() and (a.multiplier <= 2.0).all()
 
 
-def test_row_contents_overrides():
-    contents = RowContents(0xFF, {(1, 5): 0x00})
-    assert contents.fill(0, 5) == 0xFF
-    assert contents.fill(1, 5) == 0x00
+def test_row_contents_is_one_fill():
+    contents = RowContents(0xFF)
+    assert contents.fill(0, 5) == contents.fill(1, 5) == 0xFF
     with pytest.raises(ValueError):
         RowContents(0x1FF)
 
@@ -189,7 +193,7 @@ def test_time_must_not_go_backwards():
 
 def test_generator_input_streams():
     res = simulate_trace(iter([ev(0, 0, 5), ev(10, 0, 6)]), TOY_CFG, TOY, LOW,
-                         NO_TRR, VulnerabilityMap.all_vulnerable(TOY), RowContents())
+                         NO_TRR, oracles.all_vulnerable(TOY), RowContents())
     assert res.total_events == 2
     assert res.total_acts == 2
 
@@ -262,7 +266,7 @@ def test_pattern_class_selects_threshold():
         ThresholdEntry(0x00, 0x00, 8, 6),
         ThresholdEntry(0xFF, 0x00, 4, 2),
     ])
-    contents = RowContents(0x00, {(0, 4): 0xFF})  # one victim holds the weak pattern
+    contents = oracles.RowFills(0x00, {(0, 4): 0xFF})  # one victim holds the weak pattern
     res = run(hammer(0, 5, 4), thresholds=table, contents=contents)
     rows = {f.row for f in res.flips}
     assert 4 in rows and 6 not in rows
@@ -282,8 +286,8 @@ def test_trr_protects_lone_aggressor_pair():
 
 
 def incremental_ledger(events):
-    _, ledger = oracles.incremental_simulate(AccessTrace(list(events)), TOY_CFG, TOY, LOW, NO_TRR,
-                                             VulnerabilityMap.all_vulnerable(TOY), RowContents())
+    _, ledger = oracles.incremental_simulate(list(events), TOY_CFG, TOY, LOW, NO_TRR,
+                                             oracles.all_vulnerable(TOY), RowContents())
     return ledger
 
 
@@ -291,14 +295,14 @@ def test_check_flip_query_matches_engine_state():
     ledger = incremental_ledger(hammer(0, 5, 8))
     # after the run the victims flipped and were disarmed, so a fresh
     # query of the final ledger reports nothing new for them
-    again = oracles.check_flip(ledger, VulnerabilityMap.all_vulnerable(TOY), LOW, RowContents())
+    again = oracles.check_flip(ledger, oracles.all_vulnerable(TOY), LOW, RowContents())
     assert not any(f.row in (4, 6) and f.bank == 0 for f in again)
     assert isinstance(again, list)
 
 
 def test_check_flip_sees_armed_state():
     ledger = incremental_ledger(hammer(0, 5, 7))  # one short of the single-sided threshold
-    flips = oracles.check_flip(ledger, VulnerabilityMap.all_vulnerable(TOY),
+    flips = oracles.check_flip(ledger, oracles.all_vulnerable(TOY),
                                ThresholdTable([ThresholdEntry(0x00, 0x00, 7, 6)]), RowContents())
     assert any(f.bank == 0 and f.row == 4 for f in flips)
 
@@ -328,7 +332,7 @@ def test_engine_matches_recount_oracle_on_random_traces():
         vmap = VulnerabilityMap.from_seed(TOY, case, probability=0.8,
                                          multiplier_low=1.0, multiplier_high=1.5)
         events = random_trace(rng)
-        res = simulate_trace(AccessTrace(events), TOY_CFG, TOY, table, trr, vmap, RowContents())
+        res = simulate_trace(events, TOY_CFG, TOY, table, trr, vmap, RowContents())
         w_rows, w_banks, flips, total = oracles.oracle_simulate(
             events, TOY_CFG, TOY, table, trr, vmap, RowContents())
         assert res.total_acts == total
@@ -350,11 +354,11 @@ TABLE_12_8 = ThresholdTable([ThresholdEntry(0x00, 0x00, 12, 8)])
 def assert_engines_agree(events, trr=NO_TRR, vmap=None, contents=None, cfg=TOY_CFG,
                          mapping=TOY, thresholds=LOW):
     """simulate_trace must equal the incremental engine and the recount oracle."""
-    vmap = vmap or VulnerabilityMap.all_vulnerable(mapping)
+    vmap = vmap or oracles.all_vulnerable(mapping)
     contents = contents or RowContents()
     args = (cfg, mapping, thresholds, trr, vmap, contents)
-    res = simulate_trace(AccessTrace(list(events)), *args)
-    ref, _ = oracles.incremental_simulate(AccessTrace(list(events)), *args)
+    res = simulate_trace(list(events), *args)
+    ref, _ = oracles.incremental_simulate(list(events), *args)
     w_rows, w_banks, flips, total = oracles.oracle_simulate(events, *args)
     assert res.total_acts == ref.total_acts == total
     assert res.total_events == ref.total_events == len(events)
@@ -455,8 +459,8 @@ def test_small_chunks_carry_state(monkeypatch, chunk):
     traces = [decoyed_and_protected(windows=1, step=400_000)]
     traces += [random_trace_on(TOY, rng, n_events=120) for _ in range(4)]
     results = [
-        [simulate_trace(AccessTrace(events), TOY_CFG, TOY, TABLE_12_8, TrrConfig(capacity=c),
-                        VulnerabilityMap.all_vulnerable(TOY), RowContents()) for c in (0, 2)]
+        [simulate_trace(events, TOY_CFG, TOY, TABLE_12_8, TrrConfig(capacity=c),
+                        oracles.all_vulnerable(TOY), RowContents()) for c in (0, 2)]
         for events in traces
     ]
     monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
@@ -471,15 +475,15 @@ def test_small_chunks_carry_state(monkeypatch, chunk):
             blocks = (EventColumns(*(c[a:a + 5] for c in columns)) for a in range(0, len(events), 5))
             for trace in (EventColumns(*columns), blocks):
                 assert simulate_trace(trace, TOY_CFG, TOY, TABLE_12_8, trr,
-                                      VulnerabilityMap.all_vulnerable(TOY), RowContents()) == expected
+                                      oracles.all_vulnerable(TOY), RowContents()) == expected
 
 
 # -- error parity with the incremental engine -------------------------------
 
 def first_error(simulate, events, cfg):
     with pytest.raises(ValueError) as info:
-        simulate(AccessTrace(list(events)), cfg, TOY, LOW, NO_TRR,
-                 VulnerabilityMap.all_vulnerable(TOY), RowContents())
+        simulate(list(events), cfg, TOY, LOW, NO_TRR,
+                 oracles.all_vulnerable(TOY), RowContents())
     return type(info.value), str(info.value)
 
 

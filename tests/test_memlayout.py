@@ -7,20 +7,17 @@ from hammersim.memlayout import (
     PAGE_BYTES,
     SCRIPT_REGIONS,
     AccessScript,
-    AccessTrace,
     DramMapping,
     build_layout,
     dram_to_physical,
     physical_to_dram,
-    read_trace,
     trace_update_processing,
-    write_trace,
 )
 from hammersim.metrics import BandwidthModel
 from hammersim.replay import round_script
 from hammersim.seeding import generator
 
-from oracles import byte_range_of_elems, virtual_to_physical
+from oracles import byte_range_of_elems, event_tuples, virtual_to_physical
 
 
 TOY = DramMapping(bank_count=4, rows_per_bank=64, row_size_bytes=1024, bank_xor=True)
@@ -129,7 +126,6 @@ def one_round_script(ops, writeback_ops=(), size_bytes=64):
     rows = list(ops) + list(writeback_ops)
     col = lambda i: np.array([row[i] for row in rows], dtype=np.int64)
     return AccessScript(
-        round_numbers=np.array([0]),
         size_bytes=np.array([size_bytes]),
         ingress_offset=np.array([0]),
         op_round=np.zeros(len(rows), dtype=np.int64),
@@ -145,7 +141,7 @@ def one_round_script(ops, writeback_ops=(), size_bytes=64):
 def physical_pieces(layout, op):
     """(paddr, size) pieces of one op, read off its trace."""
     trace = trace_update_processing(layout, one_round_script([op]), BandwidthModel())
-    return [(paddr, size) for _, paddr, _, size in trace.events]
+    return [(paddr, size) for _, paddr, _, size in event_tuples(trace.events)]
 
 
 def script_ops(script, writeback):
@@ -221,12 +217,11 @@ def test_trace_times_monotone_and_budgeted():
     layout = build_layout(spec, None, LAYOUT_MAP, seed=5)
     bw = BandwidthModel()
     trace = trace_update_processing(layout, one_op_script(), bw, start_time_ns=1000)
-    times = [time_ns for time_ns, *_ in trace.events]
+    times = trace.events.time_ns.tolist()
     assert times == sorted(times)
     assert times[0] == 1000
-    assert trace.meta["start_ns"] == "1000"
     # budget: 64 bytes at 18.75 GiB/s is ~3 ns
-    assert int(trace.meta["end_ns"]) == 1000 + int(64 * 1e9 / bw.bytes_per_second)
+    assert trace.end_ns == 1000 + int(64 * 1e9 / bw.bytes_per_second)
 
 
 def test_trace_addresses_follow_page_table():
@@ -235,28 +230,4 @@ def test_trace_addresses_follow_page_table():
     trace = trace_update_processing(layout, one_op_script(), BandwidthModel())
     region = layout.region("ingress")
     expected = virtual_to_physical(layout, region.virtual_start)
-    assert next(iter(trace.events))[1] == expected
-
-
-def test_trace_roundtrip(tmp_path):
-    spec = make_mlp_spec(20, 8, 3)
-    layout = build_layout(spec, None, LAYOUT_MAP, seed=7)
-    trace = trace_update_processing(layout, one_op_script(), BandwidthModel())
-    path = tmp_path / "trace.txt"
-    write_trace(path, trace)
-    back = read_trace(path)
-    assert back.events == list(trace.events)
-    assert back.meta == trace.meta
-
-
-def test_read_trace_rejects_bad_lines(tmp_path):
-    path = tmp_path / "trace.txt"
-    path.write_text("0,0x10,R\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
-    path.write_text("5,0x10,R,4\n3,0x10,R,4\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
-    path.write_text("0,0x10,X,4\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
+    assert trace.events.paddr[0] == expected
