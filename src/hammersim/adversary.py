@@ -419,7 +419,8 @@ def ppo_update(
 
     Runs cfg.epochs passes of shuffled minibatches with Adam, clipping
     each minibatch gradient to max_grad_norm.  With all advantages zero
-    and entropy_coef zero the weights are unchanged.
+    and entropy_coef zero the weights are unchanged.  Raises ValueError
+    naming the first weight array that the update left non-finite.
     """
     cfg = state.cfg
     adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
@@ -434,6 +435,19 @@ def ppo_update(
     adam_m = {k: v.copy() for k, v in state.adam_m.items()}
     adam_v = {k: v.copy() for k, v in state.adam_v.items()}
     scratch = {k: np.empty_like(v) for k, v in weights.items()}
+    # Adam steps only the live rows of w1, gathered once per update.  A
+    # row whose observation column is zero in every sample gets a +-0
+    # gradient; if its moments are all +0.0 bits too, an Adam step keeps
+    # m = v = +0.0 and (learning rate >= 0) subtracts +0.0 from w, leaving
+    # every bit as it is.  The steps are elementwise, so a compact row
+    # gets the same floats.  Moments are tested by their bits because a
+    # step may turn a -0.0 moment into +0.0.
+    w1 = weights["w1"]
+    live = np.flatnonzero(trajectory.obs.any(axis=0) | adam_m["w1"].view(np.int64).any(axis=1)
+                          | adam_v["w1"].view(np.int64).any(axis=1))
+    # (weights, first moment, second moment, temporary) that Adam steps
+    slots = {k: (weights[k], adam_m[k], adam_v[k], scratch[k]) for k in WEIGHT_KEYS}
+    slots["w1"] = (w1[live], adam_m["w1"][live], adam_v["w1"][live], scratch["w1"][: live.size])
     step = state.adam_step
     losses = []
     for _ in range(cfg.epochs):
@@ -445,14 +459,18 @@ def ppo_update(
                 trajectory.log_probs[sel], adv[sel], returns[sel],
             )
             losses.append(loss)
+            # the norm stays dense: its pairwise sum depends on where the zeros sit
+            scale = None
             if cfg.max_grad_norm > 0:
                 norm = np.sqrt(sum(
                     float(np.sum(np.multiply(g, g, out=scratch[k]))) for k, g in grads.items()
                 ))
                 if norm > cfg.max_grad_norm:
                     scale = cfg.max_grad_norm / norm
-                    for g in grads.values():
-                        g *= scale
+            grads["w1"] = grads["w1"][live]
+            if scale is not None:
+                for g in grads.values():
+                    g *= scale
             step += 1
             m_bias = 1.0 - 0.9**step
             v_bias = 1.0 - 0.999**step
@@ -460,7 +478,8 @@ def ppo_update(
                 # w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8), in place on the
                 # copies above with the same operations in the same order;
                 # the gradient's own array is spent as the second buffer
-                g, m, v, tmp = grads[key], adam_m[key], adam_v[key], scratch[key]
+                g = grads[key]
+                w, m, v, tmp = slots[key]
                 m *= 0.9
                 m += np.multiply(g, 0.1, out=tmp)
                 v *= 0.999
@@ -473,7 +492,12 @@ def ppo_update(
                 np.sqrt(g, out=g)
                 g += 1e-8
                 tmp /= g
-                weights[key] -= tmp
+                w -= tmp
+            w1[live] = slots["w1"][0]  # the next forward pass reads all of w1
+    adam_m["w1"][live], adam_v["w1"][live] = slots["w1"][1:3]
+    for key in WEIGHT_KEYS:
+        if not np.isfinite(weights[key]).all():
+            raise ValueError(f"PPO update left non-finite values in {key}")
     new_state = AgentState(cfg, weights, adam_m, adam_v, step)
     stats = {
         "loss": float(np.mean(losses)),

@@ -322,7 +322,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     p = Fraction(g("federation", "sparsity"))
     if not 0 < p <= 1:
         raise ConfigError(f"[federation] sparsity must be in (0, 1], got {p}")
-    for key in ("latent_dim", "hidden1", "hidden2", "minibatch_size", "warmup_rounds"):
+    for key in ("latent_dim", "hidden1", "hidden2", "epochs", "minibatch_size", "warmup_rounds"):
         if g("adversary", key) <= 0:
             raise ConfigError(f"[adversary] {key} must be positive, got {g('adversary', key)}")
     if g("adversary", "warmup_rounds") > g("run", "rounds_per_episode"):

@@ -366,9 +366,20 @@ def ppo_trajectory(seed, t_len=30, obs_dim=6, action_dim=3):
                       rng.standard_normal(t_len))
 
 
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_same_state(state, want):
+    assert state.adam_step == want.adam_step
+    for name in ("weights", "adam_m", "adam_v"):
+        for key in WEIGHT_KEYS:
+            assert_same_bits(getattr(state, name)[key], getattr(want, name)[key])
+
+
 @pytest.mark.parametrize("max_grad_norm", [0.0, 0.05, 1e3])
 def test_ppo_update_matches_out_of_place_adam_exactly(max_grad_norm):
-    # the in-place Adam step gives the same floats as the array-building one,
+    # the in-place Adam step gives the same bits as the array-building one,
     # over two chained updates so the moments and step count carry over
     state = agent_for_test(entropy_coef=0.01, value_coef=0.5, max_grad_norm=max_grad_norm,
                            minibatch_size=7)
@@ -377,11 +388,54 @@ def test_ppo_update_matches_out_of_place_adam_exactly(max_grad_norm):
         traj = ppo_trajectory(seed)
         state, _ = ppo_update(traj, state, update_seed=it)
         want = oracles.ppo_update_reference(traj, want, update_seed=it)
-        assert state.adam_step == want.adam_step
-        for key in WEIGHT_KEYS:
-            np.testing.assert_array_equal(state.weights[key], want.weights[key])
-            np.testing.assert_array_equal(state.adam_m[key], want.adam_m[key])
-            np.testing.assert_array_equal(state.adam_v[key], want.adam_v[key])
+        assert_same_state(state, want)
+
+
+def mask_trajectory(seed, set_cols, t_len=30, n_dense=4, obs_dim=64, action_dim=3):
+    """Observations shaped like the attacker's: n_dense dense columns, then a
+    sparse 0/1 mask whose nonzero entries fall in set_cols only."""
+    traj = ppo_trajectory(seed, t_len, obs_dim, action_dim)
+    rng = generator(seed, "mask-obs")
+    traj.obs[:, n_dense:] = 0.0
+    traj.obs[:, set_cols] = rng.random((t_len, len(set_cols))) < 0.3
+    return traj
+
+
+@pytest.mark.parametrize("max_grad_norm", [0.0, 0.05, 1e3])
+def test_ppo_update_matches_reference_on_mask_observations(max_grad_norm):
+    # Adam steps only the w1 rows with a nonzero observation column or
+    # moment; on mask-shaped observations every bit must still match the
+    # dense reference, over chained updates
+    state = agent_for_test(obs_dim=64, entropy_coef=0.01, value_coef=0.5,
+                           max_grad_norm=max_grad_norm, minibatch_size=7)
+    negative_zero = 19  # never observed; the dense step may flip its -0.0 moments to +0.0
+    state.adam_m["w1"][negative_zero] = -0.0
+    once = 20  # observed in the first update only
+    never = np.arange(21, 64)
+    init_w1 = state.weights["w1"].copy()
+    updates = [(61, [4, 5, 6, 9, 12, once]), (67, [4, 5, 7, 8, 12, 13]), (71, [5, 6, 13, 14])]
+    want = state
+    for it, (seed, cols) in enumerate(updates):
+        traj = mask_trajectory(seed, cols)
+        before = state
+        state, _ = ppo_update(traj, state, update_seed=it)
+        want = oracles.ppo_update_reference(traj, want, update_seed=it)
+        assert_same_state(state, want)
+        if it > 0:
+            # an unobserved row with nonzero moments is still stepped
+            assert not np.any(traj.obs[:, once])
+            assert np.all(state.weights["w1"][once] != before.weights["w1"][once])
+        assert_same_bits(state.weights["w1"][never], init_w1[never])
+        for moments in (state.adam_m["w1"], state.adam_v["w1"]):
+            assert_same_bits(moments[never], np.zeros_like(moments[never]))
+
+
+def test_ppo_update_rejects_non_finite_result():
+    state = agent_for_test()
+    traj = ppo_trajectory(73)
+    traj.rewards[3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite values in w1"):
+        ppo_update(traj, state, update_seed=1)
 
 
 def test_ppo_update_leaves_caller_state_unchanged():

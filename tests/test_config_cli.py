@@ -176,6 +176,7 @@ def test_model_sizes_rejected_at_load(tmp_path, capsys):
 # through the command named: case -> (command, config text, message)
 REJECTED_AT_LOAD = {
     "minibatch_size zero": ("train", "[adversary]\nminibatch_size = 0\n", "minibatch_size"),
+    "epochs zero": ("train", "[adversary]\nepochs = 0\n", "epochs"),
     "hidden1 negative": ("train", "[adversary]\nhidden1 = -1\n", "hidden1"),
     "window_len past the model": ("train", "[adversary]\nwindow_len = 100000\n", "window_len"),
     "latent_dim past in_dim": ("train", "[federation]\nin_dim = 24\n[adversary]\nlatent_dim = 30\n",

@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from hammersim import adversary
 from hammersim.config import ConfigError, load_config
 from hammersim.federation import read_round_records
 from hammersim.metrics import compute_rur
 from hammersim.training import LOG_HEADER, AttackEnv, train
 from hammersim.seeding import generator
+
+import oracles
 
 
 def quick_config(rounds=15, iterations=3):
@@ -101,6 +104,20 @@ def test_train_is_deterministic(tmp_path):
     ra = (tmp_path / "a" / "training_log.csv").read_bytes()
     rb = (tmp_path / "b" / "training_log.csv").read_bytes()
     assert ra == rb
+
+
+def test_train_bytes_match_reference_update(tmp_path, monkeypatch):
+    # the live-row Adam step in ppo_update writes the same training bytes
+    # as the dense, array-building reference update
+    def run(name):
+        res = train(quick_config(rounds=30), out_dir=str(tmp_path / name), seed=29, iterations=4)
+        paths = (tmp_path / name / "training_log.csv", res.records_path, res.checkpoint_path)
+        return [open(path, "rb").read() for path in paths]
+
+    fast = run("fast")
+    monkeypatch.setattr(adversary, "ppo_update", lambda trajectory, state, update_seed=0: (
+        oracles.ppo_update_reference(trajectory, state, update_seed), {}))
+    assert run("reference") == fast
 
 
 def test_train_seeds_differ():
