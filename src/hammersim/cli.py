@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
     exp = _load(args)
     g = exp.get
     path = _find_records(exp, args.out)
-    records, _ = read_round_records(path)
+    records, header = read_round_records(path)
     if not records:
         raise ConfigError(f"records file {path!r} holds no rounds")
 
@@ -167,6 +167,12 @@ def cmd_simulate(args) -> int:
     spec = make_mlp_spec(
         g("federation", "in_dim"), g("federation", "hidden_dim"), g("federation", "out_dim")
     )
+    recorded = header.get("total_params")
+    if recorded is not None and recorded != str(spec.total_params):
+        raise ConfigError(
+            f"records file {path!r} was written for a {recorded}-parameter model, "
+            f"but the config's model has {spec.total_params} parameters"
+        )
     mapping = exp.dram_mapping()
     capacity = g("memory", "capacity_bytes") or None
     layout = build_layout(

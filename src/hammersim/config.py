@@ -17,8 +17,7 @@ from .channel import ChannelConfig, resampled_length
 from .dram import DramConfig, ThresholdTable, TrrConfig, builtin_thresholds, read_threshold_file
 from .federation import make_mlp_spec
 from .memlayout import DramMapping, build_layout
-from .metrics import BandwidthModel, topk_count
-from .replay import update_bytes
+from .metrics import BandwidthModel, topk_count, update_bytes
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "SCHEMA"]
 
@@ -380,7 +379,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"bad [memory] settings: {exc}") from exc
     entries = min(spec.total_params, g("federation", "n_clients") * topk_count(p, spec.total_params))
-    largest = update_bytes(spec, entries, g("metrics", "metadata_bytes_per_entry"))
+    largest = update_bytes(entries, spec.uniform_precision_bits, g("metrics", "metadata_bytes_per_entry"))
     if largest > g("memory", "ingress_bytes"):
         raise ConfigError(
             f"[memory] ingress_bytes = {g('memory', 'ingress_bytes')} cannot hold an update of "

@@ -2,14 +2,15 @@
 
 The server holds a flat parameter vector theta.  Each round, every client
 runs local gradient descent on its (possibly perturbed) shard, keeps the
-top-k entries of its delta by magnitude, and sends them up.  The server
-accumulates contributions per index, averages, and writes the result back
-into theta.  The round's record (the union of client index sets) is what
-replay later turns into the server's buffer accesses.
+top-k entries of its delta by magnitude, and sends them up as one row of
+a (clients, k) pair of index and value arrays.  The server accumulates
+contributions per index, averages, and writes the result back into theta.
+The round's record (the union of client index sets) is what replay later
+turns into the server's buffer accesses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +23,6 @@ __all__ = [
     "LayerSpec",
     "ModelSpec",
     "make_mlp_spec",
-    "ParameterStore",
-    "SparseUpdate",
     "RoundRecord",
     "FederationState",
     "init_federation",
@@ -31,7 +30,6 @@ __all__ = [
     "sparsify_topk",
     "aggregate",
     "run_round",
-    "RoundResult",
     "write_round_records",
     "read_round_records",
 ]
@@ -59,7 +57,6 @@ class ModelSpec:
     """Ordered layer list; the flat parameter space concatenates them."""
 
     layers: tuple[LayerSpec, ...]
-    tensor_count: int | None = None
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -98,45 +95,7 @@ def make_mlp_spec(in_dim: int, hidden_dim: int, out_dim: int) -> ModelSpec:
             LayerSpec("w2", hidden_dim * out_dim, 32),
             LayerSpec("b2", out_dim, 32),
         ),
-        tensor_count=4,
     )
-
-
-class ParameterStore:
-    """Flat float64 parameter vector bound to a ModelSpec."""
-
-    def __init__(self, spec: ModelSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (spec.total_params,):
-            raise ValueError(f"values shape {values.shape} != ({spec.total_params},)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite parameter values")
-        self.spec = spec
-        self.values = values
-
-
-@dataclass(frozen=True)
-class SparseUpdate:
-    """Top-k slice of one client's round delta. Indices sorted ascending."""
-
-    round_number: int
-    client_id: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be matching 1-D arrays")
-        if idx.size == 0:
-            raise ValueError("empty sparse update")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("non-finite update values")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
 
 
 @dataclass(frozen=True)
@@ -162,11 +121,12 @@ class RoundRecord:
 class FederationState:
     """Server parameters plus the client stack.
 
-    Client c's shard is (x[c], y[c]); k is the per-client top-k count.
+    theta is the flat parameter vector; client c's shard is (x[c], y[c]);
+    k is the per-client top-k count.
     """
 
     spec: ModelSpec
-    params: ParameterStore
+    theta: np.ndarray
     x: np.ndarray  # (n_clients, shard_size, in_dim)
     y: np.ndarray  # (n_clients, shard_size)
     k: int
@@ -183,7 +143,6 @@ class FederationState:
 
 
 def init_federation(
-    model_spec: ModelSpec,
     n_clients: int,
     seed: int,
     *,
@@ -207,11 +166,7 @@ def init_federation(
         raise ValueError(f"shard_size must be positive, got {shard_size}")
     if learning_rate < 0:
         raise ValueError("learning_rate must be >= 0")
-    expected = make_mlp_spec(in_dim, hidden_dim, out_dim)
-    if tuple(l.element_count for l in model_spec.layers) != tuple(
-        l.element_count for l in expected.layers
-    ):
-        raise ValueError("model_spec does not match the given mlp dimensions")
+    spec = make_mlp_spec(in_dim, hidden_dim, out_dim)
 
     init_rng = generator(seed, "model-init")
     scale = 1.0 / np.sqrt(in_dim)
@@ -219,7 +174,7 @@ def init_federation(
     b1 = np.zeros(hidden_dim)
     w2 = init_rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=hidden_dim * out_dim)
     b2 = np.zeros(out_dim)
-    params = ParameterStore(model_spec, np.concatenate([w1, b1, w2, b2]))
+    theta = np.concatenate([w1, b1, w2, b2])
 
     teacher_rng = generator(seed, "teacher")
     teacher = teacher_rng.normal(0.0, 1.0, size=(in_dim, out_dim))
@@ -232,11 +187,11 @@ def init_federation(
         y[c] = np.argmax(logits, axis=1)
 
     return FederationState(
-        spec=model_spec,
-        params=params,
+        spec=spec,
+        theta=theta,
         x=x,
         y=y,
-        k=metrics.topk_count(sparsity, model_spec.total_params),
+        k=metrics.topk_count(sparsity, spec.total_params),
         learning_rate=float(learning_rate),
         seed=int(seed),
         in_dim=in_dim,
@@ -254,25 +209,18 @@ def _unpack(fed: FederationState, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
-def local_train(
-    fed: FederationState,
-    global_params: ParameterStore,
-    input_batch: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """One full-batch gradient step for every client at once.
+def local_train(fed: FederationState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One full-batch gradient step from fed.theta for every client at once.
 
-    input_batch is the client stack (x, y) of shapes (C, n, in_dim) and
-    (C, n).  Returns the (C, M) dense deltas (-lr * grad), row c for
-    client c.  Each client's arithmetic is the same as a pass over its
-    own shard alone: the products are per-client matrix products and the
-    sums run over that client's samples only.
+    x and y are the client stack, of shapes (C, n, in_dim) and (C, n).
+    Returns the (C, M) dense deltas (-lr * grad), row c for client c.
+    Each client's arithmetic is the same as a pass over its own shard
+    alone: the products are per-client matrix products and the sums run
+    over that client's samples only.
     """
-    x, y = input_batch
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if x.ndim != 3 or x.shape[2] != fed.in_dim or y.shape != x.shape[:2]:
         raise ValueError(f"bad batch shapes {x.shape}, {y.shape}")
-    w1, b1, w2, b2 = _unpack(fed, global_params.values)
+    w1, b1, w2, b2 = _unpack(fed, fed.theta)
     clients, n, _ = x.shape
 
     pre = x @ w1 + b1
@@ -292,20 +240,21 @@ def local_train(
     grad = np.concatenate(
         [g_w1.reshape(clients, -1), g_b1, g_w2.reshape(clients, -1), g_b2], axis=1
     )
-    finite = np.isfinite(grad).all(axis=1)
+    delta = -fed.learning_rate * grad
+    # catches a non-finite gradient and a learning rate that overflows it
+    finite = np.isfinite(delta).all(axis=1)
     if not finite.all():
-        raise ValueError(f"client {int(np.argmin(finite))}: non-finite gradient")
-    return -fed.learning_rate * grad
+        raise ValueError(f"client {int(np.argmin(finite))}: non-finite update")
+    return delta
 
 
-def sparsify_topk(delta: np.ndarray, k: int, round_number: int) -> list[SparseUpdate]:
+def sparsify_topk(delta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep the k largest-magnitude entries of every row of a (C, M) delta.
 
-    Row c becomes client c's update.  Ties in magnitude resolve to the
-    lower index, as in a stable descending sort; each update's indices
-    are sorted ascending.
+    Returns (indices, values), both (C, k): row c is client c's update,
+    its indices ascending.  Ties in magnitude resolve to the lower index,
+    as in a stable descending sort.
     """
-    delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 2 or delta.size == 0:
         raise ValueError("delta must be a nonempty (clients, params) array")
     clients, m = delta.shape
@@ -321,59 +270,40 @@ def sparsify_topk(delta: np.ndarray, k: int, round_number: int) -> list[SparseUp
     for c in np.flatnonzero(surplus):
         ties = np.flatnonzero(av[c] == cut[c])
         keep[c, ties[ties.size - surplus[c]:]] = False
-    chosen = np.flatnonzero(keep).reshape(clients, k) % m
-    values = np.take_along_axis(delta, chosen, axis=1)
-    return [SparseUpdate(round_number, c, chosen[c], values[c]) for c in range(clients)]
+    indices = np.flatnonzero(keep).reshape(clients, k) % m
+    return indices, np.take_along_axis(delta, indices, axis=1)
 
 
-def aggregate(store: ParameterStore, updates: list[SparseUpdate]) -> ParameterStore:
-    """Mean-of-contributions aggregation; returns the new params.
+def aggregate(theta: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mean-of-contributions aggregation; returns the new parameter vector.
 
-    Updates are consumed in ascending client_id order regardless of input
-    order.  Per touched index: accumulated sum / contribution count is
-    added to theta.
+    indices and values are (C, k), row c client c's update with no index
+    twice.  Per touched index, the sum of the contributions (added in
+    client order) over their count is added to theta.
     """
-    if not updates:
-        raise ValueError("aggregate needs at least one update")
-    rounds = {u.round_number for u in updates}
-    if len(rounds) != 1:
-        raise ValueError(f"updates span rounds {sorted(rounds)}")
-    ids = [u.client_id for u in updates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client_id in round updates")
-    m = store.spec.total_params
-
-    sums = np.zeros(m)
-    counts = np.zeros(m, dtype=np.int64)
-    for u in sorted(updates, key=lambda u: u.client_id):
-        if u.indices[-1] >= m:
-            raise ValueError(f"client {u.client_id}: index out of range")
-        sums[u.indices] += u.values
-        counts[u.indices] += 1
-
+    sums = np.zeros(theta.size)
+    for c in range(indices.shape[0]):
+        sums[indices[c]] += values[c]
+    counts = np.bincount(indices.ravel(), minlength=theta.size)
     touched = np.flatnonzero(counts)
-    new_values = store.values.copy()
-    new_values[touched] += sums[touched] / counts[touched]
-    return ParameterStore(store.spec, new_values)
-
-
-@dataclass
-class RoundResult:
-    record: RoundRecord
-    updates: list[SparseUpdate] = field(repr=False, default_factory=list)
+    new_theta = theta.copy()
+    new_theta[touched] += sums[touched] / counts[touched]
+    if not np.isfinite(new_theta[touched]).all():
+        raise ValueError("aggregation left non-finite parameter values")
+    return new_theta
 
 
 def run_round(
     fed: FederationState,
     perturbation: np.ndarray | None = None,
     channel_cfg: channel_mod.ChannelConfig | None = None,
-) -> RoundResult:
-    """One communication round; advances fed.round_number and theta.
+) -> RoundRecord:
+    """One communication round; advances fed.round_number and fed.theta.
 
     perturbation is an input-space delta added to every sample of a
     client's shard through the channel model: shape (in_dim,) for all
     clients alike, or (n_clients, in_dim) for one row per client.  All
-    clients train in one batched pass.
+    clients train in one batched pass.  Returns the round's record.
     """
     t = fed.round_number
     x = fed.x
@@ -385,15 +315,10 @@ def run_round(
         else:
             rngs = [generator(fed.seed, "channel", t, c) for c in range(fed.n_clients)]
             x = channel_mod.audio_channel(x, d, channel_cfg, rngs)
-    dense = local_train(fed, fed.params, (x, fed.y))
-    updates = sparsify_topk(dense, fed.k, t)
-
-    fed.params = aggregate(fed.params, updates)
+    indices, values = sparsify_topk(local_train(fed, x, fed.y), fed.k)
+    fed.theta = aggregate(fed.theta, indices, values)
     fed.round_number = t + 1
-
-    union = np.unique(np.concatenate([u.indices for u in updates]))
-    record = RoundRecord(t, union)
-    return RoundResult(record, updates)
+    return RoundRecord(t, np.unique(indices))
 
 
 def write_round_records(path, records: list[RoundRecord], header: dict[str, str] | None = None) -> None:

@@ -26,7 +26,7 @@ __all__ = [
     "compute_rur",
     "compute_cd",
     "BandwidthModel",
-    "update_size",
+    "update_bytes",
     "h_max",
     "expected_activations",
     "feasibility_verdict",
@@ -154,24 +154,19 @@ class BandwidthModel:
         return Fraction(self.bytes_per_second) * dt
 
 
-def update_size(
-    total_params: int,
-    sparsity: float | str | Fraction,
-    precision_bits: int,
-    metadata_bytes_per_entry: int = 0,
-) -> Fraction:
-    """Bytes on the wire for one sparse update (exact rational).
+def update_bytes(k: int, precision_bits: int, metadata_bytes_per_entry: int = 0) -> int:
+    """Whole bytes on the wire for one sparse update of k entries.
 
-    Value payload only by default: k entries at the model precision.  Real
-    encodings add per-entry index metadata; the knob adds a flat
-    metadata_bytes_per_entry on top when a caller wants that accounted.
+    The k values packed at the model precision, rounded up to a whole
+    byte.  Real encodings add per-entry index metadata; the knob adds a
+    flat metadata_bytes_per_entry on top when a caller wants that
+    accounted.
     """
     if precision_bits not in (4, 8, 32):
         raise ValueError(f"unsupported precision {precision_bits}")
     if metadata_bytes_per_entry < 0:
         raise ValueError("metadata_bytes_per_entry must be >= 0")
-    k = topk_count(sparsity, total_params)
-    return Fraction(k * precision_bits, 8) + Fraction(k * metadata_bytes_per_entry)
+    return -(-(k * precision_bits) // 8) + k * metadata_bytes_per_entry
 
 
 def h_max(
@@ -268,7 +263,7 @@ class FeasibilityRow:
     tensor_count: int
     precision_bits: int
     k: int
-    update_bytes: Fraction
+    update_bytes: int
     hmax: int
     cap_exceeded: bool
     rur: str | None = None
@@ -293,8 +288,7 @@ def feasibility_rows(
     for preset in models:
         for p in sparsities:
             k = topk_count(p, preset.total_params)
-            size = update_size(preset.total_params, p, preset.precision_bits,
-                               metadata_bytes_per_entry)
+            size = update_bytes(k, preset.precision_bits, metadata_bytes_per_entry)
             hm, capped = h_max(bw, size, refresh_period_s, act_cap)
             row = FeasibilityRow(
                 model=preset.name,

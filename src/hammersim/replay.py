@@ -30,11 +30,11 @@ from .dram import (
     VulnerabilityMap,
     simulate_trace,
 )
-from .federation import ModelSpec, RoundRecord
+from .federation import RoundRecord
 from .memlayout import SCRIPT_REGIONS, AccessScript, EventColumns, MemoryLayout, trace_update_processing
 from .metrics import BandwidthModel
 
-__all__ = ["BLOCK_INDICES", "ReplaySummary", "update_bytes", "round_script", "replay_records"]
+__all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "replay_records"]
 
 
 # Rounds become events a block at a time.  A block holds whole consecutive
@@ -49,11 +49,6 @@ _RUN_OP_REGIONS = np.array([SCRIPT_REGIONS.index(name) for name in (
     "accumulator", "accumulator", "accumulator", "writeback", "values")])
 _RUN_OP_WRITES = np.array([False, True, False, True, True])
 _RUN_OP_WRITEBACK = np.array([False, False, True, True, True])
-
-
-def update_bytes(spec: ModelSpec, k: int, metadata_bytes_per_entry: int) -> int:
-    """Bytes of one replayed update of k entries: packed values plus metadata."""
-    return -(-(k * spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
 
 
 def round_script(
@@ -72,6 +67,7 @@ def round_script(
         raise ValueError("no rounds to script")
     spec = layout.spec
     n_params = spec.total_params
+    bits = spec.uniform_precision_bits
     ingress_size = layout.region("ingress").size_bytes
     sizes, ring = [], []
     round_bounds = [0]  # where each round's indices start in the block, then the end
@@ -83,7 +79,7 @@ def round_script(
         if idx[0] < 0 or idx[-1] >= n_params:
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise ValueError(f"round {record.round_number}: index {bad} outside the model [0, {n_params})")
-        size = update_bytes(spec, idx.size, metadata_bytes_per_entry)
+        size = metrics.update_bytes(idx.size, bits, metadata_bytes_per_entry)
         if size > ingress_size:
             raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
         if offset + size > ingress_size:
@@ -219,7 +215,8 @@ def replay_records(
     """
     if not records:
         raise ValueError("no rounds to replay")
-    total_bytes = sum(update_bytes(layout.spec, r.indices.size, metadata_bytes_per_entry) for r in records)
+    bits = layout.spec.uniform_precision_bits
+    total_bytes = sum(metrics.update_bytes(r.indices.size, bits, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
     hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
     result = simulate_trace(

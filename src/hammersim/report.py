@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .config import ConfigError
 from .dram import ThresholdTable
-from .metrics import FeasibilityRow, to_kilo
+from .metrics import FeasibilityRow, feasibility_verdict, to_kilo
 
 __all__ = [
     "GOLDEN_FEASIBILITY",
@@ -59,8 +59,6 @@ def fill_verdicts(rows: list[FeasibilityRow], table: ThresholdTable) -> None:
     mean of the single-sided thresholds; per pattern, the update stream
     suffices when E[A] reaches that pattern's single-sided threshold.
     """
-    from .metrics import feasibility_verdict
-
     min_t = table.min_single()
     mean_t = table.reference_mean()
     for row in rows:
@@ -102,25 +100,23 @@ def _pct(value: str | Fraction, digits: int) -> str:
     return f"{float(Fraction(value)) * 100:.{digits}f}".rstrip("0").rstrip(".")
 
 
+def _budget_grid(rows: list[FeasibilityRow]) -> tuple[list[str], dict[str, dict[str, FeasibilityRow]]]:
+    """Sparsity levels, and each model's rows keyed by sparsity, both in row order."""
+    sparsities = list(dict.fromkeys(r.sparsity for r in rows))
+    by_model: dict[str, dict[str, FeasibilityRow]] = {}
+    for r in rows:
+        by_model.setdefault(r.model, {})[r.sparsity] = r
+    return sparsities, by_model
+
+
 def format_budget_table(rows: list[FeasibilityRow]) -> str:
     """Per-model activation budgets, one line per model, K units."""
-    sparsities = []
-    for r in rows:
-        if r.sparsity not in sparsities:
-            sparsities.append(r.sparsity)
-    by_model: dict[str, dict[str, FeasibilityRow]] = {}
-    order = []
-    for r in rows:
-        if r.model not in by_model:
-            by_model[r.model] = {}
-            order.append(r.model)
-        by_model[r.model][r.sparsity] = r
+    sparsities, by_model = _budget_grid(rows)
     head = ["model", "params(M)", "tensors", "precision"] + [
         f"hmax@{_pct(p, 2)}%(K)" for p in sparsities
     ]
     lines = ["  ".join(f"{h:<18}" if i == 0 else f"{h:>12}" for i, h in enumerate(head))]
-    for model in order:
-        per = by_model[model]
+    for model, per in by_model.items():
         any_row = next(iter(per.values()))
         cells = [
             f"{model:<18}",
@@ -167,21 +163,11 @@ def write_feasibility_files(out_dir: str, rows: list[FeasibilityRow]) -> dict[st
         f.write(text)
 
     outputs["budget_csv"] = "budget.csv"
-    sparsities = []
-    for r in rows:
-        if r.sparsity not in sparsities:
-            sparsities.append(r.sparsity)
+    sparsities, by_model = _budget_grid(rows)
     with open(os.path.join(out_dir, outputs["budget_csv"]), "w", encoding="ascii") as f:
         cols = ",".join(f"hmax_k_at_{_pct(p, 2)}pct" for p in sparsities)
         f.write(f"model,params_millions,tensors,precision_bits,{cols}\n")
-        seen = []
-        by_model: dict[str, dict[str, FeasibilityRow]] = {}
-        for r in rows:
-            by_model.setdefault(r.model, {})[r.sparsity] = r
-            if r.model not in seen:
-                seen.append(r.model)
-        for model in seen:
-            per = by_model[model]
+        for model, per in by_model.items():
             any_row = next(iter(per.values()))
             vals = ",".join(str(to_kilo(per[p].hmax)) if p in per else "" for p in sparsities)
             f.write(

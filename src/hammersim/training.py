@@ -49,8 +49,8 @@ class AttackEnv:
         g = exp.get
         self.in_dim = g("federation", "in_dim")
         self.n_clients = g("federation", "n_clients")
-        self.spec = make_mlp_spec(self.in_dim, g("federation", "hidden_dim"), g("federation", "out_dim"))
-        self.total_params = self.spec.total_params
+        dims = {key: g("federation", key) for key in ("in_dim", "hidden_dim", "out_dim")}
+        self.total_params = make_mlp_spec(**dims).total_params
         self.seed = seed
         self.channel_cfg: ChannelConfig = exp.channel_config()
         self.reward_cfg = exp.reward_config()
@@ -58,9 +58,7 @@ class AttackEnv:
         self.epsilon = g("adversary", "epsilon")
         self.latent_dim = g("adversary", "latent_dim")
         self._init_kwargs = dict(
-            in_dim=self.in_dim,
-            hidden_dim=g("federation", "hidden_dim"),
-            out_dim=g("federation", "out_dim"),
+            dims,
             shard_size=g("federation", "shard_size"),
             sparsity=g("federation", "sparsity"),
             learning_rate=g("federation", "learning_rate"),
@@ -76,7 +74,7 @@ class AttackEnv:
         return self.in_dim + self.total_params
 
     def reset(self) -> np.ndarray:
-        self.fed = init_federation(self.spec, self.n_clients, self.seed, **self._init_kwargs)
+        self.fed = init_federation(self.n_clients, self.seed, **self._init_kwargs)
         if self.x_summary is None:
             self.x_summary = np.mean(self.fed.x.reshape(-1, self.in_dim), axis=0)
             if self.modality == "audio" and self.reward_cfg.lambda1 != 0.0:
@@ -97,16 +95,16 @@ class AttackEnv:
         after the warmup rounds of the first episode.
         """
         delta = self.action_to_delta(np.asarray(z, dtype=np.float64))
-        res = run_round(self.fed, delta, self.channel_cfg)
-        u = res.record.indices
+        record = run_round(self.fed, delta, self.channel_cfg)
+        u = record.indices
         breakdown = compute_reward(
             self.u_prev, u, self.window, delta, self.x_summary,
             self.reward_cfg, self.modality, self.total_params,
             clean_spectrum=self.clean_spectrum,
         )
         self.u_prev = u
-        obs = build_observation(self.x_summary, res.record.mask(self.total_params))
-        return obs, breakdown, res.record
+        obs = build_observation(self.x_summary, record.mask(self.total_params))
+        return obs, breakdown, record
 
 
 @dataclass(frozen=True)

@@ -938,9 +938,26 @@ def reference_round(fed: FederationState, delta=None, channel_cfg: ChannelConfig
             x = np.stack([emulate_audio_channel(row, d, channel_cfg, rng) for row in x])
         elif delta is not None:
             x = x + d[None, :]
-        dense = local_train_client(fed, fed.params.values, x, y)
+        dense = local_train_client(fed, fed.theta, x, y)
         updates.append(sparsify_client(dense, fed.k))
     return updates
+
+
+def reference_aggregate(theta: np.ndarray, updates) -> np.ndarray:
+    """Mean-of-contributions aggregation over a client list of (indices, values).
+
+    Clients are added in list order; per touched index, the accumulated
+    sum over the contribution count is added to a copy of theta.
+    """
+    sums = np.zeros(theta.size)
+    counts = np.zeros(theta.size, dtype=np.int64)
+    for indices, values in updates:
+        sums[indices] += values
+        counts[indices] += 1
+    touched = np.flatnonzero(counts)
+    new_theta = theta.copy()
+    new_theta[touched] += sums[touched] / counts[touched]
+    return new_theta
 
 
 # ---------------------------------------------------------------------------

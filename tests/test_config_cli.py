@@ -1,6 +1,8 @@
 """Configuration parsing/validation and command-line behavior."""
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -365,6 +367,42 @@ def test_simulate_requires_records(tmp_path, monkeypatch, capsys):
     assert "records file" in capsys.readouterr().err
 
 
+def test_simulate_rejects_records_of_another_model(tmp_path, capsys):
+    records = tmp_path / "records.txt"
+
+    def cfg(name, hidden_dim):
+        return _write_cfg(tmp_path, f"""\
+            [run]
+            iterations = 1
+            rounds_per_episode = 8
+            records_file = {records}
+
+            [federation]
+            in_dim = 24
+            hidden_dim = {hidden_dim}
+            shard_size = 6
+
+            [adversary]
+            stft_frame = 16
+            stft_hop = 8
+            warmup_rounds = 4
+            """, name)
+
+    assert main(["train", "--config", cfg("train.ini", 10), "--out", str(tmp_path / "t")]) == 0
+    capsys.readouterr()
+    total = 24 * 10 + 10 + 10 * 3 + 3  # w1, b1, w2, b2 with the default 3 outputs
+    assert f"# total_params={total}\n" in records.read_text()
+    # a larger model holds every recorded index, a smaller one does not;
+    # both are a different model from the one that wrote the records
+    for name, hidden_dim in (("larger", 40), ("smaller", 2)):
+        out = tmp_path / f"sim-{name}"
+        assert main(["simulate", "--config", cfg(f"{name}.ini", hidden_dim), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"written for a {total}-parameter model" in err, err
+        assert not out.exists()
+    assert main(["simulate", "--config", cfg("same.ini", 10), "--out", str(tmp_path / "sim-same")]) == 0
+
+
 def test_report_without_manifests(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -501,6 +539,17 @@ def test_console_script_installed(tmp_path):
         f"from {module} import {attr}; sys.exit({attr}())"
     )
     _run_golden_feasibility([sys.executable, "-c", wrapper], tmp_path)
+
+
+def test_every_exported_name_resolves():
+    modules = [info.name for info in pkgutil.iter_modules(hammersim.__path__)]
+    assert "federation" in modules and "cli" in modules
+    for name in modules:
+        module = importlib.import_module(f"hammersim.{name}")
+        exported = getattr(module, "__all__", [])
+        assert len(set(exported)) == len(exported), f"hammersim.{name}.__all__ repeats a name"
+        stale = [attr for attr in exported if not hasattr(module, attr)]
+        assert not stale, f"hammersim.{name}.__all__ names missing {stale}"
 
 
 def test_package_imports_numpy_only(tmp_path):

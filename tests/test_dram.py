@@ -1,4 +1,6 @@
 """Unit tests for the open-row engine, refresh, TRR and flip rules."""
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,13 @@ def test_threshold_file_roundtrip(tmp_path):
     back = read_threshold_file(path)
     assert back.published_average == 240_000
     assert back.entries == builtin_thresholds().entries
+
+
+def test_packaged_threshold_file_matches_builtin_table():
+    packaged = read_threshold_file(resources.files("hammersim") / "data" / "thresholds_ddr4.txt")
+    builtin = builtin_thresholds()
+    assert packaged.entries == builtin.entries  # same classes, thresholds and order
+    assert packaged.published_average == builtin.published_average == 240_000
 
 
 def test_threshold_file_rejects_incomplete(tmp_path):

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
+from hammersim import federation
 from hammersim.channel import ChannelConfig
 from hammersim.federation import (
     RoundRecord,
-    SparseUpdate,
     aggregate,
     init_federation,
     local_train,
@@ -21,6 +21,7 @@ from hammersim.replay import round_script
 from hammersim.seeding import generator
 
 from oracles import (
+    reference_aggregate,
     emulate_audio_channel,
     layer_of,
     local_train_client,
@@ -31,8 +32,7 @@ from oracles import (
 
 
 def small_fed(seed=1, n_clients=3, in_dim=20, hidden=8, out=3, sparsity="0.05"):
-    spec = make_mlp_spec(in_dim, hidden, out)
-    return init_federation(spec, n_clients, seed, in_dim=in_dim, hidden_dim=hidden,
+    return init_federation(n_clients, seed, in_dim=in_dim, hidden_dim=hidden,
                            out_dim=out, shard_size=8, sparsity=sparsity)
 
 
@@ -55,8 +55,8 @@ def test_init_is_deterministic_per_seed():
     a = small_fed(seed=5)
     b = small_fed(seed=5)
     c = small_fed(seed=6)
-    np.testing.assert_array_equal(a.params.values, b.params.values)
-    assert not np.array_equal(a.params.values, c.params.values)
+    np.testing.assert_array_equal(a.theta, b.theta)
+    assert not np.array_equal(a.theta, c.theta)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.y, b.y)
 
@@ -70,6 +70,8 @@ def test_shards_are_distinct_across_clients():
 def test_topk_count_is_fixed_at_init():
     fed = small_fed(sparsity="0.05")
     assert fed.k == topk_count("0.05", fed.spec.total_params) == 10
+    assert fed.spec == make_mlp_spec(20, 8, 3)
+    assert fed.theta.shape == (fed.spec.total_params,)
 
 
 # -- local training ---------------------------------------------------------
@@ -77,9 +79,9 @@ def test_topk_count_is_fixed_at_init():
 def test_local_train_matches_finite_difference_gradient():
     fed = small_fed(seed=9)
     x, y = fed.x[0], fed.y[0]
-    delta = local_train(fed, fed.params, (fed.x, fed.y))[0]
+    delta = local_train(fed, fed.x, fed.y)[0]
     grad = -delta / fed.learning_rate
-    theta = fed.params.values
+    theta = fed.theta
     rng = generator(9, "fd-pick")
     eps = 1e-6
     for i in rng.choice(theta.size, size=15, replace=False):
@@ -94,9 +96,9 @@ def test_local_train_matches_finite_difference_gradient():
 def test_local_train_descends():
     fed = small_fed(seed=2)
     x, y = fed.x[1], fed.y[1]
-    before = model_loss(fed, fed.params.values, x, y)
-    delta = local_train(fed, fed.params, (fed.x, fed.y))[1]
-    after = model_loss(fed, fed.params.values + delta, x, y)
+    before = model_loss(fed, fed.theta, x, y)
+    delta = local_train(fed, fed.x, fed.y)[1]
+    after = model_loss(fed, fed.theta + delta, x, y)
     assert after < before
 
 
@@ -111,28 +113,26 @@ def stable_topk(delta, k):
 def test_sparsify_matches_stable_sort():
     rng = generator(4, "topk")
     d = rng.standard_normal((20, 200))
-    updates = sparsify_topk(d, 10, 0)
-    for c, u in enumerate(updates):
-        assert u.client_id == c
-        np.testing.assert_array_equal(u.indices, stable_topk(d[c], 10))
-        np.testing.assert_array_equal(u.values, d[c, u.indices])
+    indices, values = sparsify_topk(d, 10)
+    assert indices.shape == values.shape == (20, 10)
+    for c in range(20):
+        np.testing.assert_array_equal(indices[c], stable_topk(d[c], 10))
+        np.testing.assert_array_equal(values[c], d[c, indices[c]])
 
 
 def test_sparsify_tie_handling():
     # heavy ties at the cut magnitude must resolve to the lowest indices
     d = np.array([1.0, -2.0, 2.0, 2.0, -2.0, 0.5, 2.0, 3.0])
-    (u,) = sparsify_topk(d[None, :], 4, 0)
-    np.testing.assert_array_equal(u.indices, stable_topk(d, 4))
-    np.testing.assert_array_equal(u.indices, [1, 2, 3, 7])
+    (indices,), _ = sparsify_topk(d[None, :], 4)
+    np.testing.assert_array_equal(indices, stable_topk(d, 4))
+    np.testing.assert_array_equal(indices, [1, 2, 3, 7])
 
 
 def test_sparsify_full_density():
     d = np.arange(1.0, 16.0).reshape(3, 5)
-    updates = sparsify_topk(d, 5, 3)
-    for c, u in enumerate(updates):
-        np.testing.assert_array_equal(u.indices, np.arange(5))
-        np.testing.assert_array_equal(u.values, d[c])
-        assert u.round_number == 3 and u.client_id == c
+    indices, values = sparsify_topk(d, 5)
+    np.testing.assert_array_equal(indices, np.tile(np.arange(5), (3, 1)))
+    np.testing.assert_array_equal(values, d)
 
 
 def test_sparsify_ties_straddle_cut_in_one_client_only():
@@ -143,14 +143,12 @@ def test_sparsify_ties_straddle_cut_in_one_client_only():
         [0.5, -2.0, 3.0, 2.5, 0.1, -2.2, 1.5, 0.0, 4.0, 1.0],
         [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
     ])
-    updates = sparsify_topk(d, 4, 0)
-    np.testing.assert_array_equal(updates[0].indices, [1, 2, 3, 8])
-    np.testing.assert_array_equal(updates[1].indices, [2, 3, 5, 8])
-    np.testing.assert_array_equal(updates[2].indices, [0, 1, 2, 3])
-    for c, u in enumerate(updates):
+    indices, values = sparsify_topk(d, 4)
+    np.testing.assert_array_equal(indices, [[1, 2, 3, 8], [2, 3, 5, 8], [0, 1, 2, 3]])
+    for c in range(3):
         want_idx, want_val = sparsify_client(d[c], 4)
-        np.testing.assert_array_equal(u.indices, want_idx)
-        np.testing.assert_array_equal(u.values, want_val)
+        np.testing.assert_array_equal(indices[c], want_idx)
+        np.testing.assert_array_equal(values[c], want_val)
 
 
 def test_sparsify_matches_per_client_reference_on_quantised_deltas():
@@ -158,40 +156,45 @@ def test_sparsify_matches_per_client_reference_on_quantised_deltas():
     rng = generator(21, "topk-ties")
     for k in (1, 7, 30, 59, 60):
         d = rng.integers(-6, 7, size=(6, 60)) / 4.0
-        for c, u in enumerate(sparsify_topk(d, k, 2)):
+        indices, values = sparsify_topk(d, k)
+        for c in range(6):
             want_idx, want_val = sparsify_client(d[c], k)
-            np.testing.assert_array_equal(u.indices, want_idx)
-            np.testing.assert_array_equal(u.values, want_val)
+            np.testing.assert_array_equal(indices[c], want_idx)
+            np.testing.assert_array_equal(values[c], want_val)
 
 
 def test_sparsify_rejects_bad_input():
     with pytest.raises(ValueError):
-        sparsify_topk(np.ones(5), 2, 0)  # one client still needs a (1, M) stack
+        sparsify_topk(np.ones(5), 2)  # one client still needs a (1, M) stack
     with pytest.raises(ValueError, match="out of range"):
-        sparsify_topk(np.ones((2, 5)), 0, 0)
+        sparsify_topk(np.ones((2, 5)), 0)
     with pytest.raises(ValueError, match="out of range"):
-        sparsify_topk(np.ones((2, 5)), 6, 0)
+        sparsify_topk(np.ones((2, 5)), 6)
 
 
 def test_local_train_matches_per_client_reference_exactly():
     fed = small_fed(seed=10, n_clients=4)
-    dense = local_train(fed, fed.params, (fed.x, fed.y))
+    dense = local_train(fed, fed.x, fed.y)
     assert dense.shape == (4, fed.spec.total_params)
     for c in range(4):
-        want = local_train_client(fed, fed.params.values, fed.x[c], fed.y[c])
+        want = local_train_client(fed, fed.theta, fed.x[c], fed.y[c])
         np.testing.assert_array_equal(dense[c], want)
 
 
 def test_local_train_rejects_bad_batches():
     fed = small_fed()
     with pytest.raises(ValueError):
-        local_train(fed, fed.params, (fed.x[0], fed.y[0]))  # 2-D shard, not a stack
+        local_train(fed, fed.x[0], fed.y[0])  # 2-D shard, not a stack
     with pytest.raises(ValueError):
-        local_train(fed, fed.params, (fed.x, fed.y[:, :-1]))
+        local_train(fed, fed.x, fed.y[:, :-1])
     x = fed.x.copy()
     x[1, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="client 1"):
-        local_train(fed, fed.params, (x, fed.y))
+        local_train(fed, x, fed.y)
+    # every gradient is finite, but a huge step size overflows some of them
+    fed.learning_rate = np.finfo(np.float64).max
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="client 0: non-finite"):
+        local_train(fed, 1e3 * fed.x, fed.y)
 
 
 # -- run splitting of record indices (replay script) ------------------------
@@ -227,47 +230,78 @@ def test_aggregate_mean_of_contributions():
     fed = small_fed()
     m = fed.spec.total_params
     eye = np.eye(m)
-    u0, u1 = sparsify_topk(np.stack([eye[3] * 4.0 + eye[10] * 2.0, eye[3] * 2.0 + eye[50] * 6.0]), 3, 0)
-    before = fed.params.values.copy()
-    after = aggregate(fed.params, [u0, u1])
-    diff = after.values - before
+    indices, values = sparsify_topk(np.stack([eye[3] * 4.0 + eye[10] * 2.0, eye[3] * 2.0 + eye[50] * 6.0]), 3)
+    before = fed.theta.copy()
+    after = aggregate(fed.theta, indices, values)
+    np.testing.assert_array_equal(fed.theta, before)  # a new vector; theta is left alone
+    diff = after - before
     assert diff[3] == pytest.approx(3.0)  # both touched index 3: mean of 4 and 2
     assert diff[10] == pytest.approx(2.0)
     assert diff[50] == pytest.approx(6.0)
     assert np.count_nonzero(diff) == 3
 
 
-def test_aggregate_order_invariant():
+def test_aggregate_matches_client_list_reference():
     fed = small_fed()
     rng = generator(12, "agg-order")
-    ups = sparsify_topk(rng.standard_normal((3, fed.spec.total_params)), 10, 0)
-    a = aggregate(fed.params, ups)
-    b = aggregate(fed.params, list(reversed(ups)))
-    np.testing.assert_array_equal(a.values, b.values)
+    # quantised deltas: many clients share an index, so the sums run long
+    indices, values = sparsify_topk(rng.integers(-9, 10, size=(7, fed.spec.total_params)) / 7.0, 40)
+    got = aggregate(fed.theta, indices, values)
+    want = reference_aggregate(fed.theta, list(zip(indices, values)))
+    np.testing.assert_array_equal(got, want)
 
 
-def test_aggregate_rejects_bad_batches():
+def test_aggregate_rejects_non_finite_parameters():
     fed = small_fed()
-    u0 = SparseUpdate(0, 0, np.array([0]), np.array([1.0]))
-    u1 = SparseUpdate(1, 1, np.array([1]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        aggregate(fed.params, [])
-    with pytest.raises(ValueError):
-        aggregate(fed.params, [u0, u1])  # different rounds
-    with pytest.raises(ValueError):
-        aggregate(fed.params, [u0, u0])  # duplicate client
+    big = np.finfo(np.float64).max
+    indices = np.array([[0, 5], [5, 9]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        aggregate(fed.theta, indices, np.array([[1.0, big], [big, 1.0]]))  # the sum at 5 overflows
+    theta = fed.theta.copy()
+    theta[9] = big
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        aggregate(theta, indices, np.array([[1.0, 1.0], [1.0, big]]))
+
+
+def test_run_round_raises_in_the_round_that_overflows():
+    # identical clients send identical updates, each finite, whose sum is not
+    fed = small_fed(seed=6, n_clients=2)
+    fed.x[0] *= 1e3
+    fed.x[1], fed.y[1] = fed.x[0], fed.y[0]
+    grad = np.abs(local_train(fed, fed.x, fed.y)[0]).max() / fed.learning_rate
+    assert grad > 1.0
+    fed.learning_rate = 0.75 * (np.finfo(np.float64).max / grad)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite parameter"):
+        run_round(fed)
+    assert fed.round_number == 0
 
 
 # -- full rounds ------------------------------------------------------------
 
+def round_with_updates(monkeypatch, fed, *args):
+    """run_round's record, plus the (indices, values) its sparsify stage made."""
+    seen = []
+
+    def spy(delta, k):
+        seen.append(sparsify_topk(delta, k))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(federation, "sparsify_topk", spy)
+        record = run_round(fed, *args)
+    (updates,) = seen
+    return record, *updates
+
+
 def test_run_round_advances_state():
     fed = small_fed()
-    theta0 = fed.params.values.copy()
-    res = run_round(fed)
+    theta0 = fed.theta.copy()
+    indices, values = sparsify_topk(local_train(fed, fed.x, fed.y), fed.k)
+    record = run_round(fed)
     assert fed.round_number == 1
-    assert res.record.round_number == 0
-    assert not np.array_equal(fed.params.values, theta0)
-    assert set(res.record.indices.tolist()) == {int(i) for u in res.updates for i in u.indices}
+    assert record.round_number == 0
+    np.testing.assert_array_equal(fed.theta, aggregate(theta0, indices, values))
+    assert set(record.indices.tolist()) == set(indices.ravel().tolist())
 
 
 def test_run_round_perturbation_changes_updates():
@@ -276,7 +310,7 @@ def test_run_round_perturbation_changes_updates():
     r0 = run_round(base)
     delta = np.full(pert.in_dim, 2.0)
     r1 = run_round(pert, delta)
-    assert set(r0.record.indices.tolist()) != set(r1.record.indices.tolist())
+    assert set(r0.indices.tolist()) != set(r1.indices.tolist())
 
 
 def test_run_round_per_client_perturbation_rows():
@@ -284,39 +318,38 @@ def test_run_round_per_client_perturbation_rows():
     # a zero row leaves that client's shard as it is
     shared, rows, mixed = small_fed(seed=4), small_fed(seed=4), small_fed(seed=4)
     delta = np.linspace(-1.0, 1.0, shared.in_dim)
+    want_shared = reference_round(shared, delta)
     a = run_round(shared, delta)
     b = run_round(rows, np.tile(delta, (rows.n_clients, 1)))
-    for ua, ub in zip(a.updates, b.updates):
-        np.testing.assert_array_equal(ua.indices, ub.indices)
-        np.testing.assert_array_equal(ua.values, ub.values)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(shared.theta, rows.theta)
     per_client = np.zeros((mixed.n_clients, mixed.in_dim))
     per_client[1] = delta
-    c = run_round(mixed, per_client)
-    clean = small_fed(seed=4)
-    want = reference_round(clean)
-    np.testing.assert_array_equal(c.updates[0].values, want[0][1])
-    np.testing.assert_array_equal(c.updates[1].values, a.updates[1].values)
+    want_clean = reference_round(mixed)
+    theta = mixed.theta.copy()
+    run_round(mixed, per_client)
+    want = [want_clean[0], want_shared[1], want_clean[2]]
+    np.testing.assert_array_equal(mixed.theta, reference_aggregate(theta, want))
 
 
-def test_run_round_channel_matches_per_row_path():
+def test_run_round_channel_matches_per_row_path(monkeypatch):
     """The batched in-round channel equals row-by-row emulation."""
     cfg = ChannelConfig(noise_std=0.08, source_rate_hz=16_000, target_rate_hz=16_000)
     fed = small_fed(seed=7)
     mirror = small_fed(seed=7)
     delta = 0.1 * np.ones(fed.in_dim)
-    res = run_round(fed, delta, channel_cfg=cfg)
+    record, indices, values = round_with_updates(monkeypatch, fed, delta, cfg)
 
     t = 0
-    updates = []
     for c in range(mirror.n_clients):
         x, y = mirror.x[c], mirror.y[c]
         rng = generator(mirror.seed, "channel", t, c)
         x_in = np.stack([emulate_audio_channel(row, delta, cfg, rng) for row in x])
-        dense = local_train_client(mirror, mirror.params.values, x_in, y)
-        updates.append(sparsify_client(dense, mirror.k))
-    for got, (want_indices, want_values) in zip(res.updates, updates):
-        np.testing.assert_array_equal(got.indices, want_indices)
-        np.testing.assert_allclose(got.values, want_values, atol=1e-12)
+        dense = local_train_client(mirror, mirror.theta, x_in, y)
+        want_indices, want_values = sparsify_client(dense, mirror.k)
+        np.testing.assert_array_equal(indices[c], want_indices)
+        np.testing.assert_allclose(values[c], want_values, atol=1e-12)
+    np.testing.assert_array_equal(record.indices, np.unique(indices))
 
 
 ROUND_CASES = {
@@ -330,22 +363,22 @@ ROUND_CASES = {
 
 
 @pytest.mark.parametrize("case", list(ROUND_CASES))
-def test_run_round_matches_per_client_reference_exactly(case):
+def test_run_round_matches_per_client_reference_exactly(case, monkeypatch):
     scale, cfg, sparsity = ROUND_CASES[case]
     fed = small_fed(seed=11, sparsity=sparsity)
     delta = None if scale is None else scale * np.sin(np.arange(fed.in_dim))
     for t in range(3):
         want = reference_round(fed, delta, cfg)
-        theta = fed.params.values.copy()
-        res = run_round(fed, delta, cfg)
-        assert res.record.round_number == t
-        for c, (got, (want_indices, want_values)) in enumerate(zip(res.updates, want)):
-            assert got.client_id == c and got.round_number == t
-            np.testing.assert_array_equal(got.indices, want_indices)
-            np.testing.assert_array_equal(got.values, want_values)
+        theta = fed.theta.copy()
+        record, indices, values = round_with_updates(monkeypatch, fed, delta, cfg)
+        for c, (want_indices, want_values) in enumerate(want):
+            np.testing.assert_array_equal(indices[c], want_indices)
+            np.testing.assert_array_equal(values[c], want_values)
+        assert record.round_number == t and fed.round_number == t + 1
         np.testing.assert_array_equal(
-            res.record.indices, np.unique(np.concatenate([i for i, _ in want])))
-        assert not np.array_equal(fed.params.values, theta)
+            record.indices, np.unique(np.concatenate([i for i, _ in want])))
+        np.testing.assert_array_equal(fed.theta, reference_aggregate(theta, want))
+        assert not np.array_equal(fed.theta, theta)
 
 
 def test_run_round_is_deterministic():
@@ -355,8 +388,8 @@ def test_run_round_is_deterministic():
     for _ in range(3):
         ra = run_round(a, channel_cfg=cfg)
         rb = run_round(b, channel_cfg=cfg)
-        np.testing.assert_array_equal(ra.record.indices, rb.record.indices)
-    np.testing.assert_array_equal(a.params.values, b.params.values)
+        np.testing.assert_array_equal(ra.indices, rb.indices)
+    np.testing.assert_array_equal(a.theta, b.theta)
 
 
 # -- record files -----------------------------------------------------------

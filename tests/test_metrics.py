@@ -20,7 +20,7 @@ from hammersim.metrics import (
     index_array,
     to_kilo,
     topk_count,
-    update_size,
+    update_bytes,
 )
 from hammersim.seeding import generator
 
@@ -164,26 +164,31 @@ def test_bandwidth_model_validation():
 
 
 def test_update_size_values_only():
-    assert update_size(8_700_000, "0.001", 4) == Fraction(8700 * 4, 8)
-    assert update_size(6_700_000, "0.0005", 8) == Fraction(3350)
+    assert update_bytes(8700, 4) == 8700 * 4 // 8
+    assert update_bytes(3350, 8) == 3350
+    assert update_bytes(3, 4) == 2  # 12 bits round up to whole bytes
+    assert update_bytes(1, 32) == 4
 
 
 def test_update_size_with_metadata():
-    base = update_size(8_700_000, "0.001", 4)
-    with_meta = update_size(8_700_000, "0.001", 4, metadata_bytes_per_entry=2)
+    base = update_bytes(8700, 4)
+    with_meta = update_bytes(8700, 4, metadata_bytes_per_entry=2)
     assert with_meta - base == 8700 * 2
+    assert update_bytes(3, 4, metadata_bytes_per_entry=1) == 2 + 3
 
 
 def test_update_size_rejects_unknown_precision():
     with pytest.raises(ValueError):
-        update_size(1000, "0.01", 16)
+        update_bytes(10, 16)
+    with pytest.raises(ValueError):
+        update_bytes(10, 8, metadata_bytes_per_entry=-1)
 
 
 # -- H_max and expected activations -----------------------------------------
 
 def test_h_max_floor_division():
     bw = BandwidthModel(2400, 64)
-    n, capped = h_max(bw, update_size(8_700_000, "0.001", 4))
+    n, capped = h_max(bw, update_bytes(topk_count("0.001", 8_700_000), 4))
     assert n == 296_204
     assert not capped
     n2, capped2 = h_max(bw, Fraction(1, 2))
@@ -223,7 +228,8 @@ def test_feasibility_rows_chain_consistency():
     window = bw.window_bytes("0.064")
     for row in rows:
         assert row.k == topk_count(row.sparsity, row.total_params)
-        assert row.update_bytes == Fraction(row.k * row.precision_bits, 8)
+        assert row.update_bytes == update_bytes(row.k, row.precision_bits)
+        assert row.update_bytes * 8 == row.k * row.precision_bits  # whole bytes for every preset
         assert row.hmax == int(window / row.update_bytes)
         rur = REFERENCE_RUR[(row.model, row.sparsity)]
         assert row.rur == rur
