@@ -9,7 +9,6 @@ the adversary's reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -80,18 +79,18 @@ def audio_channel(
     x: np.ndarray,
     delta: np.ndarray,
     cfg: ChannelConfig,
-    rngs: Sequence[np.random.Generator],
+    noise: np.ndarray | None,
 ) -> np.ndarray:
     """Air-gap audio path over a client stack: x + delta + noise, then resampling.
 
     x is (C, n, L): n signals of L samples for each of C clients.  delta
     is (C, L), one perturbation per client, added to every one of its
-    signals.  rngs holds one generator per client; client c's noise is
-    drawn as one (n, L) block, the same stream as n draws of L samples in
-    row order.  Linear resampling from source_rate_hz to target_rate_hz
+    signals.  noise is the (C, n, L) channel noise, drawn with standard
+    deviation cfg.noise_std, or None when noise_std is 0; it is added
+    after delta.  Linear resampling from source_rate_hz to target_rate_hz
     places output sample i at source position i * source/target; positions
-    past the last input sample clamp to it.  With delta = 0, noise_std = 0
-    and equal rates this is the identity map.
+    past the last input sample clamp to it.  With delta = 0, no noise and
+    equal rates this is the identity map.
     """
     x = np.asarray(x, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
@@ -100,11 +99,13 @@ def audio_channel(
     clients, _, length = x.shape
     if delta.shape != (clients, length):
         raise ValueError(f"delta shape {delta.shape} does not match stack {x.shape}")
-    if len(rngs) != clients:
-        raise ValueError(f"need one generator per client, got {len(rngs)} for {clients}")
+    if (noise is None) != (cfg.noise_std == 0):
+        raise ValueError(f"noise must be given exactly when noise_std > 0 (noise_std = {cfg.noise_std})")
     y = x + delta[:, None, :]
-    if cfg.noise_std > 0:
-        y = y + np.stack([rng.normal(0.0, cfg.noise_std, size=x.shape[1:]) for rng in rngs])
+    if noise is not None:
+        if np.shape(noise) != x.shape:
+            raise ValueError(f"noise shape {np.shape(noise)} does not match stack {x.shape}")
+        y = y + noise
     if cfg.source_rate_hz != cfg.target_rate_hz:
         out_len = resampled_length(length, cfg.source_rate_hz, cfg.target_rate_hz)
         pos = np.arange(out_len) * (cfg.source_rate_hz / cfg.target_rate_hz)

@@ -159,7 +159,10 @@ def cmd_simulate(args) -> int:
     exp = _load(args)
     g = exp.get
     path = _find_records(exp, args.out)
-    records, header = read_round_records(path)
+    try:
+        records, header = read_round_records(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad records file {path!r}: {exc}") from exc
     if not records:
         raise ConfigError(f"records file {path!r} holds no rounds")
 
@@ -173,6 +176,12 @@ def cmd_simulate(args) -> int:
             f"records file {path!r} was written for a {recorded}-parameter model, "
             f"but the config's model has {spec.total_params} parameters"
         )
+    for r in records:
+        if r.indices[-1] >= spec.total_params:
+            raise ConfigError(
+                f"records file {path!r}: round {r.round_number} holds index {r.indices[-1]}, "
+                f"outside the config's {spec.total_params}-parameter model"
+            )
     mapping = exp.dram_mapping()
     capacity = g("memory", "capacity_bytes") or None
     layout = build_layout(

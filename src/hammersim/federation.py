@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import channel as channel_mod
 from . import metrics
 from .seeding import generator
 
@@ -293,28 +292,14 @@ def aggregate(theta: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.
     return new_theta
 
 
-def run_round(
-    fed: FederationState,
-    perturbation: np.ndarray | None = None,
-    channel_cfg: channel_mod.ChannelConfig | None = None,
-) -> RoundRecord:
+def run_round(fed: FederationState, x: np.ndarray) -> RoundRecord:
     """One communication round; advances fed.round_number and fed.theta.
 
-    perturbation is an input-space delta added to every sample of a
-    client's shard through the channel model: shape (in_dim,) for all
-    clients alike, or (n_clients, in_dim) for one row per client.  All
-    clients train in one batched pass.  Returns the round's record.
+    x is the (C, n, in_dim) client stack the round trains on: fed.x as
+    the clients received it, perturbed or not.  All clients train in one
+    batched pass.  Returns the round's record.
     """
     t = fed.round_number
-    x = fed.x
-    if perturbation is not None or channel_cfg is not None:
-        d = np.zeros(fed.in_dim) if perturbation is None else np.asarray(perturbation, dtype=np.float64)
-        d = np.broadcast_to(d, (fed.n_clients, fed.in_dim))
-        if channel_cfg is None:
-            x = x + d[:, None, :]
-        else:
-            rngs = [generator(fed.seed, "channel", t, c) for c in range(fed.n_clients)]
-            x = channel_mod.audio_channel(x, d, channel_cfg, rngs)
     indices, values = sparsify_topk(local_train(fed, x, fed.y), fed.k)
     fed.theta = aggregate(fed.theta, indices, values)
     fed.round_number = t + 1
@@ -352,5 +337,7 @@ def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
                 raise ValueError(f"{path}:{line_no}: bad record line") from exc
             if len(numbers) < 2:
                 raise ValueError(f"{path}:{line_no}: record needs a round and at least one index")
+            if min(numbers[1:]) < 0:
+                raise ValueError(f"{path}:{line_no}: negative index {min(numbers[1:])}")
             records.append(RoundRecord(numbers[0], np.array(sorted(set(numbers[1:])), dtype=np.int64)))
     return records, header

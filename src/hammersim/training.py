@@ -27,7 +27,7 @@ from .adversary import (
     save_checkpoint,
     select_target_window,
 )
-from .channel import ChannelConfig, clip_linf, decode_latent, stft
+from .channel import ChannelConfig, audio_channel, clip_linf, decode_latent, stft
 from .config import ConfigError, ExperimentConfig
 from .federation import RoundRecord, init_federation, make_mlp_spec, run_round, write_round_records
 from .seeding import generator
@@ -42,7 +42,9 @@ class AttackEnv:
 
     Episodes restart the federation from the same seed, so the dynamics
     are identical across episodes and all variation comes from the
-    agent's actions.
+    agent's actions.  That holds for the channel noise too: round t's
+    noise is drawn once, the first time round t is reached, and every
+    later episode reuses it.
     """
 
     def __init__(self, exp: ExperimentConfig, seed: int):
@@ -68,6 +70,7 @@ class AttackEnv:
         self.u_prev: np.ndarray | None = None
         self.x_summary: np.ndarray | None = None
         self.clean_spectrum: np.ndarray | None = None
+        self.noise_store: dict[int, np.ndarray] = {}
 
     @property
     def obs_dim(self) -> int:
@@ -87,6 +90,25 @@ class AttackEnv:
     def action_to_delta(self, z: np.ndarray) -> np.ndarray:
         return clip_linf(decode_latent(z, (self.in_dim,)), self.epsilon)
 
+    def round_noise(self, t: int) -> np.ndarray | None:
+        """Round t's (clients, shard, in_dim) channel noise; None without noise.
+
+        Client c's block is one draw from generator(seed, "channel", t, c).
+        It is drawn the first time round t is reached and kept read-only.
+        """
+        if self.channel_cfg.noise_std == 0:
+            return None
+        noise = self.noise_store.get(t)
+        if noise is None:
+            shape = self.fed.x.shape[1:]
+            noise = np.stack([
+                generator(self.seed, "channel", t, c).normal(0.0, self.channel_cfg.noise_std, size=shape)
+                for c in range(self.n_clients)
+            ])
+            noise.flags.writeable = False
+            self.noise_store[t] = noise
+        return noise
+
     def step(self, z: np.ndarray) -> tuple[np.ndarray, RewardBreakdown, RoundRecord]:
         """Apply one latent action for a full round.
 
@@ -95,7 +117,11 @@ class AttackEnv:
         after the warmup rounds of the first episode.
         """
         delta = self.action_to_delta(np.asarray(z, dtype=np.float64))
-        record = run_round(self.fed, delta, self.channel_cfg)
+        x = audio_channel(
+            self.fed.x, np.broadcast_to(delta, (self.n_clients, self.in_dim)),
+            self.channel_cfg, self.round_noise(self.fed.round_number),
+        )
+        record = run_round(self.fed, x)
         u = record.indices
         breakdown = compute_reward(
             self.u_prev, u, self.window, delta, self.x_summary,

@@ -923,6 +923,26 @@ def emulate_audio_channel(x: np.ndarray, delta: np.ndarray, cfg: ChannelConfig, 
     return np.interp(pos, np.arange(y.size), y)
 
 
+def audio_channel_reference(x: np.ndarray, delta: np.ndarray, cfg: ChannelConfig, rngs) -> np.ndarray:
+    """The batched audio channel drawing its noise from one generator per client.
+
+    Client c's noise is one (n, L) draw from rngs[c], added after delta,
+    as a round drew it before the environment stored the noise per round.
+    """
+    if len(rngs) != x.shape[0]:
+        raise ValueError(f"need one generator per client, got {len(rngs)} for {x.shape[0]}")
+    y = x + delta[:, None, :]
+    if cfg.noise_std > 0:
+        y = y + np.stack([rng.normal(0.0, cfg.noise_std, size=x.shape[1:]) for rng in rngs])
+    if cfg.source_rate_hz != cfg.target_rate_hz:
+        length = x.shape[2]
+        out_len = int(round(length * cfg.target_rate_hz / cfg.source_rate_hz))
+        pos = np.arange(out_len) * (cfg.source_rate_hz / cfg.target_rate_hz)
+        rows = [np.interp(pos, np.arange(length), row) for row in y.reshape(-1, length)]
+        y = np.reshape(rows, y.shape[:2] + (out_len,))
+    return y
+
+
 def reference_round(fed: FederationState, delta=None, channel_cfg: ChannelConfig | None = None):
     """(indices, values) of every client's update in the next round, fed untouched.
 

@@ -98,30 +98,46 @@ BATCH_CASES = {
 }
 
 
+def client_noise(cfg, rngs, shape):
+    """One (n, L) noise block per client generator, stacked; None without noise."""
+    if cfg.noise_std == 0:
+        return None
+    return np.stack([rng.normal(0.0, cfg.noise_std, size=shape) for rng in rngs])
+
+
 @pytest.mark.parametrize("case", list(BATCH_CASES))
 def test_batched_audio_channel_matches_per_row_reference(case):
-    # one generator per client; the stack draws each client's noise as a
-    # block, which must equal its rows drawn one after another
+    # each client's noise is drawn as one block, which must equal its rows
+    # drawn one after another from the same generator
     cfg = BATCH_CASES[case]
     rng = generator(14, "audio-batch")
     x = rng.standard_normal((3, 5, 40))
     delta = rng.standard_normal((3, 40))
-    got = audio_channel(x, delta, cfg, [generator(14, "noise", c) for c in range(3)])
+    noise = client_noise(cfg, [generator(14, "noise", c) for c in range(3)], (5, 40))
+    got = audio_channel(x, delta, cfg, noise)
     for c in range(3):
         row_rng = generator(14, "noise", c)
         want = np.stack([emulate_audio_channel(row, delta[c], cfg, row_rng) for row in x[c]])
         np.testing.assert_array_equal(got[c], want)
+    rngs = [generator(14, "noise", c) for c in range(3)]
+    np.testing.assert_array_equal(got, oracles.audio_channel_reference(x, delta, cfg, rngs))
 
 
 def test_batched_audio_channel_rejects_bad_shapes():
     cfg = ChannelConfig()
-    rngs = [generator(0, "n", c) for c in range(2)]
+    noisy = ChannelConfig(noise_std=0.1)
     with pytest.raises(ValueError):
-        audio_channel(np.zeros((4, 10)), np.zeros((2, 10)), cfg, rngs)
+        audio_channel(np.zeros((4, 10)), np.zeros((2, 10)), cfg, None)
     with pytest.raises(ValueError):
-        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 11)), cfg, rngs)
-    with pytest.raises(ValueError):
-        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), cfg, rngs[:1])
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 11)), cfg, None)
+    with pytest.raises(ValueError, match="noise shape"):
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), noisy, np.zeros((1, 4, 10)))
+    with pytest.raises(ValueError, match="noise shape"):
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), noisy, np.zeros((2, 10)))
+    with pytest.raises(ValueError, match="exactly when"):
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), noisy, None)
+    with pytest.raises(ValueError, match="exactly when"):
+        audio_channel(np.zeros((2, 4, 10)), np.zeros((2, 10)), cfg, np.zeros((2, 4, 10)))
 
 
 def test_config_validation():

@@ -266,15 +266,15 @@ LIVENESS_VALUES = {
 LIVENESS_SECTIONS = ("run", "federation", "channel", "adversary")
 
 
-def _train_bytes(tmp_path, capsys, name, overrides):
-    """stdout and output files of a tiny train, less the bytes the config hash sets."""
-    sections = {section: dict(keys) for section, keys in LIVENESS_BASE.items()}
+def _run_bytes(tmp_path, capsys, name, overrides, command="train", base=LIVENESS_BASE):
+    """stdout and output files of a tiny run, less the bytes the config hash sets."""
+    sections = {section: dict(keys) for section, keys in base.items()}
     for (section, key), value in overrides.items():
         sections.setdefault(section, {})[key] = value
     text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
                    for section, keys in sections.items())
     out = tmp_path / name
-    assert main(["train", "--config", _write_cfg(tmp_path, text, f"{name}.ini"), "--out", str(out)]) == 0
+    assert main([command, "--config", _write_cfg(tmp_path, text, f"{name}.ini"), "--out", str(out)]) == 0
     files = {"stdout": capsys.readouterr().out.encode()}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
@@ -308,11 +308,35 @@ def test_every_key_changes_train_output(tmp_path, capsys, section):
             continue
         pairing = tuple(sorted(needs.items()))
         if pairing not in bases:
-            bases[pairing] = _train_bytes(tmp_path, capsys, f"base{len(bases)}", needs)
-        changed = _train_bytes(tmp_path, capsys, key, {**needs, (sec, key): value})
+            bases[pairing] = _run_bytes(tmp_path, capsys, f"base{len(bases)}", needs)
+        changed = _run_bytes(tmp_path, capsys, key, {**needs, (sec, key): value})
         if changed == bases[pairing]:
             dead.append(f"[{sec}] {key} = {value}")
     assert not dead, f"keys that change no output byte: {dead}"
+
+
+def _edited_threshold_table(tmp_path):
+    """A copy of the packaged threshold table with one count changed."""
+    text = (Path(hammersim.__file__).parent / "data" / "thresholds_ddr4.txt").read_text()
+    assert "0xff,0x00,single,185000\n" in text
+    path = tmp_path / "thresholds.txt"
+    path.write_text(text.replace("0xff,0x00,single,185000\n", "0xff,0x00,single,215000\n"))
+    return str(path)
+
+
+# keys of the sections only feasibility and simulate read, checked on feasibility
+FEASIBILITY_LIVENESS = {
+    ("metrics", "metadata_bytes_per_entry"): lambda tmp_path: "4",
+    ("thresholds", "source"): _edited_threshold_table,
+}
+
+
+@pytest.mark.parametrize("key", list(FEASIBILITY_LIVENESS), ids="/".join)
+def test_key_changes_feasibility_output(tmp_path, capsys, key):
+    value = FEASIBILITY_LIVENESS[key](tmp_path)
+    base = _run_bytes(tmp_path, capsys, "base", {}, command="feasibility", base={})
+    changed = _run_bytes(tmp_path, capsys, "changed", {key: value}, command="feasibility", base={})
+    assert changed != base, f"[{key[0]}] {key[1]} = {value} changes no output byte"
 
 
 def test_config_error_exit(tmp_path, capsys):
@@ -401,6 +425,38 @@ def test_simulate_rejects_records_of_another_model(tmp_path, capsys):
         assert f"written for a {total}-parameter model" in err, err
         assert not out.exists()
     assert main(["simulate", "--config", cfg("same.ini", 10), "--out", str(tmp_path / "sim-same")]) == 0
+
+
+BAD_RECORDS = {
+    "negative index": ("0 -1 3 5\n", ":1: negative index -1"),
+    "index past the model": ("1 3 999\n", "round 1 holds index 999, outside the config's 283-parameter"),
+    "not a number": ("0 x 3\n", ":1: bad record line"),
+    "round without indices": ("7\n", ":1: record needs a round and at least one index"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORDS))
+def test_simulate_rejects_a_bad_records_file(tmp_path, capsys, case):
+    text, message = BAD_RECORDS[case]
+    records = tmp_path / "records.txt"
+    records.write_text(text)
+    cfg = _write_cfg(tmp_path, f"""\
+        [run]
+        records_file = {records}
+
+        [federation]
+        in_dim = 24
+        hidden_dim = 10
+
+        [adversary]
+        stft_frame = 16
+        stft_hop = 8
+        """)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(records) in err and message in err, err
+    assert not out.exists()
 
 
 def test_report_without_manifests(tmp_path, capsys):

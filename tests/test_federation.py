@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hammersim import federation
-from hammersim.channel import ChannelConfig
+from hammersim.channel import ChannelConfig, audio_channel
 from hammersim.federation import (
     RoundRecord,
     aggregate,
@@ -272,23 +272,42 @@ def test_run_round_raises_in_the_round_that_overflows():
     assert grad > 1.0
     fed.learning_rate = 0.75 * (np.finfo(np.float64).max / grad)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite parameter"):
-        run_round(fed)
+        run_round(fed, fed.x)
     assert fed.round_number == 0
 
 
 # -- full rounds ------------------------------------------------------------
 
-def round_with_updates(monkeypatch, fed, *args):
-    """run_round's record, plus the (indices, values) its sparsify stage made."""
+def round_input(fed, delta=None, cfg=None):
+    """The client stack of fed's next round: fed.x, plus delta, through the channel cfg.
+
+    delta is one (in_dim,) row for every client or one row per client.
+    The channel noise is drawn afresh from generator(seed, "channel", t, c).
+    """
+    if cfg is None:
+        return fed.x if delta is None else fed.x + np.asarray(delta)[..., None, :]
+    d = np.broadcast_to(np.zeros(fed.in_dim) if delta is None else delta, (fed.n_clients, fed.in_dim))
+    noise = None
+    if cfg.noise_std > 0:
+        noise = np.stack([
+            generator(fed.seed, "channel", fed.round_number, c).normal(0.0, cfg.noise_std, size=fed.x.shape[1:])
+            for c in range(fed.n_clients)
+        ])
+    return audio_channel(fed.x, d, cfg, noise)
+
+
+def round_with_updates(monkeypatch, fed, delta=None, cfg=None):
+    """run_round's record on round_input, plus the (indices, values) its sparsify stage made."""
     seen = []
 
     def spy(delta, k):
         seen.append(sparsify_topk(delta, k))
         return seen[-1]
 
+    x = round_input(fed, delta, cfg)
     with monkeypatch.context() as m:
         m.setattr(federation, "sparsify_topk", spy)
-        record = run_round(fed, *args)
+        record = run_round(fed, x)
     (updates,) = seen
     return record, *updates
 
@@ -297,7 +316,7 @@ def test_run_round_advances_state():
     fed = small_fed()
     theta0 = fed.theta.copy()
     indices, values = sparsify_topk(local_train(fed, fed.x, fed.y), fed.k)
-    record = run_round(fed)
+    record = run_round(fed, fed.x)
     assert fed.round_number == 1
     assert record.round_number == 0
     np.testing.assert_array_equal(fed.theta, aggregate(theta0, indices, values))
@@ -307,9 +326,9 @@ def test_run_round_advances_state():
 def test_run_round_perturbation_changes_updates():
     base = small_fed(seed=3)
     pert = small_fed(seed=3)
-    r0 = run_round(base)
+    r0 = run_round(base, base.x)
     delta = np.full(pert.in_dim, 2.0)
-    r1 = run_round(pert, delta)
+    r1 = run_round(pert, round_input(pert, delta))
     assert set(r0.indices.tolist()) != set(r1.indices.tolist())
 
 
@@ -319,21 +338,21 @@ def test_run_round_per_client_perturbation_rows():
     shared, rows, mixed = small_fed(seed=4), small_fed(seed=4), small_fed(seed=4)
     delta = np.linspace(-1.0, 1.0, shared.in_dim)
     want_shared = reference_round(shared, delta)
-    a = run_round(shared, delta)
-    b = run_round(rows, np.tile(delta, (rows.n_clients, 1)))
+    a = run_round(shared, round_input(shared, delta))
+    b = run_round(rows, round_input(rows, np.tile(delta, (rows.n_clients, 1))))
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(shared.theta, rows.theta)
     per_client = np.zeros((mixed.n_clients, mixed.in_dim))
     per_client[1] = delta
     want_clean = reference_round(mixed)
     theta = mixed.theta.copy()
-    run_round(mixed, per_client)
+    run_round(mixed, round_input(mixed, per_client))
     want = [want_clean[0], want_shared[1], want_clean[2]]
     np.testing.assert_array_equal(mixed.theta, reference_aggregate(theta, want))
 
 
 def test_run_round_channel_matches_per_row_path(monkeypatch):
-    """The batched in-round channel equals row-by-row emulation."""
+    """The batched channel on a round's stack equals row-by-row emulation."""
     cfg = ChannelConfig(noise_std=0.08, source_rate_hz=16_000, target_rate_hz=16_000)
     fed = small_fed(seed=7)
     mirror = small_fed(seed=7)
@@ -386,8 +405,8 @@ def test_run_round_is_deterministic():
     b = small_fed(seed=8)
     cfg = ChannelConfig(noise_std=0.05)
     for _ in range(3):
-        ra = run_round(a, channel_cfg=cfg)
-        rb = run_round(b, channel_cfg=cfg)
+        ra = run_round(a, round_input(a, cfg=cfg))
+        rb = run_round(b, round_input(b, cfg=cfg))
         np.testing.assert_array_equal(ra.indices, rb.indices)
     np.testing.assert_array_equal(a.theta, b.theta)
 
@@ -420,6 +439,9 @@ def test_round_records_rejects_malformed(tmp_path):
         read_round_records(path)
     path.write_text("7\n")
     with pytest.raises(ValueError):
+        read_round_records(path)
+    path.write_text("# total_params=283\n0 3 5\n1 -1 3 5\n")
+    with pytest.raises(ValueError, match=f"{path}:3: negative index -1"):
         read_round_records(path)
 
 

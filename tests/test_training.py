@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hammersim import adversary
+from hammersim import adversary, training
 from hammersim.config import ConfigError, load_config
 from hammersim.federation import read_round_records
 from hammersim.metrics import compute_rur
@@ -64,7 +64,80 @@ def test_env_action_clipped_to_epsilon():
     assert delta.shape == (env.in_dim,)
 
 
+def test_env_stores_each_rounds_noise_once():
+    exp = quick_config(rounds=4)
+    env = AttackEnv(exp, seed=6)
+    assert env.noise_store == {}
+    env.reset()
+    assert env.noise_store == {}  # filled by rounds, not by reset
+    first = []
+    for _ in range(4):
+        env.step(np.zeros(env.latent_dim))
+        first.append(env.noise_store[env.fed.round_number - 1])
+    env.reset()
+    for t in range(4):
+        env.step(np.zeros(env.latent_dim))
+        assert env.noise_store[t] is first[t]
+    assert sorted(env.noise_store) == [0, 1, 2, 3]
+    shard = exp.get("federation", "shard_size")
+    want = np.stack([generator(6, "channel", 2, c).normal(0.0, 0.05, size=(shard, env.in_dim))
+                     for c in range(env.n_clients)])
+    np.testing.assert_array_equal(env.noise_store[2], want)
+    with pytest.raises(ValueError, match="read-only"):
+        env.noise_store[2][0, 0, 0] = 1.0
+
+
+def test_env_without_noise_stores_nothing():
+    exp = quick_config(rounds=4)
+    exp.override("channel", "noise_std", 0.0)
+    env = AttackEnv(exp, seed=6)
+    env.reset()
+    for _ in range(4):
+        env.step(np.zeros(env.latent_dim))
+    assert env.round_noise(0) is None
+    assert env.noise_store == {}
+
+
 # -- training loop ----------------------------------------------------------
+
+def test_train_draws_each_rounds_noise_once(monkeypatch):
+    calls = []
+
+    def spy(root, *names):
+        if names[:1] == ("channel",):
+            calls.append(names)
+        return generator(root, *names)
+
+    monkeypatch.setattr(training, "generator", spy)
+    exp = quick_config(rounds=12, iterations=3)
+    train(exp, seed=21)
+    n_clients = exp.get("federation", "n_clients")
+    assert sorted(calls) == [("channel", t, c) for t in range(12) for c in range(n_clients)]
+
+
+@pytest.mark.parametrize("baseline", [None, "random"])
+@pytest.mark.parametrize("target_rate", [16_000, 16_100])
+def test_train_bytes_match_fresh_noise_every_round(tmp_path, monkeypatch, baseline, target_rate):
+    # the stored noise writes the same bytes as rounds that draw it afresh
+    # from one generator per client, through the generator-list channel
+    exp = quick_config(rounds=12, iterations=3)
+    exp.override("channel", "noise_std", 0.1)
+    exp.override("channel", "target_rate_hz", target_rate)
+
+    def run(name):
+        res = train(exp, baseline=baseline, out_dir=str(tmp_path / name), seed=31)
+        paths = [tmp_path / name / "training_log.csv", res.records_path]
+        if res.checkpoint_path:
+            paths.append(res.checkpoint_path)
+        return [open(path, "rb").read() for path in paths]
+
+    stored = run("stored")
+    monkeypatch.setattr(AttackEnv, "round_noise", lambda env, t: [
+        generator(env.seed, "channel", t, c) for c in range(env.n_clients)])
+    monkeypatch.setattr(training, "audio_channel", oracles.audio_channel_reference)
+    assert run("fresh") == stored
+
+
 
 def test_train_writes_outputs(tmp_path):
     exp = quick_config()
