@@ -13,7 +13,8 @@ A bit flip is recorded for a vulnerable victim row the first time its
 effective aggressor count reaches the data-pattern-dependent threshold:
 double-sided (sum of both neighbor exposures) when both sides carry at
 least half the double-sided threshold, single-sided (max neighbor)
-otherwise.  Thresholds scale with a per-row multiplier.
+otherwise.  The module's one fill byte picks the pattern class for every
+victim and aggressor; thresholds scale with a per-row multiplier.
 
 Event ordering at coincident times: refresh commands fire before events
 with the same timestamp, and before the aligned-window rollover when a
@@ -29,7 +30,6 @@ banks x rows, never by the trace.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -241,18 +241,12 @@ class VulnerabilityMap:
 
 
 class RowContents:
-    """The majority byte of every row's contents, one fill for the module.
-
-    The engine reads a row's byte only through fill(bank, row).
-    """
+    """The majority byte of every row's contents, one fill for the module."""
 
     def __init__(self, default_fill: int = 0x00):
         if not 0 <= default_fill <= 0xFF:
             raise ValueError("default_fill out of byte range")
         self.default_fill = default_fill
-
-    def fill(self, bank: int, row: int) -> int:
-        return self.default_fill
 
 
 @dataclass(frozen=True)
@@ -319,8 +313,8 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
     """(time_ns, paddr, size) columns of consecutive events, at most chunk events each.
 
     Reads EventColumns, or an iterable of either (time_ns, paddr, kind,
-    size) tuples or EventColumns blocks; blocks are cut or joined to chunk
-    size.
+    size) tuples or EventColumns blocks; a block goes in as it comes, cut
+    only where it is longer than chunk.
     """
     if isinstance(trace, EventColumns):
         trace = (trace,)
@@ -335,20 +329,9 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
             if not rows.size:
                 return
             yield rows["time_ns"], rows["paddr"], rows["size"]
-    parts, n = [], 0
     for block in it:
-        columns = (block.time_ns, block.paddr, block.size)
-        a = 0
-        while a < len(block):
-            b = min(len(block), a + chunk - n)
-            parts.append([c[a:b] for c in columns])
-            n += b - a
-            a = b
-            if n == chunk:
-                yield tuple(np.concatenate(c) for c in zip(*parts))
-                parts, n = [], 0
-    if parts:
-        yield tuple(np.concatenate(c) for c in zip(*parts))
+        for a in range(0, len(block), chunk):
+            yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
 
 
 def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
@@ -395,16 +378,17 @@ class _ColumnEngine:
                  trr: TrrConfig, vmap: VulnerabilityMap, contents: RowContents):
         self.cfg = cfg
         self.mapping = mapping
-        self.thresholds = thresholds
         self.trr = trr
         self.vmap = vmap
-        self.contents = contents
         self.nb = mapping.bank_count
         self.nr = mapping.rows_per_bank
         n = self.nb * self.nr
         self.rows_per_ref = max(1, self.nr // cfg.ref_commands)
-        # no flip threshold of any row is below its multiplier times this
-        self.min_double = min(e.double for e in thresholds.entries)
+        # every row and its neighbors hold the module's fill: one pattern class
+        self.fill = contents.default_fill
+        cls = thresholds.nearest_class(self.fill, self.fill)
+        self.single, self.double = cls.single, cls.double
+        self.bit_positions = _bit_positions(self.fill, self.fill)
 
         self.open_g = np.full(self.nb, -1, dtype=np.int64)
         self.exp_lo = np.zeros(n, dtype=np.int64)
@@ -422,25 +406,6 @@ class _ColumnEngine:
         self.flips: list[BitFlip] = []
         self.total_events = 0
         self.total_acts = 0
-        self._victim_cache: dict[int, tuple[float, float, float, float]] = {}
-
-    def _victim_thresholds(self, g: int) -> tuple[float, float, float, float]:
-        """(single, double) thresholds against the low and then the high neighbor."""
-        cached = self._victim_cache.get(g)
-        if cached is None:
-            bank, row = divmod(g, self.nr)
-            fill_v = self.contents.fill(bank, row)
-            mult = float(self.vmap.multiplier[g])
-            sides = []
-            for agg in (row - 1, row + 1):
-                if 0 <= agg < self.nr:
-                    cls = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, agg))
-                    sides.append((cls.single * mult, cls.double * mult))
-                else:
-                    sides.append((math.inf, math.inf))
-            cached = (sides[0][0], sides[1][0], sides[0][1], sides[1][1])
-            self._victim_cache[g] = cached
-        return cached
 
     # -- input checks ----------------------------------------------------
     def feed(self, t: np.ndarray, paddr: np.ndarray, size: np.ndarray) -> None:
@@ -549,7 +514,7 @@ class _ColumnEngine:
                     + np.where(has_lo, acts_from(touched - 1, 0), 0)
                     + np.where(has_hi, acts_from(touched + 1, 0), 0))
         cand_of = np.flatnonzero(self.vmap.vulnerable[touched]
-                                 & (exposure >= self.min_double * self.vmap.multiplier[touched]))
+                                 & (exposure >= self.double * self.vmap.multiplier[touched]))
         cand = touched[cand_of]
 
         # last round-robin refresh: sweep position x refreshes row x % nr at
@@ -693,26 +658,25 @@ class _ColumnEngine:
         hi += np.where(carried, self.exp_hi[cand][vic], 0)
         armed = ~carried | self.armed[cand][vic]
 
-        ts_lo, ts_hi, td_lo, td_hi = np.array([self._victim_thresholds(int(v)) for v in cand]).T[:, vic]
+        # thresholds against the larger side: the class's counts times the
+        # victim's multiplier, inf for a side past the bank edge
         low_side = lo >= hi
-        td = np.where(low_side, td_lo, td_hi)
+        edge = np.where(low_side, vrow[vic] == 0, vrow[vic] == nr - 1)
+        mult = np.where(edge, np.inf, self.vmap.multiplier[cand][vic])
+        td = self.double * mult
         double = (lo >= td / 2) & (hi >= td / 2)
         eff = np.where(double, lo + hi, np.maximum(lo, hi))
-        thr = np.where(double, td, np.where(low_side, ts_lo, ts_hi))
+        thr = np.where(double, td, self.single * mult)
         hits = np.flatnonzero(armed & (eff >= thr))
         _, first_hit = np.unique(seg_id[hits], return_index=True)
         f = hits[first_hit]
         f = f[np.lexsort((cand[vic[f]], p[f]))]
 
         for i in f.tolist():
-            gv = int(cand[vic[i]])
-            bank, row = divmod(gv, nr)
-            agg_row = row - 1 if low_side[i] else row + 1
-            fill_v = self.contents.fill(bank, row)
-            fill_a = self.contents.fill(bank, agg_row)
+            bank, row = divmod(int(cand[vic[i]]), nr)
             self.flips.append(BitFlip(
-                bank, row, _bit_positions(fill_v, fill_a), int(act_t[p[i]]), int(eff[i]),
-                "double" if double[i] else "single", fill_v, fill_a, float(thr[i]),
+                bank, row, self.bit_positions, int(act_t[p[i]]), int(eff[i]),
+                "double" if double[i] else "single", self.fill, self.fill, float(thr[i]),
             ))
         return vic[f], p[f]
 

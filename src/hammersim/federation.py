@@ -319,7 +319,9 @@ def write_round_records(path, records: list[RoundRecord], header: dict[str, str]
 
 
 def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
+    """Records and header of a records file; round numbers must be unique and >= 0."""
     records = []
+    rounds: set[int] = set()
     header: dict[str, str] = {}
     with open(path, "r", encoding="ascii") as f:
         for line_no, line in enumerate(f, 1):
@@ -337,6 +339,11 @@ def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
                 raise ValueError(f"{path}:{line_no}: bad record line") from exc
             if len(numbers) < 2:
                 raise ValueError(f"{path}:{line_no}: record needs a round and at least one index")
+            if numbers[0] < 0:
+                raise ValueError(f"{path}:{line_no}: negative round {numbers[0]}")
+            if numbers[0] in rounds:
+                raise ValueError(f"{path}:{line_no}: repeated round {numbers[0]}")
+            rounds.add(numbers[0])
             if min(numbers[1:]) < 0:
                 raise ValueError(f"{path}:{line_no}: negative index {min(numbers[1:])}")
             records.append(RoundRecord(numbers[0], np.array(sorted(set(numbers[1:])), dtype=np.int64)))

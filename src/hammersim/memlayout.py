@@ -255,11 +255,10 @@ class AccessScript:
 
 @dataclass(frozen=True)
 class EventColumns:
-    """Physical events in trace order: time, address, write flag and size per event."""
+    """Physical events in trace order: time, address and size per event."""
 
     time_ns: np.ndarray
     paddr: np.ndarray
-    write: np.ndarray  # bool: a write where set, else a read
     size: np.ndarray
 
     def __len__(self) -> int:
@@ -367,4 +366,4 @@ def trace_update_processing(
     n_pieces, paddr, size = _row_pieces(*_op_byte_ranges(layout, script), layout.mapping.row_size_bytes)
     _translate(layout, paddr)
     time_ns, end_ns = _piece_times(script, n_pieces, bw, start_time_ns)
-    return AccessTrace(EventColumns(time_ns, paddr, script.write.repeat(n_pieces), size), end_ns)
+    return AccessTrace(EventColumns(time_ns, paddr, size), end_ns)

@@ -11,8 +11,8 @@ exhaustive grids and subset enumeration, and the spectrum uses the
 direct transform sum.  Slow on purpose.
 
 It also holds what only the tests use: events as tuples, the replay
-stream as tuples, the PPO loss on its own, the checkpoint reader, rows
-with their own fill, and a map where every row is vulnerable.
+stream as tuples, the PPO loss on its own, the checkpoint reader and a
+map where every row is vulnerable.
 """
 from __future__ import annotations
 
@@ -78,15 +78,13 @@ class AccessEvent(NamedTuple):
     size: int
 
 
-def event_tuples(columns: EventColumns) -> list[AccessEvent]:
-    """EventColumns as AccessEvent tuples, in trace order."""
-    kinds = np.where(columns.write, "W", "R").tolist()
-    return [AccessEvent(*e) for e in zip(columns.time_ns.tolist(), columns.paddr.tolist(),
-                                         kinds, columns.size.tolist())]
+def event_tuples(columns: EventColumns) -> list[tuple[int, int, int]]:
+    """EventColumns as (time_ns, paddr, size) tuples, in trace order."""
+    return list(zip(columns.time_ns.tolist(), columns.paddr.tolist(), columns.size.tolist()))
 
 
 def iter_replay_events(layout: MemoryLayout, records, bw: BandwidthModel, metadata_bytes_per_entry: int = 0):
-    """The replay stream that replay_records simulates, as AccessEvent tuples.
+    """The replay stream that replay_records simulates, as (time_ns, paddr, size) tuples.
 
     Built a block of rounds at a time, as the package builds it.
     """
@@ -98,17 +96,6 @@ def all_vulnerable(mapping: DramMapping) -> VulnerabilityMap:
     """Every row flips, at exactly its pattern's threshold."""
     n = mapping.bank_count * mapping.rows_per_bank
     return VulnerabilityMap(np.ones(n, dtype=bool), np.ones(n))
-
-
-class RowFills(RowContents):
-    """Row contents where some (bank, row) cells hold their own fill byte."""
-
-    def __init__(self, default_fill: int, overrides: dict[tuple[int, int], int]):
-        super().__init__(default_fill)
-        self.overrides = dict(overrides)
-
-    def fill(self, bank: int, row: int) -> int:
-        return self.overrides.get((bank, row), self.default_fill)
 
 
 def ppo_loss(weights, cfg: PolicyConfig, obs, actions, old_log_probs, advantages, returns) -> float:
@@ -260,10 +247,11 @@ def oracle_simulate(
                             trr_refresh.setdefault((b, r + d), []).append(pos)
 
     # -- per-victim flip sweep ------------------------------------------
-    def side_thresholds(bank: int, victim: int, agg: int, mult: float):
+    cls = thresholds.nearest_class(contents.default_fill, contents.default_fill)
+
+    def side_thresholds(agg: int, mult: float):
         if not 0 <= agg < nr:
             return math.inf, math.inf
-        cls = thresholds.nearest_class(contents.fill(bank, victim), contents.fill(bank, agg))
         return cls.single * mult, cls.double * mult
 
     flips = []
@@ -279,8 +267,8 @@ def oracle_simulate(
             if not lo_seqs and not hi_seqs:
                 continue
             mult = float(multiplier[g])
-            ts_lo, td_lo = side_thresholds(b, victim, victim - 1, mult)
-            ts_hi, td_hi = side_thresholds(b, victim, victim + 1, mult)
+            ts_lo, td_lo = side_thresholds(victim - 1, mult)
+            ts_hi, td_hi = side_thresholds(victim + 1, mult)
             refreshes = sorted(base_refresh.get(victim, []) + trr_refresh.get((b, victim), []))
             stream = (
                 [(p, 0, 0) for p in refreshes]
@@ -359,10 +347,8 @@ class IncrementalEngine:
     ):
         self.cfg = cfg
         self.mapping = mapping
-        self.thresholds = thresholds
         self.trr = trr
         self.vmap = vmap
-        self.contents = contents
         self.ledger = ActivationLedger(mapping)
 
         self.nr = mapping.rows_per_bank
@@ -382,28 +368,8 @@ class IncrementalEngine:
         self.total_acts = 0
         self._vuln = self.vmap.vulnerable.tolist()
         self._mult = self.vmap.multiplier.tolist()
-        self._victim_cache: dict[int, tuple[float, float, float, float, float]] = {}
-
-    # -- per-victim threshold cache ------------------------------------
-    def _victim_thresholds(self, bank: int, row: int, g: int):
-        cached = self._victim_cache.get(g)
-        if cached is None:
-            fill_v = self.contents.fill(bank, row)
-            mult = self._mult[g]
-            if row > 0:
-                cls_lo = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, row - 1))
-                ts_lo, td_lo = cls_lo.single * mult, cls_lo.double * mult
-            else:
-                ts_lo = td_lo = float("inf")
-            if row < self.nr - 1:
-                cls_hi = self.thresholds.nearest_class(fill_v, self.contents.fill(bank, row + 1))
-                ts_hi, td_hi = cls_hi.single * mult, cls_hi.double * mult
-            else:
-                ts_hi = td_hi = float("inf")
-            cheap = min(ts_lo, ts_hi, td_lo, td_hi)
-            cached = (ts_lo, ts_hi, td_lo, td_hi, cheap)
-            self._victim_cache[g] = cached
-        return cached
+        self.fill = contents.default_fill
+        self.cls = thresholds.nearest_class(self.fill, self.fill)
 
     def _check_victim(self, bank: int, row: int, time_ns: int) -> None:
         g = bank * self.nr + row
@@ -412,24 +378,19 @@ class IncrementalEngine:
             return
         lo = led.exp_lo[g]
         hi = led.exp_hi[g]
-        ts_lo, ts_hi, td_lo, td_hi, cheap = self._victim_thresholds(bank, row, g)
-        if lo + hi < cheap:
+        mult = self._mult[g]
+        ts, td = self.cls.single * mult, self.cls.double * mult
+        agg_row = row - 1 if lo >= hi else row + 1
+        if lo + hi < td or not 0 <= agg_row < self.nr:
             return
-        if lo >= hi:
-            td, ts, agg_row = td_lo, ts_lo, row - 1
-        else:
-            td, ts, agg_row = td_hi, ts_hi, row + 1
         if lo >= td / 2 and hi >= td / 2:
             mode, eff, thr = "double", lo + hi, td
         else:
             mode, eff, thr = "single", max(lo, hi), ts
         if eff < thr:
             return
-        fill_v = self.contents.fill(bank, row)
-        fill_a = self.contents.fill(bank, agg_row)
-        self.flips.append(
-            BitFlip(bank, row, _bit_positions(fill_v, fill_a), time_ns, eff, mode, fill_v, fill_a, thr)
-        )
+        fill = self.fill
+        self.flips.append(BitFlip(bank, row, _bit_positions(fill, fill), time_ns, eff, mode, fill, fill, thr))
         led.armed[g] = False
 
     # -- refresh machinery ---------------------------------------------
@@ -519,12 +480,12 @@ def incremental_simulate(
     """dram.simulate_trace computed one event and one ACT at a time.
 
     Returns (SimulationResult, final ActivationLedger).  Accepts the same
-    inputs, but reads EventColumns blocks as tuples.
+    inputs, but reads EventColumns blocks as (time_ns, paddr, size) tuples.
     """
     if isinstance(trace, EventColumns):
         trace = (trace,)
     events = itertools.chain.from_iterable(
-        event_tuples(e) if isinstance(e, EventColumns) else (e,) for e in trace)
+        event_tuples(e) if isinstance(e, EventColumns) else ((e[0], e[1], e[3]),) for e in trace)
     if trr is None:
         trr = TrrConfig()
     if vmap is None:
@@ -542,7 +503,7 @@ def incremental_simulate(
 
     last_t = None
     n_events = 0
-    for time_ns, paddr, kind, size in events:
+    for time_ns, paddr, size in events:
         n_events += 1
         if last_t is not None and time_ns < last_t:
             raise ValueError(f"trace time goes backwards at {time_ns}")
@@ -582,6 +543,8 @@ def check_flip(
     flips = []
     vuln = vmap.vulnerable
     mult = vmap.multiplier
+    fill = contents.default_fill
+    cls = thresholds.nearest_class(fill, fill)
     for bank in range(mapping.bank_count):
         base = bank * nr
         for row in range(nr):
@@ -592,12 +555,9 @@ def check_flip(
             hi = ledger.exp_hi[g]
             if lo == 0 and hi == 0:
                 continue
-            fill_v = contents.fill(bank, row)
             agg_row = row - 1 if lo >= hi else row + 1
             if not 0 <= agg_row < nr:
                 continue
-            fill_a = contents.fill(bank, agg_row)
-            cls = thresholds.nearest_class(fill_v, fill_a)
             m = float(mult[g])
             td = cls.double * m
             if lo >= td / 2 and hi >= td / 2:
@@ -606,7 +566,7 @@ def check_flip(
                 mode, eff, thr = "single", max(lo, hi), cls.single * m
             if eff >= thr:
                 flips.append(
-                    BitFlip(bank, row, _bit_positions(fill_v, fill_a), time_ns, eff, mode, fill_v, fill_a, thr)
+                    BitFlip(bank, row, _bit_positions(fill, fill), time_ns, eff, mode, fill, fill, thr)
                 )
     return flips
 
@@ -651,7 +611,6 @@ class ScriptOp(NamedTuple):
     layer: int  # -1 for the global ingress queue
     offset: int  # in elements of the region
     count: int
-    kind: str  # "R" | "W"
 
 
 def _reference_runs(spec, indices) -> list[tuple[int, int, int]]:
@@ -697,8 +656,8 @@ def reference_replay_events(
     records,
     bw: BandwidthModel,
     metadata_bytes_per_entry: int = 0,
-) -> list[AccessEvent]:
-    """Replay events built one round, one op and one piece at a time.
+) -> list[tuple[int, int, int]]:
+    """Replay events (time_ns, paddr, size) built one round, one op and one piece at a time.
 
     Per round: the update message (ingress write, then accumulator read
     and write per run) spread uniformly over size / bandwidth, then the
@@ -720,23 +679,21 @@ def reference_replay_events(
         if offset + size > ingress_size:
             offset = 0
         runs = _reference_runs(spec, record.indices)
-        ops = [ScriptOp("ingress", -1, offset, size, "W")]
+        ops = [ScriptOp("ingress", -1, offset, size)]
         writeback_ops = []
         for layer, off, count in runs:
-            ops.append(ScriptOp("accumulator", layer, off, count, "R"))
-            ops.append(ScriptOp("accumulator", layer, off, count, "W"))
-            writeback_ops.append(ScriptOp("accumulator", layer, off, count, "R"))
-            writeback_ops.append(ScriptOp("writeback", layer, off, count, "W"))
-            writeback_ops.append(ScriptOp("values", layer, off, count, "W"))
+            ops += [ScriptOp("accumulator", layer, off, count)] * 2  # read, then write
+            writeback_ops.append(ScriptOp("accumulator", layer, off, count))
+            writeback_ops.append(ScriptOp("writeback", layer, off, count))
+            writeback_ops.append(ScriptOp("values", layer, off, count))
         budget_ns = size * 1e9 / bw.bytes_per_second
-        pieces = [(p, n, op.kind) for op in ops for p, n in _reference_pieces(layout, op)]
+        pieces = [piece for op in ops for piece in _reference_pieces(layout, op)]
         t = float(t_ns)
         step = budget_ns / len(pieces)
-        events.extend(AccessEvent(int(t + i * step), p, kind, n)
-                      for i, (p, n, kind) in enumerate(pieces))
+        events.extend((int(t + i * step), p, n) for i, (p, n) in enumerate(pieces))
         round_end = int(t + budget_ns)
         for op in writeback_ops:
-            events.extend(AccessEvent(round_end, p, op.kind, n) for p, n in _reference_pieces(layout, op))
+            events.extend((round_end, p, n) for p, n in _reference_pieces(layout, op))
         t_ns = round_end
         offset += size
     return events

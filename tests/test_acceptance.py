@@ -158,14 +158,15 @@ def boundary_flips(entry, mode, count):
     else:
         half = count // 2
         seq = [(VICTIM - 1, half), (VICTIM + 1, count - half)]
+    # the module holds one fill, so each cell runs alone in its table
     res = simulate_trace(
         alternating_acts(seq),
         DramConfig(),
         FULL,
-        builtin_thresholds(),
+        ThresholdTable([entry]),
         TrrConfig(capacity=0),
         only_victim_vulnerable(FULL, 0, VICTIM),
-        oracles.RowFills(entry.aggressor_fill, {(0, VICTIM): entry.victim_fill}),
+        RowContents(entry.victim_fill),
     )
     return res.flips
 

@@ -339,6 +339,30 @@ def test_key_changes_feasibility_output(tmp_path, capsys, key):
     assert changed != base, f"[{key[0]}] {key[1]} = {value} changes no output byte"
 
 
+def test_row_fill_changes_simulate_flips(tmp_path, capsys):
+    """The module fill alone picks the threshold class of every flip."""
+    records = tmp_path / "records.txt"
+    table = tmp_path / "thresholds.txt"
+    table.write_text("".join(f"{victim},{aggressor},{mode},{count}\n" for victim, aggressor, counts in (
+        ("0x00", "0x00", (6, 4)), ("0xff", "0x00", (5, 3)), ("0x55", "0x55", (7, 5)))
+        for mode, count in zip(("single", "double"), counts)))
+    base = {**LIVENESS_BASE, "run": {**LIVENESS_BASE["run"], "records_file": str(records)},
+            "thresholds": {"source": str(table)}}
+    _run_bytes(tmp_path, capsys, "train", {}, base=base)
+    flips = {}
+    for fill in ("0x00", "0xff"):
+        files = _run_bytes(tmp_path, capsys, f"sim-{fill}", {("dram", "row_fill"): fill},
+                           command="simulate", base=base)
+        rows = [line.split(",") for line in files["flips.txt"].decode().splitlines()
+                if not line.startswith("#")]
+        assert rows, fill
+        flips[fill] = ({row[5] for row in rows}, {row[6] for row in rows})
+    # (0x00, 0x00) flips at 6 or 4 with no differing bit; 0xff is nearest
+    # (0xff, 0x00), which flips at 5 or 3 on all eight bits
+    assert flips["0x00"][0] <= {"6", "4"} and flips["0x00"][1] == {""}
+    assert flips["0xff"][0] <= {"5", "3"} and flips["0xff"][1] == {"0;1;2;3;4;5;6;7"}
+
+
 def test_config_error_exit(tmp_path, capsys):
     path = _write_cfg(tmp_path, "[run]\nbogus = 1\n")
     assert main(["feasibility", "--config", path]) == 1
@@ -432,6 +456,8 @@ BAD_RECORDS = {
     "index past the model": ("1 3 999\n", "round 1 holds index 999, outside the config's 283-parameter"),
     "not a number": ("0 x 3\n", ":1: bad record line"),
     "round without indices": ("7\n", ":1: record needs a round and at least one index"),
+    "negative round": ("-3 1 2\n", ":1: negative round -3"),
+    "repeated round": ("4 1 2\n5 3\n4 1 2\n", ":3: repeated round 4"),
 }
 
 

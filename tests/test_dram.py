@@ -143,10 +143,12 @@ def test_vulnerability_map_seeded():
 
 
 def test_row_contents_is_one_fill():
-    contents = RowContents(0xFF)
-    assert contents.fill(0, 5) == contents.fill(1, 5) == 0xFF
+    assert RowContents(0xFF).default_fill == 0xFF
+    assert RowContents().default_fill == 0x00
     with pytest.raises(ValueError):
         RowContents(0x1FF)
+    with pytest.raises(ValueError):
+        RowContents(-1)
 
 
 def test_bit_positions():
@@ -275,13 +277,17 @@ def test_pattern_class_selects_threshold():
         ThresholdEntry(0x00, 0x00, 8, 6),
         ThresholdEntry(0xFF, 0x00, 4, 2),
     ])
-    contents = oracles.RowFills(0x00, {(0, 4): 0xFF})  # one victim holds the weak pattern
-    res = run(hammer(0, 5, 4), thresholds=table, contents=contents)
-    rows = {f.row for f in res.flips}
-    assert 4 in rows and 6 not in rows
-    flip = next(f for f in res.flips if f.row == 4)
-    assert flip.victim_fill == 0xFF and flip.aggressor_fill == 0x00
-    assert flip.bit_positions == tuple(range(8))
+    # the module fill alone picks the class: 0xFF is nearer the weak
+    # (0xFF, 0x00) one, so the neighbors of both hammered rows flip at 4
+    events = hammer(0, 5, 4)
+    weak = assert_engines_agree(events, contents=RowContents(0xFF), thresholds=table)
+    assert {f.row for f in weak.flips} == {4, 6, 49, 51}
+    for flip in weak.flips:
+        assert flip.victim_fill == flip.aggressor_fill == 0xFF
+        assert flip.threshold == 4.0 and flip.effective_count == 4
+        assert flip.bit_positions == tuple(range(8))
+    # fill 0x00 picks the (0x00, 0x00) class, which needs 8
+    assert assert_engines_agree(events, contents=RowContents(0x00), thresholds=table).flips == []
 
 
 def test_trr_protects_lone_aggressor_pair():
@@ -479,8 +485,8 @@ def test_small_chunks_carry_state(monkeypatch, chunk):
             res = assert_engines_agree(events, trr=trr, thresholds=TABLE_12_8)
             assert res == expected
             # event columns, whole or in blocks, read the same as tuples
-            t, paddr, kind, size = (np.array(c) for c in zip(*events))
-            columns = (t, paddr, kind == "W", size)
+            t, paddr, _, size = (np.array(c) for c in zip(*events))
+            columns = (t, paddr, size)
             blocks = (EventColumns(*(c[a:a + 5] for c in columns)) for a in range(0, len(events), 5))
             for trace in (EventColumns(*columns), blocks):
                 assert simulate_trace(trace, TOY_CFG, TOY, TABLE_12_8, trr,

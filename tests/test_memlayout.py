@@ -141,7 +141,7 @@ def one_round_script(ops, writeback_ops=(), size_bytes=64):
 def physical_pieces(layout, op):
     """(paddr, size) pieces of one op, read off its trace."""
     trace = trace_update_processing(layout, one_round_script([op]), BandwidthModel())
-    return [(paddr, size) for _, paddr, _, size in event_tuples(trace.events)]
+    return [(paddr, size) for _, paddr, size in event_tuples(trace.events)]
 
 
 def script_ops(script, writeback):

@@ -4,7 +4,8 @@ import pytest
 
 import oracles
 from oracles import iter_replay_events
-from hammersim import replay
+from hammersim import dram, replay
+from hammersim.dram import DramConfig, ThresholdEntry, ThresholdTable, TrrConfig
 from hammersim.federation import RoundRecord, make_mlp_spec
 from hammersim.memlayout import PAGE_BYTES, DramMapping, build_layout
 from hammersim.metrics import BandwidthModel
@@ -163,3 +164,57 @@ def test_empty_record_rejected():
         round_script(layout, records)
     with pytest.raises(ValueError, match="round 3: empty record"):
         list(iter_replay_events(layout, records, BW))
+
+
+# -- blocks into the engine -----------------------------------------------------
+
+def flipping_replay():
+    """replay_records on the pool case with low thresholds, TRR and 3 us
+    refresh windows, so that flips, refreshes, sampler state and windows
+    all cross block borders."""
+    layout, records, meta = pool_case(4)
+    cfg = DramConfig(refresh_period_s=3e-6, ref_commands=64, trc_effective_s=1e-9)
+    return replay.replay_records(
+        records, layout, cfg, BW, ThresholdTable([ThresholdEntry(0, 0, 30, 20)]),
+        trr=TrrConfig(capacity=1), vmap=oracles.all_vulnerable(layout.mapping), metadata_bytes_per_entry=meta,
+    ).result
+
+
+def engine_chunks(monkeypatch):
+    """Event counts of the chunks the engine is fed, and of the replay's blocks."""
+    chunks, blocks = [], []
+    feed, event_blocks = dram._ColumnEngine.feed, replay._event_blocks
+
+    def counting_feed(self, t, paddr, size):
+        chunks.append(t.size)
+        return feed(self, t, paddr, size)
+
+    def counting_blocks(*args):
+        for columns in event_blocks(*args):
+            blocks.append(len(columns))
+            yield columns
+
+    monkeypatch.setattr(dram._ColumnEngine, "feed", counting_feed)
+    monkeypatch.setattr(replay, "_event_blocks", counting_blocks)
+    return chunks, blocks
+
+
+def test_engine_takes_the_replay_blocks_as_they_come(monkeypatch):
+    expected = flipping_replay()
+    assert expected.flips and len(expected.windows) > 1
+    for block_indices in (64, 1000):
+        monkeypatch.setattr(replay, "BLOCK_INDICES", block_indices)
+        chunks, blocks = engine_chunks(monkeypatch)
+        assert flipping_replay() == expected
+        assert chunks == blocks and len(blocks) > 2
+
+
+def test_engine_cuts_blocks_longer_than_a_chunk(monkeypatch):
+    expected = flipping_replay()
+    chunks, blocks = engine_chunks(monkeypatch)
+    flipping_replay()
+    chunk = max(blocks) // 3
+    del chunks[:], blocks[:]
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
+    assert flipping_replay() == expected
+    assert sum(chunks) == sum(blocks) and len(chunks) > len(blocks) and max(chunks) == chunk
