@@ -169,13 +169,8 @@ class RewardConfig:
     lambda1: float = 0.5
     lambda2: float = 0.5
     lambda_image: float = 0.8
-    epsilon: float = 0.1
     stft_frame: int = 256
     stft_hop: int = 128
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ import time
 
 from . import metrics, report
 from .config import ConfigError, ExperimentConfig, load_config
-from .dram import RowContents, VulnerabilityMap
-from .federation import make_mlp_spec, read_round_records
-from .memlayout import build_layout
+from .federation import read_round_records
 from .replay import replay_records
 from .report import GoldenMismatchError
 from .training import train
@@ -167,39 +165,24 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"records file {path!r} holds no rounds")
 
     seed = g("run", "seed")
-    spec = make_mlp_spec(
-        g("federation", "in_dim"), g("federation", "hidden_dim"), g("federation", "out_dim")
-    )
+    total_params = exp.model_spec().total_params
     recorded = header.get("total_params")
-    if recorded is not None and recorded != str(spec.total_params):
+    if recorded is not None and recorded != str(total_params):
         raise ConfigError(
             f"records file {path!r} was written for a {recorded}-parameter model, "
-            f"but the config's model has {spec.total_params} parameters"
+            f"but the config's model has {total_params} parameters"
         )
     for r in records:
-        if r.indices[-1] >= spec.total_params:
+        if r.indices[-1] >= total_params:
             raise ConfigError(
                 f"records file {path!r}: round {r.round_number} holds index {r.indices[-1]}, "
-                f"outside the config's {spec.total_params}-parameter model"
+                f"outside the config's {total_params}-parameter model"
             )
-    mapping = exp.dram_mapping()
-    capacity = g("memory", "capacity_bytes") or None
-    layout = build_layout(
-        spec, capacity, mapping, seed,
-        ingress_bytes=g("memory", "ingress_bytes"),
-        metadata_bytes=g("memory", "metadata_bytes"),
-    )
-    vmap = VulnerabilityMap.from_seed(
-        mapping, seed,
-        probability=g("dram", "vulnerable_probability"),
-        multiplier_low=g("dram", "multiplier_low"),
-        multiplier_high=g("dram", "multiplier_high"),
-    )
     summary = replay_records(
-        records, layout, exp.dram_config(), exp.bandwidth(), exp.threshold_table(),
+        records, exp.layout(seed), exp.dram_config(), exp.bandwidth(), exp.threshold_table(),
         trr=exp.trr_config(),
-        vmap=vmap,
-        contents=RowContents(g("dram", "row_fill")),
+        vmap=exp.vulnerability_map(seed),
+        contents=exp.row_contents(),
         sim_seed=seed,
         metadata_bytes_per_entry=g("metrics", "metadata_bytes_per_entry"),
     )

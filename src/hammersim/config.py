@@ -10,16 +10,20 @@ from __future__ import annotations
 import configparser
 import hashlib
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .adversary import PolicyConfig, RewardConfig
 from .channel import ChannelConfig, resampled_length
-from .dram import DramConfig, ThresholdTable, TrrConfig, builtin_thresholds, read_threshold_file
-from .federation import make_mlp_spec
-from .memlayout import DramMapping, build_layout
+from .dram import (DramConfig, RowContents, ThresholdTable, TrrConfig, VulnerabilityMap, builtin_thresholds,
+                   read_threshold_file)
+from .federation import PARAM_BITS, ModelSpec, make_mlp_spec
+from .memlayout import DramMapping, MemoryLayout, build_layout
 from .metrics import BandwidthModel, topk_count, update_bytes
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "SCHEMA"]
+
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -132,6 +136,14 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
 }
 
 
+def _built(section: str, make: Callable[[], T]) -> T:
+    """make(), its ValueError reported as a ConfigError against the config section."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"bad [{section}] settings: {exc}") from exc
+
+
 class ExperimentConfig:
     """Validated configuration with typed accessors and a stable hash."""
 
@@ -173,94 +185,100 @@ class ExperimentConfig:
     # -- typed builders -------------------------------------------------
     def channel_config(self) -> ChannelConfig:
         g = self.get
-        try:
-            return ChannelConfig(
-                modality=g("channel", "modality"),
-                noise_std=g("channel", "noise_std"),
-                source_rate_hz=g("channel", "source_rate_hz"),
-                target_rate_hz=g("channel", "target_rate_hz"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [channel] settings: {exc}") from exc
+        return _built("channel", lambda: ChannelConfig(
+            modality=g("channel", "modality"),
+            noise_std=g("channel", "noise_std"),
+            source_rate_hz=g("channel", "source_rate_hz"),
+            target_rate_hz=g("channel", "target_rate_hz"),
+        ))
 
     def reward_config(self) -> RewardConfig:
         g = self.get
-        try:
-            return RewardConfig(
-                alpha=g("adversary", "alpha"),
-                beta=g("adversary", "beta"),
-                gamma=g("adversary", "gamma"),
-                lambda1=g("adversary", "lambda1"),
-                lambda2=g("adversary", "lambda2"),
-                lambda_image=g("adversary", "lambda_image"),
-                epsilon=g("adversary", "epsilon"),
-                stft_frame=g("adversary", "stft_frame"),
-                stft_hop=g("adversary", "stft_hop"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [adversary] settings: {exc}") from exc
+        return _built("adversary", lambda: RewardConfig(
+            alpha=g("adversary", "alpha"),
+            beta=g("adversary", "beta"),
+            gamma=g("adversary", "gamma"),
+            lambda1=g("adversary", "lambda1"),
+            lambda2=g("adversary", "lambda2"),
+            lambda_image=g("adversary", "lambda_image"),
+            stft_frame=g("adversary", "stft_frame"),
+            stft_hop=g("adversary", "stft_hop"),
+        ))
 
     def policy_config(self, obs_dim: int, action_dim: int) -> PolicyConfig:
         g = self.get
-        try:
-            return PolicyConfig(
-                obs_dim=obs_dim,
-                action_dim=action_dim,
-                hidden1=g("adversary", "hidden1"),
-                hidden2=g("adversary", "hidden2"),
-                learning_rate=g("adversary", "learning_rate"),
-                clip_ratio=g("adversary", "clip_ratio"),
-                discount=g("adversary", "discount"),
-                gae_lambda=g("adversary", "gae_lambda"),
-                epochs=g("adversary", "epochs"),
-                minibatch_size=g("adversary", "minibatch_size"),
-                entropy_coef=g("adversary", "entropy_coef"),
-                value_coef=g("adversary", "value_coef"),
-                log_std_init=g("adversary", "log_std_init"),
-                max_grad_norm=g("adversary", "max_grad_norm"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [adversary] settings: {exc}") from exc
+        return _built("adversary", lambda: PolicyConfig(
+            obs_dim=obs_dim,
+            action_dim=action_dim,
+            hidden1=g("adversary", "hidden1"),
+            hidden2=g("adversary", "hidden2"),
+            learning_rate=g("adversary", "learning_rate"),
+            clip_ratio=g("adversary", "clip_ratio"),
+            discount=g("adversary", "discount"),
+            gae_lambda=g("adversary", "gae_lambda"),
+            epochs=g("adversary", "epochs"),
+            minibatch_size=g("adversary", "minibatch_size"),
+            entropy_coef=g("adversary", "entropy_coef"),
+            value_coef=g("adversary", "value_coef"),
+            log_std_init=g("adversary", "log_std_init"),
+            max_grad_norm=g("adversary", "max_grad_norm"),
+        ))
+
+    def model_spec(self) -> ModelSpec:
+        g = self.get
+        return _built("federation", lambda: make_mlp_spec(
+            g("federation", "in_dim"), g("federation", "hidden_dim"), g("federation", "out_dim")))
 
     def dram_config(self) -> DramConfig:
         g = self.get
-        try:
-            return DramConfig(
-                refresh_period_s=g("dram", "refresh_period_s"),
-                ref_commands=g("dram", "ref_commands"),
-                trc_effective_s=g("dram", "trc_effective_ns") * 1e-9,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [dram] settings: {exc}") from exc
+        return _built("dram", lambda: DramConfig(
+            refresh_period_s=g("dram", "refresh_period_s"),
+            ref_commands=g("dram", "ref_commands"),
+            trc_effective_s=g("dram", "trc_effective_ns") * 1e-9,
+        ))
 
     def dram_mapping(self) -> DramMapping:
         g = self.get
-        try:
-            return DramMapping(
-                bank_count=g("dram", "bank_count"),
-                rows_per_bank=g("dram", "rows_per_bank"),
-                row_size_bytes=g("dram", "row_size_bytes"),
-                bank_xor=g("dram", "bank_xor"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [dram] settings: {exc}") from exc
+        return _built("dram", lambda: DramMapping(
+            bank_count=g("dram", "bank_count"),
+            rows_per_bank=g("dram", "rows_per_bank"),
+            row_size_bytes=g("dram", "row_size_bytes"),
+            bank_xor=g("dram", "bank_xor"),
+        ))
+
+    def layout(self, seed: int) -> MemoryLayout:
+        """The server's buffers placed in the module; seed draws the page frames."""
+        g = self.get
+        spec, mapping = self.model_spec(), self.dram_mapping()
+        return _built("memory", lambda: build_layout(
+            spec, g("memory", "capacity_bytes") or None, mapping, seed,
+            ingress_bytes=g("memory", "ingress_bytes"),
+            metadata_bytes=g("memory", "metadata_bytes"),
+        ))
+
+    def vulnerability_map(self, seed: int) -> VulnerabilityMap:
+        g = self.get
+        mapping = self.dram_mapping()
+        return _built("dram", lambda: VulnerabilityMap.from_seed(
+            mapping, seed,
+            probability=g("dram", "vulnerable_probability"),
+            multiplier_low=g("dram", "multiplier_low"),
+            multiplier_high=g("dram", "multiplier_high"),
+        ))
+
+    def row_contents(self) -> RowContents:
+        return _built("dram", lambda: RowContents(self.get("dram", "row_fill")))
 
     def trr_config(self) -> TrrConfig:
         g = self.get
-        try:
-            return TrrConfig(
-                capacity=g("dram", "trr_capacity"),
-                neighbor_radius=g("dram", "trr_neighbor_radius"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [dram] settings: {exc}") from exc
+        return _built("dram", lambda: TrrConfig(
+            capacity=g("dram", "trr_capacity"),
+            neighbor_radius=g("dram", "trr_neighbor_radius"),
+        ))
 
     def bandwidth(self) -> BandwidthModel:
         g = self.get
-        try:
-            return BandwidthModel(g("dram", "data_rate_mts"), g("dram", "bit_width"))
-        except ValueError as exc:
-            raise ConfigError(f"bad [dram] settings: {exc}") from exc
+        return _built("dram", lambda: BandwidthModel(g("dram", "data_rate_mts"), g("dram", "bit_width")))
 
     def threshold_table(self) -> ThresholdTable:
         source = self.get("thresholds", "source")
@@ -326,25 +344,22 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"[adversary] {key} must be positive, got {g('adversary', key)}")
     if g("adversary", "warmup_rounds") > g("run", "rounds_per_episode"):
         raise ConfigError("[adversary] warmup_rounds exceeds rounds_per_episode")
-    if not 0 <= g("dram", "vulnerable_probability") <= 1:
-        raise ConfigError("[dram] vulnerable_probability must be in [0, 1]")
-    low, high = g("dram", "multiplier_low"), g("dram", "multiplier_high")
-    if not 0 < low <= high:
-        raise ConfigError(f"[dram] need 0 < multiplier_low <= multiplier_high, got {low} and {high}")
-    if not 0 <= g("dram", "row_fill") <= 0xFF:
-        raise ConfigError("[dram] row_fill must be a byte")
-    if g("metrics", "metadata_bytes_per_entry") < 0:
-        raise ConfigError("[metrics] metadata_bytes_per_entry must be >= 0")
-    # construct the typed views once so schema-level mistakes surface here
+    if g("adversary", "epsilon") < 0:
+        raise ConfigError(f"[adversary] epsilon must be non-negative, got {g('adversary', 'epsilon')}")
+    # build every run object once so its own range checks run at load time;
+    # the seed only draws page frames and susceptible rows
     channel = cfg.channel_config()
     reward = cfg.reward_config()
+    spec = cfg.model_spec()
+    in_dim = g("federation", "in_dim")
+    cfg.policy_config(in_dim + spec.total_params, g("adversary", "latent_dim"))
     cfg.dram_config()
-    mapping = cfg.dram_mapping()
     cfg.trr_config()
     cfg.bandwidth()
+    cfg.vulnerability_map(0)
+    cfg.row_contents()
     # every client row goes through the resampler before local training,
     # which needs exactly in_dim samples back
-    in_dim = g("federation", "in_dim")
     resampled = resampled_length(in_dim, channel.source_rate_hz, channel.target_rate_hz)
     if resampled != in_dim:
         raise ConfigError(
@@ -365,7 +380,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"[adversary] stft_frame = {reward.stft_frame} is longer than the {in_dim}-sample "
                 f"input ([federation] in_dim); lambda1 != 0 needs one full frame")
 
-    spec = make_mlp_spec(in_dim, g("federation", "hidden_dim"), g("federation", "out_dim"))
     if g("adversary", "window_len") > spec.total_params:
         raise ConfigError(
             f"[adversary] window_len = {g('adversary', 'window_len')} exceeds the "
@@ -373,13 +387,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     # the buffers simulate lays out must fit the module, and the ingress
     # queue must hold the largest update train can record: the union of
     # every client's top-k set
-    try:
-        build_layout(spec, g("memory", "capacity_bytes") or None, mapping, 0,
-                     ingress_bytes=g("memory", "ingress_bytes"), metadata_bytes=g("memory", "metadata_bytes"))
-    except ValueError as exc:
-        raise ConfigError(f"bad [memory] settings: {exc}") from exc
+    cfg.layout(0)
     entries = min(spec.total_params, g("federation", "n_clients") * topk_count(p, spec.total_params))
-    largest = update_bytes(entries, spec.uniform_precision_bits, g("metrics", "metadata_bytes_per_entry"))
+    largest = _built("metrics", lambda: update_bytes(entries, PARAM_BITS, g("metrics", "metadata_bytes_per_entry")))
     if largest > g("memory", "ingress_bytes"):
         raise ConfigError(
             f"[memory] ingress_bytes = {g('memory', 'ingress_bytes')} cannot hold an update of "

@@ -227,9 +227,9 @@ class VulnerabilityMap:
         multiplier_high: float = 1.0,
     ) -> "VulnerabilityMap":
         if not 0 <= probability <= 1:
-            raise ValueError("probability must be in [0, 1]")
+            raise ValueError(f"vulnerable_probability must be in [0, 1], got {probability}")
         if multiplier_low <= 0 or multiplier_high < multiplier_low:
-            raise ValueError("need 0 < multiplier_low <= multiplier_high")
+            raise ValueError(f"need 0 < multiplier_low <= multiplier_high, got {multiplier_low} and {multiplier_high}")
         n = mapping.bank_count * mapping.rows_per_bank
         rng = generator(seed, "vulnerability")
         vulnerable = rng.random(n) < probability
@@ -245,7 +245,7 @@ class RowContents:
 
     def __init__(self, default_fill: int = 0x00):
         if not 0 <= default_fill <= 0xFF:
-            raise ValueError("default_fill out of byte range")
+            raise ValueError(f"row_fill must be a byte, got {default_fill}")
         self.default_fill = default_fill
 
 

@@ -19,6 +19,7 @@ from . import metrics
 from .seeding import generator
 
 __all__ = [
+    "PARAM_BITS",
     "LayerSpec",
     "ModelSpec",
     "make_mlp_spec",
@@ -33,22 +34,19 @@ __all__ = [
     "read_round_records",
 ]
 
-VALID_PRECISIONS = (4, 8, 32)
+PARAM_BITS = 32  # every model parameter is a 32-bit float
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     name: str
     element_count: int
-    precision_bits: int
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("layer name must be nonempty")
         if self.element_count <= 0:
             raise ValueError(f"layer {self.name}: element_count must be positive")
-        if self.precision_bits not in VALID_PRECISIONS:
-            raise ValueError(f"layer {self.name}: precision {self.precision_bits} not in {VALID_PRECISIONS}")
 
 
 @dataclass(frozen=True)
@@ -75,13 +73,6 @@ class ModelSpec:
             offsets.append(offsets[-1] + l.element_count)
         return tuple(offsets)
 
-    @property
-    def uniform_precision_bits(self) -> int:
-        bits = {l.precision_bits for l in self.layers}
-        if len(bits) != 1:
-            raise ValueError(f"mixed layer precisions {sorted(bits)}")
-        return bits.pop()
-
 
 def make_mlp_spec(in_dim: int, hidden_dim: int, out_dim: int) -> ModelSpec:
     """Two-layer perceptron laid out as w1, b1, w2, b2 (row-major w's)."""
@@ -89,10 +80,10 @@ def make_mlp_spec(in_dim: int, hidden_dim: int, out_dim: int) -> ModelSpec:
         raise ValueError("all dimensions must be positive")
     return ModelSpec(
         layers=(
-            LayerSpec("w1", in_dim * hidden_dim, 32),
-            LayerSpec("b1", hidden_dim, 32),
-            LayerSpec("w2", hidden_dim * out_dim, 32),
-            LayerSpec("b2", out_dim, 32),
+            LayerSpec("w1", in_dim * hidden_dim),
+            LayerSpec("b1", hidden_dim),
+            LayerSpec("w2", hidden_dim * out_dim),
+            LayerSpec("b2", out_dim),
         ),
     )
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .federation import ModelSpec
+from .federation import PARAM_BITS, ModelSpec
 from .metrics import BandwidthModel
 from .seeding import generator
 
@@ -209,7 +209,7 @@ def build_layout(
 
     for i, layer in enumerate(spec.layers):
         place("metadata", i, metadata_bytes, 8)
-        place("values", i, -(-(layer.element_count * layer.precision_bits) // 8), layer.precision_bits)
+        place("values", i, -(-(layer.element_count * PARAM_BITS) // 8), PARAM_BITS)
     for i, layer in enumerate(spec.layers):
         place("accumulator", i, layer.element_count * (ACCUMULATOR_ELEM_BITS // 8), ACCUMULATOR_ELEM_BITS)
         place("writeback", i, layer.element_count * (ACCUMULATOR_ELEM_BITS // 8), ACCUMULATOR_ELEM_BITS)

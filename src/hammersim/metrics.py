@@ -101,7 +101,7 @@ def compute_rur(index_sets: Sequence[Iterable[int]]) -> float:
     return repeated / total
 
 
-def compute_cd(indices: Iterable[int], total_params: int, coverage: float = 0.9) -> float:
+def compute_cd(indices: Iterable[int], total_params: int) -> float:
     """Cluster diameter: span of the tightest window holding 90% of the set.
 
     With k indices and m = ceil(0.9 k), CD is the minimum over all m-subsets
@@ -115,10 +115,7 @@ def compute_cd(indices: Iterable[int], total_params: int, coverage: float = 0.9)
         raise ValueError("empty index set")
     if total_params <= 0 or (idx[-1] >= total_params) or idx[0] < 0:
         raise ValueError("indices out of range for total_params")
-    if coverage == 0.9:
-        m = (9 * k + 9) // 10
-    else:
-        m = topk_count(coverage, k)
+    m = (9 * k + 9) // 10
     spans = idx[m - 1:] - idx[: k - m + 1] + 1
     return int(spans.min()) / total_params
 
@@ -266,33 +263,29 @@ class FeasibilityRow:
     update_bytes: int
     hmax: int
     cap_exceeded: bool
-    rur: str | None = None
-    e_act: int | None = None
+    rur: str
+    e_act: int
     verdict: str | None = None
     pattern_verdicts: dict[str, bool] = field(default_factory=dict)
 
 
 def feasibility_rows(
     bw: BandwidthModel,
-    models: Sequence[ModelPreset] = REFERENCE_MODELS,
-    sparsities: Sequence[str] = SPARSITY_LEVELS,
     refresh_period_s: float | str | Fraction = "0.064",
     metadata_bytes_per_entry: int = 0,
-    rur_table: dict[tuple[str, str], str] | None = None,
     act_cap: int = ACT_CAP_DEFAULT,
 ) -> list[FeasibilityRow]:
-    """Feasibility chain for every (model, sparsity) pair, in table order."""
-    if rur_table is None:
-        rur_table = REFERENCE_RUR
+    """Feasibility chain for every reference (model, sparsity) pair, in table order."""
     rows = []
-    for preset in models:
-        for p in sparsities:
+    for preset in REFERENCE_MODELS:
+        for p in SPARSITY_LEVELS:
             k = topk_count(p, preset.total_params)
             size = update_bytes(k, preset.precision_bits, metadata_bytes_per_entry)
             hm, capped = h_max(bw, size, refresh_period_s, act_cap)
-            row = FeasibilityRow(
+            rur = REFERENCE_RUR[(preset.name, p)]
+            rows.append(FeasibilityRow(
                 model=preset.name,
-                sparsity=str(p),
+                sparsity=p,
                 total_params=preset.total_params,
                 tensor_count=preset.tensor_count,
                 precision_bits=preset.precision_bits,
@@ -300,10 +293,7 @@ def feasibility_rows(
                 update_bytes=size,
                 hmax=hm,
                 cap_exceeded=capped,
-            )
-            rur = rur_table.get((preset.name, str(p)))
-            if rur is not None:
-                row.rur = rur
-                row.e_act = expected_activations(rur, hm)
-            rows.append(row)
+                rur=rur,
+                e_act=expected_activations(rur, hm),
+            ))
     return rows

@@ -30,7 +30,7 @@ from .dram import (
     VulnerabilityMap,
     simulate_trace,
 )
-from .federation import RoundRecord
+from .federation import PARAM_BITS, RoundRecord
 from .memlayout import SCRIPT_REGIONS, AccessScript, EventColumns, MemoryLayout, trace_update_processing
 from .metrics import BandwidthModel
 
@@ -67,7 +67,6 @@ def round_script(
         raise ValueError("no rounds to script")
     spec = layout.spec
     n_params = spec.total_params
-    bits = spec.uniform_precision_bits
     ingress_size = layout.region("ingress").size_bytes
     sizes, ring = [], []
     round_bounds = [0]  # where each round's indices start in the block, then the end
@@ -79,7 +78,7 @@ def round_script(
         if idx[0] < 0 or idx[-1] >= n_params:
             bad = idx[0] if idx[0] < 0 else idx[-1]
             raise ValueError(f"round {record.round_number}: index {bad} outside the model [0, {n_params})")
-        size = metrics.update_bytes(idx.size, bits, metadata_bytes_per_entry)
+        size = metrics.update_bytes(idx.size, PARAM_BITS, metadata_bytes_per_entry)
         if size > ingress_size:
             raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
         if offset + size > ingress_size:
@@ -215,8 +214,7 @@ def replay_records(
     """
     if not records:
         raise ValueError("no rounds to replay")
-    bits = layout.spec.uniform_precision_bits
-    total_bytes = sum(metrics.update_bytes(r.indices.size, bits, metadata_bytes_per_entry) for r in records)
+    total_bytes = sum(metrics.update_bytes(r.indices.size, PARAM_BITS, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
     hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
     result = simulate_trace(

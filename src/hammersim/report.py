@@ -53,7 +53,7 @@ GOLDEN_FEASIBILITY: tuple[tuple[str, str, int, int, str], ...] = (
 
 
 def fill_verdicts(rows: list[FeasibilityRow], table: ThresholdTable) -> None:
-    """Attach the overall and per-pattern verdicts to rows carrying E[A].
+    """Attach the overall and per-pattern verdicts to every row.
 
     Overall verdict compares E[A] against the minimum and the reference
     mean of the single-sided thresholds; per pattern, the update stream
@@ -62,8 +62,6 @@ def fill_verdicts(rows: list[FeasibilityRow], table: ThresholdTable) -> None:
     min_t = table.min_single()
     mean_t = table.reference_mean()
     for row in rows:
-        if row.e_act is None:
-            continue
         row.verdict = feasibility_verdict(row.e_act, min_t, mean_t)
         row.pattern_verdicts = {
             f"{e.victim_fill:02x}/{e.aggressor_fill:02x}": row.e_act >= e.single
@@ -135,8 +133,6 @@ def format_expectation_table(rows: list[FeasibilityRow]) -> str:
     head = ["model", "sparsity%", "hmax(K)", "rur%", "e_act(K)", "verdict"]
     lines = ["  ".join(f"{h:<18}" if i == 0 else f"{h:>10}" for i, h in enumerate(head))]
     for r in rows:
-        if r.e_act is None:
-            continue
         lines.append(
             "  ".join(
                 [
@@ -179,8 +175,6 @@ def write_feasibility_files(out_dir: str, rows: list[FeasibilityRow]) -> dict[st
     with open(os.path.join(out_dir, outputs["expectation_csv"]), "w", encoding="ascii") as f:
         f.write("model,sparsity_pct,hmax_k,rur_pct,e_act_k,verdict\n")
         for r in rows:
-            if r.e_act is None:
-                continue
             f.write(
                 f"{r.model},{_pct(r.sparsity, 2)},{to_kilo(r.hmax)},"
                 f"{float(Fraction(r.rur)) * 100:.1f},{to_kilo(r.e_act)},{r.verdict}\n"
@@ -209,7 +203,7 @@ def feasibility_summary(rows: list[FeasibilityRow]) -> dict:
                 "hmax": r.hmax,
                 "hmax_k": to_kilo(r.hmax),
                 "e_act": r.e_act,
-                "e_act_k": None if r.e_act is None else to_kilo(r.e_act),
+                "e_act_k": to_kilo(r.e_act),
                 "verdict": r.verdict,
             }
             for r in rows

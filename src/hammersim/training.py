@@ -29,7 +29,7 @@ from .adversary import (
 )
 from .channel import ChannelConfig, audio_channel, clip_linf, decode_latent, stft
 from .config import ConfigError, ExperimentConfig
-from .federation import RoundRecord, init_federation, make_mlp_spec, run_round, write_round_records
+from .federation import RoundRecord, init_federation, run_round, write_round_records
 from .seeding import generator
 
 __all__ = ["AttackEnv", "IterationStats", "TrainResult", "train"]
@@ -52,7 +52,7 @@ class AttackEnv:
         self.in_dim = g("federation", "in_dim")
         self.n_clients = g("federation", "n_clients")
         dims = {key: g("federation", key) for key in ("in_dim", "hidden_dim", "out_dim")}
-        self.total_params = make_mlp_spec(**dims).total_params
+        self.total_params = exp.model_spec().total_params
         self.seed = seed
         self.channel_cfg: ChannelConfig = exp.channel_config()
         self.reward_cfg = exp.reward_config()

@@ -52,7 +52,7 @@ from hammersim.adversary import (
     ppo_loss_and_grads,
 )
 from hammersim.channel import ChannelConfig
-from hammersim.federation import FederationState, ModelSpec
+from hammersim.federation import PARAM_BITS, FederationState, ModelSpec
 from hammersim.memlayout import (
     PAGE_BYTES,
     DramMapping,
@@ -673,7 +673,7 @@ def reference_replay_events(
     t_ns = 0
     for record in records:
         k = len(record.indices)
-        size = -(-(k * spec.uniform_precision_bits) // 8) + k * metadata_bytes_per_entry
+        size = -(-(k * PARAM_BITS) // 8) + k * metadata_bytes_per_entry
         if size > ingress_size:
             raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
         if offset + size > ingress_size:

@@ -459,7 +459,7 @@ def test_criterion_10_replay_budget_and_cli_determinism(tmp_path, monkeypatch, c
     # a saturating sender: every round updates the same 2048 coordinates,
     # whose 8 KB payload lands in a single accumulator row of a one-bank
     # module, so that row should re-activate once per round
-    spec = ModelSpec((LayerSpec("block", 20480, 32),))
+    spec = ModelSpec((LayerSpec("block", 20480),))
     mapping = DramMapping(bank_count=1, rows_per_bank=512, row_size_bytes=8192,
                           bank_xor=False)
     layout = build_layout(spec, None, mapping, seed=3)

@@ -199,6 +199,10 @@ REJECTED_AT_LOAD = {
     "no activation per window": ("simulate", "[dram]\ntrc_effective_ns = 1e9\n", "trc_effective_s"),
     "metadata_bytes_per_entry negative": (
         "feasibility", "[metrics]\nmetadata_bytes_per_entry = -1\n", "metadata_bytes_per_entry"),
+    "epsilon negative": ("train", "[adversary]\nepsilon = -1\n", "epsilon"),
+    "row_fill past a byte": ("simulate", "[dram]\nrow_fill = 256\n", "row_fill"),
+    "clip_ratio past one": ("train", "[adversary]\nclip_ratio = 1.5\n", "clip_ratio"),
+    "discount past one": ("train", "[adversary]\ndiscount = 2\n", "discount"),
 }
 
 
@@ -339,8 +343,8 @@ def test_key_changes_feasibility_output(tmp_path, capsys, key):
     assert changed != base, f"[{key[0]}] {key[1]} = {value} changes no output byte"
 
 
-def test_row_fill_changes_simulate_flips(tmp_path, capsys):
-    """The module fill alone picks the threshold class of every flip."""
+def _trained_simulate_base(tmp_path, capsys):
+    """LIVENESS_BASE with a low threshold table, and a tiny train's records for simulate."""
     records = tmp_path / "records.txt"
     table = tmp_path / "thresholds.txt"
     table.write_text("".join(f"{victim},{aggressor},{mode},{count}\n" for victim, aggressor, counts in (
@@ -349,6 +353,12 @@ def test_row_fill_changes_simulate_flips(tmp_path, capsys):
     base = {**LIVENESS_BASE, "run": {**LIVENESS_BASE["run"], "records_file": str(records)},
             "thresholds": {"source": str(table)}}
     _run_bytes(tmp_path, capsys, "train", {}, base=base)
+    return base
+
+
+def test_row_fill_changes_simulate_flips(tmp_path, capsys):
+    """The module fill alone picks the threshold class of every flip."""
+    base = _trained_simulate_base(tmp_path, capsys)
     flips = {}
     for fill in ("0x00", "0xff"):
         files = _run_bytes(tmp_path, capsys, f"sim-{fill}", {("dram", "row_fill"): fill},
@@ -361,6 +371,53 @@ def test_row_fill_changes_simulate_flips(tmp_path, capsys):
     # (0xff, 0x00), which flips at 5 or 3 on all eight bits
     assert flips["0x00"][0] <= {"6", "4"} and flips["0x00"][1] == {""}
     assert flips["0xff"][0] <= {"5", "3"} and flips["0xff"][1] == {"0;1;2;3;4;5;6;7"}
+
+
+# keys of the sections simulate reads -> (non-default value, other keys it
+# needs set in both runs); row_fill has its own test above
+SIMULATE_LIVENESS = {
+    ("memory", "capacity_bytes"): ("536870912", {}),
+    ("memory", "ingress_bytes"): ("128", {("dram", "row_size_bytes"): "256"}),
+    ("memory", "metadata_bytes"): ("9000", {}),
+    ("dram", "refresh_period_s"): ("0.032", {}),
+    ("dram", "ref_commands"): ("67108864", {}),
+    ("dram", "data_rate_mts"): ("3200", {}),
+    ("dram", "bit_width"): ("32", {}),
+    ("dram", "bank_count"): ("8", {}),
+    ("dram", "rows_per_bank"): ("16384", {}),
+    ("dram", "row_size_bytes"): ("4096", {}),
+    ("dram", "bank_xor"): ("false", {}),
+    ("dram", "vulnerable_probability"): ("0.5", {}),
+    ("dram", "multiplier_low"): ("0.8", {}),
+    ("dram", "multiplier_high"): ("1.3", {}),
+    ("metrics", "metadata_bytes_per_entry"): ("4", {}),
+}
+# keys that act only across whole refresh windows, which the tiny base's
+# 8 rounds do not span; they wait for simulate to replay whole windows
+SIMULATE_WAITING = {("dram", "trc_effective_ns"), ("dram", "trr_capacity"), ("dram", "trr_neighbor_radius")}
+
+
+def test_liveness_table_covers_the_sections_simulate_reads():
+    covered = set(SIMULATE_LIVENESS) | SIMULATE_WAITING | {("dram", "row_fill")}
+    assert covered == {(section, key) for section in ("memory", "dram", "metrics") for key in SCHEMA[section]}
+    for (section, key), (value, _) in SIMULATE_LIVENESS.items():
+        assert value != str(SCHEMA[section][key][1]).lower(), (section, key)
+
+
+def test_every_key_changes_simulate_output(tmp_path, capsys):
+    base = _trained_simulate_base(tmp_path, capsys)
+    bases = {}
+    dead = []
+    for (section, key), (value, needs) in SIMULATE_LIVENESS.items():
+        pairing = tuple(sorted(needs.items()))
+        if pairing not in bases:
+            bases[pairing] = _run_bytes(tmp_path, capsys, f"sim-base{len(bases)}", needs,
+                                        command="simulate", base=base)
+        changed = _run_bytes(tmp_path, capsys, f"sim-{key}", {**needs, (section, key): value},
+                             command="simulate", base=base)
+        if changed == bases[pairing]:
+            dead.append(f"[{section}] {key} = {value}")
+    assert not dead, f"keys that change no simulate output byte: {dead}"
 
 
 def test_config_error_exit(tmp_path, capsys):

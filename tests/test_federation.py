@@ -46,7 +46,6 @@ def test_mlp_spec_layout():
     assert layer_of(spec, 159) == 0
     assert layer_of(spec, 160) == 1
     assert layer_of(spec, 194) == 3
-    assert spec.uniform_precision_bits == 32
 
 
 # -- initialization ---------------------------------------------------------
