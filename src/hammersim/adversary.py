@@ -222,6 +222,9 @@ def compute_reward(
 # ---------------------------------------------------------------------------
 
 WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "wm", "bm", "ws", "bs", "wv", "bv")
+# the action log-std is clipped to this range, where its gradient is zero
+# outside; a bounded std keeps sampled actions and their densities finite
+LOG_STD_RANGE = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -285,12 +288,13 @@ def init_policy(cfg: PolicyConfig, seed: int) -> AgentState:
 
 
 def _forward(weights: dict[str, np.ndarray], obs: np.ndarray):
+    """Batched forward pass; weights["w1"] has one row per column of obs."""
     z1 = obs @ weights["w1"] + weights["b1"]
     h1 = np.tanh(z1)
     z2 = h1 @ weights["w2"] + weights["b2"]
     h2 = np.tanh(z2)
     mean = h2 @ weights["wm"] + weights["bm"]
-    log_std = h2 @ weights["ws"] + weights["bs"]
+    log_std = np.clip(h2 @ weights["ws"] + weights["bs"], *LOG_STD_RANGE)
     value = (h2 @ weights["wv"] + weights["bv"])[:, 0]
     return mean, log_std, value, (obs, h1, h2)
 
@@ -300,7 +304,9 @@ def policy_forward(obs: np.ndarray, state: AgentState) -> tuple[np.ndarray, np.n
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (state.cfg.obs_dim,):
         raise ValueError(f"obs shape {obs.shape} != ({state.cfg.obs_dim},)")
-    mean, log_std, value, _ = _forward(state.weights, obs[None, :])
+    nz = np.flatnonzero(obs)
+    weights = dict(state.weights, w1=state.weights["w1"][nz])
+    mean, log_std, value, _ = _forward(weights, obs[None, nz])
     return mean[0], log_std[0], float(value[0])
 
 
@@ -359,9 +365,11 @@ def ppo_loss_and_grads(
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Clipped-surrogate PPO objective (to minimize) and its analytic
-    gradient with respect to every weight array."""
+) -> tuple[float, float, dict[str, np.ndarray]]:
+    """Clipped-surrogate PPO objective (to minimize), the approximate KL
+    divergence mean(old_log_probs - log_probs), and the objective's analytic
+    gradient with respect to every weight array (w1's rows match obs's
+    columns, as in _forward)."""
     batch = obs.shape[0]
     mean, log_std, value, (obs_c, h1, h2) = _forward(weights, obs)
     var = np.exp(2.0 * log_std)
@@ -375,6 +383,7 @@ def ppo_loss_and_grads(
     entropy = np.sum(log_std, axis=-1) + 0.5 * actions.shape[1] * (1.0 + LOG_2PI)
     value_err = value - returns
     loss = float(np.mean(-surrogate - cfg.entropy_coef * entropy + cfg.value_coef * value_err**2))
+    approx_kl = float(np.mean(old_log_probs - logp))
 
     # d loss / d ratio through min(surr1, surr2); at ties the unclipped
     # branch is taken, matching np.minimum's first argument.
@@ -387,6 +396,7 @@ def ppo_loss_and_grads(
     d_mean = d_logp[:, None] * (diff / var)
     d_log_std = d_logp[:, None] * (diff**2 / var - 1.0)
     d_log_std -= cfg.entropy_coef / batch  # entropy bonus, d entropy / d log_std = 1
+    d_log_std *= (log_std > LOG_STD_RANGE[0]) & (log_std < LOG_STD_RANGE[1])
     d_value = 2.0 * cfg.value_coef * value_err / batch
 
     grads: dict[str, np.ndarray] = {}
@@ -404,7 +414,7 @@ def ppo_loss_and_grads(
     d_z1 = d_h1 * (1.0 - h1**2)
     grads["w1"] = obs_c.T @ d_z1
     grads["b1"] = d_z1.sum(axis=0)
-    return loss, grads
+    return loss, approx_kl, grads
 
 
 def ppo_update(
@@ -416,6 +426,8 @@ def ppo_update(
     each minibatch gradient to max_grad_norm.  With all advantages zero
     and entropy_coef zero the weights are unchanged.  Raises ValueError
     naming the first weight array that the update left non-finite.
+    Returns the new state and the update's stats: the mean minibatch loss
+    and approximate KL, the advantage spread and the mean return.
     """
     cfg = state.cfg
     adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
@@ -429,43 +441,37 @@ def ppo_update(
     weights = {k: v.copy() for k, v in state.weights.items()}
     adam_m = {k: v.copy() for k, v in state.adam_m.items()}
     adam_v = {k: v.copy() for k, v in state.adam_v.items()}
-    scratch = {k: np.empty_like(v) for k, v in weights.items()}
-    # Adam steps only the live rows of w1, gathered once per update.  A
-    # row whose observation column is zero in every sample gets a +-0
-    # gradient; if its moments are all +0.0 bits too, an Adam step keeps
-    # m = v = +0.0 and (learning rate >= 0) subtracts +0.0 from w, leaving
-    # every bit as it is.  The steps are elementwise, so a compact row
-    # gets the same floats.  Moments are tested by their bits because a
-    # step may turn a -0.0 moment into +0.0.
-    w1 = weights["w1"]
+    # The first layer reads and steps only the live rows of w1: the
+    # columns some observation sets and the rows with nonzero moments.
+    # Any other row gets no gradient, and its Adam step would keep
+    # m = v = +0.0 and subtract +0.0 from w, so it keeps every bit.
+    # Moments are tested by their bits because a step may turn a -0.0
+    # moment into +0.0.
+    full = weights["w1"], adam_m["w1"], adam_v["w1"]
     live = np.flatnonzero(trajectory.obs.any(axis=0) | adam_m["w1"].view(np.int64).any(axis=1)
                           | adam_v["w1"].view(np.int64).any(axis=1))
-    # (weights, first moment, second moment, temporary) that Adam steps
-    slots = {k: (weights[k], adam_m[k], adam_v[k], scratch[k]) for k in WEIGHT_KEYS}
-    slots["w1"] = (w1[live], adam_m["w1"][live], adam_v["w1"][live], scratch["w1"][: live.size])
+    obs = trajectory.obs[:, live]
+    weights["w1"], adam_m["w1"], adam_v["w1"] = (a[live] for a in full)
+    scratch = {k: np.empty_like(v) for k, v in weights.items()}
     step = state.adam_step
-    losses = []
+    losses, kls = [], []
     for _ in range(cfg.epochs):
         perm = rng.permutation(t_len)
         for lo in range(0, t_len, mb):
             sel = perm[lo: lo + mb]
-            loss, grads = ppo_loss_and_grads(
-                weights, cfg, trajectory.obs[sel], trajectory.actions[sel],
+            loss, kl, grads = ppo_loss_and_grads(
+                weights, cfg, obs[sel], trajectory.actions[sel],
                 trajectory.log_probs[sel], adv[sel], returns[sel],
             )
             losses.append(loss)
-            # the norm stays dense: its pairwise sum depends on where the zeros sit
-            scale = None
+            kls.append(kl)
             if cfg.max_grad_norm > 0:
                 norm = np.sqrt(sum(
                     float(np.sum(np.multiply(g, g, out=scratch[k]))) for k, g in grads.items()
                 ))
                 if norm > cfg.max_grad_norm:
-                    scale = cfg.max_grad_norm / norm
-            grads["w1"] = grads["w1"][live]
-            if scale is not None:
-                for g in grads.values():
-                    g *= scale
+                    for g in grads.values():
+                        g *= cfg.max_grad_norm / norm
             step += 1
             m_bias = 1.0 - 0.9**step
             v_bias = 1.0 - 0.999**step
@@ -473,8 +479,7 @@ def ppo_update(
                 # w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8), in place on the
                 # copies above with the same operations in the same order;
                 # the gradient's own array is spent as the second buffer
-                g = grads[key]
-                w, m, v, tmp = slots[key]
+                g, w, m, v, tmp = grads[key], weights[key], adam_m[key], adam_v[key], scratch[key]
                 m *= 0.9
                 m += np.multiply(g, 0.1, out=tmp)
                 v *= 0.999
@@ -488,14 +493,16 @@ def ppo_update(
                 g += 1e-8
                 tmp /= g
                 w -= tmp
-            w1[live] = slots["w1"][0]  # the next forward pass reads all of w1
-    adam_m["w1"][live], adam_v["w1"][live] = slots["w1"][1:3]
     for key in WEIGHT_KEYS:
         if not np.isfinite(weights[key]).all():
             raise ValueError(f"PPO update left non-finite values in {key}")
+    for arrays, rows in zip((weights, adam_m, adam_v), full):
+        rows[live] = arrays["w1"]
+        arrays["w1"] = rows
     new_state = AgentState(cfg, weights, adam_m, adam_v, step)
     stats = {
         "loss": float(np.mean(losses)),
+        "kl": float(np.mean(kls)),
         "adv_std": float(std),
         "return_mean": float(returns.mean()),
     }

@@ -257,14 +257,13 @@ class ExperimentConfig:
         ))
 
     def vulnerability_map(self, seed: int) -> VulnerabilityMap:
-        g = self.get
         mapping = self.dram_mapping()
-        return _built("dram", lambda: VulnerabilityMap.from_seed(
-            mapping, seed,
-            probability=g("dram", "vulnerable_probability"),
-            multiplier_low=g("dram", "multiplier_low"),
-            multiplier_high=g("dram", "multiplier_high"),
-        ))
+        return _built("dram", lambda: VulnerabilityMap.from_seed(mapping, seed, *self._vulnerability()))
+
+    def _vulnerability(self) -> tuple[float, float, float]:
+        """[dram] vulnerable_probability, multiplier_low and multiplier_high."""
+        keys = ("vulnerable_probability", "multiplier_low", "multiplier_high")
+        return tuple(self.get("dram", key) for key in keys)
 
     def row_contents(self) -> RowContents:
         return _built("dram", lambda: RowContents(self.get("dram", "row_fill")))
@@ -356,7 +355,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     cfg.dram_config()
     cfg.trr_config()
     cfg.bandwidth()
-    cfg.vulnerability_map(0)
+    cfg.dram_mapping()
+    _built("dram", lambda: VulnerabilityMap.check_parameters(*cfg._vulnerability()))
     cfg.row_contents()
     # every client row goes through the resampler before local training,
     # which needs exactly in_dim samples back

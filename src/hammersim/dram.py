@@ -217,6 +217,14 @@ class VulnerabilityMap:
         self.vulnerable = np.asarray(vulnerable, dtype=bool)
         self.multiplier = np.asarray(multiplier, dtype=np.float64)
 
+    @staticmethod
+    def check_parameters(probability: float, multiplier_low: float, multiplier_high: float) -> None:
+        """Raise ValueError unless from_seed can draw a map from these."""
+        if not 0 <= probability <= 1:
+            raise ValueError(f"vulnerable_probability must be in [0, 1], got {probability}")
+        if multiplier_low <= 0 or multiplier_high < multiplier_low:
+            raise ValueError(f"need 0 < multiplier_low <= multiplier_high, got {multiplier_low} and {multiplier_high}")
+
     @classmethod
     def from_seed(
         cls,
@@ -226,10 +234,7 @@ class VulnerabilityMap:
         multiplier_low: float = 1.0,
         multiplier_high: float = 1.0,
     ) -> "VulnerabilityMap":
-        if not 0 <= probability <= 1:
-            raise ValueError(f"vulnerable_probability must be in [0, 1], got {probability}")
-        if multiplier_low <= 0 or multiplier_high < multiplier_low:
-            raise ValueError(f"need 0 < multiplier_low <= multiplier_high, got {multiplier_low} and {multiplier_high}")
+        cls.check_parameters(probability, multiplier_low, multiplier_high)
         n = mapping.bank_count * mapping.rows_per_bank
         rng = generator(seed, "vulnerability")
         vulnerable = rng.random(n) < probability

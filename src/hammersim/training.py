@@ -34,7 +34,9 @@ from .seeding import generator
 
 __all__ = ["AttackEnv", "IterationStats", "TrainResult", "train"]
 
-LOG_HEADER = "iteration,mean_reward,rur,mean_stability,mean_focus,mean_stealth"
+LOG_HEADER = "iteration,mean_reward,rur,mean_stability,mean_focus,mean_stealth,cd,ppo_loss,adv_std,kl"
+# what the PPO columns hold in a random-baseline run, which has no update
+NO_UPDATE = "nan"
 
 
 class AttackEnv:
@@ -141,12 +143,19 @@ class IterationStats:
     mean_stability: float
     mean_focus: float
     mean_stealth: float
+    cd: float  # mean cluster diameter of the episode's round index sets
+    # the PPO update after the episode; None for the random baseline
+    ppo_loss: float | None = None
+    adv_std: float | None = None
+    kl: float | None = None
 
     def csv_line(self) -> str:
-        return (
+        update = [NO_UPDATE if v is None else f"{v:.6f}" for v in (self.ppo_loss, self.adv_std, self.kl)]
+        return ",".join([
             f"{self.iteration},{self.mean_reward:.6f},{self.rur:.6f},"
-            f"{self.mean_stability:.6f},{self.mean_focus:.6f},{self.mean_stealth:.6f}"
-        )
+            f"{self.mean_stability:.6f},{self.mean_focus:.6f},{self.mean_stealth:.6f},{self.cd:.6f}",
+            *update,
+        ])
 
 
 @dataclass
@@ -244,6 +253,12 @@ def train(
                     )
 
         rur = metrics.compute_rur([r.indices for r in episode_records])
+        cd = np.mean([metrics.compute_cd(r.indices, env.total_params) for r in episode_records])
+        update = {}
+        if mode == "ppo":
+            traj = Trajectory(obs_buf, act_buf, logp_buf, rew_buf, val_buf)
+            agent, out = adversary.ppo_update(traj, agent, update_seed=(seed << 20) ^ it)
+            update = dict(ppo_loss=out["loss"], adv_std=out["adv_std"], kl=out["kl"])
         stats.append(
             IterationStats(
                 iteration=it,
@@ -252,11 +267,10 @@ def train(
                 mean_stability=float(np.mean([b.stability for b in breakdowns])),
                 mean_focus=float(np.mean([b.focus for b in breakdowns])),
                 mean_stealth=float(np.mean([b.stealth for b in breakdowns])),
+                cd=float(cd),
+                **update,
             )
         )
-        if mode == "ppo":
-            traj = Trajectory(obs_buf, act_buf, logp_buf, rew_buf, val_buf)
-            agent, _ = adversary.ppo_update(traj, agent, update_seed=(seed << 20) ^ it)
         if it == iterations - 1:
             final_records = [
                 RoundRecord(it * rounds + r.round_number, r.indices) for r in episode_records

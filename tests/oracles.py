@@ -42,11 +42,11 @@ from hammersim.adversary import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     LOG_2PI,
+    LOG_STD_RANGE,
     WEIGHT_KEYS,
     AgentState,
     PolicyConfig,
     TargetWindow,
-    _forward,
     compute_gae,
     gaussian_log_prob,
     ppo_loss_and_grads,
@@ -98,9 +98,20 @@ def all_vulnerable(mapping: DramMapping) -> VulnerabilityMap:
     return VulnerabilityMap(np.ones(n, dtype=bool), np.ones(n))
 
 
+def dense_forward(weights, obs):
+    """The policy's forward pass over every observation column:
+    (mean, log_std, value, (obs, h1, h2)) as adversary._forward returns it."""
+    h1 = np.tanh(obs @ weights["w1"] + weights["b1"])
+    h2 = np.tanh(h1 @ weights["w2"] + weights["b2"])
+    mean = h2 @ weights["wm"] + weights["bm"]
+    log_std = np.clip(h2 @ weights["ws"] + weights["bs"], *LOG_STD_RANGE)
+    value = (h2 @ weights["wv"] + weights["bv"])[:, 0]
+    return mean, log_std, value, (obs, h1, h2)
+
+
 def ppo_loss(weights, cfg: PolicyConfig, obs, actions, old_log_probs, advantages, returns) -> float:
     """Clipped-surrogate PPO objective (to minimize), without gradients."""
-    mean, log_std, value, _ = _forward(weights, obs)
+    mean, log_std, value, _ = dense_forward(weights, obs)
     logp = gaussian_log_prob(actions, mean, log_std)
     ratio = np.exp(logp - old_log_probs)
     surr1 = ratio * advantages
@@ -941,8 +952,11 @@ def reference_aggregate(theta: np.ndarray, updates) -> np.ndarray:
 # PPO update with out-of-place Adam
 # ---------------------------------------------------------------------------
 
-def ppo_update_reference(trajectory, state: AgentState, update_seed: int = 0) -> AgentState:
-    """The PPO iteration with every clip and Adam step building new arrays."""
+def ppo_update_reference(
+    trajectory, state: AgentState, update_seed: int = 0
+) -> tuple[AgentState, dict[str, float]]:
+    """The PPO iteration over every column of w1, with every clip and Adam
+    step building new arrays; returns (state, stats) as ppo_update does."""
     cfg = state.cfg
     adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
     std = adv.std()
@@ -953,14 +967,17 @@ def ppo_update_reference(trajectory, state: AgentState, update_seed: int = 0) ->
     mb = min(cfg.minibatch_size, t_len)
     weights, adam_m, adam_v = dict(state.weights), dict(state.adam_m), dict(state.adam_v)
     step = state.adam_step
+    losses, kls = [], []
     for _ in range(cfg.epochs):
         perm = rng.permutation(t_len)
         for lo in range(0, t_len, mb):
             sel = perm[lo: lo + mb]
-            _, grads = ppo_loss_and_grads(
+            loss, kl, grads = ppo_loss_and_grads(
                 weights, cfg, trajectory.obs[sel], trajectory.actions[sel],
                 trajectory.log_probs[sel], adv[sel], returns[sel],
             )
+            losses.append(loss)
+            kls.append(kl)
             if cfg.max_grad_norm > 0:
                 norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
                 if norm > cfg.max_grad_norm:
@@ -973,4 +990,6 @@ def ppo_update_reference(trajectory, state: AgentState, update_seed: int = 0) ->
                 m_hat = adam_m[key] / (1.0 - 0.9**step)
                 v_hat = adam_v[key] / (1.0 - 0.999**step)
                 weights[key] = weights[key] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-    return AgentState(cfg, weights, adam_m, adam_v, step)
+    stats = {"loss": float(np.mean(losses)), "kl": float(np.mean(kls)), "adv_std": float(std),
+             "return_mean": float(returns.mean())}
+    return AgentState(cfg, weights, adam_m, adam_v, step), stats

@@ -18,7 +18,6 @@ from hammersim import metrics
 from hammersim.adversary import (
     WEIGHT_KEYS,
     PolicyConfig,
-    _forward,
     compute_emd,
     gaussian_log_prob,
     init_policy,
@@ -361,7 +360,7 @@ def fd_inputs(state, batch, seed):
     rng = generator(seed, "acceptance-fd")
     cfg = state.cfg
     obs = rng.standard_normal((batch, cfg.obs_dim))
-    mean, log_std, _, _ = _forward(state.weights, obs)
+    mean, log_std, _, _ = oracles.dense_forward(state.weights, obs)
     actions = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     old_logp = gaussian_log_prob(actions, mean, log_std) + 0.1 * rng.standard_normal(batch)
     return obs, actions, old_logp, rng.standard_normal(batch), rng.standard_normal(batch)
@@ -377,7 +376,7 @@ def test_criterion_08_gradients_match_finite_differences():
         cfg = PolicyConfig(obs_dim=obs_dim, action_dim=action_dim, hidden1=h1, hidden2=h2)
         state = init_policy(cfg, seed=init_seed)
         args = fd_inputs(state, 12, input_seed)
-        _, grads = ppo_loss_and_grads(state.weights, cfg, *args)
+        _, _, grads = ppo_loss_and_grads(state.weights, cfg, *args)
         for key in WEIGHT_KEYS:
             flat = state.weights[key].ravel()
             for i in range(flat.size):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hammersim.adversary import (
+    LOG_STD_RANGE,
     AgentState,
     PolicyConfig,
     RewardConfig,
@@ -26,7 +27,9 @@ from hammersim.adversary import (
     target_focus,
 )
 from hammersim.channel import stft
+from hammersim.config import load_config
 from hammersim.seeding import generator
+from hammersim.training import AttackEnv
 
 import oracles
 from oracles import load_checkpoint, ppo_loss
@@ -283,7 +286,7 @@ def loss_inputs(state, batch=6, seed=17):
     rng = generator(seed, "loss-inputs")
     cfg = state.cfg
     obs = rng.standard_normal((batch, cfg.obs_dim))
-    mean, log_std, _, _ = __import__("hammersim.adversary", fromlist=["_forward"])._forward(state.weights, obs)
+    mean, log_std, _, _ = oracles.dense_forward(state.weights, obs)
     actions = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     old_logp = gaussian_log_prob(actions, mean, log_std) + 0.1 * rng.standard_normal(batch)
     adv = rng.standard_normal(batch)
@@ -295,14 +298,14 @@ def test_loss_and_grads_agree_on_loss():
     state = agent_for_test(entropy_coef=0.01, value_coef=0.5)
     args = loss_inputs(state)
     plain = ppo_loss(state.weights, state.cfg, *args)
-    fused, _ = ppo_loss_and_grads(state.weights, state.cfg, *args)
+    fused, _, _ = ppo_loss_and_grads(state.weights, state.cfg, *args)
     assert fused == pytest.approx(plain, rel=1e-12)
 
 
 def test_gradients_match_finite_differences():
     state = agent_for_test(entropy_coef=0.01, value_coef=0.5)
     args = loss_inputs(state)
-    _, grads = ppo_loss_and_grads(state.weights, state.cfg, *args)
+    _, _, grads = ppo_loss_and_grads(state.weights, state.cfg, *args)
     rng = generator(23, "fd-coords")
     eps = 1e-6
     for key in WEIGHT_KEYS:
@@ -387,7 +390,7 @@ def test_ppo_update_matches_out_of_place_adam_exactly(max_grad_norm):
     for it, seed in enumerate((41, 43)):
         traj = ppo_trajectory(seed)
         state, _ = ppo_update(traj, state, update_seed=it)
-        want = oracles.ppo_update_reference(traj, want, update_seed=it)
+        want, _ = oracles.ppo_update_reference(traj, want, update_seed=it)
         assert_same_state(state, want)
 
 
@@ -419,7 +422,7 @@ def test_ppo_update_matches_reference_on_mask_observations(max_grad_norm):
         traj = mask_trajectory(seed, cols)
         before = state
         state, _ = ppo_update(traj, state, update_seed=it)
-        want = oracles.ppo_update_reference(traj, want, update_seed=it)
+        want, _ = oracles.ppo_update_reference(traj, want, update_seed=it)
         assert_same_state(state, want)
         if it > 0:
             # an unobserved row with nonzero moments is still stepped
@@ -462,6 +465,95 @@ def test_grad_norm_clip_bounds_update():
     for key in WEIGHT_KEYS:
         drift = np.abs(new_state.weights[key] - base.weights[key]).max()
         assert drift < 0.1
+
+
+def test_log_std_bound_keeps_update_finite():
+    # a log-std bias far past the bound: unbounded, exp(400) overflows, the
+    # sampled actions are infinite and the update goes non-finite
+    state = agent_for_test()
+    state.weights["bs"][:] = 400.0
+    rng = generator(79, "bound")
+    obs = rng.standard_normal((30, 6))
+    actions, logps, values = map(np.array, zip(*(sample_action(state, o, rng) for o in obs)))
+    traj = Trajectory(obs, actions, logps, rng.standard_normal(30), values)
+    assert np.isfinite(actions).all() and np.isfinite(logps).all()
+    _, _, grads = ppo_loss_and_grads(state.weights, state.cfg, obs, actions, logps,
+                                     rng.standard_normal(30), rng.standard_normal(30))
+    assert not grads["bs"].any() and not grads["ws"].any()  # clipped: no gradient
+    new_state, _ = ppo_update(traj, state, update_seed=1)
+    for key in WEIGHT_KEYS:
+        assert np.isfinite(new_state.weights[key]).all(), key
+    for o in obs:
+        _, log_std, _ = policy_forward(o, new_state)
+        assert np.all((LOG_STD_RANGE[0] <= log_std) & (log_std <= LOG_STD_RANGE[1]))
+
+
+# -- the first layer reads only nonzero columns ------------------------------
+
+@pytest.fixture(scope="module")
+def attack_rollout():
+    """A default-config policy and a 30-round trajectory of its own
+    AttackEnv observations: 100 dense columns, then a 0/1 update mask."""
+    exp = load_config(None)
+    env = AttackEnv(exp, seed=3)
+    state = init_policy(exp.policy_config(env.obs_dim, env.latent_dim), seed=3)
+    rng = generator(3, "rollout")
+    obs = [env.reset()]
+    actions, logps, values, rewards = [], [], [], []
+    for _ in range(30):
+        z, logp, value = sample_action(state, obs[-1], rng)
+        nxt, breakdown, _ = env.step(z)
+        obs.append(nxt)
+        actions.append(z)
+        logps.append(logp)
+        values.append(value)
+        rewards.append(breakdown.total)
+    traj = Trajectory(np.array(obs[:-1]), np.array(actions), np.array(logps),
+                      np.array(rewards), np.array(values))
+    return state, traj, env.in_dim
+
+
+def test_policy_forward_matches_dense_oracle(attack_rollout):
+    # the gather-sum over nonzero columns adds the same products as the dense
+    # product in another order: equal to a few ulps of the O(1) outputs
+    state, traj, in_dim = attack_rollout
+    assert 0 < np.count_nonzero(traj.obs[1, in_dim:]) < traj.obs.shape[1] // 10
+    zero_mask = traj.obs[0]
+    assert zero_mask[:in_dim].all() and not zero_mask[in_dim:].any()
+    for obs in [*traj.obs, zero_mask]:
+        got = policy_forward(obs, state)
+        want = oracles.dense_forward(state.weights, obs[None, :])
+        for g, w in zip(got, want[:3]):
+            np.testing.assert_allclose(g, w[0], rtol=1e-12, atol=1e-14)
+    # an all-zero observation reads no row of w1: the biases alone, exactly
+    zero = np.zeros(state.cfg.obs_dim)
+    for g, w in zip(policy_forward(zero, state), oracles.dense_forward(state.weights, zero[None, :])):
+        np.testing.assert_array_equal(g, w[0])
+
+
+def test_ppo_update_matches_dense_oracle_on_attack_observations(attack_rollout):
+    # chained updates: the compact first layer against the dense reference,
+    # within a tolerance set by the few-ulp reordering of each sum; rows
+    # outside the live set keep every bit of w1 and of both moments
+    state, traj, _ = attack_rollout
+    want = state
+    for it in range(2):
+        before = state
+        state, stats = ppo_update(traj, state, update_seed=it)
+        want, want_stats = oracles.ppo_update_reference(traj, want, update_seed=it)
+        assert state.adam_step == want.adam_step
+        for name in ("weights", "adam_m", "adam_v"):
+            for key in WEIGHT_KEYS:
+                np.testing.assert_allclose(getattr(state, name)[key], getattr(want, name)[key],
+                                           rtol=1e-9, atol=1e-14, err_msg=f"{name}[{key}]")
+        for key in ("loss", "kl", "adv_std"):
+            assert stats[key] == pytest.approx(want_stats[key], rel=1e-9, abs=1e-14)
+        dead = ~traj.obs.any(axis=0)
+        dead &= ~before.adam_m["w1"].view(np.int64).any(axis=1)
+        dead &= ~before.adam_v["w1"].view(np.int64).any(axis=1)
+        assert dead.sum() > 9000
+        for name in ("weights", "adam_m", "adam_v"):
+            assert_same_bits(getattr(state, name)["w1"][dead], getattr(before, name)["w1"][dead])
 
 
 # -- observation and checkpoints --------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import hammersim
 from hammersim.cli import main
 from hammersim.config import SCHEMA, ConfigError, load_config
+from hammersim.dram import VulnerabilityMap
 
 
 def _write_cfg(tmp_path, text, name="exp.ini"):
@@ -189,6 +190,8 @@ REJECTED_AT_LOAD = {
     "multiplier_high below multiplier_low": (
         "simulate", "[dram]\nmultiplier_low = 2.0\nmultiplier_high = 1.5\n", "multiplier_high"),
     "multiplier_low zero": ("simulate", "[dram]\nmultiplier_low = 0\n", "multiplier_low"),
+    "vulnerable_probability past one": (
+        "simulate", "[dram]\nvulnerable_probability = 1.5\n", "vulnerable_probability"),
     "capacity below the layout": ("simulate", "[memory]\ncapacity_bytes = 1048576\n", "huge pages"),
     "capacity negative": ("simulate", "[memory]\ncapacity_bytes = -1\n", "huge pages"),
     "capacity past the module": ("simulate", "[memory]\ncapacity_bytes = 1099511627776\n", "capacity_bytes"),
@@ -216,6 +219,17 @@ def test_config_that_would_fail_mid_run_is_rejected_at_load(tmp_path, capsys, ca
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_load_config_draws_no_vulnerability_map(tmp_path, monkeypatch):
+    # the [dram] range checks run without drawing a map the size of the module
+    calls = []
+    monkeypatch.setattr(VulnerabilityMap, "from_seed", classmethod(lambda cls, *a, **kw: calls.append(a)))
+    load_config(None)
+    load_config(_write_cfg(tmp_path, "[dram]\nrows_per_bank = 131072\nmultiplier_high = 1.3\n"))
+    with pytest.raises(ConfigError, match="multiplier_high"):
+        load_config(_write_cfg(tmp_path, "[dram]\nmultiplier_high = 0.5\n", "bad.ini"))
+    assert calls == []
 
 
 # A tiny train; every key of the sections train reads must change its output

@@ -7,7 +7,7 @@ import pytest
 from hammersim import adversary, training
 from hammersim.config import ConfigError, load_config
 from hammersim.federation import read_round_records
-from hammersim.metrics import compute_rur
+from hammersim.metrics import compute_cd, compute_rur
 from hammersim.training import LOG_HEADER, AttackEnv, train
 from hammersim.seeding import generator
 
@@ -151,6 +151,11 @@ def test_train_writes_outputs(tmp_path):
     assert lines[1] == "# mode=ppo"
     assert lines[2] == LOG_HEADER
     assert len(lines) == 3 + 3
+    for line, row in zip(lines[3:], res.stats):
+        fields = line.split(",")
+        assert len(fields) == len(LOG_HEADER.split(","))
+        assert all(np.isfinite(float(v)) for v in fields)
+        assert None not in (row.ppo_loss, row.adv_std, row.kl)
     assert os.path.exists(res.checkpoint_path)
     records, header = read_round_records(res.records_path)
     assert len(records) == 15
@@ -164,6 +169,9 @@ def test_train_random_baseline(tmp_path):
                 seed=11, iterations=3)
     assert res.mode == "random"
     assert res.agent is None
+    # no PPO update: its three log columns hold the fixed placeholder
+    for line in (tmp_path / "b" / "training_log.csv").read_text().splitlines()[3:]:
+        assert line.split(",")[-3:] == [training.NO_UPDATE] * 3
     assert not os.path.exists(os.path.join(str(tmp_path / "b"), "agent.ckpt"))
     with pytest.raises(ConfigError):
         train(quick_config(), baseline="zeros")
@@ -180,16 +188,15 @@ def test_train_is_deterministic(tmp_path):
 
 
 def test_train_bytes_match_reference_update(tmp_path, monkeypatch):
-    # the live-row Adam step in ppo_update writes the same training bytes
-    # as the dense, array-building reference update
+    # the compact first layer in ppo_update writes the same training bytes
+    # as the dense, array-building reference update on this small model
     def run(name):
         res = train(quick_config(rounds=30), out_dir=str(tmp_path / name), seed=29, iterations=4)
         paths = (tmp_path / name / "training_log.csv", res.records_path, res.checkpoint_path)
         return [open(path, "rb").read() for path in paths]
 
     fast = run("fast")
-    monkeypatch.setattr(adversary, "ppo_update", lambda trajectory, state, update_seed=0: (
-        oracles.ppo_update_reference(trajectory, state, update_seed), {}))
+    monkeypatch.setattr(adversary, "ppo_update", oracles.ppo_update_reference)
     assert run("reference") == fast
 
 
@@ -203,6 +210,9 @@ def test_train_stats_match_records():
     res = train(quick_config(), seed=13, iterations=2)
     rur = compute_rur([r.indices for r in res.records])
     assert res.stats[-1].rur == pytest.approx(rur)
+    total_params = AttackEnv(quick_config(), seed=13).total_params
+    cd = np.mean([compute_cd(r.indices, total_params) for r in res.records])
+    assert res.stats[-1].cd == pytest.approx(cd)
 
 
 def test_window_frozen_after_warmup():
