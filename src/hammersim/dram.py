@@ -36,6 +36,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .memlayout import DramMapping, EventColumns
+from .metrics import sorted_unique
 from .seeding import generator
 
 __all__ = [
@@ -450,15 +451,15 @@ class _ColumnEngine:
         g = bank * nr + row
 
         # open-row collapse: a piece activates when its bank had another row open
-        order = np.argsort(bank, kind="stable")
-        gs = g[order]
+        order = np.argsort(bank.astype(np.min_scalar_type(nb - 1)), kind="stable")  # radix sort
+        gs, bs = g[order], bank[order]
         new_bank = np.ones(gs.size, dtype=bool)
-        new_bank[1:] = bank[order[1:]] != bank[order[:-1]]
+        new_bank[1:] = bs[1:] != bs[:-1]
         prev = np.empty_like(gs)
         prev[1:] = gs[:-1]
-        prev[new_bank] = self.open_g[bank[order[new_bank]]]
+        prev[new_bank] = self.open_g[bs[new_bank]]
         last_of_bank = np.roll(new_bank, -1)
-        self.open_g[bank[order[last_of_bank]]] = gs[last_of_bank]
+        self.open_g[bs[last_of_bank]] = gs[last_of_bank]
         is_act = np.empty(gs.size, dtype=bool)
         is_act[order] = gs != prev
         act_g = g[is_act]
@@ -501,16 +502,16 @@ class _ColumnEngine:
         """
         nr = self.nr
         n = act_g.size
-        by_row = np.argsort(act_g, kind="stable")
-        row_key = act_g[by_row] * (n + 1) + by_row  # sorted (row, position)
+        row_key = np.sort(act_g * (n + 1) + np.arange(n))  # sorted (row, position)
+        by_row = row_key % (n + 1)
 
         def acts_from(u: np.ndarray, q) -> np.ndarray:
             """ACTs of rows u at positions >= q."""
             return np.searchsorted(row_key, (u + 1) * (n + 1)) - np.searchsorted(row_key, u * (n + 1) + q)
 
-        acted = np.unique(act_g)
+        acted = sorted_unique(row_key // (n + 1), presorted=True)
         acted_row = acted % nr
-        touched = np.union1d(self.dirty, np.concatenate((acted[acted_row > 0] - 1, acted[acted_row < nr - 1] + 1)))
+        touched = sorted_unique(np.concatenate((self.dirty, acted[acted_row > 0] - 1, acted[acted_row < nr - 1] + 1)))
         if not touched.size:
             return
         vrow = touched % nr
@@ -530,14 +531,14 @@ class _ColumnEngine:
         last = np.where(x >= self.ticks * rpr, np.searchsorted(ticks, x // rpr + 1), -1)
 
         trr_pos, trr_vic = [last[:0]], [last[:0]]
-        for pos, ref in self._trr_refreshes(act_g, w, ticks):
+        for pos, ref in self._trr_refreshes(w, ticks, row_key, by_row):
             i, hit = _locate(touched, ref)
             np.maximum.at(last, i[hit], pos[hit])
             i, hit = _locate(cand, ref)
             trr_pos.append(pos[hit])
             trr_vic.append(i[hit])
 
-        flip_vic, flip_pos = self._sweep(cand, act_g, act_t, ticks, by_row, trr_pos, trr_vic)
+        flip_vic, flip_pos = self._sweep(cand, row_key, act_t, ticks, by_row, trr_pos, trr_vic)
 
         fresh = last >= 0
         q = np.maximum(last, 0)
@@ -551,7 +552,7 @@ class _ColumnEngine:
         self.armed[touched] = armed
         self.dirty = touched[(lo > 0) | (hi > 0) | ~armed]
 
-    def _trr_refreshes(self, act_g, w, ticks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _trr_refreshes(self, w, ticks, row_key, by_row) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(position, refreshed row) of the sampler's refreshes, in batches.
 
         A command ranks the rows of each bank by their ACTs in the current
@@ -562,7 +563,7 @@ class _ColumnEngine:
         covers all of them.
         """
         cap = self.trr.capacity
-        n = act_g.size
+        n = w.size
         issued = ticks.copy()
         issued[1:] -= ticks[:-1]
         issued[0] -= self.ticks
@@ -580,13 +581,14 @@ class _ColumnEngine:
         if not pos.size:
             return
 
-        # one entity per (window, row): key = window rank * N + row, where
-        # rank 0 is the carried window and its counts are the base
-        wins = np.unique(np.append(self.window, w))
-        act_key = np.searchsorted(wins, w) * N + act_g
-        by_key = np.argsort(act_key, kind="stable")
-        acts = act_key[by_key] * (n + 1) + by_key  # sorted (entity, position)
-        ent = np.union1d(act_key, self.win_rows)
+        # one entity per (window, row): key = window rank * N + row, where rank 0
+        # is the carried window and its counts are the base; the (row, position)
+        # order re-sorted stably on the rank (a radix sort) is by (entity, position)
+        wins = sorted_unique(np.append(self.window, w), presorted=True)  # w never decreases
+        w_rank = np.searchsorted(wins, w)[by_row]
+        by_key = np.argsort(w_rank.astype(np.min_scalar_type(wins.size - 1)), kind="stable")
+        acts = (w_rank * N * (n + 1) + row_key)[by_key]  # sorted (entity, position)
+        ent = sorted_unique(np.concatenate((self.win_rows, sorted_unique(acts // (n + 1), presorted=True))))
         base = np.where(ent < N, self.win_counts[ent % N], 0)
         first = np.searchsorted(acts, ent * (n + 1))
         row = ent % nr
@@ -618,7 +620,7 @@ class _ColumnEngine:
             yield np.concatenate(out_p), np.concatenate(out_g)
             a = b
 
-    def _sweep(self, cand, act_g, act_t, ticks, by_row, trr_pos, trr_vic) -> tuple[np.ndarray, np.ndarray]:
+    def _sweep(self, cand, row_key, act_t, ticks, by_row, trr_pos, trr_vic) -> tuple[np.ndarray, np.ndarray]:
         """Record the flips of candidate victims; returns (candidate index, position) per flip.
 
         Each victim's neighbor ACTs are cut into segments by its refreshes
@@ -631,9 +633,9 @@ class _ColumnEngine:
         if not cand.size:
             return none, none
         nr = self.nr
-        n = act_g.size
+        n = row_key.size
         vrow = cand % nr
-        sorted_g = act_g[by_row]
+        sorted_g = row_key // (n + 1)
         aggressor = np.concatenate((np.where(vrow > 0, cand - 1, -1), np.where(vrow < nr - 1, cand + 1, -1)))
         a = np.searchsorted(sorted_g, aggressor)
         count = np.searchsorted(sorted_g, aggressor, "right") - a
@@ -700,7 +702,7 @@ class _ColumnEngine:
                 self._roll_to(start + k)
             rows, c = keys[a:b] % N, counts[a:b]
             self.win_counts[rows] += c
-            self.win_rows = np.union1d(self.win_rows, rows)
+            self.win_rows = sorted_unique(np.concatenate((self.win_rows, rows)))
             self.bank_acts += np.bincount(rows // self.nr, weights=c, minlength=self.nb).astype(np.int64)
 
     def _roll_to(self, index: int) -> None:

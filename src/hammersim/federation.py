@@ -294,7 +294,7 @@ def run_round(fed: FederationState, x: np.ndarray) -> RoundRecord:
     indices, values = sparsify_topk(local_train(fed, x, fed.y), fed.k)
     fed.theta = aggregate(fed.theta, indices, values)
     fed.round_number = t + 1
-    return RoundRecord(t, np.unique(indices))
+    return RoundRecord(t, metrics.sorted_unique(indices))
 
 
 def write_round_records(path, records: list[RoundRecord], header: dict[str, str] | None = None) -> None:

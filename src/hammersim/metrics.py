@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "topk_count",
+    "sorted_unique",
     "index_array",
     "compute_rur",
     "compute_cd",
@@ -68,6 +69,18 @@ def topk_count(sparsity: float | str | Fraction, total_params: int) -> int:
     return -(-num // den)
 
 
+def sorted_unique(a: np.ndarray, presorted: bool = False) -> np.ndarray:
+    """np.unique(a) of an integer array: flattened, sorted, distinct, a's dtype.
+
+    Sorts (unless presorted) and drops equal neighbours; numpy 2.x's
+    np.unique without a return_* flag hashes instead, many times slower.
+    """
+    a = np.ravel(a) if presorted else np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def index_array(u: Iterable[int]) -> np.ndarray:
     """An index set as a sorted, duplicate-free int64 array.
 
@@ -78,7 +91,7 @@ def index_array(u: Iterable[int]) -> np.ndarray:
     a = a.astype(np.int64, copy=False)
     if a.ndim == 1 and np.all(a[1:] > a[:-1]):
         return a  # already sorted and unique, as every round record is
-    return np.unique(a)
+    return sorted_unique(a)
 
 
 def compute_rur(index_sets: Sequence[Iterable[int]]) -> float:

@@ -468,6 +468,43 @@ def test_victim_flips_again_after_refresh():
     assert len(times) == 2 and times[0] < trefi < times[1]
 
 
+def hammered_pairs(mapping, banks, rounds=14, start=1_000, step=400):
+    """Double-sided pairs (rows 4 and 6) in the given banks, interleaved in time."""
+    return [AccessEvent(start + k * step + j * step // 2 + i, dram_to_physical(bank, row, 0, mapping), "W", 8)
+            for k in range(rounds) for j, row in enumerate((4, 6)) for i, bank in enumerate(banks)]
+
+
+@pytest.mark.parametrize("bank_count, banks", [
+    (256, (0, 127, 128, 255)),      # bank numbers fill a uint8 sort key
+    (512, (1, 255, 257, 511)),      # they need uint16: 257 and 1 share their low byte
+])
+def test_wide_bank_fields_match_references(bank_count, banks):
+    mapping = DramMapping(bank_count=bank_count, rows_per_bank=16, row_size_bytes=64, bank_xor=True)
+    rng = generator(bank_count, "dram-wide-banks")
+    events = random_trace_on(mapping, rng, n_events=300, t_span=20_000_000, max_size=200)
+    events = sorted(events + hammered_pairs(mapping, banks), key=lambda e: e.time_ns)
+    for trr in (NO_TRR, TrrConfig(capacity=2)):
+        res = assert_engines_agree(events, trr=trr, mapping=mapping, thresholds=TABLE_12_8)
+        assert {f.bank for f in res.flips if f.row == 5} >= set(banks)
+
+
+def test_one_chunk_over_several_windows_matches_references():
+    # the sampler ranks each window's ACTs on their own: the chunk's ACTs in
+    # (window, row, position) order, here over four windows in one chunk,
+    # with a different pair leading bank 3 in each window
+    window_ns = int(TOY_CFG.window_ns)
+    rng = generator(3, "dram-multi-window")
+    events = decoyed_and_protected(windows=4, step=256_000)
+    for w in range(4):
+        events += hammer(3, 10 + 8 * w, 30, start=w * window_ns + 1000, step=20_000, other=60)
+    events = sorted(events + random_trace_on(TOY, rng, n_events=400, t_span=4 * window_ns),
+                    key=lambda e: e.time_ns)
+    assert len(events) <= dram.CHUNK_EVENTS
+    for cap in (1, 2, 4):
+        res = assert_engines_agree(events, trr=TrrConfig(capacity=cap), thresholds=TABLE_12_8)
+        assert len(res.windows) == 4
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
 def test_small_chunks_carry_state(monkeypatch, chunk):
     rng = generator(chunk, "dram-chunks")

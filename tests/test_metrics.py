@@ -98,6 +98,34 @@ def test_index_array_forms():
     assert index_array([]).size == 0
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint16])
+def test_sorted_unique_matches_np_unique(dtype):
+    rng = generator(5, "sorted-unique")
+    cases = {
+        "empty": [],
+        "one": [7],
+        "sorted": [1, 2, 2, 3, 9, 9, 9, 40],
+        "reversed": [40, 9, 9, 3, 2, 2, 1],
+        "all equal": [5] * 6,
+        "2-D": [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]],
+        "random": rng.integers(0, 50, 300),
+    }
+    for name, values in cases.items():
+        a = np.array(values, dtype=dtype)
+        want = np.unique(a)
+        got = metrics.sorted_unique(a)
+        assert got.dtype == want.dtype == dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        if name != "2-D":
+            s = np.sort(a)
+            got = metrics.sorted_unique(s, presorted=True)
+            assert got.dtype == dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    # presorted takes a 2-D array whose flattened values are sorted
+    got = metrics.sorted_unique(np.array([[1, 1, 2], [2, 3, 3]], dtype=dtype), presorted=True)
+    np.testing.assert_array_equal(got, [1, 2, 3])
+
+
 def test_rur_matches_frozenset_reference_exactly_on_every_input_form():
     rng = generator(71, "rur-forms")
     for _ in range(15):
