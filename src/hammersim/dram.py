@@ -30,6 +30,8 @@ banks x rows, never by the trace.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -312,7 +314,7 @@ CHUNK_EVENTS = 1 << 16
 # At most this many (refresh command, row) cells are ranked for TRR at once.
 _TRR_CELLS = 1 << 20
 
-_EVENT_DTYPE = np.dtype([("time_ns", np.int64), ("paddr", np.int64), ("kind", object), ("size", np.int64)])
+_COLUMNS = tuple(operator.itemgetter(f) for f in (0, 1, 3))  # time_ns, paddr, size
 
 
 def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -320,7 +322,8 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
 
     Reads EventColumns, or an iterable of either (time_ns, paddr, kind,
     size) tuples or EventColumns blocks; a block goes in as it comes, cut
-    only where it is longer than chunk.
+    only where it is longer than chunk.  Tuples are read one column at a
+    time, times truncated to int64.
     """
     if isinstance(trace, EventColumns):
         trace = (trace,)
@@ -330,31 +333,37 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
         return
     it = itertools.chain((first,), it)
     if not isinstance(first, EventColumns):
-        while True:
-            rows = np.fromiter(itertools.islice(it, chunk), dtype=_EVENT_DTYPE)
-            if not rows.size:
-                return
-            yield rows["time_ns"], rows["paddr"], rows["size"]
+        while rows := list(itertools.islice(it, chunk)):
+            if set(map(len, rows)) != {4}:
+                raise ValueError("trace events must be (time_ns, paddr, kind, size) tuples")
+            yield tuple(np.fromiter(map(col, rows), np.int64, len(rows)) for col in _COLUMNS)
+        return
     for block in it:
         for a in range(0, len(block), chunk):
             yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
 
 
 def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
-    """Per element, the number of k >= 1 with k * step <= t (< t if strict).
+    """Per element of non-decreasing t, the number of k >= 1 with k * step <= t (< t if strict).
 
     The products k * step are the float products of the refresh clock, so
     an event or a command on an exact tick or window boundary lands on the
-    same side of it as in a one-step-at-a-time replay.
+    same side of it as in a one-step-at-a-time replay.  A count is
+    floor(t / step) or a neighbour, so only those k are located in t: the
+    range spanned by t if no longer than t, else t's distinct floor(t / step)
+    and their neighbours.  Nothing is sized by the time t spans.
     """
-    k = np.maximum(np.floor(t / step), 0).astype(np.int64)
-    if strict:
-        k -= (k > 0) & (k * step >= t)
-        k += (k + 1) * step < t
+    if not t.size:
+        return np.zeros(0, dtype=np.int64)
+    lo, hi = math.floor(t[0] / step), math.floor(t[-1] / step)
+    if hi - lo < t.size:
+        k = np.arange(max(lo - 1, 1), hi + 2)
     else:
-        k -= (k > 0) & (k * step > t)
-        k += (k + 1) * step <= t
-    return k
+        f = sorted_unique(np.floor(t / step), presorted=True)
+        k = sorted_unique(np.concatenate((f - 1, f, f + 1))).astype(np.int64)
+        k = k[k >= 1]
+    at = np.searchsorted(t, k * step, "right" if strict else "left")
+    return np.repeat(np.concatenate(([0], k)), np.diff(np.concatenate(([0], at, [t.size]))))
 
 
 def _locate(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,31 +477,48 @@ class _ColumnEngine:
         self.total_acts += n
 
         w = _multiples(act_t, self.cfg.window_ns)
-        self._check_rate(act_g, w)
+        # the chunk's one sort, of (row, position) keys; re-sorted stably on the window
+        # rank (rank 0: the carried window) it is by (entity = rank * N + row, position)
+        row_key = np.sort(act_g * (n + 1) + np.arange(n))
+        by_row = row_key % (n + 1)
+        wins, acts = np.array([self.window]), row_key
+        if n and w[-1] > self.window:
+            wins = sorted_unique(np.append(self.window, w), presorted=True)  # w never decreases
+            w_rank = np.searchsorted(wins, w)[by_row]
+            by_key = np.argsort(w_rank.astype(np.min_scalar_type(wins.size - 1)), kind="stable")
+            acts = (w_rank * (nb * nr * (n + 1)) + row_key)[by_key]
+        ent = sorted_unique(acts // (n + 1), presorted=True)
+        first = np.searchsorted(acts, ent * (n + 1))  # where each entity starts in acts
+        self._check_rate(acts, ent, first, wins)
         # ticks[p]: refresh commands issued before ACT p (p = n: by the chunk's last event)
         ticks = _multiples(np.append(act_t, t[-1]), self.cfg.trefi_ns)
-        self._refresh_and_flip(act_g, act_t, w, ticks)
-        self._count_windows(act_g, w)
+        self._refresh_and_flip(act_t, w, ticks, row_key, by_row, acts, ent, wins)
+        self._count_windows(ent, np.diff(first, append=n), wins)
         self.ticks = int(ticks[-1])
 
-    def _check_rate(self, act_g: np.ndarray, w: np.ndarray) -> None:
-        """Raise at the first ACT that takes its bank past act_cap in its window."""
-        cap = self.cfg.act_cap
-        key = (w - self.window) * self.nb + act_g // self.nr
-        groups, counts = np.unique(key, return_counts=True)
-        before = np.where(groups < self.nb, self.bank_acts[groups % self.nb], 0)
-        over = before + counts > cap
-        if not over.any():
+    def _check_rate(self, acts, ent, first, wins) -> None:
+        """Raise at the first ACT that takes its bank past act_cap in its window.
+
+        The chunk's entities are sorted, so their (rank, bank) keys are too:
+        each bank's ACTs per window are one run of acts.
+        """
+        cap, nb = self.cfg.act_cap, self.nb
+        key = ent // self.nr  # rank * nb + bank
+        groups = sorted_unique(key, presorted=True)
+        start = first[np.searchsorted(key, groups)]
+        end = np.append(start[1:], acts.size)
+        before = np.where(groups < nb, self.bank_acts[groups % nb], 0)
+        over = np.flatnonzero(before + end - start > cap)
+        if not over.size:
             return
-        order = np.argsort(key, kind="stable")
-        pos = order[np.searchsorted(key[order], groups[over]) + cap - before[over]].min()
+        pos, i = min((np.sort(acts[start[i]:end[i]] % (acts.size + 1))[cap - before[i]], i) for i in over)
         raise TraceRateError(
-            f"bank {act_g[pos] // self.nr} exceeds {cap} activations in window "
-            f"{w[pos]}: the trace outruns the row-cycle budget"
+            f"bank {groups[i] % nb} exceeds {cap} activations in window "
+            f"{wins[groups[i] // nb]}: the trace outruns the row-cycle budget"
         )
 
     # -- refresh schedule and flips ----------------------------------------
-    def _refresh_and_flip(self, act_g, act_t, w, ticks) -> None:
+    def _refresh_and_flip(self, act_t, w, ticks, row_key, by_row, acts, ent, wins) -> None:
         """Apply the chunk's refresh commands and neighbor ACTs to the dirty rows.
 
         A command before ACT p resets its rows before that ACT.  Victims
@@ -501,15 +527,13 @@ class _ColumnEngine:
         every other row only needs its exposure after its last refresh.
         """
         nr = self.nr
-        n = act_g.size
-        row_key = np.sort(act_g * (n + 1) + np.arange(n))  # sorted (row, position)
-        by_row = row_key % (n + 1)
+        n = act_t.size
 
         def acts_from(u: np.ndarray, q) -> np.ndarray:
             """ACTs of rows u at positions >= q."""
             return np.searchsorted(row_key, (u + 1) * (n + 1)) - np.searchsorted(row_key, u * (n + 1) + q)
 
-        acted = sorted_unique(row_key // (n + 1), presorted=True)
+        acted = sorted_unique(ent % (self.nb * nr))
         acted_row = acted % nr
         touched = sorted_unique(np.concatenate((self.dirty, acted[acted_row > 0] - 1, acted[acted_row < nr - 1] + 1)))
         if not touched.size:
@@ -531,7 +555,7 @@ class _ColumnEngine:
         last = np.where(x >= self.ticks * rpr, np.searchsorted(ticks, x // rpr + 1), -1)
 
         trr_pos, trr_vic = [last[:0]], [last[:0]]
-        for pos, ref in self._trr_refreshes(w, ticks, row_key, by_row):
+        for pos, ref in self._trr_refreshes(w, ticks, acts, ent, wins):
             i, hit = _locate(touched, ref)
             np.maximum.at(last, i[hit], pos[hit])
             i, hit = _locate(cand, ref)
@@ -552,7 +576,7 @@ class _ColumnEngine:
         self.armed[touched] = armed
         self.dirty = touched[(lo > 0) | (hi > 0) | ~armed]
 
-    def _trr_refreshes(self, w, ticks, row_key, by_row) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _trr_refreshes(self, w, ticks, acts, ent, wins) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(position, refreshed row) of the sampler's refreshes, in batches.
 
         A command ranks the rows of each bank by their ACTs in the current
@@ -581,14 +605,8 @@ class _ColumnEngine:
         if not pos.size:
             return
 
-        # one entity per (window, row): key = window rank * N + row, where rank 0
-        # is the carried window and its counts are the base; the (row, position)
-        # order re-sorted stably on the rank (a radix sort) is by (entity, position)
-        wins = sorted_unique(np.append(self.window, w), presorted=True)  # w never decreases
-        w_rank = np.searchsorted(wins, w)[by_row]
-        by_key = np.argsort(w_rank.astype(np.min_scalar_type(wins.size - 1)), kind="stable")
-        acts = (w_rank * N * (n + 1) + row_key)[by_key]  # sorted (entity, position)
-        ent = sorted_unique(np.concatenate((self.win_rows, sorted_unique(acts // (n + 1), presorted=True))))
+        # the carried window's rows are rank-0 entities too, its counts the base
+        ent = sorted_unique(np.concatenate((self.win_rows, ent)))
         base = np.where(ent < N, self.win_counts[ent % N], 0)
         first = np.searchsorted(acts, ent * (n + 1))
         row = ent % nr
@@ -635,10 +653,9 @@ class _ColumnEngine:
         nr = self.nr
         n = row_key.size
         vrow = cand % nr
-        sorted_g = row_key // (n + 1)
         aggressor = np.concatenate((np.where(vrow > 0, cand - 1, -1), np.where(vrow < nr - 1, cand + 1, -1)))
-        a = np.searchsorted(sorted_g, aggressor)
-        count = np.searchsorted(sorted_g, aggressor, "right") - a
+        a = np.searchsorted(row_key, aggressor * (n + 1))
+        count = np.searchsorted(row_key, (aggressor + 1) * (n + 1)) - a
         vic = np.repeat(np.tile(np.arange(cand.size), 2), count)
         is_lo = np.repeat(np.arange(2 * cand.size) < cand.size, count)
         p = by_row[np.arange(vic.size) + np.repeat(a - count.cumsum() + count, count)]
@@ -688,19 +705,16 @@ class _ColumnEngine:
         return vic[f], p[f]
 
     # -- windows -------------------------------------------------------------
-    def _count_windows(self, act_g: np.ndarray, w: np.ndarray) -> None:
-        """Add the chunk's ACTs to the window counts, closing finished windows."""
-        if not act_g.size:
-            return
+    def _count_windows(self, ent: np.ndarray, count: np.ndarray, wins: np.ndarray) -> None:
+        """Add the chunk's ACTs per entity to the window counts, closing finished windows."""
         N = self.nb * self.nr
-        keys, counts = np.unique((w - self.window) * N + act_g, return_counts=True)
-        offset = keys // N
-        start = self.window
-        rel, bounds = np.unique(offset, return_index=True)
-        for k, a, b in zip(rel.tolist(), bounds.tolist(), np.append(bounds[1:], keys.size).tolist()):
-            if k:
-                self._roll_to(start + k)
-            rows, c = keys[a:b] % N, counts[a:b]
+        rank = ent // N
+        ranks = sorted_unique(rank, presorted=True)
+        bounds = np.searchsorted(rank, ranks).tolist()
+        for r, a, b in zip(ranks.tolist(), bounds, bounds[1:] + [ent.size]):
+            if r:
+                self._roll_to(int(wins[r]))
+            rows, c = ent[a:b] % N, count[a:b]
             self.win_counts[rows] += c
             self.win_rows = sorted_unique(np.concatenate((self.win_rows, rows)))
             self.bank_acts += np.bincount(rows // self.nr, weights=c, minlength=self.nb).astype(np.int64)

@@ -164,6 +164,23 @@ def load_checkpoint(path, cfg: PolicyConfig) -> tuple[dict[str, np.ndarray], byt
 # DRAM activation recount
 # ---------------------------------------------------------------------------
 
+def multiples_reference(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
+    """Per element, the number of k >= 1 with k * step <= t (< t if strict).
+
+    Elementwise: floor(t / step), then one float-product correction each
+    way, so any t in any order; the engine's dram._multiples locates the
+    products in sorted times instead.
+    """
+    k = np.maximum(np.floor(t / step), 0).astype(np.int64)
+    if strict:
+        k -= (k > 0) & (k * step >= t)
+        k += (k + 1) * step < t
+    else:
+        k -= (k > 0) & (k * step > t)
+        k += (k + 1) * step <= t
+    return k
+
+
 def expand_acts(events, mapping: DramMapping) -> list[tuple[int, int, int]]:
     """(time, bank, row) of every activation, after open-row collapsing."""
     open_row = {}

@@ -209,6 +209,26 @@ def test_generator_input_streams():
     assert res.total_acts == 2
 
 
+@pytest.mark.parametrize("bad", [(0, 0, 8), (0, 0, "R", 8, 1)])
+@pytest.mark.parametrize("at", [1, 6])
+def test_tuples_must_have_four_fields(monkeypatch, bad, at):
+    # at 6 the bad tuple opens the second chunk, after a full first one ran
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", 6)
+    events = [tuple(e) for e in hammer(0, 5, 3)] + [tuple(ev(1000, 1, 3))]
+    events.insert(at, (events[at - 1][0],) + bad[1:])
+    with pytest.raises(ValueError, match="time_ns, paddr, kind, size"):
+        run(events)
+
+
+def test_tuple_forms_read_alike():
+    events = hammer(0, 5, 8, step=1000) + hammer(1, 9, 3, start=8000, step=1000)
+    expected = run(events)
+    assert expected.flips
+    assert run([tuple(e) for e in events]) == expected
+    # float times truncate to the int64 times they stand for
+    assert run([AccessEvent(e.time_ns + 0.75, *e[1:]) for e in events]) == expected
+
+
 # -- flip rules -------------------------------------------------------------
 
 def test_single_sided_flip_at_exact_threshold():
@@ -460,6 +480,46 @@ def test_ticks_on_window_boundaries_match_references():
         assert_engines_agree(events, trr=trr, cfg=odd)
 
 
+SORTED_TIMES = {
+    "empty": [],
+    "zero": [0],
+    "one": [8_000_000],
+    "tick multiples": [int(k * TOY_CFG.trefi_ns) + d for k in range(20) for d in (-1, 0, 0, 1) if k or d >= 0],
+    "window multiples": [k * int(TOY_CFG.window_ns) + d for k in range(5) for d in (-1, 0, 1) if k or d >= 0],
+    "sparse": [0, 1, 7, 10 ** 9, 10 ** 9 + 1, 3 * 10 ** 11, 10 ** 12],
+    "far apart": [0, 10 ** 15],  # a grid over the span would hold about 10**11 products
+}
+
+
+def sorted_times(case, step):
+    if case == "products":  # on and beside k * step, which may round
+        k = np.arange(200) * step
+        return np.sort(np.concatenate((np.floor(k) - 1, np.floor(k), np.ceil(k)))).astype(np.int64)
+    return np.array(SORTED_TIMES[case], dtype=np.int64)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("step", [TOY_CFG.trefi_ns, TOY_CFG.window_ns, DramConfig().trefi_ns, 1e9 / 3])
+@pytest.mark.parametrize("case", sorted(SORTED_TIMES) + ["products"])
+def test_multiples_matches_elementwise_reference(case, step, strict):
+    t = sorted_times(case, step)
+    got = dram._multiples(t, step, strict)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracles.multiples_reference(t, step, strict))
+
+
+def test_multiples_of_random_sorted_times():
+    rng = generator(15, "dram-multiples")
+    for step in (7.0, 1e9 / 3, TOY_CFG.trefi_ns):
+        for span in (10, 10 ** 6, 10 ** 15):
+            t = np.sort(rng.integers(-50, span, int(rng.integers(1, 500))))
+            for strict in (False, True):
+                assert np.array_equal(dram._multiples(t, step, strict),
+                                      oracles.multiples_reference(t, step, strict))
+            f = np.sort(rng.random(300)) * span  # refresh commands' times are floats
+            assert np.array_equal(dram._multiples(f, step, True), oracles.multiples_reference(f, step, True))
+
+
 def test_victim_flips_again_after_refresh():
     trefi = int(TOY_CFG.trefi_ns)  # tick 1 refreshes rows 0..7
     events = hammer(0, 5, 10, start=0, step=1000) + hammer(0, 5, 10, start=trefi + 1000, step=1000)
@@ -570,3 +630,19 @@ def test_errors_match_incremental_engine(monkeypatch, case, chunk):
     expected = first_error(oracles.incremental_simulate, events, TIGHT)
     assert expected[0] is kind
     assert first_error(simulate_trace, events, TIGHT) == expected
+
+
+def test_rate_error_in_second_window_of_a_chunk(monkeypatch):
+    # chunk 1 (24 events) leaves window 0 open; chunk 2 finishes window 0
+    # and runs into window 1, where bank 1 passes act_cap (8).  Bank 0, at
+    # 6 ACTs in window 0 and 8 in window 1, never does, but would first if
+    # the carried window's ACTs counted toward window 1.
+    W = int(TIGHT.window_ns)
+    first = hammer(0, 5, 2) + hammer(2, 5, 4, start=200) + hammer(3, 5, 4, start=1000) + hammer(1, 5, 2, start=2000)
+    second = hammer(0, 5, 1, start=3000) + hammer(1, 7, 2, start=4000)
+    second += hammer(0, 9, 2, start=W) + hammer(1, 9, 5, start=W + 1000)[:9] + hammer(0, 9, 2, start=W + 2000)
+    assert len(first) == 24 and len(second) == 23
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", 24)
+    message = "bank 1 exceeds 8 activations in window 1: the trace outruns the row-cycle budget"
+    assert first_error(oracles.incremental_simulate, first + second, TIGHT) == (TraceRateError, message)
+    assert first_error(simulate_trace, first + second, TIGHT) == (TraceRateError, message)
