@@ -64,7 +64,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _write_common_outputs(out_dir: str, exp: ExperimentConfig, command: str,
-                          outputs: dict[str, str], summary: dict, started: float) -> None:
+                          outputs: dict[str, str], summary: dict, started: float, **stage_seconds: float) -> None:
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="ascii") as f:
         f.write(exp.normalized_text())
     outputs = dict(outputs)
@@ -79,7 +79,7 @@ def _write_common_outputs(out_dir: str, exp: ExperimentConfig, command: str,
             "summary": summary,
         },
     )
-    report.write_timing(out_dir, time.monotonic() - started)
+    report.write_timing(out_dir, time.monotonic() - started, **stage_seconds)
 
 
 def cmd_feasibility(args) -> int:
@@ -225,7 +225,8 @@ def cmd_simulate(args) -> int:
             "act_ratio": summary.act_ratio,
             "flips": len(res.flips),
         }
-        _write_common_outputs(args.out, exp, "simulate", outputs, manifest_summary, started)
+        _write_common_outputs(args.out, exp, "simulate", outputs, manifest_summary, started,
+                              trace_seconds=summary.trace_seconds, engine_seconds=summary.engine_seconds)
     return 0
 
 

@@ -311,6 +311,9 @@ def _bit_positions(victim_fill: int, aggressor_fill: int) -> tuple[int, ...]:
 # engine allocates is sized by one chunk, or by banks x rows for the state
 # it carries from one chunk to the next.
 CHUNK_EVENTS = 1 << 16
+# Consecutive EventColumns blocks are joined while the chunk stays at or below this
+# many events: a chunk has a fixed engine cost, and far larger ones run slower per event.
+JOIN_EVENTS = 1 << 13
 # At most this many (refresh command, row) cells are ranked for TRR at once.
 _TRR_CELLS = 1 << 20
 
@@ -321,9 +324,10 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
     """(time_ns, paddr, size) columns of consecutive events, at most chunk events each.
 
     Reads EventColumns, or an iterable of either (time_ns, paddr, kind,
-    size) tuples or EventColumns blocks; a block goes in as it comes, cut
-    only where it is longer than chunk.  Tuples are read one column at a
-    time, times truncated to int64.
+    size) tuples or EventColumns blocks.  Consecutive blocks are joined
+    while the joined chunk holds at most min(JOIN_EVENTS, chunk) events; a
+    longer block goes in on its own, cut only where it is longer than
+    chunk.  Tuples are read one column at a time, times truncated to int64.
     """
     if isinstance(trace, EventColumns):
         trace = (trace,)
@@ -338,9 +342,19 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
                 raise ValueError("trace events must be (time_ns, paddr, kind, size) tuples")
             yield tuple(np.fromiter(map(col, rows), np.int64, len(rows)) for col in _COLUMNS)
         return
-    for block in it:
-        for a in range(0, len(block), chunk):
-            yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
+    join = min(JOIN_EVENTS, chunk)
+    held, n = [], 0  # blocks waiting to be joined, and their events
+    for block in itertools.chain(it, (None,)):
+        k = 0 if block is None else len(block)
+        if held and (block is None or n + k > join):
+            yield tuple(np.concatenate(c) for c in zip(*((b.time_ns, b.paddr, b.size) for b in held)))
+            held, n = [], 0
+        if k > join:
+            for a in range(0, k, chunk):
+                yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
+        elif k:
+            held.append(block)
+            n += k
 
 
 def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:

@@ -7,12 +7,10 @@ frames; a configurable DRAM address hash then splits physical addresses
 into (bank, row, column).
 
 An AccessScript is the logical access pattern of a block of consecutive
-rounds, held as op columns: per round the update message's ops (ingress
-write, accumulator read+write per entry run) and the round-end writeback
-ops.  trace_update_processing turns it into time-stamped physical event
-columns.  Each message occupies size_bytes / bandwidth seconds, its
-events are spaced uniformly, and the writeback events land on the round
-boundary.
+rounds: per round its update message, per entry run its layer and range.
+trace_update_processing turns it into time-stamped physical event columns.
+Each message occupies size_bytes / bandwidth seconds, its events are
+spaced uniformly, and the writeback events land on the round boundary.
 Contiguous element runs become single burst events, split at row and page
 borders, which leaves the per-bank row-activation sequence identical to
 per-element events while keeping traces tractable.
@@ -227,30 +225,28 @@ def build_layout(
     return MemoryLayout(spec, mapping, regions, page_table, int(seed))
 
 
-# Regions an access script touches; the script's region column indexes this.
+# Regions an access script touches, in the order of the layout's region table.
 SCRIPT_REGIONS = ("ingress", "accumulator", "writeback", "values")
 
 
 @dataclass(frozen=True)
 class AccessScript:
-    """A block of consecutive rounds as op columns, in the order the ops run.
+    """A block of consecutive rounds: per round its message, per run its entries.
 
-    Per round the update message's ops come first (ingress write, then an
-    accumulator read and write per entry run), then its round-end
-    writeback ops (accumulator read, writeback write, values write per
-    run).  Offsets and counts are in elements of the op's region; the
-    layout resolves them to physical byte ranges.
+    Round r's message lands at ingress_offset[r], and its runs[r] entry runs
+    follow those of the rounds before it.  A run is count entries from
+    offset of layer, in the layer's accumulator, writeback and values
+    buffers.  In trace order a round is: ingress write, an accumulator read
+    and write per run, then at the round's end an accumulator read,
+    writeback write and values write per run.
     """
 
     size_bytes: np.ndarray  # per round: update message bytes
     ingress_offset: np.ndarray  # per round: where the message lands in the ingress queue
-    op_round: np.ndarray  # per op: index into the block's rounds
-    writeback: np.ndarray  # per op: bool, a round-end writeback op
-    region: np.ndarray  # per op: index into SCRIPT_REGIONS
-    layer: np.ndarray  # per op: -1 for the global ingress queue
-    offset: np.ndarray
-    count: np.ndarray
-    write: np.ndarray  # per op: bool, "W" where set, else "R"
+    runs: np.ndarray  # per round: number of entry runs
+    layer: np.ndarray  # per run
+    offset: np.ndarray  # per run: first entry, within the layer
+    count: np.ndarray  # per run: entries
 
 
 @dataclass(frozen=True)
@@ -271,19 +267,24 @@ class AccessTrace:
     end_ns: int  # end of the last round
 
 
-def _op_byte_ranges(layout: MemoryLayout, script: AccessScript) -> tuple[np.ndarray, np.ndarray]:
-    """Virtual [start, end) byte range of every op of the script."""
-    key = script.region * (len(layout.spec.layers) + 1) + script.layer + 1
-    base, bits, limit = (column[key] for column in layout._script_region_table)
-    start = base + script.offset * bits // 8
-    end = base - (-(script.offset + script.count) * bits // 8)
-    bad = (script.offset < 0) | (script.count <= 0) | (end > limit)
+def _source_ranges(layout: MemoryLayout, script: AccessScript) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual [start, end) byte range of every source of the script: each
+    round's ingress range, then all runs' accumulator, then writeback, then
+    values ranges."""
+    width = len(layout.spec.layers) + 1
+    key = script.layer + 1  # region r of the layer is at r * width + key
+    key = np.concatenate((np.zeros_like(script.size_bytes), key + width, key + 2 * width, key + 3 * width))
+    offset = np.concatenate((script.ingress_offset, script.offset, script.offset, script.offset))
+    count = np.concatenate((script.size_bytes, script.count, script.count, script.count))
+    base, bits, limit = layout._script_region_table.take(key, axis=1)
+    start = base + (offset * bits >> 3)  # floor and ceil of bits / 8
+    end = base - (-(offset + count) * bits >> 3)
+    bad = (offset < 0) | (count <= 0) | (end > limit)
     if bad.any():
-        i = bad.nonzero()[0][0]
-        raise ValueError(
-            f"op [{script.offset[i]}, {script.offset[i] + script.count[i]}) invalid or outside "
-            f"region {SCRIPT_REGIONS[script.region[i]]}/{script.layer[i]}"
-        )
+        i = bad.argmax()
+        region, layer = divmod(int(key[i]), width)
+        raise ValueError(f"op [{offset[i]}, {offset[i] + count[i]}) invalid or outside "
+                         f"region {SCRIPT_REGIONS[region]}/{layer - 1}")
     return start, end
 
 
@@ -317,38 +318,6 @@ def _translate(layout: MemoryLayout, addr: np.ndarray) -> None:
     addr += frame
 
 
-def _piece_times(
-    script: AccessScript, n_pieces: np.ndarray, bw: BandwidthModel, start_time_ns: int
-) -> tuple[np.ndarray, int]:
-    """Time of every piece, and the end of the block's last round.
-
-    Each round is a message segment of ops, then a writeback segment.
-    Rounds start at the previous round's integer end (the only per-round
-    recurrence); message piece i of a round is at int(start + i * step),
-    and writeback pieces are at the round's end (step 0).
-    """
-    budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
-    seg_t0 = []
-    t = start_time_ns
-    for budget in budget_ns.tolist():
-        start = t
-        t = int(t + budget)
-        seg_t0 += (start, t)
-    seg = 2 * script.op_round + script.writeback
-    piece_bounds = np.zeros(seg.size + 1, dtype=np.int64)  # each op's first piece, then the end
-    n_pieces.cumsum(out=piece_bounds[1:])
-    seg_first_piece = piece_bounds[seg.searchsorted(np.arange(len(seg_t0)))]
-    message_pieces = seg_first_piece[1::2] - seg_first_piece[::2]
-    if not message_pieces.all():
-        raise ValueError("update message with no operations")
-    seg_step = np.zeros(len(seg_t0))
-    seg_step[::2] = budget_ns / message_pieces
-    i = np.arange(piece_bounds[-1]) - seg_first_piece[seg].repeat(n_pieces)
-    time_ns = i * seg_step[seg].repeat(n_pieces)
-    time_ns += np.array(seg_t0, dtype=np.float64)[seg].repeat(n_pieces)
-    return time_ns.astype(np.int64), t
-
-
 def trace_update_processing(
     layout: MemoryLayout,
     script: AccessScript,
@@ -358,12 +327,51 @@ def trace_update_processing(
     """Physical access trace of a block of consecutive aggregation rounds.
 
     Rounds play back to back from start_time_ns.  A round's message
-    occupies size_bytes / bandwidth; its pieces are spaced uniformly over
-    that budget, and its writeback pieces land on the round's end.  Each
-    piece is one burst that stays inside one DRAM row; the row size divides
-    the huge page, so no piece crosses a page either.
+    occupies size_bytes / bandwidth, its events at int(i * step + start);
+    its writeback events land on the round's integer end.  Each event is
+    one burst inside one DRAM row (the row size divides the huge page).  A
+    run's five ops touch three byte ranges, so only each round's ingress
+    range and each run's three ranges (the sources) are cut and translated.
     """
-    n_pieces, paddr, size = _row_pieces(*_op_byte_ranges(layout, script), layout.mapping.row_size_bytes)
-    _translate(layout, paddr)
-    time_ns, end_ns = _piece_times(script, n_pieces, bw, start_time_ns)
-    return AccessTrace(EventColumns(time_ns, paddr, size), end_ns)
+    n_rounds, n_runs = script.size_bytes.size, script.layer.size
+    n_pieces, piece_addr, piece_size = _row_pieces(*_source_ranges(layout, script), layout.mapping.row_size_bytes)
+    _translate(layout, piece_addr)
+
+    # each op's source, in trace order.  Round r's ops start at r + 5 * (runs
+    # before r); the block's run j, in round r, has its message ops from
+    # 2j + r + 1 + 3 * (runs before r) and its writeback ops from
+    # 3j + r + 1 + 2 * (runs up to and including r).
+    round_runs = np.zeros(n_rounds + 1, dtype=np.int64)  # each round's first run, then n_runs
+    script.runs.cumsum(out=round_runs[1:])
+    rounds, j = np.arange(n_rounds), np.arange(n_runs)
+    first_op = rounds + 5 * round_runs[:-1]
+    message_op = 2 * j + (rounds + 1 + 3 * round_runs[:-1]).repeat(script.runs)
+    writeback_op = 3 * j + (rounds + 1 + 2 * round_runs[1:]).repeat(script.runs)
+    op_src = np.empty(n_rounds + 5 * n_runs, dtype=np.int64)
+    op_src[first_op] = rounds
+    op_src[message_op] = op_src[message_op + 1] = op_src[writeback_op] = n_rounds + j
+    op_src[writeback_op + 1], op_src[writeback_op + 2] = n_rounds + n_runs + j, n_rounds + 2 * n_runs + j
+
+    # op k's events are its source's pieces, in order
+    op_pieces = n_pieces[op_src]
+    op_bounds = np.zeros(op_src.size + 1, dtype=np.int64)  # each op's first event, then the end
+    op_pieces.cumsum(out=op_bounds[1:])
+    piece = np.arange(op_bounds[-1]) + (n_pieces.cumsum()[op_src] - op_pieces - op_bounds[:-1]).repeat(op_pieces)
+
+    # times, per segment: a round's message, then its writeback (step 0)
+    seg_first_op = np.empty(2 * n_rounds + 1, dtype=np.int64)
+    seg_first_op[:-1:2] = first_op
+    seg_first_op[1::2] = first_op + 1 + 2 * script.runs
+    seg_first_op[-1] = op_src.size
+    seg_bounds = op_bounds[seg_first_op]
+    seg_events = seg_bounds[1:] - seg_bounds[:-1]
+    budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
+    seg_t0, t = [], start_time_ns
+    for budget in budget_ns.tolist():  # the only per-round recurrence
+        seg_t0 += (t, int(t + budget))
+        t = seg_t0[-1]
+    seg_step = np.zeros(seg_events.size)
+    seg_step[::2] = budget_ns / seg_events[::2]
+    time_ns = (np.arange(seg_bounds[-1]) - seg_bounds[:-1].repeat(seg_events)) * seg_step.repeat(seg_events)
+    time_ns += np.array(seg_t0, dtype=np.float64).repeat(seg_events)
+    return AccessTrace(EventColumns(time_ns.astype(np.int64), piece_addr[piece], piece_size[piece]), t)

@@ -37,10 +37,6 @@ __all__ = [
     "to_kilo",
 ]
 
-# Activation budget cap: one ACT per effective row-cycle time, per bank,
-# per refresh window.
-ACT_CAP_DEFAULT = 1_306_122  # floor(0.064 s / 49 ns)
-
 
 def _as_fraction(x: float | int | str | Fraction) -> Fraction:
     """Exact rational from a value that was written as a decimal literal.
@@ -183,7 +179,8 @@ def h_max(
     bw: BandwidthModel,
     size_bytes: Fraction | int,
     refresh_period_s: float | str | Fraction = "0.064",
-    act_cap: int = ACT_CAP_DEFAULT,
+    *,
+    act_cap: int,
 ) -> tuple[int, bool]:
     """Max update deliveries per refresh window, and a cap-exceeded flag.
 
@@ -286,7 +283,8 @@ def feasibility_rows(
     bw: BandwidthModel,
     refresh_period_s: float | str | Fraction = "0.064",
     metadata_bytes_per_entry: int = 0,
-    act_cap: int = ACT_CAP_DEFAULT,
+    *,
+    act_cap: int,
 ) -> list[FeasibilityRow]:
     """Feasibility chain for every reference (model, sparsity) pair, in table order."""
     rows = []
@@ -294,7 +292,7 @@ def feasibility_rows(
         for p in SPARSITY_LEVELS:
             k = topk_count(p, preset.total_params)
             size = update_bytes(k, preset.precision_bits, metadata_bytes_per_entry)
-            hm, capped = h_max(bw, size, refresh_period_s, act_cap)
+            hm, capped = h_max(bw, size, refresh_period_s, act_cap=act_cap)
             rur = REFERENCE_RUR[(preset.name, p)]
             rows.append(FeasibilityRow(
                 model=preset.name,

@@ -14,7 +14,8 @@ where the layout lands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -31,7 +32,7 @@ from .dram import (
     simulate_trace,
 )
 from .federation import PARAM_BITS, RoundRecord
-from .memlayout import SCRIPT_REGIONS, AccessScript, EventColumns, MemoryLayout, trace_update_processing
+from .memlayout import AccessScript, EventColumns, MemoryLayout, trace_update_processing
 from .metrics import BandwidthModel
 
 __all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "replay_records"]
@@ -41,14 +42,6 @@ __all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "replay_records"]
 # rounds with at most this many record indices between them (a larger
 # round is a block of its own), which bounds the memory of the columns.
 BLOCK_INDICES = 8192
-
-# the five ops of one entry run: accumulator read and write in the update
-# message, then accumulator read, writeback write and values write at the
-# round's end
-_RUN_OP_REGIONS = np.array([SCRIPT_REGIONS.index(name) for name in (
-    "accumulator", "accumulator", "accumulator", "writeback", "values")])
-_RUN_OP_WRITES = np.array([False, True, False, True, True])
-_RUN_OP_WRITEBACK = np.array([False, False, True, True, True])
 
 
 def round_script(
@@ -100,44 +93,16 @@ def round_script(
     new_run[round_bounds] = True
     run_bounds = new_run.nonzero()[0]
     run_start = run_bounds[:-1]
-    n_runs = run_start.size
     run_layer = stepped[run_start] - idx[run_start]
     run_offset = idx[run_start] - np.array(spec.layer_offsets)[run_layer]
-    run_count = run_bounds[1:] - run_start
     round_runs = run_bounds.searchsorted(round_bounds)  # each round's first run, then n_runs
-    runs = round_runs[1:] - round_runs[:-1]
-
-    # op table: per round its ingress op, then 2 message ops per run, then
-    # 3 writeback ops per run.  Round r's ingress op is at r + 5 * (runs
-    # before r); the block's run j, in round r, has its message ops from
-    # 2j + r + 1 + 3 * (runs before r) and its writeback ops from
-    # 3j + r + 1 + 2 * (runs up to and including r).
-    n_rounds = len(sizes)
-    rounds = np.arange(n_rounds)
-    first_op = rounds + 5 * round_runs[:-1]
-    j = np.arange(n_runs)
-    message_op = 2 * j + (rounds + 1 + 3 * round_runs[:-1]).repeat(runs)
-    writeback_op = 3 * j + (rounds + 1 + 2 * round_runs[1:]).repeat(runs)
-    run_op = np.concatenate((message_op[:, None] + (0, 1), writeback_op[:, None] + (0, 1, 2)), axis=1)
-    n_ops = n_rounds + 5 * n_runs
-    columns = {}
-    for name, ingress, per_run in (
-        ("region", SCRIPT_REGIONS.index("ingress"), _RUN_OP_REGIONS),
-        ("layer", -1, run_layer[:, None]),
-        ("offset", ring, run_offset[:, None]),
-        ("count", sizes, run_count[:, None]),
-        ("write", True, _RUN_OP_WRITES),
-        ("writeback", False, _RUN_OP_WRITEBACK),
-    ):
-        column = np.empty(n_ops, dtype=per_run.dtype)
-        column[first_op] = ingress
-        column[run_op] = per_run
-        columns[name] = column
     return AccessScript(
         size_bytes=np.array(sizes, dtype=np.int64),
         ingress_offset=np.array(ring, dtype=np.int64),
-        op_round=rounds.repeat(1 + 5 * runs),
-        **columns,
+        runs=round_runs[1:] - round_runs[:-1],
+        layer=run_layer,
+        offset=run_offset,
+        count=run_bounds[1:] - run_start,
     )
 
 
@@ -160,20 +125,24 @@ def _event_blocks(
     layout: MemoryLayout,
     records: Iterable[RoundRecord],
     bw: BandwidthModel,
-    metadata_bytes_per_entry: int = 0,
+    metadata_bytes_per_entry: int,
+    trace_seconds: list[float],
 ) -> Iterator[EventColumns]:
     """Physical event columns of consecutive rounds, back to back, one block at a time.
 
     The ingress ring offset and the clock carry over from block to block.
+    Each block's wall time in round_script and trace_update_processing is
+    appended to trace_seconds.
     """
     offset = 0
     t = 0
     for block in _blocks(records):
+        started = time.perf_counter()
         script = round_script(layout, block, metadata_bytes_per_entry, offset)
         offset = int(script.ingress_offset[-1] + script.size_bytes[-1])
         trace = trace_update_processing(layout, script, bw, t)
+        trace_seconds.append(time.perf_counter() - started)
         t = trace.end_ns
-        del script
         yield trace.events
         del trace  # free the block's columns before building the next block
 
@@ -184,6 +153,9 @@ class ReplaySummary:
     rounds: int
     h_max_analytic: int
     measured_max_row_acts: int
+    # wall time in trace generation, and in the rest of replay_records
+    trace_seconds: float = field(compare=False)
+    engine_seconds: float = field(compare=False)
 
     @property
     def act_ratio(self) -> float:
@@ -212,18 +184,23 @@ def replay_records(
     rounds: H_max = floor(window_bytes / mean_size); for a constant-size
     trace this is exact.
     """
+    started = time.perf_counter()
     if not records:
         raise ValueError("no rounds to replay")
     total_bytes = sum(metrics.update_bytes(r.indices.size, PARAM_BITS, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
-    hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), dram_cfg.act_cap)
+    hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), act_cap=dram_cfg.act_cap)
+    trace_seconds: list[float] = []
     result = simulate_trace(
-        _event_blocks(layout, records, bw, metadata_bytes_per_entry), dram_cfg, layout.mapping, thresholds,
-        trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
+        _event_blocks(layout, records, bw, metadata_bytes_per_entry, trace_seconds), dram_cfg, layout.mapping,
+        thresholds, trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
     )
+    trace = sum(trace_seconds)
     return ReplaySummary(
         result=result,
         rounds=len(records),
         h_max_analytic=hmax,
         measured_max_row_acts=result.max_row_acts(),
+        trace_seconds=trace,
+        engine_seconds=time.perf_counter() - started - trace,
     )

@@ -221,11 +221,13 @@ def write_manifest(out_dir: str, payload: dict) -> str:
     return path
 
 
-def write_timing(out_dir: str, seconds: float) -> str:
-    """Wall-clock sidecar, kept out of the manifest on purpose."""
+def write_timing(out_dir: str, seconds: float, **stage_seconds: float) -> str:
+    """Wall-clock sidecar, kept out of the manifest on purpose: elapsed, then per-stage seconds."""
     path = os.path.join(out_dir, "timing.txt")
     with open(path, "w", encoding="ascii") as f:
         f.write(f"elapsed_seconds={seconds:.3f}\n")
+        for name, value in stage_seconds.items():
+            f.write(f"{name}={value:.3f}\n")
     return path
 
 

@@ -88,7 +88,7 @@ def iter_replay_events(layout: MemoryLayout, records, bw: BandwidthModel, metada
 
     Built a block of rounds at a time, as the package builds it.
     """
-    for columns in replay._event_blocks(layout, records, bw, metadata_bytes_per_entry):
+    for columns in replay._event_blocks(layout, records, bw, metadata_bytes_per_entry, []):
         yield from event_tuples(columns)
 
 

@@ -58,7 +58,7 @@ def emit(num, ok, detail):
 
 
 def golden_rows():
-    rows = metrics.feasibility_rows(BandwidthModel())
+    rows = metrics.feasibility_rows(BandwidthModel(), act_cap=DramConfig().act_cap)
     fill_verdicts(rows, builtin_thresholds())
     return {(r.model, r.sparsity): r for r in rows}
 

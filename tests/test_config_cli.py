@@ -480,6 +480,21 @@ def test_rerun_byte_identical(tmp_path):
         assert fa[name] == fb[name], name
 
 
+def test_simulate_timing_lists_its_stages(tmp_path, capsys):
+    base = _trained_simulate_base(tmp_path, capsys)
+    runs = [_run_bytes(tmp_path, capsys, name, {}, command="simulate", base=base) for name in ("a", "b")]
+    assert runs[0] == runs[1]
+    manifests = [(tmp_path / name / "manifest.json").read_bytes() for name in ("a", "b")]
+    assert manifests[0] == manifests[1]
+    assert set(json.loads(manifests[0])["summary"]) == {
+        "rounds", "total_events", "total_acts", "h_max_analytic", "measured_max_row_acts", "act_ratio", "flips"}
+    for name in ("a", "b"):
+        timing = dict(line.split("=") for line in (tmp_path / name / "timing.txt").read_text().splitlines())
+        assert list(timing) == ["elapsed_seconds", "trace_seconds", "engine_seconds"]
+        elapsed, trace, engine = map(float, timing.values())
+        assert min(trace, engine) >= 0 and trace + engine <= elapsed + 0.002
+
+
 def test_simulate_requires_records(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--out", str(tmp_path / "sim")]) == 1

@@ -15,7 +15,7 @@ from hammersim.federation import (
     sparsify_topk,
     write_round_records,
 )
-from hammersim.memlayout import SCRIPT_REGIONS, DramMapping, build_layout
+from hammersim.memlayout import DramMapping, build_layout
 from hammersim.metrics import topk_count
 from hammersim.replay import round_script
 from hammersim.seeding import generator
@@ -202,10 +202,7 @@ def record_runs(spec, indices):
     """(layer, offset within layer, count) of the runs replay makes of one record."""
     mapping = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192)
     script = round_script(build_layout(spec, None, mapping, seed=1), [RoundRecord(0, np.array(indices))])
-    # each run's first message op is its accumulator read
-    reads = (script.region == SCRIPT_REGIONS.index("accumulator")) & ~script.write & ~script.writeback
-    return list(zip(script.layer[reads].tolist(), script.offset[reads].tolist(),
-                    script.count[reads].tolist()))
+    return list(zip(script.layer.tolist(), script.offset.tolist(), script.count.tolist()))
 
 
 def test_runs_grouping():

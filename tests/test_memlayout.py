@@ -5,9 +5,9 @@ import pytest
 from hammersim.federation import RoundRecord, make_mlp_spec
 from hammersim.memlayout import (
     PAGE_BYTES,
-    SCRIPT_REGIONS,
     AccessScript,
     DramMapping,
+    MemoryLayout,
     build_layout,
     dram_to_physical,
     physical_to_dram,
@@ -119,38 +119,31 @@ def test_virtual_to_physical_uses_page_table():
         virtual_to_physical(layout, 10**12)
 
 
-# -- op columns --------------------------------------------------------------
+# -- per-run scripts --------------------------------------------------------
 
-def one_round_script(ops, writeback_ops=(), size_bytes=64):
-    """AccessScript of one round from (region, layer, offset, count, kind) ops."""
-    rows = list(ops) + list(writeback_ops)
-    col = lambda i: np.array([row[i] for row in rows], dtype=np.int64)
+def one_round_script(runs=(), size_bytes=64, ingress_offset=0):
+    """AccessScript of one round: a size_bytes message, then (layer, offset, count) runs."""
+    col = lambda i: np.array([run[i] for run in runs], dtype=np.int64)
     return AccessScript(
         size_bytes=np.array([size_bytes]),
-        ingress_offset=np.array([0]),
-        op_round=np.zeros(len(rows), dtype=np.int64),
-        writeback=np.arange(len(rows)) >= len(ops),
-        region=np.array([SCRIPT_REGIONS.index(row[0]) for row in rows]),
-        layer=col(1),
-        offset=col(2),
-        count=col(3),
-        write=np.array([row[4] == "W" for row in rows]),
+        ingress_offset=np.array([ingress_offset]),
+        runs=np.array([len(runs)]),
+        layer=col(0),
+        offset=col(1),
+        count=col(2),
     )
 
 
-def physical_pieces(layout, op):
-    """(paddr, size) pieces of one op, read off its trace."""
-    trace = trace_update_processing(layout, one_round_script([op]), BandwidthModel())
+def trace_pieces(layout, script):
+    """(paddr, size) of every event of the script's trace, in trace order."""
+    trace = trace_update_processing(layout, script, BandwidthModel())
     return [(paddr, size) for _, paddr, size in event_tuples(trace.events)]
 
 
-def script_ops(script, writeback):
-    """(region, layer, offset, count, kind) of the script's message or writeback ops."""
-    return [(SCRIPT_REGIONS[r], l, o, c, "W" if w else "R")
-            for r, l, o, c, w, wb in zip(script.region.tolist(), script.layer.tolist(),
-                                          script.offset.tolist(), script.count.tolist(),
-                                          script.write.tolist(), script.writeback.tolist())
-            if wb == writeback]
+def range_start(layout, name, layer, offset):
+    """Physical address of element offset of a region."""
+    region = layout.region(name, layer)
+    return virtual_to_physical(layout, byte_range_of_elems(region, offset, 1)[0])
 
 
 # -- piece splitting --------------------------------------------------------
@@ -159,9 +152,10 @@ def test_pieces_never_cross_row_borders():
     spec = make_mlp_spec(64, 32, 4)
     mapping = DramMapping(bank_count=4, rows_per_bank=16384, row_size_bytes=256)
     layout = build_layout(spec, None, mapping, seed=3)
-    # a long run through the accumulator spans several 256-byte rows
-    pieces = physical_pieces(layout, ("accumulator", 0, 0, 300, "R"))
-    assert sum(n for _, n in pieces) == 1200
+    # a long run spans several 256-byte rows of each of its three buffers
+    pieces = trace_pieces(layout, one_round_script([(0, 0, 300)], size_bytes=1000))
+    assert len(pieces) > 6
+    assert sum(n for _, n in pieces) == 1000 + 5 * 1200
     for paddr, size in pieces:
         assert paddr // 256 == (paddr + size - 1) // 256
 
@@ -172,51 +166,64 @@ def test_pieces_cover_exact_byte_range():
     region = layout.region("accumulator", 0)
     start, end = byte_range_of_elems(region, 5, 7)
     assert (start, end) == (region.virtual_start + 20, region.virtual_start + 48)
-    pieces = physical_pieces(layout, ("accumulator", 0, 5, 7, "W"))
-    assert sum(n for _, n in pieces) == end - start
+    # each range sits in one row: ingress write, accumulator read and write,
+    # then accumulator read, writeback write and values write
+    acc, wb, values = (range_start(layout, name, 0, 5) for name in ("accumulator", "writeback", "values"))
+    ingress = virtual_to_physical(layout, layout.region("ingress").virtual_start + 100)
+    assert trace_pieces(layout, one_round_script([(0, 5, 7)], ingress_offset=100)) == [
+        (ingress, 64), (acc, 28), (acc, 28), (acc, 28), (wb, 28), (values, 28)]
 
 
 def test_op_outside_region_rejected():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     n = layout.region("accumulator", 0).size_bytes // 4
-    physical_pieces(layout, ("accumulator", 0, n - 1, 1, "R"))
-    for op in (("accumulator", 0, n - 1, 2, "R"), ("accumulator", 0, -1, 1, "R"),
-               ("accumulator", 0, 0, 0, "R")):
+    trace_pieces(layout, one_round_script([(1, 0, 1), (0, n - 1, 1)]))
+    for run in ((0, n - 1, 2), (0, -1, 1), (0, 0, 0)):
         with pytest.raises(ValueError, match="accumulator/0"):
-            physical_pieces(layout, op)
+            trace_pieces(layout, one_round_script([(1, 0, 1), run]))
+    ingress = layout.region("ingress").size_bytes
+    trace_pieces(layout, one_round_script([(0, 0, 1)], size_bytes=64, ingress_offset=ingress - 64))
+    for size, at in ((64, ingress - 63), (64, -1), (0, 0)):  # past the queue, before it, empty message
+        with pytest.raises(ValueError, match="ingress/-1"):
+            trace_pieces(layout, one_round_script([(0, 0, 1)], size_bytes=size, ingress_offset=at))
+
+
+def test_unmapped_page_rejected():
+    spec = make_mlp_spec(20, 8, 3)
+    full = build_layout(spec, None, LAYOUT_MAP, seed=4, ingress_bytes=PAGE_BYTES)
+    # the ingress queue runs from page 0 into page 1, which is left unmapped
+    layout = MemoryLayout(full.spec, full.mapping, full.regions, {0: full.page_table[0]}, full.seed)
+    trace_pieces(layout, one_round_script([(0, 0, 1)]))
+    with pytest.raises(ValueError, match="not mapped"):
+        trace_pieces(layout, one_round_script([(0, 0, 1)], ingress_offset=PAGE_BYTES - 64))
 
 
 # -- trace building ---------------------------------------------------------
 
-def one_op_script():
-    ops = (("ingress", -1, 0, 64, "W"),
-           ("accumulator", 0, 0, 16, "R"),
-           ("accumulator", 0, 0, 16, "W"))
-    wb = (("accumulator", 0, 0, 16, "R"),
-          ("writeback", 0, 0, 16, "W"),
-          ("values", 0, 0, 16, "W"))
-    return one_round_script(ops, wb, size_bytes=64)
+def one_run_script():
+    return one_round_script([(0, 0, 16)], size_bytes=64)
 
 
 def test_round_script_shape():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
-    script = round_script(layout, [RoundRecord(0, np.array([0, 1]))], metadata_bytes_per_entry=4)
-    # 2 entries * 32 bits / 8 + 2 * 4 metadata bytes
-    assert script.size_bytes.tolist() == [8 + 8]
-    kinds = [(region, kind) for region, _, _, _, kind in script_ops(script, writeback=False)]
-    assert kinds[0] == ("ingress", "W")
-    assert ("accumulator", "R") in kinds and ("accumulator", "W") in kinds
-    regions = {region for region, *_ in script_ops(script, writeback=True)}
-    assert regions == {"accumulator", "writeback", "values"}
+    records = [RoundRecord(0, np.array([0, 1])), RoundRecord(1, np.array([3, 159, 160, 170]))]
+    script = round_script(layout, records, metadata_bytes_per_entry=4)
+    # k entries * 32 bits / 8 + k * 4 metadata bytes
+    assert script.size_bytes.tolist() == [16, 32]
+    assert script.ingress_offset.tolist() == [0, 16]
+    # runs split at index gaps and at the layer borders 160 and 168
+    assert script.runs.tolist() == [1, 4]
+    assert list(zip(script.layer.tolist(), script.offset.tolist(), script.count.tolist())) == [
+        (0, 0, 2), (0, 3, 1), (0, 159, 1), (1, 0, 1), (2, 2, 1)]
 
 
 def test_trace_times_monotone_and_budgeted():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=5)
     bw = BandwidthModel()
-    trace = trace_update_processing(layout, one_op_script(), bw, start_time_ns=1000)
+    trace = trace_update_processing(layout, one_run_script(), bw, start_time_ns=1000)
     times = trace.events.time_ns.tolist()
     assert times == sorted(times)
     assert times[0] == 1000
@@ -227,7 +234,7 @@ def test_trace_times_monotone_and_budgeted():
 def test_trace_addresses_follow_page_table():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=6)
-    trace = trace_update_processing(layout, one_op_script(), BandwidthModel())
+    trace = trace_update_processing(layout, one_run_script(), BandwidthModel())
     region = layout.region("ingress")
     expected = virtual_to_physical(layout, region.virtual_start)
     assert trace.events.paddr[0] == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hammersim import metrics
+from hammersim.dram import DramConfig
 from hammersim.metrics import (
     BandwidthModel,
     REFERENCE_MODELS,
@@ -214,12 +215,14 @@ def test_update_size_rejects_unknown_precision():
 
 # -- H_max and expected activations -----------------------------------------
 
+ACT_CAP = DramConfig().act_cap  # floor(0.064 s / 49 ns) = 1,306,122
+
 def test_h_max_floor_division():
     bw = BandwidthModel(2400, 64)
-    n, capped = h_max(bw, update_bytes(topk_count("0.001", 8_700_000), 4))
+    n, capped = h_max(bw, update_bytes(topk_count("0.001", 8_700_000), 4), act_cap=ACT_CAP)
     assert n == 296_204
     assert not capped
-    n2, capped2 = h_max(bw, Fraction(1, 2))
+    n2, capped2 = h_max(bw, Fraction(1, 2), act_cap=ACT_CAP)
     assert capped2  # two-byte-per-second of update would beat the ACT budget
     assert n2 == int(bw.window_bytes("0.064") * 2)
 
@@ -251,7 +254,7 @@ def test_to_kilo_truncates():
 
 def test_feasibility_rows_chain_consistency():
     bw = BandwidthModel()
-    rows = feasibility_rows(bw)
+    rows = feasibility_rows(bw, act_cap=ACT_CAP)
     assert len(rows) == len(REFERENCE_MODELS) * len(SPARSITY_LEVELS)
     window = bw.window_bytes("0.064")
     for row in rows:
@@ -267,7 +270,7 @@ def test_feasibility_rows_chain_consistency():
 
 def test_feasibility_rows_metadata_shrinks_budget():
     bw = BandwidthModel()
-    plain = feasibility_rows(bw)
-    meta = feasibility_rows(bw, metadata_bytes_per_entry=4)
+    plain = feasibility_rows(bw, act_cap=ACT_CAP)
+    meta = feasibility_rows(bw, metadata_bytes_per_entry=4, act_cap=ACT_CAP)
     for a, b in zip(plain, meta):
         assert b.hmax < a.hmax

@@ -1,4 +1,6 @@
 """Columnar replay trace generation against the one-op-at-a-time reference."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ import oracles
 from oracles import iter_replay_events
 from hammersim import dram, replay
 from hammersim.dram import DramConfig, ThresholdEntry, ThresholdTable, TrrConfig
-from hammersim.federation import RoundRecord, make_mlp_spec
+from hammersim.federation import LayerSpec, ModelSpec, RoundRecord, make_mlp_spec
 from hammersim.memlayout import PAGE_BYTES, DramMapping, build_layout
 from hammersim.metrics import BandwidthModel
 from hammersim.replay import BLOCK_INDICES, round_script
@@ -199,14 +201,42 @@ def engine_chunks(monkeypatch):
     return chunks, blocks
 
 
-def test_engine_takes_the_replay_blocks_as_they_come(monkeypatch):
+def test_engine_joins_consecutive_small_blocks(monkeypatch):
     expected = flipping_replay()
     assert expected.flips and len(expected.windows) > 1
-    for block_indices in (64, 1000):
+    for block_indices in (64, 1000, BLOCK_INDICES):
         monkeypatch.setattr(replay, "BLOCK_INDICES", block_indices)
         chunks, blocks = engine_chunks(monkeypatch)
         assert flipping_replay() == expected
-        assert chunks == blocks and len(blocks) > 2
+        # each chunk is whole consecutive blocks: one block longer than
+        # JOIN_EVENTS, or as many blocks as fit in JOIN_EVENTS
+        block_ends = np.cumsum(blocks).tolist()
+        first = 0
+        for end in np.cumsum(chunks).tolist():
+            last = block_ends.index(end)
+            n = end - (block_ends[first - 1] if first else 0)
+            assert n <= dram.JOIN_EVENTS or first == last
+            assert last + 1 == len(blocks) or n + blocks[last + 1] > dram.JOIN_EVENTS
+            first = last + 1
+        assert first == len(blocks)
+        if block_indices < BLOCK_INDICES:
+            assert len(chunks) < len(blocks)
+        else:
+            assert max(blocks) > dram.JOIN_EVENTS
+
+
+def test_engine_chunks_on_saturating_rounds(monkeypatch):
+    # criterion 10's record shape: one 2048-index run per round, so a block
+    # is 4 rounds and 24 events; the engine must not take them one by one
+    spec = ModelSpec((LayerSpec("block", 20480),))
+    mapping = DramMapping(bank_count=1, rows_per_bank=512, row_size_bytes=8192, bank_xor=False)
+    layout = build_layout(spec, None, mapping, seed=3)
+    records = [RoundRecord(r, np.arange(2048)) for r in range(4000)]
+    chunks, blocks = engine_chunks(monkeypatch)
+    replay.replay_records(records, layout, DramConfig(), BW, dram.builtin_thresholds(),
+                          trr=TrrConfig(capacity=0), vmap=oracles.all_vulnerable(mapping))
+    assert set(blocks) == {24} and sum(chunks) == sum(blocks)
+    assert len(chunks) <= -(-sum(chunks) // (dram.JOIN_EVENTS - 24)) + 1
 
 
 def test_engine_cuts_blocks_longer_than_a_chunk(monkeypatch):
@@ -218,3 +248,11 @@ def test_engine_cuts_blocks_longer_than_a_chunk(monkeypatch):
     monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
     assert flipping_replay() == expected
     assert sum(chunks) == sum(blocks) and len(chunks) > len(blocks) and max(chunks) == chunk
+
+
+def test_stage_seconds_stay_out_of_equality():
+    layout, records, meta = ingress_wrap_case()
+    summary = replay.replay_records(records, layout, DramConfig(), BW, dram.builtin_thresholds(),
+                                    metadata_bytes_per_entry=meta)
+    assert summary.trace_seconds > 0 and summary.engine_seconds > 0
+    assert dataclasses.replace(summary, trace_seconds=1e9, engine_seconds=-1.0) == summary
