@@ -88,11 +88,10 @@ def cmd_feasibility(args) -> int:
     g = exp.get
     rows = metrics.feasibility_rows(
         exp.bandwidth(),
-        refresh_period_s=str(g("dram", "refresh_period_s")),
+        exp.threshold_table(),
+        refresh_period_s=g("dram", "refresh_period_s"),
         metadata_bytes_per_entry=g("metrics", "metadata_bytes_per_entry"),
-        act_cap=exp.dram_config().act_cap,
     )
-    report.fill_verdicts(rows, exp.threshold_table())
     sys.stdout.write(report.format_budget_table(rows))
     sys.stdout.write("\n")
     sys.stdout.write(report.format_expectation_table(rows))

@@ -358,6 +358,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     cfg.dram_mapping()
     _built("dram", lambda: VulnerabilityMap.check_parameters(*cfg._vulnerability()))
     cfg.row_contents()
+    cfg.threshold_table()
     # every client row goes through the resampler before local training,
     # which needs exactly in_dim samples back
     resampled = resampled_length(in_dim, channel.source_rate_hz, channel.target_rate_hz)

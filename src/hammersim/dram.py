@@ -33,6 +33,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -121,6 +122,9 @@ class ThresholdTable:
             seen.add(key)
         self.entries = tuple(entries)
         self.published_average = published_average
+        if published_average is not None and published_average < self.min_single():
+            raise ValueError(f"published_average {published_average} is below the lowest "
+                             f"single-sided threshold {self.min_single()}")
 
     def nearest_class(self, victim_fill: int, aggressor_fill: int) -> ThresholdEntry:
         """Closest pattern class by byte-value distance, first wins ties."""
@@ -150,16 +154,8 @@ class ThresholdTable:
 
 
 def builtin_thresholds() -> ThresholdTable:
-    """Reference DDR4-2400 module thresholds (activations per window)."""
-    return ThresholdTable(
-        [
-            ThresholdEntry(0xFF, 0x00, 185_000, 115_000),
-            ThresholdEntry(0x00, 0xFF, 240_000, 140_000),
-            ThresholdEntry(0x55, 0x55, 260_000, 160_000),
-            ThresholdEntry(0xAA, 0xAA, 265_000, 165_000),
-        ],
-        published_average=240_000,
-    )
+    """Reference DDR4-2400 module thresholds (activations per window), as packaged."""
+    return read_threshold_file(Path(__file__).with_name("data") / "thresholds_ddr4.txt")
 
 
 def read_threshold_file(path) -> ThresholdTable:

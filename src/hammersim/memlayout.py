@@ -162,8 +162,8 @@ class MemoryLayout:
 
     @cached_property
     def _frame_table(self) -> np.ndarray:
-        """Physical frame per virtual page, -1 where the page is not mapped."""
-        frames = np.full(max(self.page_table, default=-1) + 1, -1, dtype=np.int64)
+        """Physical frame per virtual page, -1 where unmapped; never empty, so _translate can index it."""
+        frames = np.full(max(self.page_table, default=0) + 1, -1, dtype=np.int64)
         frames[list(self.page_table)] = list(self.page_table.values())
         return frames
 

@@ -14,11 +14,14 @@ tables, which truncate to the nearest 1K below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # dram imports this module
+    from .dram import ThresholdTable
 
 __all__ = [
     "topk_count",
@@ -179,20 +182,12 @@ def h_max(
     bw: BandwidthModel,
     size_bytes: Fraction | int,
     refresh_period_s: float | str | Fraction = "0.064",
-    *,
-    act_cap: int,
-) -> tuple[int, bool]:
-    """Max update deliveries per refresh window, and a cap-exceeded flag.
-
-    Returns floor(window_bytes / size_bytes).  The flag reports whether
-    that delivery count exceeds the per-bank activation budget act_cap,
-    in which case the activation rate, not the bus, is the binding limit.
-    """
+) -> int:
+    """Max update deliveries per refresh window: floor(window_bytes / size_bytes)."""
     size = _as_fraction(size_bytes)
     if size <= 0:
         raise ValueError(f"update size must be positive, got {size}")
-    n = int(bw.window_bytes(refresh_period_s) / size)
-    return n, n > act_cap
+    return int(bw.window_bytes(refresh_period_s) / size)
 
 
 def expected_activations(rur: float | str | Fraction, hmax: int) -> int:
@@ -262,7 +257,10 @@ SPARSITY_LEVELS: tuple[str, str] = ("0.001", "0.0005")
 
 @dataclass
 class FeasibilityRow:
-    """One (model, sparsity) line of the feasibility report."""
+    """One (model, sparsity) line of the feasibility report, verdicts included.
+
+    pattern_verdicts: per "vv/aa" fill class, whether E[A] reaches its single-sided threshold.
+    """
 
     model: str
     sparsity: str
@@ -272,28 +270,28 @@ class FeasibilityRow:
     k: int
     update_bytes: int
     hmax: int
-    cap_exceeded: bool
     rur: str
     e_act: int
-    verdict: str | None = None
-    pattern_verdicts: dict[str, bool] = field(default_factory=dict)
+    verdict: str
+    pattern_verdicts: dict[str, bool]
 
 
 def feasibility_rows(
     bw: BandwidthModel,
+    table: ThresholdTable,
     refresh_period_s: float | str | Fraction = "0.064",
     metadata_bytes_per_entry: int = 0,
-    *,
-    act_cap: int,
 ) -> list[FeasibilityRow]:
     """Feasibility chain for every reference (model, sparsity) pair, in table order."""
+    min_t, mean_t = table.min_single(), table.reference_mean()
     rows = []
     for preset in REFERENCE_MODELS:
         for p in SPARSITY_LEVELS:
             k = topk_count(p, preset.total_params)
             size = update_bytes(k, preset.precision_bits, metadata_bytes_per_entry)
-            hm, capped = h_max(bw, size, refresh_period_s, act_cap=act_cap)
+            hm = h_max(bw, size, refresh_period_s)
             rur = REFERENCE_RUR[(preset.name, p)]
+            e_act = expected_activations(rur, hm)
             rows.append(FeasibilityRow(
                 model=preset.name,
                 sparsity=p,
@@ -303,8 +301,11 @@ def feasibility_rows(
                 k=k,
                 update_bytes=size,
                 hmax=hm,
-                cap_exceeded=capped,
                 rur=rur,
-                e_act=expected_activations(rur, hm),
+                e_act=e_act,
+                verdict=feasibility_verdict(e_act, min_t, mean_t),
+                pattern_verdicts={
+                    f"{e.victim_fill:02x}/{e.aggressor_fill:02x}": e_act >= e.single for e in table.entries
+                },
             ))
     return rows

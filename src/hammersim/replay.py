@@ -189,7 +189,7 @@ def replay_records(
         raise ValueError("no rounds to replay")
     total_bytes = sum(metrics.update_bytes(r.indices.size, PARAM_BITS, metadata_bytes_per_entry) for r in records)
     mean_size = Fraction(total_bytes, len(records))
-    hmax, _ = metrics.h_max(bw, mean_size, str(dram_cfg.refresh_period_s), act_cap=dram_cfg.act_cap)
+    hmax = metrics.h_max(bw, mean_size, dram_cfg.refresh_period_s)
     trace_seconds: list[float] = []
     result = simulate_trace(
         _event_blocks(layout, records, bw, metadata_bytes_per_entry, trace_seconds), dram_cfg, layout.mapping,

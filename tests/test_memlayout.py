@@ -199,6 +199,13 @@ def test_unmapped_page_rejected():
         trace_pieces(layout, one_round_script([(0, 0, 1)], ingress_offset=PAGE_BYTES - 64))
 
 
+def test_empty_page_table_rejected():
+    full = build_layout(make_mlp_spec(20, 8, 3), None, LAYOUT_MAP, seed=4)
+    layout = MemoryLayout(full.spec, full.mapping, full.regions, {}, full.seed)
+    with pytest.raises(ValueError, match="vaddr 0x[0-9a-f]+ not mapped"):
+        trace_pieces(layout, one_round_script([(0, 0, 1)]))
+
+
 # -- trace building ---------------------------------------------------------
 
 def one_run_script():

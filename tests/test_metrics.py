@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hammersim import metrics
-from hammersim.dram import DramConfig
+from hammersim.dram import builtin_thresholds
 from hammersim.metrics import (
     BandwidthModel,
     REFERENCE_MODELS,
@@ -215,16 +215,10 @@ def test_update_size_rejects_unknown_precision():
 
 # -- H_max and expected activations -----------------------------------------
 
-ACT_CAP = DramConfig().act_cap  # floor(0.064 s / 49 ns) = 1,306,122
-
 def test_h_max_floor_division():
     bw = BandwidthModel(2400, 64)
-    n, capped = h_max(bw, update_bytes(topk_count("0.001", 8_700_000), 4), act_cap=ACT_CAP)
-    assert n == 296_204
-    assert not capped
-    n2, capped2 = h_max(bw, Fraction(1, 2), act_cap=ACT_CAP)
-    assert capped2  # two-byte-per-second of update would beat the ACT budget
-    assert n2 == int(bw.window_bytes("0.064") * 2)
+    assert h_max(bw, update_bytes(topk_count("0.001", 8_700_000), 4)) == 296_204
+    assert h_max(bw, Fraction(1, 2)) == int(bw.window_bytes("0.064") * 2)
 
 
 def test_expected_activations_floor():
@@ -254,7 +248,8 @@ def test_to_kilo_truncates():
 
 def test_feasibility_rows_chain_consistency():
     bw = BandwidthModel()
-    rows = feasibility_rows(bw, act_cap=ACT_CAP)
+    table = builtin_thresholds()
+    rows = feasibility_rows(bw, table)
     assert len(rows) == len(REFERENCE_MODELS) * len(SPARSITY_LEVELS)
     window = bw.window_bytes("0.064")
     for row in rows:
@@ -265,12 +260,14 @@ def test_feasibility_rows_chain_consistency():
         rur = REFERENCE_RUR[(row.model, row.sparsity)]
         assert row.rur == rur
         assert row.e_act == int(Fraction(rur) * row.hmax)
-        assert row.verdict is None  # verdicts are filled by the report layer
+        assert row.verdict == feasibility_verdict(row.e_act, table.min_single(), table.reference_mean())
+        assert row.pattern_verdicts == {
+            f"{e.victim_fill:02x}/{e.aggressor_fill:02x}": row.e_act >= e.single for e in table.entries}
 
 
 def test_feasibility_rows_metadata_shrinks_budget():
     bw = BandwidthModel()
-    plain = feasibility_rows(bw, act_cap=ACT_CAP)
-    meta = feasibility_rows(bw, metadata_bytes_per_entry=4, act_cap=ACT_CAP)
+    plain = feasibility_rows(bw, builtin_thresholds())
+    meta = feasibility_rows(bw, builtin_thresholds(), metadata_bytes_per_entry=4)
     for a, b in zip(plain, meta):
         assert b.hmax < a.hmax
