@@ -8,8 +8,8 @@ server's aggregation buffers out in a modeled DRAM module, and replays
 the resulting access stream through an open-row engine with refresh,
 target-row-refresh sampling and disturbance-flip bookkeeping.
 
-Everything is seeded: equal seeds and configs give byte-identical
-outputs.
+Everything is seeded: equal seeds, configs and BLAS thread counts give
+byte-identical outputs.
 """
 
 __version__ = "0.1.0"

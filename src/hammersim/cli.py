@@ -57,10 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    exp = load_config(args.config)
-    if args.seed is not None:
-        exp.override("run", "seed", args.seed)
-    return exp
+    overrides = {} if args.seed is None else {("run", "seed"): args.seed}
+    return load_config(args.config, overrides)
 
 
 def _write_common_outputs(out_dir: str, exp: ExperimentConfig, command: str,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from fractions import Fraction
 from typing import Any, Callable, TypeVar
 
@@ -39,6 +40,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_decimal(text: str) -> str:
     """Validate a decimal literal kept verbatim for exact arithmetic."""
     Fraction(text.strip())
@@ -47,7 +55,7 @@ def _parse_decimal(text: str) -> str:
 
 _PARSERS = {
     "int": lambda s: int(s, 0),
-    "float": float,
+    "float": _parse_float,
     "str": lambda s: s.strip(),
     "bool": _parse_bool,
     "decimal": _parse_decimal,
@@ -137,15 +145,15 @@ SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
 
 
 def _built(section: str, make: Callable[[], T]) -> T:
-    """make(), its ValueError reported as a ConfigError against the config section."""
+    """make(), its ValueError or ArithmeticError reported as a ConfigError against the config section."""
     try:
         return make()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad [{section}] settings: {exc}") from exc
 
 
 class ExperimentConfig:
-    """Validated configuration with typed accessors and a stable hash."""
+    """Validated configuration with typed accessors and a stable hash; only load_config makes one."""
 
     def __init__(self, values: dict[tuple[str, str], Any]):
         self._values = dict(values)
@@ -155,11 +163,6 @@ class ExperimentConfig:
             return self._values[(section, key)]
         except KeyError:
             raise ConfigError(f"no config key [{section}] {key}") from None
-
-    def override(self, section: str, key: str, value: Any) -> None:
-        if (section, key) not in self._values:
-            raise ConfigError(f"no config key [{section}] {key}")
-        self._values[(section, key)] = value
 
     def normalized_text(self) -> str:
         """Canonical serialization: schema order, one key per line."""
@@ -291,13 +294,15 @@ class ExperimentConfig:
             raise ConfigError(f"bad threshold file {source!r}: {exc}") from exc
 
 
-def load_config(path: str | None = None) -> ExperimentConfig:
-    """Parse and validate a config file; None yields the defaults."""
+def load_config(path: str | None = None,
+                overrides: dict[tuple[str, str], Any] | None = None) -> ExperimentConfig:
+    """Parse a config file (None: the defaults), apply overrides {(section, key): value} as text, validate."""
     values: dict[tuple[str, str], Any] = {
         (section, key): default
         for section, keys in SCHEMA.items()
         for key, (_, default) in keys.items()
     }
+    texts: list[tuple[str, str, str, str]] = []  # (origin, section, key, raw text)
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -313,13 +318,17 @@ def load_config(path: str | None = None) -> ExperimentConfig:
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-                kind, _ = SCHEMA[section][key]
-                try:
-                    values[(section, key)] = _PARSERS[kind](raw)
-                except (ValueError, ArithmeticError) as exc:
-                    raise ConfigError(
-                        f"{path}: bad value for [{section}] {key}: {raw!r} ({exc})"
-                    ) from exc
+                texts.append((path, section, key, raw))
+    for (section, key), value in (overrides or {}).items():
+        if (section, key) not in values:
+            raise ConfigError(f"no config key [{section}] {key}")
+        texts.append(("override", section, key, str(value)))
+    for origin, section, key, raw in texts:
+        kind, _ = SCHEMA[section][key]
+        try:
+            values[(section, key)] = _PARSERS[kind](raw)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"{origin}: bad value for [{section}] {key}: {raw!r} ({exc})") from exc
     cfg = ExperimentConfig(values)
     _validate(cfg)
     return cfg
@@ -335,9 +344,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     if g("federation", "learning_rate") < 0:
         raise ConfigError(
             f"[federation] learning_rate must be non-negative, got {g('federation', 'learning_rate')}")
-    p = Fraction(g("federation", "sparsity"))
-    if not 0 < p <= 1:
-        raise ConfigError(f"[federation] sparsity must be in (0, 1], got {p}")
     for key in ("latent_dim", "hidden1", "hidden2", "epochs", "minibatch_size", "warmup_rounds"):
         if g("adversary", key) <= 0:
             raise ConfigError(f"[adversary] {key} must be positive, got {g('adversary', key)}")
@@ -389,7 +395,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     # queue must hold the largest update train can record: the union of
     # every client's top-k set
     cfg.layout(0)
-    entries = min(spec.total_params, g("federation", "n_clients") * topk_count(p, spec.total_params))
+    k = _built("federation", lambda: topk_count(g("federation", "sparsity"), spec.total_params))
+    entries = min(spec.total_params, g("federation", "n_clients") * k)
     largest = _built("metrics", lambda: update_bytes(entries, PARAM_BITS, g("metrics", "metadata_bytes_per_entry")))
     if largest > g("memory", "ingress_bytes"):
         raise ConfigError(

@@ -76,8 +76,6 @@ class ModelSpec:
 
 def make_mlp_spec(in_dim: int, hidden_dim: int, out_dim: int) -> ModelSpec:
     """Two-layer perceptron laid out as w1, b1, w2, b2 (row-major w's)."""
-    if min(in_dim, hidden_dim, out_dim) <= 0:
-        raise ValueError("all dimensions must be positive")
     return ModelSpec(
         layers=(
             LayerSpec("w1", in_dim * hidden_dim),
@@ -150,12 +148,6 @@ def init_federation(
     its own named sub-seed, so shards are pairwise distinct by
     construction.
     """
-    if n_clients <= 0:
-        raise ValueError(f"n_clients must be positive, got {n_clients}")
-    if shard_size <= 0:
-        raise ValueError(f"shard_size must be positive, got {shard_size}")
-    if learning_rate < 0:
-        raise ValueError("learning_rate must be >= 0")
     spec = make_mlp_spec(in_dim, hidden_dim, out_dim)
 
     init_rng = generator(seed, "model-init")

@@ -192,6 +192,8 @@ def build_layout(
         raise ValueError("capacity_bytes exceeds the mapped module capacity")
     if ingress_bytes <= 0:
         raise ValueError("ingress_bytes must be positive")
+    if metadata_bytes < 0:
+        raise ValueError("metadata_bytes must be non-negative")
     if mapping.row_size_bytes > PAGE_BYTES:
         raise ValueError("row size larger than a huge page is not supported")
 

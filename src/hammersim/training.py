@@ -202,8 +202,6 @@ def train(
     iterations = g("run", "iterations") if iterations is None else iterations
     rounds = g("run", "rounds_per_episode")
     warmup = g("adversary", "warmup_rounds")
-    if warmup > rounds:
-        raise ConfigError("warmup_rounds exceeds rounds_per_episode")
 
     env = AttackEnv(exp, seed)
     window_len = g("adversary", "window_len")

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -93,10 +94,16 @@ def test_get_and_override_check_keys():
     cfg = load_config(None)
     with pytest.raises(ConfigError):
         cfg.get("run", "nope")
-    with pytest.raises(ConfigError):
-        cfg.override("nope", "seed", 2)
-    cfg.override("run", "seed", 2)
-    assert cfg.get("run", "seed") == 2
+    with pytest.raises(ConfigError, match=r"no config key \[nope\] seed"):
+        load_config(None, {("nope", "seed"): 2})
+    with pytest.raises(ConfigError, match=r"no config key \[run\] nope"):
+        load_config(None, {("run", "nope"): 2})
+    with pytest.raises(ConfigError, match=r"bad value for \[run\] seed"):
+        load_config(None, {("run", "seed"): "banana"})
+    # an override is validated with the rest: 200 warmup rounds exceed the 100-round episode
+    with pytest.raises(ConfigError, match="warmup_rounds"):
+        load_config(None, {("adversary", "warmup_rounds"): 200})
+    assert load_config(None, {("run", "seed"): 2}).get("run", "seed") == 2
 
 
 def test_hash_roundtrip_and_sensitivity(tmp_path):
@@ -105,8 +112,7 @@ def test_hash_roundtrip_and_sensitivity(tmp_path):
     path.write_text(cfg.normalized_text(), encoding="ascii")
     again = load_config(str(path))
     assert again.hash_hex == cfg.hash_hex
-    again.override("run", "seed", 99)
-    assert again.hash_hex != cfg.hash_hex
+    assert load_config(str(path), {("run", "seed"): 99}).hash_hex != cfg.hash_hex
 
 
 def test_normalized_text_covers_schema():
@@ -246,6 +252,11 @@ REJECTED_AT_LOAD = {
     "threshold file missing": (
         "simulate", lambda tmp_path: f"[thresholds]\nsource = {tmp_path / 'absent.txt'}\n",
         "cannot read threshold file"),
+    "noise_std not a number": ("train", "[channel]\nnoise_std = nan\n", "noise_std"),
+    "learning_rate not a number": ("train", "[federation]\nlearning_rate = nan\n", "learning_rate"),
+    "alpha infinite": ("train", "[adversary]\nalpha = inf\n", "alpha"),
+    "act_cap overflows": ("simulate", "[dram]\nrefresh_period_s = 1e308\n", "bad [dram] settings"),
+    "metadata_bytes negative": ("simulate", "[memory]\nmetadata_bytes = -64\n", "metadata_bytes"),
 }
 
 
@@ -253,7 +264,7 @@ REJECTED_AT_LOAD = {
 def test_config_that_would_fail_mid_run_is_rejected_at_load(tmp_path, capsys, case):
     command, text, message = REJECTED_AT_LOAD[case]
     path = _write_cfg(tmp_path, text(tmp_path) if callable(text) else text)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -493,9 +504,7 @@ def test_feasibility_output_files(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "feasibility"
     assert manifest["seed"] == 7
-    expected = load_config(None)
-    expected.override("run", "seed", 7)
-    assert manifest["config_hash"] == expected.hash_hex
+    assert manifest["config_hash"] == load_config(None, {("run", "seed"): 7}).hash_hex
     for name in manifest["outputs"].values():
         assert (out / name).exists()
     rows = manifest["summary"]["rows"]

@@ -14,16 +14,20 @@ from hammersim.seeding import generator
 import oracles
 
 
-def quick_config(rounds=15, iterations=3):
-    exp = load_config(None)
-    exp.override("run", "rounds_per_episode", rounds)
-    exp.override("run", "iterations", iterations)
-    exp.override("federation", "in_dim", 30)
-    exp.override("federation", "hidden_dim", 12)
-    exp.override("federation", "shard_size", 8)
-    exp.override("adversary", "stft_frame", 16)
-    exp.override("adversary", "stft_hop", 8)
-    return exp
+def quick_config(rounds=15, iterations=3, extra=None):
+    """A small config; extra maps (section, key) to values that replace its own."""
+    values = {
+        ("run", "rounds_per_episode"): rounds,
+        ("run", "iterations"): iterations,
+        ("federation", "in_dim"): 30,
+        ("federation", "hidden_dim"): 12,
+        ("federation", "shard_size"): 8,
+        ("adversary", "stft_frame"): 16,
+        ("adversary", "stft_hop"): 8,
+        # env tests run fewer rounds than the default 10 warmup rounds
+        ("adversary", "warmup_rounds"): min(rounds, 10),
+    }
+    return load_config(None, {**values, **(extra or {})})
 
 
 # -- environment ------------------------------------------------------------
@@ -88,8 +92,7 @@ def test_env_stores_each_rounds_noise_once():
 
 
 def test_env_without_noise_stores_nothing():
-    exp = quick_config(rounds=4)
-    exp.override("channel", "noise_std", 0.0)
+    exp = quick_config(rounds=4, extra={("channel", "noise_std"): 0.0})
     env = AttackEnv(exp, seed=6)
     env.reset()
     for _ in range(4):
@@ -120,9 +123,8 @@ def test_train_draws_each_rounds_noise_once(monkeypatch):
 def test_train_bytes_match_fresh_noise_every_round(tmp_path, monkeypatch, baseline, target_rate):
     # the stored noise writes the same bytes as rounds that draw it afresh
     # from one generator per client, through the generator-list channel
-    exp = quick_config(rounds=12, iterations=3)
-    exp.override("channel", "noise_std", 0.1)
-    exp.override("channel", "target_rate_hz", target_rate)
+    exp = quick_config(rounds=12, iterations=3,
+                       extra={("channel", "noise_std"): 0.1, ("channel", "target_rate_hz"): target_rate})
 
     def run(name):
         res = train(exp, baseline=baseline, out_dir=str(tmp_path / name), seed=31)
@@ -226,9 +228,8 @@ def test_window_frozen_after_warmup():
     assert (res.window.start, res.window.end) == (res2.window.start, res2.window.end)
 
 
-def test_window_len_override():
-    exp = quick_config()
-    exp.override("adversary", "window_len", 37)
+def test_window_len_sets_window_width():
+    exp = quick_config(extra={("adversary", "window_len"): 37})
     res = train(exp, seed=19, iterations=2)
     assert res.window.end - res.window.start == 37
 
