@@ -21,7 +21,8 @@ with the same timestamp, and before the aligned-window rollover when a
 command lands exactly on a window boundary.
 
 The engine works on chunks of event columns: it decodes and splits them
-into row pieces, collapses open-row hits per bank, counts ACTs per window
+into row pieces, drops each piece in the row of the piece before it (a
+row hit), collapses the other open-row hits per bank, counts ACTs per window
 with array operations, builds the chunk's refresh schedule as arrays and
 finds flips as first crossings of cumulative neighbor ACTs between a
 victim's refreshes.  What it carries from chunk to chunk is sized by
@@ -307,9 +308,6 @@ def _bit_positions(victim_fill: int, aggressor_fill: int) -> tuple[int, ...]:
 # engine allocates is sized by one chunk, or by banks x rows for the state
 # it carries from one chunk to the next.
 CHUNK_EVENTS = 1 << 16
-# Consecutive EventColumns blocks are joined while the chunk stays at or below this
-# many events: a chunk has a fixed engine cost, and far larger ones run slower per event.
-JOIN_EVENTS = 1 << 13
 # At most this many (refresh command, row) cells are ranked for TRR at once.
 _TRR_CELLS = 1 << 20
 
@@ -320,10 +318,9 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
     """(time_ns, paddr, size) columns of consecutive events, at most chunk events each.
 
     Reads EventColumns, or an iterable of either (time_ns, paddr, kind,
-    size) tuples or EventColumns blocks.  Consecutive blocks are joined
-    while the joined chunk holds at most min(JOIN_EVENTS, chunk) events; a
-    longer block goes in on its own, cut only where it is longer than
-    chunk.  Tuples are read one column at a time, times truncated to int64.
+    size) tuples or EventColumns blocks; a block goes in on its own, cut
+    only where it is longer than chunk.  Tuples are read one column at a
+    time, times truncated to int64.
     """
     if isinstance(trace, EventColumns):
         trace = (trace,)
@@ -338,19 +335,9 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
                 raise ValueError("trace events must be (time_ns, paddr, kind, size) tuples")
             yield tuple(np.fromiter(map(col, rows), np.int64, len(rows)) for col in _COLUMNS)
         return
-    join = min(JOIN_EVENTS, chunk)
-    held, n = [], 0  # blocks waiting to be joined, and their events
-    for block in itertools.chain(it, (None,)):
-        k = 0 if block is None else len(block)
-        if held and (block is None or n + k > join):
-            yield tuple(np.concatenate(c) for c in zip(*((b.time_ns, b.paddr, b.size) for b in held)))
-            held, n = [], 0
-        if k > join:
-            for a in range(0, k, chunk):
-                yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
-        elif k:
-            held.append(block)
-            n += k
+    for block in it:
+        for a in range(0, len(block), chunk):
+            yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
 
 
 def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
@@ -435,20 +422,25 @@ class _ColumnEngine:
     # -- input checks ----------------------------------------------------
     def feed(self, t: np.ndarray, paddr: np.ndarray, size: np.ndarray) -> None:
         """Process one chunk; a bad event raises after the events before it ran."""
-        prev = np.empty_like(t)
-        prev[1:] = t[:-1]
-        prev[0] = t[0] if self.last_t is None else self.last_t
-        back = t < prev
-        outside = (paddr < 0) | (paddr + size > self.mapping.capacity_bytes)
-        bad = back | outside
-        if not bad.any():
+        first = t[0] if self.last_t is None else self.last_t
+        end = paddr + size
+        if (t[0] >= first and not (t[1:] < t[:-1]).any() and size.min() >= 0
+                and paddr.min() >= 0 and end.max() <= self.mapping.capacity_bytes):
             self._run(t, paddr, size)
             return
-        e = int(bad.argmax())
+        prev = np.empty_like(t)
+        prev[1:] = t[:-1]
+        prev[0] = first
+        back = t < prev
+        negative = size < 0
+        outside = (paddr < 0) | (end > self.mapping.capacity_bytes)
+        e = int((back | negative | outside).argmax())
         if e:
             self._run(t[:e], paddr[:e], size[:e])
         if back[e]:
             raise ValueError(f"trace time goes backwards at {t[e]}")
+        if negative[e]:
+            raise ValueError(f"event at {int(paddr[e]):#x} has negative size {size[e]}")
         raise ValueError(f"event at {int(paddr[e]):#x}+{size[e]} outside module capacity")
 
     # -- one chunk -----------------------------------------------------------
@@ -458,11 +450,23 @@ class _ColumnEngine:
         self.total_events += t.size
         self.last_t = int(t[-1])
 
-        # every row-sized block an event covers, decoded to its flat row
+        # every row-sized block an event covers (a piece), and its event's time
         block = paddr >> m.col_bits
-        n_pieces = np.where(size > 0, ((paddr + size - 1) >> m.col_bits) - block + 1, 0)
-        ev = np.repeat(np.arange(t.size), n_pieces)
-        block = block[ev] + np.arange(ev.size) - np.repeat(n_pieces.cumsum() - n_pieces, n_pieces)
+        if ((paddr & (m.row_size_bytes - 1)) + size).max() > m.row_size_bytes:  # an event crosses a row
+            n_pieces = np.where(size > 0, ((paddr + size - 1) >> m.col_bits) - block + 1, 0)
+            ev = np.repeat(np.arange(t.size), n_pieces)
+            block = block[ev] + np.arange(ev.size) - np.repeat(n_pieces.cumsum() - n_pieces, n_pieces)
+            piece_t = t[ev]
+        elif size.min() == 0:
+            nonempty = size > 0
+            block, piece_t = block[nonempty], t[nonempty]
+        else:
+            piece_t = t
+        # a piece in the block of the piece before it finds its row open
+        # (a row hit), so only the others take part in the open-row collapse
+        misses = np.ones(block.size, dtype=bool)
+        np.not_equal(block[1:], block[:-1], out=misses[1:])
+        block, piece_t = block[misses], piece_t[misses]
         row = block >> m.bank_bits
         bank = block & (nb - 1)
         if m.bank_xor:
@@ -477,12 +481,14 @@ class _ColumnEngine:
         prev = np.empty_like(gs)
         prev[1:] = gs[:-1]
         prev[new_bank] = self.open_g[bs[new_bank]]
-        last_of_bank = np.roll(new_bank, -1)
+        last_of_bank = np.empty_like(new_bank)
+        last_of_bank[:-1] = new_bank[1:]
+        last_of_bank[-1:] = True
         self.open_g[bs[last_of_bank]] = gs[last_of_bank]
         is_act = np.empty(gs.size, dtype=bool)
         is_act[order] = gs != prev
         act_g = g[is_act]
-        act_t = t[ev[is_act]]
+        act_t = piece_t[is_act]
         n = act_g.size
         self.total_acts += n
 

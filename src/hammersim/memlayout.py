@@ -7,10 +7,13 @@ frames; a configurable DRAM address hash then splits physical addresses
 into (bank, row, column).
 
 An AccessScript is the logical access pattern of a block of consecutive
-rounds: per round its update message, per entry run its layer and range.
-trace_update_processing turns it into time-stamped physical event columns.
-Each message occupies size_bytes / bandwidth seconds, its events are
-spaced uniformly, and the writeback events land on the round boundary.
+rounds: per round its update message, and per entry run its layer and
+range, or per round the PieceTemplates entry that holds its physical
+pieces (a round's events after its ingress write, built once and played
+any number of times).  trace_update_processing turns it into
+time-stamped physical event columns.  Each message occupies size_bytes /
+bandwidth seconds, its events are spaced uniformly, and the writeback
+events land on the round boundary.
 Contiguous element runs become single burst events, split at row and page
 borders, which leaves the per-bank row-activation sequence identical to
 per-element events while keeping traces tractable.
@@ -34,6 +37,9 @@ __all__ = [
     "build_layout",
     "SCRIPT_REGIONS",
     "AccessScript",
+    "RunPieces",
+    "PieceTemplates",
+    "run_pieces",
     "physical_to_dram",
     "dram_to_physical",
     "EventColumns",
@@ -232,15 +238,33 @@ SCRIPT_REGIONS = ("ingress", "accumulator", "writeback", "values")
 
 
 @dataclass(frozen=True)
-class AccessScript:
-    """A block of consecutive rounds: per round its message, per run its entries.
+class RunPieces:
+    """Physical pieces of entry runs' buffer ranges.
 
-    Round r's message lands at ingress_offset[r], and its runs[r] entry runs
-    follow those of the rounds before it.  A run is count entries from
-    offset of layer, in the layer's accumulator, writeback and values
-    buffers.  In trace order a round is: ingress write, an accumulator read
-    and write per run, then at the round's end an accumulator read,
-    writeback write and values write per run.
+    Run j touches three ranges, 3j (accumulator), 3j + 1 (writeback) and
+    3j + 2 (values); range k's pieces are paddr and size from first[k] to
+    first[k + 1], one per DRAM row it touches.
+    """
+
+    first: np.ndarray  # per range: its first piece, then the end
+    paddr: np.ndarray
+    size: np.ndarray
+
+
+@dataclass(frozen=True)
+class AccessScript:
+    """A block of consecutive rounds: per round its message, and its entry runs
+    or the template it plays.
+
+    Round r's message lands at ingress_offset[r].  It plays entry
+    template[r] of a PieceTemplates when that is given and not negative;
+    otherwise its runs[r] entry runs follow those of the rounds before it
+    (a template round has none).  A run is count entries from offset of
+    layer, in the layer's accumulator, writeback and values buffers.  In
+    trace order a round is: ingress write, an accumulator read and write
+    per run, then at the round's end an accumulator read, writeback write
+    and values write per run.  pieces, when given, are the runs' physical
+    pieces, already cut and translated.
     """
 
     size_bytes: np.ndarray  # per round: update message bytes
@@ -249,6 +273,8 @@ class AccessScript:
     layer: np.ndarray  # per run
     offset: np.ndarray  # per run: first entry, within the layer
     count: np.ndarray  # per run: entries
+    template: np.ndarray | None = None  # per round: the template it plays, or -1
+    pieces: RunPieces | None = None
 
 
 @dataclass(frozen=True)
@@ -269,37 +295,41 @@ class AccessTrace:
     end_ns: int  # end of the last round
 
 
-def _source_ranges(layout: MemoryLayout, script: AccessScript) -> tuple[np.ndarray, np.ndarray]:
-    """Virtual [start, end) byte range of every source of the script: each
-    round's ingress range, then all runs' accumulator, then writeback, then
-    values ranges."""
+def _ranges(layout: MemoryLayout, region, layer, offset, count, by_column=False) -> tuple[np.ndarray, np.ndarray]:
+    """Virtual [start, end) byte ranges of count elements from offset, in
+    region SCRIPT_REGIONS[region] of layer, flattened in broadcast order
+    (of the transposed broadcast with by_column)."""
     width = len(layout.spec.layers) + 1
-    key = script.layer + 1  # region r of the layer is at r * width + key
-    key = np.concatenate((np.zeros_like(script.size_bytes), key + width, key + 2 * width, key + 3 * width))
-    offset = np.concatenate((script.ingress_offset, script.offset, script.offset, script.offset))
-    count = np.concatenate((script.size_bytes, script.count, script.count, script.count))
-    base, bits, limit = layout._script_region_table.take(key, axis=1)
+    key = np.asarray(region * width + layer + 1)
+    base, bits, limit = layout._script_region_table.take(key.ravel(), axis=1).reshape((3,) + key.shape)
     start = base + (offset * bits >> 3)  # floor and ceil of bits / 8
     end = base - (-(offset + count) * bits >> 3)
     bad = (offset < 0) | (count <= 0) | (end > limit)
     if bad.any():
         i = bad.argmax()
-        region, layer = divmod(int(key[i]), width)
-        raise ValueError(f"op [{offset[i]}, {offset[i] + count[i]}) invalid or outside "
+        key, offset, count = (np.broadcast_to(a, bad.shape).ravel()[i] for a in (key, offset, count))
+        region, layer = divmod(int(key), width)
+        raise ValueError(f"op [{offset}, {offset + count}) invalid or outside "
                          f"region {SCRIPT_REGIONS[region]}/{layer - 1}")
-    return start, end
+    if by_column:
+        start, end = start.T, end.T
+    return start.ravel(), end.ravel()
 
 
 def _row_pieces(start: np.ndarray, end: np.ndarray, row_size: int) -> tuple[np.ndarray, ...]:
     """Cut every [start, end) range at row borders.
 
     Returns (pieces per range, piece start, piece size); piece k of a
-    range covers its part of the k-th row the range touches.
+    range covers its part of the k-th row the range touches.  May reuse
+    start as the piece starts.
     """
-    first_row = start // row_size
-    n_pieces = (end - 1) // row_size - first_row + 1
+    shift = row_size.bit_length() - 1  # the row size is a power of two
+    first_row = start >> shift
+    n_pieces = ((end - 1) >> shift) - first_row + 1
+    if n_pieces.size == 0 or n_pieces.max() == 1:  # no range crosses a row
+        return n_pieces, start, end - start
     row = np.arange(n_pieces.sum()) - (n_pieces.cumsum() - n_pieces - first_row).repeat(n_pieces)
-    row *= row_size
+    row <<= shift
     piece_start = np.maximum(row, start.repeat(n_pieces))
     row += row_size
     size = np.minimum(row, end.repeat(n_pieces))
@@ -307,17 +337,146 @@ def _row_pieces(start: np.ndarray, end: np.ndarray, row_size: int) -> tuple[np.n
     return n_pieces, piece_start, size
 
 
+_PAGE_SHIFT = PAGE_BYTES.bit_length() - 1
+
+
 def _translate(layout: MemoryLayout, addr: np.ndarray) -> None:
     """Turn virtual addresses into physical ones in place, through the page table."""
     frames = layout._frame_table
-    page = addr // PAGE_BYTES
+    page = addr >> _PAGE_SHIFT
     frame = frames[np.minimum(page, frames.size - 1)]
     unmapped = (page >= frames.size) | (frame < 0)
     if unmapped.any():
         raise ValueError(f"vaddr {addr[unmapped.nonzero()[0][0]]:#x} not mapped")
     frame -= page
-    frame *= PAGE_BYTES
+    frame <<= _PAGE_SHIFT
     addr += frame
+
+
+def run_pieces(layout: MemoryLayout, script: AccessScript) -> RunPieces:
+    """Physical pieces of the script's entry runs."""
+    start, end = _ranges(layout, np.arange(1, 4)[:, None], script.layer, script.offset, script.count, by_column=True)
+    n_pieces, paddr, size = _row_pieces(start, end, layout.mapping.row_size_bytes)
+    _translate(layout, paddr)
+    first = np.zeros(n_pieces.size + 1, dtype=np.int64)
+    n_pieces.cumsum(out=first[1:])
+    return RunPieces(first, paddr, size)
+
+
+def _segments(runs: np.ndarray, first: np.ndarray, head=None, template=None) -> tuple[np.ndarray, ...]:
+    """Rounds' events as segments of consecutive source positions, in trace order.
+
+    Round r is a head segment (head: start and length per round, if
+    given), then either one template segment (template: mask, start and
+    length per round, where the mask is set) or its runs[r] runs' ops: an
+    accumulator read and write per run, then an accumulator read,
+    writeback write and values write per run.  first holds the positions
+    of the runs' ranges as RunPieces.first does, so a round's writeback
+    ops are one segment.  Returns per segment its start and length, each
+    round's first segment (then the end), and each round's writeback
+    segment (its template segment, for a template round).
+    """
+    n_rounds, n_runs = runs.size, (first.size - 1) // 3
+    lead = 0 if head is None else 1
+    per_round = lead + 2 * runs + 1  # a template round has no runs
+    round_seg = np.zeros(n_rounds + 1, dtype=np.int64)
+    per_round.cumsum(out=round_seg[1:])
+    body = round_seg[:-1] + lead
+    start = np.empty(round_seg[-1], dtype=np.int64)
+    length = np.empty_like(start)
+    if head is not None:
+        start[round_seg[:-1]], length[round_seg[:-1]] = head
+    writeback = body + 2 * runs
+    if template is not None:
+        mask, t_start, t_length = template
+        start[body[mask]], length[body[mask]] = t_start, t_length
+    if n_runs:
+        # run j of round r reads and writes its accumulator range 3j at
+        # body[r] + 2 * (j - runs before r); the round's ranges, run by run,
+        # are its writeback ops
+        round_runs = np.zeros(n_rounds + 1, dtype=np.int64)
+        runs.cumsum(out=round_runs[1:])
+        message_op = 2 * np.arange(n_runs) + (body - 2 * round_runs[:-1]).repeat(runs)
+        accumulator = first[:-1:3]
+        start[message_op] = start[message_op + 1] = accumulator
+        length[message_op] = length[message_op + 1] = first[1::3] - accumulator
+        built = runs > 0
+        at, ends = writeback[built], first[3 * round_runs]
+        start[at], length[at] = ends[:-1][built], (ends[1:] - ends[:-1])[built]
+    return start, length, round_seg, writeback
+
+
+def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source position of every event of the segments, and each segment's
+    first event (then the end)."""
+    bounds = np.zeros(start.size + 1, dtype=np.int64)
+    length.cumsum(out=bounds[1:])
+    if bounds[-1] == start.size:  # one event per segment
+        return start, bounds
+    return np.arange(bounds[-1]) + (start - bounds[:-1]).repeat(length), bounds
+
+
+class PieceTemplates:
+    """Time-free events of rounds, built once and played any number of times.
+
+    Template s is one round's events after its ingress write, in trace
+    order: an accumulator read and write per entry run (the message), then
+    an accumulator read, writeback write and values write per run (the
+    writeback).  Templates lie back to back in the paddr and size columns:
+    template s holds events[s] events from start[s], the first message[s]
+    of them in the message.  find maps a caller's key to its template.
+    The columns grow by doubling; past the templates' events they stage a
+    block's other pieces.
+    """
+
+    def __init__(self):
+        self.paddr = np.zeros(0, dtype=np.int64)  # the first n_events are templates' events
+        self.size = np.zeros(0, dtype=np.int64)
+        self.n_events = 0
+        self.start = np.zeros(0, dtype=np.int64)
+        self.message = np.zeros(0, dtype=np.int64)
+        self.events = np.zeros(0, dtype=np.int64)
+        # per template as Python ints, for callers that walk rounds one by one
+        self.size_bytes: list[int] = []  # its round's message bytes
+        self.event_counts: list[int] = []  # events
+        self.find: dict = {}
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def add(self, layout: MemoryLayout, script: AccessScript, keys=None) -> None:
+        """Build one template per round of script, from its runs (the ingress
+        columns only lend the message bytes), with keys[r] as round r's key."""
+        n_rounds = script.runs.size
+        pieces = run_pieces(layout, script)
+        start, length, round_seg, writeback_seg = _segments(script.runs, pieces.first)
+        src, bounds = _gather_index(start, length)
+        at = self._reserve(src.size)
+        np.take(pieces.paddr, src, out=self.paddr[at:at + src.size], mode="clip")  # clip: unbuffered
+        np.take(pieces.size, src, out=self.size[at:at + src.size], mode="clip")
+        self.n_events += src.size
+        first = bounds[round_seg]  # each template's first event, then the end
+        events = first[1:] - first[:-1]
+        self.start = np.concatenate((self.start, at + first[:-1]))
+        self.message = np.concatenate((self.message, bounds[writeback_seg] - first[:-1]))
+        self.events = np.concatenate((self.events, events))
+        self.size_bytes += script.size_bytes.tolist()
+        self.event_counts += events.tolist()
+        if keys is not None:
+            self.find.update(zip(keys, range(len(self) - n_rounds, len(self))))
+
+    def _reserve(self, n: int) -> int:
+        """Room for n events right after the templates' ones, growing the
+        columns as needed; returns where it starts.  Events written there
+        stay templates' events only if n_events then grows over them."""
+        used = self.n_events
+        if used + n > self.paddr.size:
+            capacity = max(2 * self.paddr.size, used + n)
+            for name in ("paddr", "size"):
+                grown = np.empty(capacity, dtype=np.int64)
+                grown[:used] = getattr(self, name)[:used]
+                setattr(self, name, grown)
+        return used
 
 
 def trace_update_processing(
@@ -325,55 +484,59 @@ def trace_update_processing(
     script: AccessScript,
     bw: BandwidthModel,
     start_time_ns: int = 0,
+    templates: PieceTemplates | None = None,
 ) -> AccessTrace:
     """Physical access trace of a block of consecutive aggregation rounds.
 
     Rounds play back to back from start_time_ns.  A round's message
     occupies size_bytes / bandwidth, its events at int(i * step + start);
     its writeback events land on the round's integer end.  Each event is
-    one burst inside one DRAM row (the row size divides the huge page).  A
-    run's five ops touch three byte ranges, so only each round's ingress
-    range and each run's three ranges (the sources) are cut and translated.
+    one burst inside one DRAM row (the row size divides the huge page).
+    A round is its ingress pieces, then its template's events (from
+    templates) or its runs' ops; a run's five ops touch three byte ranges,
+    so only each round's ingress range and each run's three ranges are cut
+    and translated.
     """
-    n_rounds, n_runs = script.size_bytes.size, script.layer.size
-    n_pieces, piece_addr, piece_size = _row_pieces(*_source_ranges(layout, script), layout.mapping.row_size_bytes)
-    _translate(layout, piece_addr)
+    if templates is None:
+        templates = PieceTemplates()
+    pieces = script.pieces if script.pieces is not None else run_pieces(layout, script)
+    n_ingress, ingress_addr, ingress_size = _row_pieces(*_ranges(
+        layout, 0, -1, script.ingress_offset, script.size_bytes), layout.mapping.row_size_bytes)
+    _translate(layout, ingress_addr)
 
-    # each op's source, in trace order.  Round r's ops start at r + 5 * (runs
-    # before r); the block's run j, in round r, has its message ops from
-    # 2j + r + 1 + 3 * (runs before r) and its writeback ops from
-    # 3j + r + 1 + 2 * (runs up to and including r).
-    round_runs = np.zeros(n_rounds + 1, dtype=np.int64)  # each round's first run, then n_runs
-    script.runs.cumsum(out=round_runs[1:])
-    rounds, j = np.arange(n_rounds), np.arange(n_runs)
-    first_op = rounds + 5 * round_runs[:-1]
-    message_op = 2 * j + (rounds + 1 + 3 * round_runs[:-1]).repeat(script.runs)
-    writeback_op = 3 * j + (rounds + 1 + 2 * round_runs[1:]).repeat(script.runs)
-    op_src = np.empty(n_rounds + 5 * n_runs, dtype=np.int64)
-    op_src[first_op] = rounds
-    op_src[message_op] = op_src[message_op + 1] = op_src[writeback_op] = n_rounds + j
-    op_src[writeback_op + 1], op_src[writeback_op + 2] = n_rounds + n_runs + j, n_rounds + 2 * n_runs + j
-
-    # op k's events are its source's pieces, in order
-    op_pieces = n_pieces[op_src]
-    op_bounds = np.zeros(op_src.size + 1, dtype=np.int64)  # each op's first event, then the end
-    op_pieces.cumsum(out=op_bounds[1:])
-    piece = np.arange(op_bounds[-1]) + (n_pieces.cumsum()[op_src] - op_pieces - op_bounds[:-1]).repeat(op_pieces)
+    # stage the runs' pieces, then the ingress pieces, after the templates'
+    # events, and build the block with one gather, a segment of consecutive
+    # sources at a time
+    n_run_pieces, n = pieces.paddr.size, pieces.paddr.size + ingress_addr.size
+    at = templates._reserve(n)
+    for column, run_column, ingress_column in ((templates.paddr, pieces.paddr, ingress_addr),
+                                               (templates.size, pieces.size, ingress_size)):
+        column[at:at + n_run_pieces] = run_column
+        column[at + n_run_pieces:at + n] = ingress_column
+    head = (at + n_run_pieces + n_ingress.cumsum() - n_ingress, n_ingress)
+    template, message = script.template, 0
+    if template is not None:
+        mask = template >= 0
+        played = template[mask]
+        message = np.zeros(template.size, dtype=np.int64)
+        message[mask] = templates.message[played]
+        template = (mask, templates.start[played], templates.events[played])
+    start, length, round_seg, writeback_seg = _segments(script.runs, pieces.first + at, head, template)
+    src, bounds = _gather_index(start, length)
+    paddr, size = templates.paddr[src], templates.size[src]
 
     # times, per segment: a round's message, then its writeback (step 0)
-    seg_first_op = np.empty(2 * n_rounds + 1, dtype=np.int64)
-    seg_first_op[:-1:2] = first_op
-    seg_first_op[1::2] = first_op + 1 + 2 * script.runs
-    seg_first_op[-1] = op_src.size
-    seg_bounds = op_bounds[seg_first_op]
-    seg_events = seg_bounds[1:] - seg_bounds[:-1]
+    time_bounds = np.empty(2 * script.size_bytes.size + 1, dtype=np.int64)
+    time_bounds[::2] = bounds[round_seg]
+    time_bounds[1::2] = bounds[writeback_seg] + message
+    seg_events = time_bounds[1:] - time_bounds[:-1]
     budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
     seg_t0, t = [], start_time_ns
     for budget in budget_ns.tolist():  # the only per-round recurrence
-        seg_t0 += (t, int(t + budget))
+        seg_t0 += [t, int(t + budget)]
         t = seg_t0[-1]
     seg_step = np.zeros(seg_events.size)
     seg_step[::2] = budget_ns / seg_events[::2]
-    time_ns = (np.arange(seg_bounds[-1]) - seg_bounds[:-1].repeat(seg_events)) * seg_step.repeat(seg_events)
+    time_ns = (np.arange(time_bounds[-1]) - time_bounds[:-1].repeat(seg_events)) * seg_step.repeat(seg_events)
     time_ns += np.array(seg_t0, dtype=np.float64).repeat(seg_events)
-    return AccessTrace(EventColumns(time_ns.astype(np.int64), piece_addr[piece], piece_size[piece]), t)
+    return AccessTrace(EventColumns(time_ns.astype(np.int64), paddr, size), t)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,25 +32,38 @@ from .dram import (
     simulate_trace,
 )
 from .federation import PARAM_BITS, RoundRecord
-from .memlayout import AccessScript, EventColumns, MemoryLayout, trace_update_processing
+from .memlayout import (
+    AccessScript, EventColumns, MemoryLayout, PieceTemplates, RunPieces, run_pieces, trace_update_processing,
+)
 from .metrics import BandwidthModel
 
-__all__ = ["BLOCK_INDICES", "ReplaySummary", "round_script", "replay_records"]
+__all__ = [
+    "BLOCK_EVENTS", "BATCH_INDICES", "TEMPLATE_EVENTS", "ReplayCache", "ReplaySummary", "runs_script", "round_script",
+    "replay_records",
+]
 
 
 # Rounds become events a block at a time.  A block holds whole consecutive
-# rounds with at most this many record indices between them (a larger
-# round is a block of its own), which bounds the memory of the columns.
-BLOCK_INDICES = 8192
+# rounds with at most this many events between them (a larger round is a
+# block of its own), which bounds the memory of the columns.
+BLOCK_EVENTS = 1 << 15
+# Records are built in batches of consecutive records with at most this many
+# indices between them (at least one record).
+BATCH_INDICES = 1 << 14
+# A record whose index array comes more than once in a replay gets a
+# template, built once and kept for the replay, while the kept templates
+# hold fewer than this many events; the others are built each time they come.
+TEMPLATE_EVENTS = 1 << 19
 
 
-def round_script(
+def runs_script(
     layout: MemoryLayout,
     records: Sequence[RoundRecord],
     metadata_bytes_per_entry: int = 0,
     ingress_offset: int = 0,
 ) -> AccessScript:
-    """Access script replaying consecutive recorded rounds, one message each.
+    """Access script replaying consecutive recorded rounds, one message each,
+    with every record's entry runs.
 
     The ingress queue is a ring buffer: the first message lands at
     ingress_offset, each next one right after it, and a message that would
@@ -106,41 +119,178 @@ def round_script(
     )
 
 
-def _blocks(records: Iterable[RoundRecord]) -> Iterator[list[RoundRecord]]:
-    """Consecutive records grouped into blocks of at most BLOCK_INDICES indices."""
-    block: list[RoundRecord] = []
+class _Batch:
+    """Built rounds of records that get no template, played in order."""
+
+    def __init__(self, layout: MemoryLayout, records: Sequence[RoundRecord], at: list[int], meta: int):
+        self.at = at  # each round's place in the replay's records
+        self.script = runs_script(layout, [records[i] for i in at], meta)
+        self.pieces = run_pieces(layout, self.script)
+        self.round_runs = np.zeros(len(at) + 1, dtype=np.int64)  # each round's first run, then the end
+        self.script.runs.cumsum(out=self.round_runs[1:])
+        n = self.pieces.first[1:] - self.pieces.first[:-1]
+        run_events = np.zeros(self.script.layer.size + 1, dtype=np.int64)
+        (3 * n[0::3] + n[1::3] + n[2::3]).cumsum(out=run_events[1:])
+        # per round: message bytes, and events after the ingress write
+        self.sizes = self.script.size_bytes.tolist()
+        self.events = (run_events[self.round_runs[1:]] - run_events[self.round_runs[:-1]]).tolist()
+        self.played = 0
+
+    def rounds(self, a: int, b: int) -> tuple[tuple[np.ndarray, ...], RunPieces]:
+        """Rounds a to b: their runs per round, layer, offset and count per
+        run, and the runs' pieces."""
+        script, j0, j1 = self.script, self.round_runs[a], self.round_runs[b]
+        first = self.pieces.first[3 * j0:3 * j1 + 1]
+        p0, p1 = first[0], first[-1]
+        runs = script.runs[a:b], script.layer[j0:j1], script.offset[j0:j1], script.count[j0:j1]
+        return runs, RunPieces(first - p0, self.pieces.paddr[p0:p1], self.pieces.size[p0:p1])
+
+
+class ReplayCache:
+    """What one replay keeps from block to block: the templates of records
+    whose index array comes more than once, and the built rounds of the
+    others that no block has played yet."""
+
+    def __init__(self, records: Sequence[RoundRecord]):
+        seen, self.repeated = set(), set()
+        for record in records:
+            key = id(record.indices)
+            (self.repeated if key in seen else seen).add(key)
+        self.templates = PieceTemplates()
+        self.batch: _Batch | None = None
+
+    def templated(self, key: int) -> bool:
+        """Whether a record whose array has no template yet gets one."""
+        return key in self.repeated and self.templates.n_events < TEMPLATE_EVENTS
+
+
+def _window(records: Sequence[RoundRecord], first: int) -> range:
+    """The records from records[first] on with at most BATCH_INDICES indices
+    between them (at least one)."""
     n = 0
-    for record in records:
-        k = record.indices.size
-        if block and n + k > BLOCK_INDICES:
-            yield block
-            block, n = [], 0
-        block.append(record)
+    for i in range(first, len(records)):
+        n += records[i].indices.size
+        if n > BATCH_INDICES and i > first:
+            return range(first, i)
+    return range(first, len(records))
+
+
+def _join(parts: list[tuple[tuple[np.ndarray, ...], RunPieces]]) -> tuple[tuple[np.ndarray, ...], RunPieces]:
+    """A block's built rounds, from the batches' rounds in order (as
+    _Batch.rounds gives them)."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return (empty,) * 4, RunPieces(np.zeros(1, dtype=np.int64), empty, empty)
+    runs, pieces = zip(*parts)
+    ends = np.cumsum([p.paddr.size for p in pieces])
+    first = np.concatenate([p.first[:-1] + end - p.paddr.size for p, end in zip(pieces, ends)] + [ends[-1:]])
+    return (tuple(np.concatenate(column) for column in zip(*runs)),
+            RunPieces(first, np.concatenate([p.paddr for p in pieces]), np.concatenate([p.size for p in pieces])))
+
+
+def round_script(
+    layout: MemoryLayout,
+    records: Sequence[RoundRecord],
+    metadata_bytes_per_entry: int,
+    ingress_offset: int,
+    cache: ReplayCache,
+    first: int,
+) -> AccessScript:
+    """Access script of the next block of a replay: the rounds from
+    records[first] on, as many as fit in BLOCK_EVENTS events (at least one),
+    one message each, the first landing at ingress_offset in the ingress
+    ring (see runs_script).
+
+    A record whose index array the cache templates plays its template; the
+    key is the array object (the records hold every keyed array, so no key
+    is reused).  Templates and the other records are built here, in
+    batches, the first time a block meets them, and each is built once.
+    """
+    ingress = layout.region("ingress")
+    ingress_size, base = ingress.size_bytes, ingress.virtual_start
+    row = layout.mapping.row_size_bytes
+    templates = cache.templates
+    find, message_bytes, template_events = templates.find, templates.size_bytes, templates.event_counts
+    sizes, ring, played = [], [], []
+    spans: list[tuple[_Batch, int]] = []  # each batch the block plays from, and its first round there
+    offset, n = ingress_offset, 0
+    for i in range(first, len(records)):
+        key = id(records[i].indices)
+        s = find.get(key)
+        if s is None and cache.templated(key):  # build the window's new templates
+            at = {}
+            for j in _window(records, i):
+                k = id(records[j].indices)
+                if k not in find and k not in at and cache.templated(k):
+                    at[k] = j
+            templates.add(layout, runs_script(layout, [records[j] for j in at.values()], metadata_bytes_per_entry),
+                          list(at))
+            s = find[key]
+        if s is not None:
+            size, events = message_bytes[s], template_events[s]
+        else:
+            batch = cache.batch
+            if batch is None or batch.played == len(batch.at) or batch.at[batch.played] != i:
+                at = [j for j in _window(records, i)
+                      if id(records[j].indices) not in find and not cache.templated(id(records[j].indices))]
+                batch = cache.batch = _Batch(layout, records, at, metadata_bytes_per_entry)
+            size, events = batch.sizes[batch.played], batch.events[batch.played]
+        if offset + size > ingress_size:
+            offset = 0
+        start = base + offset
+        k = events + (start + size - 1) // row - start // row + 1
+        if played and n + k > BLOCK_EVENTS:
+            break
         n += k
-    if block:
-        yield block
+        sizes.append(size)
+        ring.append(offset)
+        offset += size
+        if s is not None:
+            played.append(s)
+            continue
+        played.append(-1)
+        if not spans or spans[-1][0] is not batch:
+            spans.append((batch, batch.played))
+        batch.played += 1
+
+    template = np.array(played, dtype=np.int64)
+    (built_runs, layer, run_offset, count), pieces = _join([b.rounds(a, b.played) for b, a in spans])
+    runs = np.zeros(template.size, dtype=np.int64)
+    runs[template < 0] = built_runs
+    return AccessScript(
+        size_bytes=np.array(sizes, dtype=np.int64),
+        ingress_offset=np.array(ring, dtype=np.int64),
+        runs=runs, layer=layer, offset=run_offset, count=count,
+        template=template, pieces=pieces,
+    )
 
 
 def _event_blocks(
     layout: MemoryLayout,
-    records: Iterable[RoundRecord],
+    records: Sequence[RoundRecord],
     bw: BandwidthModel,
     metadata_bytes_per_entry: int,
     trace_seconds: list[float],
 ) -> Iterator[EventColumns]:
     """Physical event columns of consecutive rounds, back to back, one block at a time.
 
-    The ingress ring offset and the clock carry over from block to block.
-    Each block's wall time in round_script and trace_update_processing is
-    appended to trace_seconds.
+    The ingress ring offset, the clock and the cache carry over from block
+    to block, never from one call to the next.  Each block's
+    wall time in round_script and trace_update_processing is appended to
+    trace_seconds.
     """
+    cache = ReplayCache(records)
     offset = 0
     t = 0
-    for block in _blocks(records):
+    played = 0
+    while played < len(records):
         started = time.perf_counter()
-        script = round_script(layout, block, metadata_bytes_per_entry, offset)
+        script = round_script(layout, records, metadata_bytes_per_entry, offset, cache, played)
+        played += script.size_bytes.size
         offset = int(script.ingress_offset[-1] + script.size_bytes[-1])
-        trace = trace_update_processing(layout, script, bw, t)
+        trace = trace_update_processing(layout, script, bw, t, cache.templates)
         trace_seconds.append(time.perf_counter() - started)
         t = trace.end_ns
         yield trace.events

@@ -186,6 +186,8 @@ def expand_acts(events, mapping: DramMapping) -> list[tuple[int, int, int]]:
     open_row = {}
     acts = []
     for time_ns, paddr, _kind, size in events:
+        if size < 0:
+            raise ValueError(f"event at {paddr:#x} has negative size {size}")
         addr = paddr
         remaining = size
         while remaining > 0:
@@ -536,6 +538,8 @@ def incremental_simulate(
         if last_t is not None and time_ns < last_t:
             raise ValueError(f"trace time goes backwards at {time_ns}")
         last_t = time_ns
+        if size < 0:
+            raise ValueError(f"event at {paddr:#x} has negative size {size}")
         if paddr < 0 or paddr + size > capacity:
             raise ValueError(f"event at {paddr:#x}+{size} outside module capacity")
         eng.advance_time(time_ns)

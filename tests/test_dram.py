@@ -197,6 +197,19 @@ def test_trace_rate_error():
         run(events, cfg=tight)
 
 
+def test_negative_size_rejected_zero_size_counted():
+    # a negative size is rejected like an event outside the module, after
+    # the events before it ran; a zero size is an event with no ACT
+    with pytest.raises(ValueError, match="negative size -64"):
+        run([(0, 4096, "R", -64), (10, 8192, "R", 0), (20, 0, "R", 64)])
+    for simulate in (oracles.incremental_simulate, oracles.oracle_simulate):
+        with pytest.raises(ValueError, match="negative size -64"):
+            simulate([(0, 4096, "R", -64)], TOY_CFG, TOY, LOW, NO_TRR, oracles.all_vulnerable(TOY), RowContents())
+    events = [(0, 4096, "R", 64), (10, 8192, "R", 0), (20, 0, "R", 64), (30, 0, "R", 0)]
+    res = assert_engines_agree(events)
+    assert (res.total_events, res.total_acts) == (4, 2)
+
+
 def test_time_must_not_go_backwards():
     with pytest.raises(ValueError):
         run([ev(100, 0, 5), ev(50, 0, 6)])
@@ -436,6 +449,49 @@ def test_decoyed_and_protected_pairs_match_references():
     assert any((f.bank, f.row) == (2, 40) for f in without.flips)
 
 
+def test_decoyed_pairs_with_row_hits_match_references():
+    # every access twice in a row, the second a row hit: the hits leave the
+    # ACTs, the sampler's counts and the flips as they were
+    events = decoyed_and_protected()
+    doubled = [e for e in events for _ in range(2)]
+    with_trr = assert_engines_agree(doubled, trr=TrrConfig(capacity=4), thresholds=TABLE_12_8)
+    assert any((f.bank, f.row, f.mode) == (1, 10, "double") for f in with_trr.flips)
+    assert not any(f.bank == 2 for f in with_trr.flips)
+    single = run(events, trr=TrrConfig(capacity=4), thresholds=TABLE_12_8)
+    assert (with_trr.windows, with_trr.flips, with_trr.total_acts) == (single.windows, single.flips, single.total_acts)
+
+
+@pytest.mark.parametrize("chunk", [46, 1 << 16])
+def test_trailing_row_hits_across_tick_and_window_match_references(monkeypatch, chunk):
+    # the first chunk ends in hits on the open row that straddle the 7th
+    # tick and the window boundary (the 8th tick), so its refresh ticks and
+    # its window must run up to the last hit; the second chunk hammers again
+    trefi = int(TOY_CFG.trefi_ns)
+    window_ns = int(TOY_CFG.window_ns)
+    first = hammer(0, 5, 20, step=100)  # flips rows 4, 6, 49 and 51, ends on row 50
+    hits = [ev(t, 0, 50) for base in (7 * trefi, window_ns) for t in (base - 1, base, base + 1)]
+    second = hammer(0, 5, 20, start=window_ns + 1000, step=100)
+    assert len(first + hits) == 46
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
+    for trr in (NO_TRR, TrrConfig(capacity=1)):
+        res = assert_engines_agree(first + hits + second, trr=trr)
+        assert len(res.windows) == 2 and res.windows[0].row_acts[(0, 50)] == 20
+        flips = sorted((f.time_ns // window_ns, f.row) for f in res.flips)
+        assert flips == [(w, r) for w in (0, 1) for r in (4, 6, 49, 51)]
+        only_hits = assert_engines_agree(first + hits, trr=trr)
+        assert len(only_hits.windows) == 2 and only_hits.windows[1].row_acts == {}
+
+
+def test_one_row_crossing_event_among_single_row_ones_matches_references():
+    # one event spans three rows (banks 0..2 of row 8); all others stay in one row
+    events = hammer(0, 5, 12, step=100)
+    events.insert(7, AccessEvent(events[6].time_ns, dram_to_physical(0, 8, 1000, TOY), "R", 2000))
+    events += hammer(1, 8, 10, start=2000, step=100)
+    res = assert_engines_agree(events, trr=TrrConfig(capacity=2))
+    assert {(0, 8), (1, 8), (2, 8)} <= set(res.windows[0].row_acts)
+    assert res.total_acts == 24 + 3 + 19  # bank 1's first access finds row 8 open
+
+
 def random_trace_on(mapping, rng, n_events=300, t_span=40_000_000, max_size=3000):
     events = []
     t = 0
@@ -609,6 +665,7 @@ def error_cases():
     backwards = [ev(10, 1, 3)]
     outside = [AccessEvent(2000, TOY.capacity_bytes - 4, "R", 8)]
     negative = [AccessEvent(2000, -8, "R", 8)]
+    negative_size = [AccessEvent(2000, dram_to_physical(0, 4, 0, TOY), "R", -64)]
     return {
         "backwards": (base + backwards, ValueError),
         "outside": (base + outside, ValueError),
@@ -619,6 +676,8 @@ def error_cases():
         "cap before outside": (base + over_cap + [AccessEvent(5000, TOY.capacity_bytes, "R", 1)],
                                TraceRateError),
         "outside before backwards": (base + outside + backwards, ValueError),
+        "negative size": (base + negative_size, ValueError),
+        "cap before negative size": (base + over_cap + negative_size, TraceRateError),
     }
 
 

@@ -17,7 +17,7 @@ from hammersim.federation import (
 )
 from hammersim.memlayout import DramMapping, build_layout
 from hammersim.metrics import topk_count
-from hammersim.replay import round_script
+from hammersim.replay import runs_script
 from hammersim.seeding import generator
 
 from oracles import (
@@ -201,7 +201,7 @@ def test_local_train_rejects_bad_batches():
 def record_runs(spec, indices):
     """(layer, offset within layer, count) of the runs replay makes of one record."""
     mapping = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192)
-    script = round_script(build_layout(spec, None, mapping, seed=1), [RoundRecord(0, np.array(indices))])
+    script = runs_script(build_layout(spec, None, mapping, seed=1), [RoundRecord(0, np.array(indices))])
     return list(zip(script.layer.tolist(), script.offset.tolist(), script.count.tolist()))
 
 

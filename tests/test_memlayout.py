@@ -14,7 +14,7 @@ from hammersim.memlayout import (
     trace_update_processing,
 )
 from hammersim.metrics import BandwidthModel
-from hammersim.replay import round_script
+from hammersim.replay import runs_script
 from hammersim.seeding import generator
 
 from oracles import byte_range_of_elems, event_tuples, virtual_to_physical
@@ -216,7 +216,7 @@ def test_round_script_shape():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     records = [RoundRecord(0, np.array([0, 1])), RoundRecord(1, np.array([3, 159, 160, 170]))]
-    script = round_script(layout, records, metadata_bytes_per_entry=4)
+    script = runs_script(layout, records, metadata_bytes_per_entry=4)
     # k entries * 32 bits / 8 + k * 4 metadata bytes
     assert script.size_bytes.tolist() == [16, 32]
     assert script.ingress_offset.tolist() == [0, 16]

@@ -9,9 +9,9 @@ from oracles import iter_replay_events
 from hammersim import dram, replay
 from hammersim.dram import DramConfig, ThresholdEntry, ThresholdTable, TrrConfig
 from hammersim.federation import LayerSpec, ModelSpec, RoundRecord, make_mlp_spec
-from hammersim.memlayout import PAGE_BYTES, DramMapping, build_layout
+from hammersim.memlayout import PAGE_BYTES, DramMapping, EventColumns, PieceTemplates, build_layout
 from hammersim.metrics import BandwidthModel
-from hammersim.replay import BLOCK_INDICES, round_script
+from hammersim.replay import BLOCK_EVENTS, runs_script
 
 BW = BandwidthModel()
 LAYOUT_MAP = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192, bank_xor=True)
@@ -31,15 +31,18 @@ def learned_like(seed, n_rounds, total_params, hot=(3000, 3120)):
     return records
 
 
+POOL_BLOCK_EVENTS = 1 << 14
+
+
 def pool_case(meta):
     spec = make_mlp_spec(100, 96, 3)
     layout = build_layout(spec, None, DramMapping(), seed=3)
     records = learned_like(11, 61, spec.total_params)
-    # the last block is partial, and one round is a block of its own
-    records.append(RoundRecord(61, np.arange(100, 100 + BLOCK_INDICES + 500)))
+    # with POOL_BLOCK_EVENTS blocks the last block is partial, and one round
+    # (4,900 single-entry runs, over 24,500 events) is a block of its own
+    records.append(RoundRecord(61, np.arange(100, 9900, 2)))
     records += learned_like(12, 5, spec.total_params)
     records = [RoundRecord(r, rec.indices) for r, rec in enumerate(records)]
-    assert sum(r.indices.size for r in records) % BLOCK_INDICES
     return layout, records, meta
 
 
@@ -91,7 +94,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_events_match_reference(case):
+def test_events_match_reference(monkeypatch, case):
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
     layout, records, meta = CASES[case]()
     expected = oracles.reference_replay_events(layout, records, BW, meta)
     assert list(iter_replay_events(layout, records, BW, meta)) == expected
@@ -99,7 +103,7 @@ def test_events_match_reference(case):
 
 def test_ingress_ring_wraps():
     layout, records, meta = ingress_wrap_case()
-    script = round_script(layout, records, meta)
+    script = runs_script(layout, records, meta)
     ring = script.ingress_offset.tolist()
     assert ring[0] == 0 and 0 in ring[1:]
     assert (script.ingress_offset + script.size_bytes).max() <= layout.region("ingress").size_bytes
@@ -110,30 +114,39 @@ def test_ingress_ring_fills_exactly_before_wrapping():
     layout = build_layout(spec, None, DramMapping(), seed=7, ingress_bytes=4096)
     # 256 entries of 4 value bytes and 4 metadata bytes: two updates fill the ring
     records = [RoundRecord(r, np.arange(256) + 300 * r) for r in range(5)]
-    script = round_script(layout, records, 4, ingress_offset=2048)
+    script = runs_script(layout, records, 4, ingress_offset=2048)
     assert script.size_bytes.tolist() == [2048] * 5
     assert script.ingress_offset.tolist() == [2048, 0, 2048, 0, 2048]
 
 
-def test_events_stream_block_by_block(monkeypatch):
-    layout, records, meta = pool_case(0)
+def counting_blocks(monkeypatch):
+    """(events, rounds) of every block replay builds, in order."""
     blocks = []
-    real = replay.round_script
+    real = replay.trace_update_processing
 
-    def counting(layout, block, *args):
-        blocks.append(sum(r.indices.size for r in block))
-        return real(layout, block, *args)
+    def counting(layout, script, *args):
+        trace = real(layout, script, *args)
+        blocks.append((len(trace.events), script.size_bytes.size))
+        return trace
 
-    monkeypatch.setattr(replay, "round_script", counting)
+    monkeypatch.setattr(replay, "trace_update_processing", counting)
+    return blocks
+
+
+def test_events_stream_block_by_block(monkeypatch):
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
+    layout, records, meta = pool_case(0)
+    blocks = counting_blocks(monkeypatch)
     events = iter_replay_events(layout, records, BW, meta)
     next(events)
     assert len(blocks) == 1
-    for _ in events:
-        pass
-    assert sum(blocks) == sum(r.indices.size for r in records)
+    n = 1 + sum(1 for _ in events)
+    assert sum(e for e, _ in blocks) == n and sum(r for _, r in blocks) == len(records)
     assert len(blocks) > 2
-    # every block stays under the cap unless it is one oversized round
-    assert all(n <= BLOCK_INDICES or n == BLOCK_INDICES + 500 for n in blocks)
+    # every block stays under the bound unless it is one oversized round
+    assert all(e <= POOL_BLOCK_EVENTS or r == 1 for e, r in blocks)
+    assert any(e > POOL_BLOCK_EVENTS for e, _ in blocks)
+    assert blocks[-1][0] < POOL_BLOCK_EVENTS
 
 
 # -- record checks ------------------------------------------------------------
@@ -145,7 +158,7 @@ def small_layout():
 def test_indices_at_both_ends_of_the_model_accepted():
     layout = small_layout()
     last = layout.spec.total_params - 1
-    script = round_script(layout, [RoundRecord(0, np.array([0])), RoundRecord(1, np.array([last]))])
+    script = runs_script(layout, [RoundRecord(0, np.array([0])), RoundRecord(1, np.array([last]))])
     assert script.size_bytes.size == 2
 
 
@@ -154,7 +167,7 @@ def test_indices_outside_the_model_rejected(bad):
     layout = small_layout()  # 195 parameters
     records = [RoundRecord(6, np.array([1])), RoundRecord(7, np.array(bad))]
     with pytest.raises(ValueError, match=r"round 7: index -?\d+ outside the model \[0, 195\)"):
-        round_script(layout, records)
+        runs_script(layout, records)
     with pytest.raises(ValueError, match="round 7"):
         list(iter_replay_events(layout, records, BW))
 
@@ -163,7 +176,7 @@ def test_empty_record_rejected():
     layout = small_layout()
     records = [RoundRecord(2, np.array([1])), RoundRecord(3, np.array([], dtype=np.int64))]
     with pytest.raises(ValueError, match="round 3: empty record"):
-        round_script(layout, records)
+        runs_script(layout, records)
     with pytest.raises(ValueError, match="round 3: empty record"):
         list(iter_replay_events(layout, records, BW))
 
@@ -202,41 +215,48 @@ def engine_chunks(monkeypatch):
 
 
 def test_engine_joins_consecutive_small_blocks(monkeypatch):
+    # rounds are joined into blocks of up to BLOCK_EVENTS events, and each
+    # block goes to the engine as one chunk; the result does not depend on
+    # where the blocks end
     expected = flipping_replay()
     assert expected.flips and len(expected.windows) > 1
-    for block_indices in (64, 1000, BLOCK_INDICES):
-        monkeypatch.setattr(replay, "BLOCK_INDICES", block_indices)
+    for block_events in (64, 1000, 5000, BLOCK_EVENTS):
+        monkeypatch.setattr(replay, "BLOCK_EVENTS", block_events)
         chunks, blocks = engine_chunks(monkeypatch)
+        shapes = counting_blocks(monkeypatch)
         assert flipping_replay() == expected
-        # each chunk is whole consecutive blocks: one block longer than
-        # JOIN_EVENTS, or as many blocks as fit in JOIN_EVENTS
-        block_ends = np.cumsum(blocks).tolist()
-        first = 0
-        for end in np.cumsum(chunks).tolist():
-            last = block_ends.index(end)
-            n = end - (block_ends[first - 1] if first else 0)
-            assert n <= dram.JOIN_EVENTS or first == last
-            assert last + 1 == len(blocks) or n + blocks[last + 1] > dram.JOIN_EVENTS
-            first = last + 1
-        assert first == len(blocks)
-        if block_indices < BLOCK_INDICES:
-            assert len(chunks) < len(blocks)
-        else:
-            assert max(blocks) > dram.JOIN_EVENTS
+        assert chunks == blocks == [e for e, _ in shapes]
+        assert all(e <= block_events or r == 1 for e, r in shapes)
 
 
-def test_engine_chunks_on_saturating_rounds(monkeypatch):
-    # criterion 10's record shape: one 2048-index run per round, so a block
-    # is 4 rounds and 24 events; the engine must not take them one by one
+def assert_blocks_fill_on_saturating_rounds(monkeypatch, records):
+    # criterion 10's record shape: one 2048-index run per round, 6 events;
+    # the engine must not take them a few at a time
     spec = ModelSpec((LayerSpec("block", 20480),))
     mapping = DramMapping(bank_count=1, rows_per_bank=512, row_size_bytes=8192, bank_xor=False)
     layout = build_layout(spec, None, mapping, seed=3)
-    records = [RoundRecord(r, np.arange(2048)) for r in range(4000)]
     chunks, blocks = engine_chunks(monkeypatch)
     replay.replay_records(records, layout, DramConfig(), BW, dram.builtin_thresholds(),
                           trr=TrrConfig(capacity=0), vmap=oracles.all_vulnerable(mapping))
-    assert set(blocks) == {24} and sum(chunks) == sum(blocks)
-    assert len(chunks) <= -(-sum(chunks) // (dram.JOIN_EVENTS - 24)) + 1
+    assert sum(blocks) == 6 * len(records) and chunks == blocks
+    assert all(BLOCK_EVENTS - 6 < n <= BLOCK_EVENTS for n in blocks[:-1])
+    # no looser than the 8,192-event join this replaced
+    assert len(chunks) <= -(-sum(chunks) // (BLOCK_EVENTS - 6)) + 1 <= -(-sum(chunks) // (8192 - 24)) + 1
+
+
+def test_engine_chunks_on_saturating_rounds(monkeypatch):
+    idx = np.arange(2048)
+    records = [RoundRecord(r, idx) for r in range(12000)]  # all sharing one array: one template
+    assert_blocks_fill_on_saturating_rounds(monkeypatch, records)
+
+
+def test_engine_chunks_on_saturating_rounds_with_own_arrays(monkeypatch):
+    # each round with its own array object, as records read from a file
+    # have; views keep the memory small, and the key is the object
+    idx = np.arange(2048)
+    records = [RoundRecord(r, idx[:]) for r in range(12000)]
+    assert len({id(r.indices) for r in records}) == len(records)
+    assert_blocks_fill_on_saturating_rounds(monkeypatch, records)
 
 
 def test_engine_cuts_blocks_longer_than_a_chunk(monkeypatch):
@@ -256,3 +276,131 @@ def test_stage_seconds_stay_out_of_equality():
                                     metadata_bytes_per_entry=meta)
     assert summary.trace_seconds > 0 and summary.engine_seconds > 0
     assert dataclasses.replace(summary, trace_seconds=1e9, engine_seconds=-1.0) == summary
+
+
+# -- record templates ---------------------------------------------------------
+
+FLIP_CFG = DramConfig(refresh_period_s=3e-6, ref_commands=64, trc_effective_s=1e-9)
+FLIP_TABLE = ThresholdTable([ThresholdEntry(0, 0, 30, 20)])
+
+
+def record_builds(monkeypatch):
+    """Round numbers of the records each build makes (a batch of templates or
+    of other rounds), and the cache of every replay, in order."""
+    builds, caches = [], []
+    real_runs, real_round, add = replay.runs_script, replay.round_script, PieceTemplates.add
+
+    def counting_runs(layout, records, *args):
+        builds.append([r.round_number for r in records])
+        return real_runs(layout, records, *args)
+
+    def counting_round(layout, records, meta, offset, cache, first):
+        if not any(c is cache for c in caches):
+            caches.append(cache)
+        return real_round(layout, records, meta, offset, cache, first)
+
+    def bounded_add(self, layout, script, keys=None):
+        # a store takes no more templates once it holds TEMPLATE_EVENTS events
+        assert self.n_events < replay.TEMPLATE_EVENTS
+        add(self, layout, script, keys)
+
+    monkeypatch.setattr(replay, "runs_script", counting_runs)
+    monkeypatch.setattr(replay, "round_script", counting_round)
+    monkeypatch.setattr(PieceTemplates, "add", bounded_add)
+    return builds, caches
+
+
+def assert_replay_matches_reference(layout, records, meta=4):
+    """Events equal to the one-op reference, and the replay's result equal to
+    the engine's on the reference events."""
+    expected = oracles.reference_replay_events(layout, records, BW, meta)
+    assert list(iter_replay_events(layout, records, BW, meta)) == expected
+    t, paddr, size = (np.array(c, dtype=np.int64) for c in zip(*expected))
+    kw = dict(trr=TrrConfig(capacity=1), vmap=oracles.all_vulnerable(layout.mapping))
+    result = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta,
+                                   **kw).result
+    assert result == dram.simulate_trace(EventColumns(t, paddr, size), FLIP_CFG, layout.mapping, FLIP_TABLE, **kw)
+    return result
+
+
+def template_layout():
+    return build_layout(make_mlp_spec(100, 96, 3), None, DramMapping(), seed=3)
+
+
+def test_records_sharing_one_array(monkeypatch):
+    layout = template_layout()
+    idx = learned_like(3, 1, layout.spec.total_params)[0].indices
+    records = [RoundRecord(r, idx) for r in range(300)]
+    builds, _ = record_builds(monkeypatch)
+    assert assert_replay_matches_reference(layout, records).flips
+    assert builds == [[0], [0]]  # once per replay: the events, then the result
+
+
+def test_equal_content_copies_in_distinct_arrays(monkeypatch):
+    layout = template_layout()
+    idx = learned_like(3, 1, layout.spec.total_params)[0].indices
+    records = [RoundRecord(r, idx.copy()) for r in range(40)]
+    builds, caches = record_builds(monkeypatch)
+    assert_replay_matches_reference(layout, records)
+    # the key is the array, not its content: no copy comes twice, so none
+    # gets a template, and each is built once per replay
+    assert sorted(r for b in builds for r in b) == sorted(list(range(40)) * 2)
+    assert all(len(c.templates) == 0 for c in caches)
+
+
+def test_interleaved_repeats(monkeypatch):
+    layout = template_layout()
+    pool = [r.indices for r in learned_like(5, 7, layout.spec.total_params)]
+    order = [0, 1, 0, 2, 2, 1, 3, 0, 4, 5, 6, 5, 4, 3, 2, 1, 0] * 12
+    records = [RoundRecord(r, pool[i]) for r, i in enumerate(order)]
+    builds, _ = record_builds(monkeypatch)
+    assert_replay_matches_reference(layout, records)
+    assert sum(map(len, builds)) == 2 * len(pool)
+
+
+def test_records_past_the_template_bound_are_rebuilt(monkeypatch):
+    layout = template_layout()
+    pool = [r.indices for r in learned_like(6, 12, layout.spec.total_params)]
+    records = [RoundRecord(r, pool[r % len(pool)]) for r in range(120)]
+    monkeypatch.setattr(replay, "TEMPLATE_EVENTS", 2000)  # about 3 of the 12 records
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
+    monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 2 records
+    builds, caches = record_builds(monkeypatch)
+    assert_replay_matches_reference(layout, records)
+    assert sum(map(len, builds)) > 2 * len(pool)
+    for cache in caches:
+        assert 0 < len(cache.templates) < len(pool)
+
+
+def test_each_record_built_once_per_replay(monkeypatch):
+    # records that get no template are built in batches that end anywhere
+    # in a block; none is built twice, and every block stays in bounds
+    layout = template_layout()
+    records = learned_like(8, 150, layout.spec.total_params)
+    shared = records[3].indices
+    records += [RoundRecord(150 + r, shared) for r in range(4)]  # one array that gets a template
+    largest = max(len(replay.trace_update_processing(layout, runs_script(layout, [r], 4), BW).events) for r in records)
+    monkeypatch.setattr(replay, "TEMPLATE_EVENTS", 2000)
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
+    monkeypatch.setattr(replay, "BATCH_INDICES", 5000)
+    builds, _ = record_builds(monkeypatch)
+    shapes = counting_blocks(monkeypatch)
+    assert_replay_matches_reference(layout, records)
+    assert sorted(r for b in builds for r in b) == sorted([3] * 2 + [r for r in range(150) if r != 3] * 2)
+    assert 4 < len(builds) < len(shapes)  # several batches, most playing in several blocks
+    # each replay's blocks: all in bounds, and only its last one short
+    replays = [shapes[:len(shapes) // 2], shapes[len(shapes) // 2:]]
+    assert replays[0] == replays[1]
+    assert all(3000 - largest < e <= 3000 for e, _ in replays[0][:-1])
+
+
+def test_consecutive_replays_build_their_own_templates(monkeypatch):
+    layout, records, meta = pool_case(4)
+    records = records + records[:20]  # 20 arrays that get templates
+    builds, caches = record_builds(monkeypatch)
+    first = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
+    n = sum(map(len, builds))
+    second = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
+    assert first == second
+    assert n == sum(map(len, builds)) - n == len({id(r.indices) for r in records})
+    assert len(caches) == 2 and len(caches[0].templates) == len(caches[1].templates) == 20
