@@ -245,8 +245,13 @@ class PolicyConfig:
     max_grad_norm: float = 0.5  # <= 0 disables clipping
 
     def __post_init__(self) -> None:
-        if self.obs_dim <= 0 or self.action_dim <= 0:
-            raise ValueError("dimensions must be positive")
+        if self.obs_dim <= 0:
+            raise ValueError(f"obs_dim must be positive, got {self.obs_dim}")
+        if self.action_dim <= 0:  # set from the config key latent_dim
+            raise ValueError(f"latent_dim (action_dim) must be positive, got {self.action_dim}")
+        for key in ("hidden1", "hidden2", "epochs", "minibatch_size"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if not 0 < self.clip_ratio < 1:
             raise ValueError("clip_ratio must be in (0, 1)")
         if not 0 <= self.discount <= 1 or not 0 <= self.gae_lambda <= 1:

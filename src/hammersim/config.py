@@ -344,9 +344,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if g("federation", "learning_rate") < 0:
         raise ConfigError(
             f"[federation] learning_rate must be non-negative, got {g('federation', 'learning_rate')}")
-    for key in ("latent_dim", "hidden1", "hidden2", "epochs", "minibatch_size", "warmup_rounds"):
-        if g("adversary", key) <= 0:
-            raise ConfigError(f"[adversary] {key} must be positive, got {g('adversary', key)}")
+    if g("adversary", "warmup_rounds") <= 0:
+        raise ConfigError(f"[adversary] warmup_rounds must be positive, got {g('adversary', 'warmup_rounds')}")
     if g("adversary", "warmup_rounds") > g("run", "rounds_per_episode"):
         raise ConfigError("[adversary] warmup_rounds exceeds rounds_per_episode")
     if g("adversary", "epsilon") < 0:

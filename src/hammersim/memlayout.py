@@ -7,13 +7,14 @@ frames; a configurable DRAM address hash then splits physical addresses
 into (bank, row, column).
 
 An AccessScript is the logical access pattern of a block of consecutive
-rounds: per round its update message, and per entry run its layer and
-range, or per round the PieceTemplates entry that holds its physical
-pieces (a round's events after its ingress write, built once and played
-any number of times).  trace_update_processing turns it into
-time-stamped physical event columns.  Each message occupies size_bytes /
-bandwidth seconds, its events are spaced uniformly, and the writeback
-events land on the round boundary.
+rounds: per round its update message, and either per entry run its layer
+and range, or per round the PieceTemplates entry it plays.  A template is
+a round's events after its ingress write, built once from the round's
+runs and played any number of times.  trace_update_processing turns a
+script into time-stamped physical event columns, playing a script of runs
+as one template per round.  Each message occupies size_bytes / bandwidth
+seconds, its events are spaced uniformly, and the writeback events land
+on the round boundary.
 Contiguous element runs become single burst events, split at row and page
 borders, which leaves the per-bank row-activation sequence identical to
 per-element events while keeping traces tractable.
@@ -37,9 +38,7 @@ __all__ = [
     "build_layout",
     "SCRIPT_REGIONS",
     "AccessScript",
-    "RunPieces",
     "PieceTemplates",
-    "run_pieces",
     "physical_to_dram",
     "dram_to_physical",
     "EventColumns",
@@ -238,33 +237,18 @@ SCRIPT_REGIONS = ("ingress", "accumulator", "writeback", "values")
 
 
 @dataclass(frozen=True)
-class RunPieces:
-    """Physical pieces of entry runs' buffer ranges.
-
-    Run j touches three ranges, 3j (accumulator), 3j + 1 (writeback) and
-    3j + 2 (values); range k's pieces are paddr and size from first[k] to
-    first[k + 1], one per DRAM row it touches.
-    """
-
-    first: np.ndarray  # per range: its first piece, then the end
-    paddr: np.ndarray
-    size: np.ndarray
-
-
-@dataclass(frozen=True)
 class AccessScript:
-    """A block of consecutive rounds: per round its message, and its entry runs
-    or the template it plays.
+    """A block of consecutive rounds: per round its message, and its entry
+    runs or the template it plays.
 
-    Round r's message lands at ingress_offset[r].  It plays entry
-    template[r] of a PieceTemplates when that is given and not negative;
-    otherwise its runs[r] entry runs follow those of the rounds before it
-    (a template round has none).  A run is count entries from offset of
-    layer, in the layer's accumulator, writeback and values buffers.  In
-    trace order a round is: ingress write, an accumulator read and write
-    per run, then at the round's end an accumulator read, writeback write
-    and values write per run.  pieces, when given, are the runs' physical
-    pieces, already cut and translated.
+    Round r's message lands at ingress_offset[r].  When template is given,
+    round r plays entry template[r] of a PieceTemplates and has no runs
+    (runs[r] is 0); otherwise its runs[r] entry runs follow those of the
+    rounds before it.  A run is count entries from offset of layer, in the layer's
+    accumulator, writeback and values buffers.  In trace order a round is:
+    ingress write, an accumulator read and write per run, then at the
+    round's end an accumulator read, writeback write and values write per
+    run.
     """
 
     size_bytes: np.ndarray  # per round: update message bytes
@@ -273,8 +257,7 @@ class AccessScript:
     layer: np.ndarray  # per run
     offset: np.ndarray  # per run: first entry, within the layer
     count: np.ndarray  # per run: entries
-    template: np.ndarray | None = None  # per round: the template it plays, or -1
-    pieces: RunPieces | None = None
+    template: np.ndarray | None = None  # per round: the template it plays
 
 
 @dataclass(frozen=True)
@@ -353,56 +336,34 @@ def _translate(layout: MemoryLayout, addr: np.ndarray) -> None:
     addr += frame
 
 
-def run_pieces(layout: MemoryLayout, script: AccessScript) -> RunPieces:
-    """Physical pieces of the script's entry runs."""
-    start, end = _ranges(layout, np.arange(1, 4)[:, None], script.layer, script.offset, script.count, by_column=True)
-    n_pieces, paddr, size = _row_pieces(start, end, layout.mapping.row_size_bytes)
-    _translate(layout, paddr)
-    first = np.zeros(n_pieces.size + 1, dtype=np.int64)
-    n_pieces.cumsum(out=first[1:])
-    return RunPieces(first, paddr, size)
+def _segments(runs: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rounds' events after their ingress writes, as segments of consecutive
+    piece positions, in trace order.
 
-
-def _segments(runs: np.ndarray, first: np.ndarray, head=None, template=None) -> tuple[np.ndarray, ...]:
-    """Rounds' events as segments of consecutive source positions, in trace order.
-
-    Round r is a head segment (head: start and length per round, if
-    given), then either one template segment (template: mask, start and
-    length per round, where the mask is set) or its runs[r] runs' ops: an
-    accumulator read and write per run, then an accumulator read,
-    writeback write and values write per run.  first holds the positions
-    of the runs' ranges as RunPieces.first does, so a round's writeback
-    ops are one segment.  Returns per segment its start and length, each
-    round's first segment (then the end), and each round's writeback
-    segment (its template segment, for a template round).
+    Round r is its runs[r] runs' ops: an accumulator read and write per
+    run, then an accumulator read, writeback write and values write per
+    run.  Run j touches three ranges, 3j (accumulator), 3j + 1 (writeback)
+    and 3j + 2 (values), and first holds each range's first piece (then the
+    end), so a round's writeback ops are one segment.  Returns per segment
+    its start and length, each round's first segment (then the end), and
+    each round's writeback segment.
     """
-    n_rounds, n_runs = runs.size, (first.size - 1) // 3
-    lead = 0 if head is None else 1
-    per_round = lead + 2 * runs + 1  # a template round has no runs
-    round_seg = np.zeros(n_rounds + 1, dtype=np.int64)
-    per_round.cumsum(out=round_seg[1:])
-    body = round_seg[:-1] + lead
+    round_seg = np.zeros(runs.size + 1, dtype=np.int64)
+    (2 * runs + 1).cumsum(out=round_seg[1:])
+    writeback = round_seg[1:] - 1
     start = np.empty(round_seg[-1], dtype=np.int64)
     length = np.empty_like(start)
-    if head is not None:
-        start[round_seg[:-1]], length[round_seg[:-1]] = head
-    writeback = body + 2 * runs
-    if template is not None:
-        mask, t_start, t_length = template
-        start[body[mask]], length[body[mask]] = t_start, t_length
-    if n_runs:
-        # run j of round r reads and writes its accumulator range 3j at
-        # body[r] + 2 * (j - runs before r); the round's ranges, run by run,
-        # are its writeback ops
-        round_runs = np.zeros(n_rounds + 1, dtype=np.int64)
-        runs.cumsum(out=round_runs[1:])
-        message_op = 2 * np.arange(n_runs) + (body - 2 * round_runs[:-1]).repeat(runs)
-        accumulator = first[:-1:3]
-        start[message_op] = start[message_op + 1] = accumulator
-        length[message_op] = length[message_op + 1] = first[1::3] - accumulator
-        built = runs > 0
-        at, ends = writeback[built], first[3 * round_runs]
-        start[at], length[at] = ends[:-1][built], (ends[1:] - ends[:-1])[built]
+    # run j of round r reads and writes its accumulator range 3j at
+    # round_seg[r] + 2 * (j - runs before r); the round's ranges, run by
+    # run, are its writeback ops
+    round_runs = np.zeros(runs.size + 1, dtype=np.int64)
+    runs.cumsum(out=round_runs[1:])
+    message_op = 2 * np.arange(round_runs[-1]) + (round_seg[:-1] - 2 * round_runs[:-1]).repeat(runs)
+    accumulator = first[:-1:3]
+    start[message_op] = start[message_op + 1] = accumulator
+    length[message_op] = length[message_op + 1] = first[1::3] - accumulator
+    ends = first[3 * round_runs]
+    start[writeback], length[writeback] = ends[:-1], ends[1:] - ends[:-1]
     return start, length, round_seg, writeback
 
 
@@ -411,8 +372,6 @@ def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np
     first event (then the end)."""
     bounds = np.zeros(start.size + 1, dtype=np.int64)
     length.cumsum(out=bounds[1:])
-    if bounds[-1] == start.size:  # one event per segment
-        return start, bounds
     return np.arange(bounds[-1]) + (start - bounds[:-1]).repeat(length), bounds
 
 
@@ -422,15 +381,14 @@ class PieceTemplates:
     Template s is one round's events after its ingress write, in trace
     order: an accumulator read and write per entry run (the message), then
     an accumulator read, writeback write and values write per run (the
-    writeback).  Templates lie back to back in the paddr and size columns:
-    template s holds events[s] events from start[s], the first message[s]
-    of them in the message.  find maps a caller's key to its template.
-    The columns grow by doubling; past the templates' events they stage a
-    block's other pieces.
+    writeback).  It holds events[s] events of the paddr and size columns
+    from start[s], the first message[s] of them in the message.  find maps
+    a caller's key to its template.  The columns grow by doubling; past
+    the templates' events they stage a block's ingress pieces.
     """
 
     def __init__(self):
-        self.paddr = np.zeros(0, dtype=np.int64)  # the first n_events are templates' events
+        self.paddr = np.zeros(0, dtype=np.int64)  # the first n_events are kept and dropped templates' events
         self.size = np.zeros(0, dtype=np.int64)
         self.n_events = 0
         self.start = np.zeros(0, dtype=np.int64)
@@ -446,14 +404,21 @@ class PieceTemplates:
 
     def add(self, layout: MemoryLayout, script: AccessScript, keys=None) -> None:
         """Build one template per round of script, from its runs (the ingress
-        columns only lend the message bytes), with keys[r] as round r's key."""
+        columns only lend the message bytes), with keys[r] as round r's key.
+
+        Only each run's three byte ranges are cut at rows and translated."""
         n_rounds = script.runs.size
-        pieces = run_pieces(layout, script)
-        start, length, round_seg, writeback_seg = _segments(script.runs, pieces.first)
+        start, end = _ranges(layout, np.arange(1, 4)[:, None], script.layer, script.offset, script.count,
+                             by_column=True)
+        n_pieces, paddr, size = _row_pieces(start, end, layout.mapping.row_size_bytes)
+        _translate(layout, paddr)
+        first = np.zeros(n_pieces.size + 1, dtype=np.int64)
+        n_pieces.cumsum(out=first[1:])
+        start, length, round_seg, writeback_seg = _segments(script.runs, first)
         src, bounds = _gather_index(start, length)
         at = self._reserve(src.size)
-        np.take(pieces.paddr, src, out=self.paddr[at:at + src.size], mode="clip")  # clip: unbuffered
-        np.take(pieces.size, src, out=self.size[at:at + src.size], mode="clip")
+        np.take(paddr, src, out=self.paddr[at:at + src.size], mode="clip")  # clip: unbuffered
+        np.take(size, src, out=self.size[at:at + src.size], mode="clip")
         self.n_events += src.size
         first = bounds[round_seg]  # each template's first event, then the end
         events = first[1:] - first[:-1]
@@ -464,6 +429,28 @@ class PieceTemplates:
         self.event_counts += events.tolist()
         if keys is not None:
             self.find.update(zip(keys, range(len(self) - n_rounds, len(self))))
+
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep only the templates kept (ascending), numbered 0, 1, ... in
+        that order, and drop the others.
+
+        The kept templates' events stay where they are until the dropped
+        events reach them in number; then one gather moves them to the front
+        of the columns.  So the columns hold at most twice the kept events
+        (and what was added since).
+        """
+        self.start, self.message, self.events = self.start[kept], self.message[kept], self.events[kept]
+        kept = kept.tolist()
+        self.size_bytes = [self.size_bytes[s] for s in kept]
+        self.event_counts = [self.event_counts[s] for s in kept]
+        number = dict(zip(kept, range(len(kept))))
+        self.find = {key: number[s] for key, s in self.find.items() if s in number}
+        live = sum(self.event_counts)
+        if self.n_events - live >= live:
+            src, bounds = _gather_index(self.start, self.events)
+            self.paddr[:src.size] = self.paddr.take(src)
+            self.size[:src.size] = self.size.take(src)
+            self.start, self.n_events = bounds[:-1], src.size
 
     def _reserve(self, n: int) -> int:
         """Room for n events right after the templates' ones, growing the
@@ -492,43 +479,33 @@ def trace_update_processing(
     occupies size_bytes / bandwidth, its events at int(i * step + start);
     its writeback events land on the round's integer end.  Each event is
     one burst inside one DRAM row (the row size divides the huge page).
-    A round is its ingress pieces, then its template's events (from
-    templates) or its runs' ops; a run's five ops touch three byte ranges,
-    so only each round's ingress range and each run's three ranges are cut
-    and translated.
+    A round is its ingress pieces, then its template's events: from
+    templates for a script that plays templates, else from one built here
+    out of the round's runs.
     """
-    if templates is None:
+    played = script.template
+    if played is None:
         templates = PieceTemplates()
-    pieces = script.pieces if script.pieces is not None else run_pieces(layout, script)
+        templates.add(layout, script)
+        played = np.arange(script.size_bytes.size)
     n_ingress, ingress_addr, ingress_size = _row_pieces(*_ranges(
         layout, 0, -1, script.ingress_offset, script.size_bytes), layout.mapping.row_size_bytes)
     _translate(layout, ingress_addr)
 
-    # stage the runs' pieces, then the ingress pieces, after the templates'
-    # events, and build the block with one gather, a segment of consecutive
-    # sources at a time
-    n_run_pieces, n = pieces.paddr.size, pieces.paddr.size + ingress_addr.size
-    at = templates._reserve(n)
-    for column, run_column, ingress_column in ((templates.paddr, pieces.paddr, ingress_addr),
-                                               (templates.size, pieces.size, ingress_size)):
-        column[at:at + n_run_pieces] = run_column
-        column[at + n_run_pieces:at + n] = ingress_column
-    head = (at + n_run_pieces + n_ingress.cumsum() - n_ingress, n_ingress)
-    template, message = script.template, 0
-    if template is not None:
-        mask = template >= 0
-        played = template[mask]
-        message = np.zeros(template.size, dtype=np.int64)
-        message[mask] = templates.message[played]
-        template = (mask, templates.start[played], templates.events[played])
-    start, length, round_seg, writeback_seg = _segments(script.runs, pieces.first + at, head, template)
+    # stage the ingress pieces after the templates' events, and build the
+    # block with one gather: per round, its ingress pieces, then its template
+    at, n = templates._reserve(ingress_addr.size), ingress_addr.size
+    templates.paddr[at:at + n], templates.size[at:at + n] = ingress_addr, ingress_size
+    start = np.empty(2 * played.size, dtype=np.int64)
+    length = np.empty_like(start)
+    start[0::2], length[0::2] = at + n_ingress.cumsum() - n_ingress, n_ingress
+    start[1::2], length[1::2] = templates.start[played], templates.events[played]
     src, bounds = _gather_index(start, length)
     paddr, size = templates.paddr[src], templates.size[src]
 
     # times, per segment: a round's message, then its writeback (step 0)
-    time_bounds = np.empty(2 * script.size_bytes.size + 1, dtype=np.int64)
-    time_bounds[::2] = bounds[round_seg]
-    time_bounds[1::2] = bounds[writeback_seg] + message
+    time_bounds = bounds.copy()
+    time_bounds[1::2] += templates.message[played]
     seg_events = time_bounds[1:] - time_bounds[:-1]
     budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
     seg_t0, t = [], start_time_ns

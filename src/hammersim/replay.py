@@ -32,14 +32,11 @@ from .dram import (
     simulate_trace,
 )
 from .federation import PARAM_BITS, RoundRecord
-from .memlayout import (
-    AccessScript, EventColumns, MemoryLayout, PieceTemplates, RunPieces, run_pieces, trace_update_processing,
-)
+from .memlayout import AccessScript, EventColumns, MemoryLayout, PieceTemplates, trace_update_processing
 from .metrics import BandwidthModel
 
 __all__ = [
-    "BLOCK_EVENTS", "BATCH_INDICES", "TEMPLATE_EVENTS", "ReplayCache", "ReplaySummary", "runs_script", "round_script",
-    "replay_records",
+    "BLOCK_EVENTS", "BATCH_INDICES", "ReplayCache", "ReplaySummary", "runs_script", "round_script", "replay_records",
 ]
 
 
@@ -47,13 +44,9 @@ __all__ = [
 # rounds with at most this many events between them (a larger round is a
 # block of its own), which bounds the memory of the columns.
 BLOCK_EVENTS = 1 << 15
-# Records are built in batches of consecutive records with at most this many
-# indices between them (at least one record).
+# Templates are built in windows of consecutive records with at most this
+# many indices between them (at least one record).
 BATCH_INDICES = 1 << 14
-# A record whose index array comes more than once in a replay gets a
-# template, built once and kept for the replay, while the kept templates
-# hold fewer than this many events; the others are built each time they come.
-TEMPLATE_EVENTS = 1 << 19
 
 
 def runs_script(
@@ -119,49 +112,26 @@ def runs_script(
     )
 
 
-class _Batch:
-    """Built rounds of records that get no template, played in order."""
-
-    def __init__(self, layout: MemoryLayout, records: Sequence[RoundRecord], at: list[int], meta: int):
-        self.at = at  # each round's place in the replay's records
-        self.script = runs_script(layout, [records[i] for i in at], meta)
-        self.pieces = run_pieces(layout, self.script)
-        self.round_runs = np.zeros(len(at) + 1, dtype=np.int64)  # each round's first run, then the end
-        self.script.runs.cumsum(out=self.round_runs[1:])
-        n = self.pieces.first[1:] - self.pieces.first[:-1]
-        run_events = np.zeros(self.script.layer.size + 1, dtype=np.int64)
-        (3 * n[0::3] + n[1::3] + n[2::3]).cumsum(out=run_events[1:])
-        # per round: message bytes, and events after the ingress write
-        self.sizes = self.script.size_bytes.tolist()
-        self.events = (run_events[self.round_runs[1:]] - run_events[self.round_runs[:-1]]).tolist()
-        self.played = 0
-
-    def rounds(self, a: int, b: int) -> tuple[tuple[np.ndarray, ...], RunPieces]:
-        """Rounds a to b: their runs per round, layer, offset and count per
-        run, and the runs' pieces."""
-        script, j0, j1 = self.script, self.round_runs[a], self.round_runs[b]
-        first = self.pieces.first[3 * j0:3 * j1 + 1]
-        p0, p1 = first[0], first[-1]
-        runs = script.runs[a:b], script.layer[j0:j1], script.offset[j0:j1], script.count[j0:j1]
-        return runs, RunPieces(first - p0, self.pieces.paddr[p0:p1], self.pieces.size[p0:p1])
-
-
 class ReplayCache:
-    """What one replay keeps from block to block: the templates of records
-    whose index array comes more than once, and the built rounds of the
-    others that no block has played yet."""
+    """What one replay keeps from block to block: a template per index array
+    it has met, until the array's last round has passed."""
 
     def __init__(self, records: Sequence[RoundRecord]):
-        seen, self.repeated = set(), set()
-        for record in records:
-            key = id(record.indices)
-            (self.repeated if key in seen else seen).add(key)
+        self.last = {id(record.indices): i for i, record in enumerate(records)}  # each array's last round
         self.templates = PieceTemplates()
-        self.batch: _Batch | None = None
+        self.until = np.zeros(0, dtype=np.int64)  # per template: its array's last round
 
-    def templated(self, key: int) -> bool:
-        """Whether a record whose array has no template yet gets one."""
-        return key in self.repeated and self.templates.n_events < TEMPLATE_EVENTS
+    def build(self, layout: MemoryLayout, records: Sequence[RoundRecord], at: dict, meta: int) -> None:
+        """Templates of the records at the places at.values(), keyed by at's keys."""
+        self.templates.add(layout, runs_script(layout, [records[i] for i in at.values()], meta), list(at))
+        self.until = np.concatenate((self.until, [self.last[key] for key in at]))
+
+    def drop_before(self, first: int) -> None:
+        """Drop the templates that no round from records[first] on plays."""
+        kept = (self.until >= first).nonzero()[0]
+        if kept.size < self.until.size:
+            self.templates.keep(kept)
+            self.until = self.until[kept]
 
 
 def _window(records: Sequence[RoundRecord], first: int) -> range:
@@ -173,21 +143,6 @@ def _window(records: Sequence[RoundRecord], first: int) -> range:
         if n > BATCH_INDICES and i > first:
             return range(first, i)
     return range(first, len(records))
-
-
-def _join(parts: list[tuple[tuple[np.ndarray, ...], RunPieces]]) -> tuple[tuple[np.ndarray, ...], RunPieces]:
-    """A block's built rounds, from the batches' rounds in order (as
-    _Batch.rounds gives them)."""
-    if len(parts) == 1:
-        return parts[0]
-    if not parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return (empty,) * 4, RunPieces(np.zeros(1, dtype=np.int64), empty, empty)
-    runs, pieces = zip(*parts)
-    ends = np.cumsum([p.paddr.size for p in pieces])
-    first = np.concatenate([p.first[:-1] + end - p.paddr.size for p, end in zip(pieces, ends)] + [ends[-1:]])
-    return (tuple(np.concatenate(column) for column in zip(*runs)),
-            RunPieces(first, np.concatenate([p.paddr for p in pieces]), np.concatenate([p.size for p in pieces])))
 
 
 def round_script(
@@ -203,67 +158,49 @@ def round_script(
     one message each, the first landing at ingress_offset in the ingress
     ring (see runs_script).
 
-    A record whose index array the cache templates plays its template; the
-    key is the array object (the records hold every keyed array, so no key
-    is reused).  Templates and the other records are built here, in
-    batches, the first time a block meets them, and each is built once.
+    Every round plays the template of its index array; the key is the array
+    object (the records hold every keyed array, so no key is reused).  The
+    cache first drops the templates whose array's last round has passed.
+    A round whose array has none yet builds the templates of every unbuilt
+    array in its window (see _window), so each array is built once.
     """
     ingress = layout.region("ingress")
     ingress_size, base = ingress.size_bytes, ingress.virtual_start
     row = layout.mapping.row_size_bytes
+    cache.drop_before(first)
     templates = cache.templates
     find, message_bytes, template_events = templates.find, templates.size_bytes, templates.event_counts
     sizes, ring, played = [], [], []
-    spans: list[tuple[_Batch, int]] = []  # each batch the block plays from, and its first round there
     offset, n = ingress_offset, 0
     for i in range(first, len(records)):
-        key = id(records[i].indices)
-        s = find.get(key)
-        if s is None and cache.templated(key):  # build the window's new templates
+        s = find.get(id(records[i].indices))
+        if s is None:
             at = {}
             for j in _window(records, i):
-                k = id(records[j].indices)
-                if k not in find and k not in at and cache.templated(k):
-                    at[k] = j
-            templates.add(layout, runs_script(layout, [records[j] for j in at.values()], metadata_bytes_per_entry),
-                          list(at))
-            s = find[key]
-        if s is not None:
-            size, events = message_bytes[s], template_events[s]
-        else:
-            batch = cache.batch
-            if batch is None or batch.played == len(batch.at) or batch.at[batch.played] != i:
-                at = [j for j in _window(records, i)
-                      if id(records[j].indices) not in find and not cache.templated(id(records[j].indices))]
-                batch = cache.batch = _Batch(layout, records, at, metadata_bytes_per_entry)
-            size, events = batch.sizes[batch.played], batch.events[batch.played]
+                key = id(records[j].indices)
+                if key not in find and key not in at:
+                    at[key] = j
+            cache.build(layout, records, at, metadata_bytes_per_entry)
+            s = find[id(records[i].indices)]
+        size = message_bytes[s]
         if offset + size > ingress_size:
             offset = 0
         start = base + offset
-        k = events + (start + size - 1) // row - start // row + 1
+        k = template_events[s] + (start + size - 1) // row - start // row + 1
         if played and n + k > BLOCK_EVENTS:
             break
         n += k
         sizes.append(size)
         ring.append(offset)
         offset += size
-        if s is not None:
-            played.append(s)
-            continue
-        played.append(-1)
-        if not spans or spans[-1][0] is not batch:
-            spans.append((batch, batch.played))
-        batch.played += 1
+        played.append(s)
 
-    template = np.array(played, dtype=np.int64)
-    (built_runs, layer, run_offset, count), pieces = _join([b.rounds(a, b.played) for b, a in spans])
-    runs = np.zeros(template.size, dtype=np.int64)
-    runs[template < 0] = built_runs
+    empty = np.zeros(0, dtype=np.int64)
     return AccessScript(
         size_bytes=np.array(sizes, dtype=np.int64),
         ingress_offset=np.array(ring, dtype=np.int64),
-        runs=runs, layer=layer, offset=run_offset, count=count,
-        template=template, pieces=pieces,
+        runs=np.zeros(len(played), dtype=np.int64), layer=empty, offset=empty, count=empty,
+        template=np.array(played, dtype=np.int64),
     )
 
 
@@ -272,14 +209,14 @@ def _event_blocks(
     records: Sequence[RoundRecord],
     bw: BandwidthModel,
     metadata_bytes_per_entry: int,
-    trace_seconds: list[float],
+    blocks: list[tuple[float, int]],
 ) -> Iterator[EventColumns]:
     """Physical event columns of consecutive rounds, back to back, one block at a time.
 
     The ingress ring offset, the clock and the cache carry over from block
-    to block, never from one call to the next.  Each block's
-    wall time in round_script and trace_update_processing is appended to
-    trace_seconds.
+    to block, never from one call to the next.  For each block, its wall
+    time in round_script and trace_update_processing and its message bytes
+    are appended to blocks.
     """
     cache = ReplayCache(records)
     offset = 0
@@ -291,7 +228,7 @@ def _event_blocks(
         played += script.size_bytes.size
         offset = int(script.ingress_offset[-1] + script.size_bytes[-1])
         trace = trace_update_processing(layout, script, bw, t, cache.templates)
-        trace_seconds.append(time.perf_counter() - started)
+        blocks.append((time.perf_counter() - started, int(script.size_bytes.sum())))
         t = trace.end_ns
         yield trace.events
         del trace  # free the block's columns before building the next block
@@ -337,19 +274,17 @@ def replay_records(
     started = time.perf_counter()
     if not records:
         raise ValueError("no rounds to replay")
-    total_bytes = sum(metrics.update_bytes(r.indices.size, PARAM_BITS, metadata_bytes_per_entry) for r in records)
-    mean_size = Fraction(total_bytes, len(records))
-    hmax = metrics.h_max(bw, mean_size, dram_cfg.refresh_period_s)
-    trace_seconds: list[float] = []
+    blocks: list[tuple[float, int]] = []
     result = simulate_trace(
-        _event_blocks(layout, records, bw, metadata_bytes_per_entry, trace_seconds), dram_cfg, layout.mapping,
+        _event_blocks(layout, records, bw, metadata_bytes_per_entry, blocks), dram_cfg, layout.mapping,
         thresholds, trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
     )
-    trace = sum(trace_seconds)
+    trace = sum(seconds for seconds, _ in blocks)
+    mean_size = Fraction(sum(n for _, n in blocks), len(records))
     return ReplaySummary(
         result=result,
         rounds=len(records),
-        h_max_analytic=hmax,
+        h_max_analytic=metrics.h_max(bw, mean_size, dram_cfg.refresh_period_s),
         measured_max_row_acts=result.max_row_acts(),
         trace_seconds=trace,
         engine_seconds=time.perf_counter() - started - trace,

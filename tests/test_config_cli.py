@@ -219,6 +219,8 @@ REJECTED_AT_LOAD = {
     "minibatch_size zero": ("train", "[adversary]\nminibatch_size = 0\n", "minibatch_size"),
     "epochs zero": ("train", "[adversary]\nepochs = 0\n", "epochs"),
     "hidden1 negative": ("train", "[adversary]\nhidden1 = -1\n", "hidden1"),
+    "hidden2 zero": ("train", "[adversary]\nhidden2 = 0\n", "hidden2"),
+    "latent_dim zero": ("train", "[adversary]\nlatent_dim = 0\n", "latent_dim"),
     "window_len past the model": ("train", "[adversary]\nwindow_len = 100000\n", "window_len"),
     "latent_dim past in_dim": ("train", "[federation]\nin_dim = 24\n[adversary]\nlatent_dim = 30\n",
                                "latent_dim"),

@@ -8,6 +8,7 @@ from hammersim.memlayout import (
     AccessScript,
     DramMapping,
     MemoryLayout,
+    PieceTemplates,
     build_layout,
     dram_to_physical,
     physical_to_dram,
@@ -245,3 +246,37 @@ def test_trace_addresses_follow_page_table():
     region = layout.region("ingress")
     expected = virtual_to_physical(layout, region.virtual_start)
     assert trace.events.paddr[0] == expected
+
+
+def test_script_of_runs_plays_as_its_templates():
+    # rounds that play templates in any order give the events of their
+    # records' runs, round after round
+    spec = make_mlp_spec(20, 8, 3)
+    layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
+    records = [RoundRecord(r, np.array(s)) for r, s in enumerate(([0, 1, 2, 40], [3, 159, 160, 170], [191]))]
+    templates = PieceTemplates()
+    templates.add(layout, runs_script(layout, records, metadata_bytes_per_entry=4))
+    order = [2, 0, 2, 1]
+    sizes = np.array(templates.size_bytes)[order]
+    offsets = np.concatenate(([0], sizes.cumsum()[:-1]))
+    empty = np.zeros(0, dtype=np.int64)
+    played = AccessScript(sizes, offsets, np.zeros(4, dtype=np.int64), empty, empty, empty, template=np.array(order))
+    expected, t = [], 100
+    for r, offset in zip(order, offsets.tolist()):
+        trace = trace_update_processing(layout, runs_script(layout, [records[r]], 4, offset), BandwidthModel(), t)
+        expected += event_tuples(trace.events)
+        t = trace.end_ns
+    trace = trace_update_processing(layout, played, BandwidthModel(), 100, templates)
+    assert event_tuples(trace.events) == expected and trace.end_ns == t
+
+
+def test_rounds_without_runs():
+    # a round may have no entry runs: it is its ingress write alone
+    spec = make_mlp_spec(20, 8, 3)
+    layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
+    script = AccessScript(size_bytes=np.array([64, 64, 64]), ingress_offset=np.array([0, 64, 128]),
+                          runs=np.array([0, 0, 1]), layer=np.array([0]), offset=np.array([5]), count=np.array([1]))
+    ingress = virtual_to_physical(layout, layout.region("ingress").virtual_start)
+    acc, wb, values = (range_start(layout, name, 0, 5) for name in ("accumulator", "writeback", "values"))
+    assert trace_pieces(layout, script) == [(ingress, 64), (ingress + 64, 64), (ingress + 128, 64),
+                                            (acc, 4), (acc, 4), (acc, 4), (wb, 4), (values, 4)]

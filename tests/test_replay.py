@@ -285,10 +285,10 @@ FLIP_TABLE = ThresholdTable([ThresholdEntry(0, 0, 30, 20)])
 
 
 def record_builds(monkeypatch):
-    """Round numbers of the records each build makes (a batch of templates or
-    of other rounds), and the cache of every replay, in order."""
+    """Round numbers of the records each template build makes, and the cache
+    of every replay, in order."""
     builds, caches = [], []
-    real_runs, real_round, add = replay.runs_script, replay.round_script, PieceTemplates.add
+    real_runs, real_round = replay.runs_script, replay.round_script
 
     def counting_runs(layout, records, *args):
         builds.append([r.round_number for r in records])
@@ -299,15 +299,28 @@ def record_builds(monkeypatch):
             caches.append(cache)
         return real_round(layout, records, meta, offset, cache, first)
 
-    def bounded_add(self, layout, script, keys=None):
-        # a store takes no more templates once it holds TEMPLATE_EVENTS events
-        assert self.n_events < replay.TEMPLATE_EVENTS
-        add(self, layout, script, keys)
-
     monkeypatch.setattr(replay, "runs_script", counting_runs)
     monkeypatch.setattr(replay, "round_script", counting_round)
-    monkeypatch.setattr(PieceTemplates, "add", bounded_add)
     return builds, caches
+
+
+def store_per_block(monkeypatch):
+    """Per block, as it is built: its first round, its template events, the
+    store's events, the events of the templates the store keeps and their
+    arrays' last rounds."""
+    blocks = []
+    real = replay.round_script
+
+    def recording(layout, records, meta, offset, cache, first):
+        script = real(layout, records, meta, offset, cache, first)
+        templates = cache.templates
+        blocks.append(dict(first=first, events=int(templates.events[script.template].sum()),
+                           store=templates.n_events, live=int(templates.events.sum()),
+                           last=[cache.last[key] for key in templates.find]))
+        return script
+
+    monkeypatch.setattr(replay, "round_script", recording)
+    return blocks
 
 
 def assert_replay_matches_reference(layout, records, meta=4):
@@ -342,10 +355,10 @@ def test_equal_content_copies_in_distinct_arrays(monkeypatch):
     records = [RoundRecord(r, idx.copy()) for r in range(40)]
     builds, caches = record_builds(monkeypatch)
     assert_replay_matches_reference(layout, records)
-    # the key is the array, not its content: no copy comes twice, so none
-    # gets a template, and each is built once per replay
+    # the key is the array, not its content: each copy gets its own
+    # template, built once per replay
     assert sorted(r for b in builds for r in b) == sorted(list(range(40)) * 2)
-    assert all(len(c.templates) == 0 for c in caches)
+    assert len(caches) == 2 and all(len(c.last) == 40 for c in caches)
 
 
 def test_interleaved_repeats(monkeypatch):
@@ -358,36 +371,42 @@ def test_interleaved_repeats(monkeypatch):
     assert sum(map(len, builds)) == 2 * len(pool)
 
 
-def test_records_past_the_template_bound_are_rebuilt(monkeypatch):
+def test_templates_dropped_after_their_last_round(monkeypatch):
+    # 12 arrays cycled for 60 rounds, then only the first 3 of them: the
+    # other 9 templates go once their last round has passed, and no array
+    # is built twice
     layout = template_layout()
     pool = [r.indices for r in learned_like(6, 12, layout.spec.total_params)]
-    records = [RoundRecord(r, pool[r % len(pool)]) for r in range(120)]
-    monkeypatch.setattr(replay, "TEMPLATE_EVENTS", 2000)  # about 3 of the 12 records
+    records = [RoundRecord(r, pool[r % (12 if r < 60 else 3)]) for r in range(120)]
     monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 2 records
-    builds, caches = record_builds(monkeypatch)
+    builds, _ = record_builds(monkeypatch)
+    blocks = store_per_block(monkeypatch)
     assert_replay_matches_reference(layout, records)
-    assert sum(map(len, builds)) > 2 * len(pool)
-    for cache in caches:
-        assert 0 < len(cache.templates) < len(pool)
+    assert sum(map(len, builds)) == 2 * len(pool)
+    late = [b for b in blocks if b["first"] >= 60]
+    assert len(late) > 2
+    for block in blocks:
+        assert min(block["last"]) >= block["first"]
+    for block in late:  # every array still to play was built before round 60
+        assert len(block["last"]) == len({id(r.indices) for r in records[block["first"]:]})
 
 
 def test_each_record_built_once_per_replay(monkeypatch):
-    # records that get no template are built in batches that end anywhere
-    # in a block; none is built twice, and every block stays in bounds
+    # templates are built in windows that end anywhere in a block; none is
+    # built twice, and every block stays in bounds
     layout = template_layout()
     records = learned_like(8, 150, layout.spec.total_params)
     shared = records[3].indices
-    records += [RoundRecord(150 + r, shared) for r in range(4)]  # one array that gets a template
+    records += [RoundRecord(150 + r, shared) for r in range(4)]  # one array played 5 times
     largest = max(len(replay.trace_update_processing(layout, runs_script(layout, [r], 4), BW).events) for r in records)
-    monkeypatch.setattr(replay, "TEMPLATE_EVENTS", 2000)
     monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
     monkeypatch.setattr(replay, "BATCH_INDICES", 5000)
     builds, _ = record_builds(monkeypatch)
     shapes = counting_blocks(monkeypatch)
     assert_replay_matches_reference(layout, records)
     assert sorted(r for b in builds for r in b) == sorted([3] * 2 + [r for r in range(150) if r != 3] * 2)
-    assert 4 < len(builds) < len(shapes)  # several batches, most playing in several blocks
+    assert 4 < len(builds) < len(shapes)  # several windows, most played in several blocks
     # each replay's blocks: all in bounds, and only its last one short
     replays = [shapes[:len(shapes) // 2], shapes[len(shapes) // 2:]]
     assert replays[0] == replays[1]
@@ -396,11 +415,55 @@ def test_each_record_built_once_per_replay(monkeypatch):
 
 def test_consecutive_replays_build_their_own_templates(monkeypatch):
     layout, records, meta = pool_case(4)
-    records = records + records[:20]  # 20 arrays that get templates
+    records = records + records[:20]  # 20 arrays played twice
     builds, caches = record_builds(monkeypatch)
     first = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
     n = sum(map(len, builds))
     second = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
     assert first == second
     assert n == sum(map(len, builds)) - n == len({id(r.indices) for r in records})
-    assert len(caches) == 2 and len(caches[0].templates) == len(caches[1].templates) == 20
+    assert len(caches) == 2 and caches[0].templates is not caches[1].templates
+
+
+def test_store_bounded_by_live_templates_not_records(monkeypatch):
+    # a records file: every round has its own array, played once; the store
+    # holds one window's templates besides the live ones, never every record
+    layout = template_layout()
+    rng = np.random.default_rng(4)
+    records = [RoundRecord(r, np.unique(rng.choice(layout.spec.total_params, 30))) for r in range(1200)]
+    alone = PieceTemplates()
+    alone.add(layout, runs_script(layout, records, 4))
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 2000)
+    monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 20 records
+    # the most template events one window of records can build
+    window = max(alone.events[replay._window(records, i)].sum() for i in range(len(records)))
+    builds, _ = record_builds(monkeypatch)
+    blocks = store_per_block(monkeypatch)
+    n_events = sum(1 for _ in iter_replay_events(layout, records, BW, 4))
+    assert sorted(r for b in builds for r in b) == list(range(1200))
+    assert len(blocks) > 50
+    for block in blocks:
+        # the store keeps only templates still to play: the block's and the
+        # rest of the last window built
+        assert min(block["last"]) >= block["first"]
+        assert block["live"] <= block["events"] + window
+        assert block["store"] <= min(2 * block["live"], block["live"] + window)
+    assert max(b["store"] for b in blocks) < n_events / 10
+
+
+def test_bench_bindings_called_once_per_block(monkeypatch):
+    # the benchmark times these two stages by replacing the module globals
+    # replay calls them through, and reports a binding it cannot find as
+    # absent, not as an error; so a rename has to fail here
+    calls = {"round_script": 0, "trace_update_processing": 0}
+    for name in calls:
+        def counting(*args, real=getattr(replay, name), name=name, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(replay, name, counting)
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
+    chunks, blocks = engine_chunks(monkeypatch)
+    layout, records, meta = pool_case(4)
+    replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
+    assert len(blocks) > 2
+    assert calls == {"round_script": len(blocks), "trace_update_processing": len(blocks)}
