@@ -88,16 +88,11 @@ def make_mlp_spec(in_dim: int, hidden_dim: int, out_dim: int) -> ModelSpec:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Union of the round's client index sets, sorted ascending."""
+    """Union of the round's client index sets, a sorted int64 array without
+    repeats; replay checks each distinct array once, construction nothing."""
 
     round_number: int
     indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or (idx.size > 1 and np.any(np.diff(idx) <= 0)):
-            raise ValueError("record indices must be sorted and unique")
-        object.__setattr__(self, "indices", idx)
 
     def mask(self, total_params: int) -> np.ndarray:
         m = np.zeros(total_params, dtype=np.float64)
@@ -306,6 +301,7 @@ def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
     records = []
     rounds: set[int] = set()
     header: dict[str, str] = {}
+    limit = np.iinfo(np.int64).max
     with open(path, "r", encoding="ascii") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -315,19 +311,23 @@ def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
                 key, _, value = line[1:].strip().partition("=")
                 header[key.strip()] = value.strip()
                 continue
-            parts = line.split()
             try:
-                numbers = [int(p) for p in parts]
+                numbers = np.fromstring(line, dtype=np.int64, sep=" ")
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: bad record line") from exc
-            if len(numbers) < 2:
+            # fromstring stops at a token it cannot read and saturates past int64
+            if numbers.size != len(line.split()) or numbers.min() <= -limit or numbers.max() >= limit:
+                raise ValueError(f"{path}:{line_no}: bad record line")
+            if numbers.size < 2:
                 raise ValueError(f"{path}:{line_no}: record needs a round and at least one index")
-            if numbers[0] < 0:
-                raise ValueError(f"{path}:{line_no}: negative round {numbers[0]}")
-            if numbers[0] in rounds:
-                raise ValueError(f"{path}:{line_no}: repeated round {numbers[0]}")
-            rounds.add(numbers[0])
-            if min(numbers[1:]) < 0:
-                raise ValueError(f"{path}:{line_no}: negative index {min(numbers[1:])}")
-            records.append(RoundRecord(numbers[0], np.array(sorted(set(numbers[1:])), dtype=np.int64)))
+            round_number = int(numbers[0])
+            if round_number < 0:
+                raise ValueError(f"{path}:{line_no}: negative round {round_number}")
+            if round_number in rounds:
+                raise ValueError(f"{path}:{line_no}: repeated round {round_number}")
+            rounds.add(round_number)
+            indices = metrics.sorted_unique(numbers[1:])
+            if indices[0] < 0:
+                raise ValueError(f"{path}:{line_no}: negative index {indices[0]}")
+            records.append(RoundRecord(round_number, indices))
     return records, header

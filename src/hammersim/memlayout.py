@@ -382,9 +382,9 @@ class PieceTemplates:
     order: an accumulator read and write per entry run (the message), then
     an accumulator read, writeback write and values write per run (the
     writeback).  It holds events[s] events of the paddr and size columns
-    from start[s], the first message[s] of them in the message.  find maps
-    a caller's key to its template.  The columns grow by doubling; past
-    the templates' events they stage a block's ingress pieces.
+    from start[s], the first message[s] of them in the message.  The
+    columns grow by doubling; past the templates' events they stage a
+    block's ingress pieces.
     """
 
     def __init__(self):
@@ -394,20 +394,12 @@ class PieceTemplates:
         self.start = np.zeros(0, dtype=np.int64)
         self.message = np.zeros(0, dtype=np.int64)
         self.events = np.zeros(0, dtype=np.int64)
-        # per template as Python ints, for callers that walk rounds one by one
-        self.size_bytes: list[int] = []  # its round's message bytes
-        self.event_counts: list[int] = []  # events
-        self.find: dict = {}
 
-    def __len__(self) -> int:
-        return self.start.size
-
-    def add(self, layout: MemoryLayout, script: AccessScript, keys=None) -> None:
-        """Build one template per round of script, from its runs (the ingress
-        columns only lend the message bytes), with keys[r] as round r's key.
+    def add(self, layout: MemoryLayout, script: AccessScript) -> None:
+        """Build one template per round of script, from its runs (its ingress
+        columns are not read).
 
         Only each run's three byte ranges are cut at rows and translated."""
-        n_rounds = script.runs.size
         start, end = _ranges(layout, np.arange(1, 4)[:, None], script.layer, script.offset, script.count,
                              by_column=True)
         n_pieces, paddr, size = _row_pieces(start, end, layout.mapping.row_size_bytes)
@@ -421,14 +413,9 @@ class PieceTemplates:
         np.take(size, src, out=self.size[at:at + src.size], mode="clip")
         self.n_events += src.size
         first = bounds[round_seg]  # each template's first event, then the end
-        events = first[1:] - first[:-1]
         self.start = np.concatenate((self.start, at + first[:-1]))
         self.message = np.concatenate((self.message, bounds[writeback_seg] - first[:-1]))
-        self.events = np.concatenate((self.events, events))
-        self.size_bytes += script.size_bytes.tolist()
-        self.event_counts += events.tolist()
-        if keys is not None:
-            self.find.update(zip(keys, range(len(self) - n_rounds, len(self))))
+        self.events = np.concatenate((self.events, first[1:] - first[:-1]))
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep only the templates kept (ascending), numbered 0, 1, ... in
@@ -440,12 +427,7 @@ class PieceTemplates:
         (and what was added since).
         """
         self.start, self.message, self.events = self.start[kept], self.message[kept], self.events[kept]
-        kept = kept.tolist()
-        self.size_bytes = [self.size_bytes[s] for s in kept]
-        self.event_counts = [self.event_counts[s] for s in kept]
-        number = dict(zip(kept, range(len(kept))))
-        self.find = {key: number[s] for key, s in self.find.items() if s in number}
-        live = sum(self.event_counts)
+        live = int(self.events.sum())
         if self.n_events - live >= live:
             src, bounds = _gather_index(self.start, self.events)
             self.paddr[:src.size] = self.paddr.take(src)

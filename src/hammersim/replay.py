@@ -49,6 +49,24 @@ BLOCK_EVENTS = 1 << 15
 BATCH_INDICES = 1 << 14
 
 
+def _ring(records: Sequence[RoundRecord], sizes: np.ndarray, capacity: int, offset: int) -> np.ndarray:
+    """Where each message of sizes (records[i] sends message i) lands in the
+    ingress ring of capacity bytes: the first at offset, each next one right
+    after it, and one that would overflow the ring at 0; one step per wrap."""
+    too_large = sizes > capacity
+    if too_large.any():
+        raise ValueError(f"round {records[too_large.argmax()].round_number}: update larger than the ingress queue")
+    start = np.zeros(sizes.size + 1, dtype=np.int64)  # each message's start in the stream, then the end
+    sizes.cumsum(out=start[1:])
+    ring = np.empty_like(sizes)
+    i, base = 0, -offset  # messages from i on land at their start minus base
+    while i < sizes.size:
+        wrap = int(start[1:].searchsorted(base + capacity, "right"))
+        ring[i:wrap] = start[i:wrap] - base
+        i, base = wrap, start[wrap]
+    return ring
+
+
 def runs_script(
     layout: MemoryLayout,
     records: Sequence[RoundRecord],
@@ -58,39 +76,37 @@ def runs_script(
     """Access script replaying consecutive recorded rounds, one message each,
     with every record's entry runs.
 
-    The ingress queue is a ring buffer: the first message lands at
-    ingress_offset, each next one right after it, and a message that would
-    overflow the queue wraps to offset 0.
+    Each record's indices must be sorted ascending, without repeats, and
+    inside the model.  The ingress queue is a ring buffer: the first
+    message lands at ingress_offset (see _ring).
     """
     if not records:
         raise ValueError("no rounds to script")
     spec = layout.spec
     n_params = spec.total_params
-    ingress_size = layout.region("ingress").size_bytes
-    sizes, ring = [], []
-    round_bounds = [0]  # where each round's indices start in the block, then the end
-    offset = ingress_offset
-    for record in records:
-        idx = record.indices
-        if not idx.size:
-            raise ValueError(f"round {record.round_number}: empty record")
-        if idx[0] < 0 or idx[-1] >= n_params:
-            bad = idx[0] if idx[0] < 0 else idx[-1]
-            raise ValueError(f"round {record.round_number}: index {bad} outside the model [0, {n_params})")
-        size = metrics.update_bytes(idx.size, PARAM_BITS, metadata_bytes_per_entry)
-        if size > ingress_size:
-            raise ValueError(f"round {record.round_number}: update larger than the ingress queue")
-        if offset + size > ingress_size:
-            offset = 0
-        sizes.append(size)
-        ring.append(offset)
-        round_bounds.append(round_bounds[-1] + idx.size)
-        offset += size
+    counts = np.array([record.indices.size for record in records], dtype=np.int64)
+    if not counts.all():
+        raise ValueError(f"round {records[counts.argmin()].round_number}: empty record")
+    round_bounds = np.zeros(counts.size + 1, dtype=np.int64)  # where each round's indices start, then the end
+    counts.cumsum(out=round_bounds[1:])
+    idx = np.concatenate([r.indices for r in records])
+    unsorted = idx[1:] <= idx[:-1]
+    unsorted[round_bounds[1:-1] - 1] = False  # a round may start below the one before it ends
+    if unsorted.any():
+        r = round_bounds.searchsorted(unsorted.argmax(), "right") - 1
+        raise ValueError(f"round {records[r].round_number}: record indices must be sorted and unique")
+    low, high = idx[round_bounds[:-1]], idx[round_bounds[1:] - 1]
+    outside = (low < 0) | (high >= n_params)
+    if outside.any():
+        r = outside.argmax()
+        bad = low[r] if low[r] < 0 else high[r]
+        raise ValueError(f"round {records[r].round_number}: index {bad} outside the model [0, {n_params})")
+    sizes = metrics.update_bytes(counts, PARAM_BITS, metadata_bytes_per_entry)
+    ring = _ring(records, sizes, layout.region("ingress").size_bytes, ingress_offset)
 
     # entry runs, split at index gaps, round changes and layer borders:
     # adding the number of layer borders at or below each index turns a
     # border into a gap.  run_bounds holds each run's start, then the end.
-    idx = np.concatenate([r.indices for r in records])
     stepped = idx
     for border in spec.layer_offsets[1:-1]:
         stepped = stepped + (idx >= border)
@@ -103,8 +119,8 @@ def runs_script(
     run_offset = idx[run_start] - np.array(spec.layer_offsets)[run_layer]
     round_runs = run_bounds.searchsorted(round_bounds)  # each round's first run, then n_runs
     return AccessScript(
-        size_bytes=np.array(sizes, dtype=np.int64),
-        ingress_offset=np.array(ring, dtype=np.int64),
+        size_bytes=sizes,
+        ingress_offset=ring,
         runs=round_runs[1:] - round_runs[:-1],
         layer=run_layer,
         offset=run_offset,
@@ -113,94 +129,97 @@ def runs_script(
 
 
 class ReplayCache:
-    """What one replay keeps from block to block: a template per index array
-    it has met, until the array's last round has passed."""
+    """What one replay knows of its rounds, and keeps from block to block.
 
-    def __init__(self, records: Sequence[RoundRecord]):
-        self.last = {id(record.indices): i for i, record in enumerate(records)}  # each array's last round
+    Each round's index array is numbered once, here, by the array object
+    (the records hold them all, so no key is reused; equal-content copies
+    get numbers of their own), in the order the arrays first play, so the
+    arrays built so far are 0 .. built - 1.  Per round it holds its array's
+    number, message bytes, ingress ring offset and ingress piece count; per
+    array its first and last round and its template's slot in templates
+    (-1 until it is built and once it is dropped).
+    """
+
+    def __init__(self, layout: MemoryLayout, records: Sequence[RoundRecord], meta: int):
+        number: dict[int, int] = {}
+        self.owner = np.fromiter((number.setdefault(id(r.indices), len(number)) for r in records),
+                                 np.int64, len(records))
+        _, first = np.unique(self.owner, return_index=True)
+        _, from_end = np.unique(self.owner[::-1], return_index=True)
+        self.first = np.append(first, len(records))  # then the end
+        self.last = len(records) - 1 - from_end
+        self.length = np.array([records[r].indices.size for r in first.tolist()], dtype=np.int64)
+        self.meta = meta
+        self.size_bytes = metrics.update_bytes(self.length, PARAM_BITS, meta)[self.owner]
+        ingress = layout.region("ingress")
+        self.ingress_offset = _ring(records, self.size_bytes, ingress.size_bytes, 0)
+        shift = layout.mapping.row_size_bytes.bit_length() - 1
+        start = ingress.virtual_start + self.ingress_offset
+        self.ingress_pieces = ((start + self.size_bytes - 1) >> shift) - (start >> shift) + 1
         self.templates = PieceTemplates()
-        self.until = np.zeros(0, dtype=np.int64)  # per template: its array's last round
+        self.built = 0
+        self.slot = np.full(self.length.size, -1, dtype=np.int64)
+        self.arrays = np.zeros(0, dtype=np.int64)  # per template: its array
 
-    def build(self, layout: MemoryLayout, records: Sequence[RoundRecord], at: dict, meta: int) -> None:
-        """Templates of the records at the places at.values(), keyed by at's keys."""
-        self.templates.add(layout, runs_script(layout, [records[i] for i in at.values()], meta), list(at))
-        self.until = np.concatenate((self.until, [self.last[key] for key in at]))
+    def build(self, layout: MemoryLayout, records: Sequence[RoundRecord], at: int) -> None:
+        """Templates of every unbuilt array in the window of rounds from
+        records[at] on, the first round of the first unbuilt array, with at
+        most BATCH_INDICES indices between them (at least one round)."""
+        indices = self.length[self.owner[at:at + BATCH_INDICES]].cumsum()  # a round holds at least one index
+        end = at + max(1, int(indices.searchsorted(BATCH_INDICES, "right")))
+        new = np.arange(self.built, self.owner[at:end].max() + 1)
+        self.templates.add(layout, runs_script(layout, [records[r] for r in self.first[new].tolist()], self.meta))
+        self.slot[new] = np.arange(self.arrays.size, self.arrays.size + new.size)
+        self.arrays = np.concatenate((self.arrays, new))
+        self.built = int(new[-1]) + 1
 
     def drop_before(self, first: int) -> None:
         """Drop the templates that no round from records[first] on plays."""
-        kept = (self.until >= first).nonzero()[0]
-        if kept.size < self.until.size:
+        kept = (self.last[self.arrays] >= first).nonzero()[0]
+        if kept.size < self.arrays.size:
             self.templates.keep(kept)
-            self.until = self.until[kept]
-
-
-def _window(records: Sequence[RoundRecord], first: int) -> range:
-    """The records from records[first] on with at most BATCH_INDICES indices
-    between them (at least one)."""
-    n = 0
-    for i in range(first, len(records)):
-        n += records[i].indices.size
-        if n > BATCH_INDICES and i > first:
-            return range(first, i)
-    return range(first, len(records))
+            self.slot[self.arrays] = -1
+            self.arrays = self.arrays[kept]
+            self.slot[self.arrays] = np.arange(kept.size)
 
 
 def round_script(
     layout: MemoryLayout,
     records: Sequence[RoundRecord],
-    metadata_bytes_per_entry: int,
-    ingress_offset: int,
     cache: ReplayCache,
     first: int,
 ) -> AccessScript:
     """Access script of the next block of a replay: the rounds from
     records[first] on, as many as fit in BLOCK_EVENTS events (at least one),
-    one message each, the first landing at ingress_offset in the ingress
-    ring (see runs_script).
+    one message each, at the ingress ring offsets of cache.
 
-    Every round plays the template of its index array; the key is the array
-    object (the records hold every keyed array, so no key is reused).  The
-    cache first drops the templates whose array's last round has passed.
-    A round whose array has none yet builds the templates of every unbuilt
-    array in its window (see _window), so each array is built once.
+    Every round plays the template of its index array.  The cache first
+    drops the templates whose array's last round has passed.  The block
+    takes rounds while they fit; a round whose array has no template yet
+    first builds the templates of its window (see ReplayCache.build), so
+    each array is built once.
     """
-    ingress = layout.region("ingress")
-    ingress_size, base = ingress.size_bytes, ingress.virtual_start
-    row = layout.mapping.row_size_bytes
     cache.drop_before(first)
-    templates = cache.templates
-    find, message_bytes, template_events = templates.find, templates.size_bytes, templates.event_counts
-    sizes, ring, played = [], [], []
-    offset, n = ingress_offset, 0
-    for i in range(first, len(records)):
-        s = find.get(id(records[i].indices))
-        if s is None:
-            at = {}
-            for j in _window(records, i):
-                key = id(records[j].indices)
-                if key not in find and key not in at:
-                    at[key] = j
-            cache.build(layout, records, at, metadata_bytes_per_entry)
-            s = find[id(records[i].indices)]
-        size = message_bytes[s]
-        if offset + size > ingress_size:
-            offset = 0
-        start = base + offset
-        k = template_events[s] + (start + size - 1) // row - start // row + 1
-        if played and n + k > BLOCK_EVENTS:
+    end, n = first, 0  # the block so far: its rounds end before end, with n events
+    while end < cache.owner.size:
+        if cache.slot[cache.owner[end]] < 0:
+            cache.build(layout, records, end)
+        stop = min(int(cache.first[cache.built]), end + BLOCK_EVENTS)  # a round has at least one event
+        events = cache.templates.events[cache.slot[cache.owner[end:stop]]] + cache.ingress_pieces[end:stop]
+        total = events.cumsum() + n
+        fit = max(int(total.searchsorted(BLOCK_EVENTS, "right")), int(end == first))
+        end += fit
+        if end < stop:
             break
-        n += k
-        sizes.append(size)
-        ring.append(offset)
-        offset += size
-        played.append(s)
+        n = int(total[-1])
 
+    block = slice(first, end)
     empty = np.zeros(0, dtype=np.int64)
     return AccessScript(
-        size_bytes=np.array(sizes, dtype=np.int64),
-        ingress_offset=np.array(ring, dtype=np.int64),
-        runs=np.zeros(len(played), dtype=np.int64), layer=empty, offset=empty, count=empty,
-        template=np.array(played, dtype=np.int64),
+        size_bytes=cache.size_bytes[block],
+        ingress_offset=cache.ingress_offset[block],
+        runs=np.zeros(end - first, dtype=np.int64), layer=empty, offset=empty, count=empty,
+        template=cache.slot[cache.owner[block]],
     )
 
 
@@ -213,25 +232,23 @@ def _event_blocks(
 ) -> Iterator[EventColumns]:
     """Physical event columns of consecutive rounds, back to back, one block at a time.
 
-    The ingress ring offset, the clock and the cache carry over from block
-    to block, never from one call to the next.  For each block, its wall
-    time in round_script and trace_update_processing and its message bytes
-    are appended to blocks.
+    The clock and the cache carry over from block to block, never from one
+    call to the next.  For each block, its wall time in round_script and
+    trace_update_processing and its message bytes are appended to blocks;
+    the first block's time includes setting up the cache.
     """
-    cache = ReplayCache(records)
-    offset = 0
-    t = 0
-    played = 0
+    started = time.perf_counter()
+    cache = ReplayCache(layout, records, metadata_bytes_per_entry)
+    t = played = 0
     while played < len(records):
-        started = time.perf_counter()
-        script = round_script(layout, records, metadata_bytes_per_entry, offset, cache, played)
+        script = round_script(layout, records, cache, played)
         played += script.size_bytes.size
-        offset = int(script.ingress_offset[-1] + script.size_bytes[-1])
         trace = trace_update_processing(layout, script, bw, t, cache.templates)
         blocks.append((time.perf_counter() - started, int(script.size_bytes.sum())))
         t = trace.end_ns
         yield trace.events
         del trace  # free the block's columns before building the next block
+        started = time.perf_counter()
 
 
 @dataclass

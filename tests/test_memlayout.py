@@ -255,9 +255,10 @@ def test_script_of_runs_plays_as_its_templates():
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     records = [RoundRecord(r, np.array(s)) for r, s in enumerate(([0, 1, 2, 40], [3, 159, 160, 170], [191]))]
     templates = PieceTemplates()
-    templates.add(layout, runs_script(layout, records, metadata_bytes_per_entry=4))
+    script = runs_script(layout, records, metadata_bytes_per_entry=4)
+    templates.add(layout, script)
     order = [2, 0, 2, 1]
-    sizes = np.array(templates.size_bytes)[order]
+    sizes = script.size_bytes[order]
     offsets = np.concatenate(([0], sizes.cumsum()[:-1]))
     empty = np.zeros(0, dtype=np.int64)
     played = AccessScript(sizes, offsets, np.zeros(4, dtype=np.int64), empty, empty, empty, template=np.array(order))

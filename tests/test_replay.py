@@ -181,6 +181,28 @@ def test_empty_record_rejected():
         list(iter_replay_events(layout, records, BW))
 
 
+@pytest.mark.parametrize("bad", [[5, 3], [4, 4], [1, 9, 8]])
+def test_unsorted_or_repeating_array_rejected(monkeypatch, bad):
+    # records take any array; replay checks each distinct array once, before
+    # its events are built, and names the first round that plays it
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 64)
+    monkeypatch.setattr(replay, "BATCH_INDICES", 4)  # a window of one or two rounds
+    layout = small_layout()
+    bad, pool = np.array(bad), [np.array([1, 2]), np.array([7, 8, 9])]
+    assert RoundRecord(0, bad).indices is bad  # construction checks nothing
+    blocks = counting_blocks(monkeypatch)
+    records = [RoundRecord(100 + r, a) for r, a in enumerate([bad] + pool * 3)]
+    with pytest.raises(ValueError, match=r"^round 100: record indices must be sorted and unique$"):
+        list(iter_replay_events(layout, records, BW))
+    assert blocks == []
+    # cycled from round 100 on, the bad array first playing at round 132
+    cycle = [pool[r % 2] if r < 30 else (pool + [bad])[r % 3] for r in range(60)]
+    records = [RoundRecord(100 + r, a) for r, a in enumerate(cycle)]
+    with pytest.raises(ValueError, match=r"^round 132: record indices must be sorted and unique$"):
+        list(iter_replay_events(layout, records, BW))
+    assert len(blocks) > 2 and sum(r for _, r in blocks) <= 32
+
+
 # -- blocks into the engine -----------------------------------------------------
 
 def flipping_replay():
@@ -294,10 +316,10 @@ def record_builds(monkeypatch):
         builds.append([r.round_number for r in records])
         return real_runs(layout, records, *args)
 
-    def counting_round(layout, records, meta, offset, cache, first):
+    def counting_round(layout, records, cache, first):
         if not any(c is cache for c in caches):
             caches.append(cache)
-        return real_round(layout, records, meta, offset, cache, first)
+        return real_round(layout, records, cache, first)
 
     monkeypatch.setattr(replay, "runs_script", counting_runs)
     monkeypatch.setattr(replay, "round_script", counting_round)
@@ -311,12 +333,13 @@ def store_per_block(monkeypatch):
     blocks = []
     real = replay.round_script
 
-    def recording(layout, records, meta, offset, cache, first):
-        script = real(layout, records, meta, offset, cache, first)
+    def recording(layout, records, cache, first):
+        script = real(layout, records, cache, first)
         templates = cache.templates
+        assert (cache.slot[cache.arrays] == np.arange(templates.start.size)).all()
         blocks.append(dict(first=first, events=int(templates.events[script.template].sum()),
                            store=templates.n_events, live=int(templates.events.sum()),
-                           last=[cache.last[key] for key in templates.find]))
+                           last=cache.last[cache.arrays].tolist()))
         return script
 
     monkeypatch.setattr(replay, "round_script", recording)
@@ -435,8 +458,15 @@ def test_store_bounded_by_live_templates_not_records(monkeypatch):
     alone.add(layout, runs_script(layout, records, 4))
     monkeypatch.setattr(replay, "BLOCK_EVENTS", 2000)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 20 records
-    # the most template events one window of records can build
-    window = max(alone.events[replay._window(records, i)].sum() for i in range(len(records)))
+    # the most template events one window of records can build: the records
+    # from any on with at most 600 indices between them (at least one)
+    def window_events(i):
+        n, end = records[i].indices.size, i + 1
+        while end < len(records) and n + records[end].indices.size <= 600:
+            n, end = n + records[end].indices.size, end + 1
+        return alone.events[i:end].sum()
+
+    window = max(window_events(i) for i in range(len(records)))
     builds, _ = record_builds(monkeypatch)
     blocks = store_per_block(monkeypatch)
     n_events = sum(1 for _ in iter_replay_events(layout, records, BW, 4))
