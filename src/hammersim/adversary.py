@@ -1,10 +1,11 @@
 """Black-box perturbation agent: reward shaping and PPO policy updates.
 
 The agent observes the clean input summary and the previous round's
-updated-index mask, emits a low-dimensional latent action, and is
-rewarded for making consecutive update index sets stable (low earth
-mover's distance), concentrated inside a frozen target window, and
-physically inconspicuous (a perceptibility penalty).
+updated-index mask, carried as the observation's nonzero entries, emits
+a low-dimensional latent action, and is rewarded for making consecutive
+update index sets stable (low earth mover's distance), concentrated
+inside a frozen target window, and physically inconspicuous (a
+perceptibility penalty).
 
 The policy is a two-hidden-layer tanh network with Gaussian action
 heads (mean and log-std) and a scalar value head.  Updates use the
@@ -37,14 +38,12 @@ __all__ = [
     "PolicyConfig",
     "AgentState",
     "init_policy",
-    "policy_forward",
     "sample_action",
     "gaussian_log_prob",
     "Trajectory",
     "compute_gae",
     "ppo_loss_and_grads",
     "ppo_update",
-    "build_observation",
     "save_checkpoint",
 ]
 
@@ -225,6 +224,9 @@ WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "wm", "bm", "ws", "bs", "wv", "bv")
 # the action log-std is clipped to this range, where its gradient is zero
 # outside; a bounded std keeps sampled actions and their densities finite
 LOG_STD_RANGE = (-10.0, 10.0)
+# ppo_update's in-place Adam step runs over row blocks of about this many
+# elements, so that a block's five arrays stay in cache across its 14 passes
+ADAM_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -304,17 +306,6 @@ def _forward(weights: dict[str, np.ndarray], obs: np.ndarray):
     return mean, log_std, value, (obs, h1, h2)
 
 
-def policy_forward(obs: np.ndarray, state: AgentState) -> tuple[np.ndarray, np.ndarray, float]:
-    """(action mean, action log-std, state value) for one observation."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (state.cfg.obs_dim,):
-        raise ValueError(f"obs shape {obs.shape} != ({state.cfg.obs_dim},)")
-    nz = np.flatnonzero(obs)
-    weights = dict(state.weights, w1=state.weights["w1"][nz])
-    mean, log_std, value, _ = _forward(weights, obs[None, nz])
-    return mean[0], log_std[0], float(value[0])
-
-
 def gaussian_log_prob(action: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal Gaussian log density, batched over the first axis."""
     var = np.exp(2.0 * log_std)
@@ -322,29 +313,68 @@ def gaussian_log_prob(action: np.ndarray, mean: np.ndarray, log_std: np.ndarray)
 
 
 def sample_action(
-    state: AgentState, obs: np.ndarray, rng: np.random.Generator
+    state: AgentState, obs: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> tuple[np.ndarray, float, float]:
-    """Draw an action; returns (action, log_prob, value)."""
-    mean, log_std, value = policy_forward(obs, state)
+    """Draw an action; returns (action, log_prob, value).
+
+    obs = (columns, values) holds the observation's nonzero entries, columns
+    ascending; the first layer reads only those rows of w1.
+    """
+    columns, values = obs
+    weights = dict(state.weights, w1=state.weights["w1"][columns])
+    mean, log_std, value, _ = _forward(weights, values[None, :])
+    mean, log_std = mean[0], log_std[0]
     action = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     logp = float(gaussian_log_prob(action[None, :], mean[None, :], log_std[None, :])[0])
-    return action, logp, value
+    return action, logp, float(value[0])
 
 
 @dataclass
 class Trajectory:
-    obs: np.ndarray  # (T, obs_dim)
+    """One episode.  Step t's observation is row t of a CSR matrix: its
+    nonzero entries are data[indptr[t]: indptr[t + 1]], at the ascending
+    columns[indptr[t]: indptr[t + 1]]; every other entry is zero."""
+
+    indptr: np.ndarray  # (T + 1,)
+    columns: np.ndarray  # (nnz,)
+    data: np.ndarray  # (nnz,)
     actions: np.ndarray  # (T, action_dim)
     log_probs: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
     values: np.ndarray  # (T,)
 
     def __post_init__(self) -> None:
-        t = self.obs.shape[0]
-        if not (self.actions.shape[0] == self.log_probs.shape[0] == self.rewards.shape[0] == self.values.shape[0] == t):
+        t = self.actions.shape[0]
+        if not (self.indptr.shape[0] - 1 == self.log_probs.shape[0] == self.rewards.shape[0] == self.values.shape[0] == t):
             raise ValueError("trajectory field lengths differ")
         if t == 0:
             raise ValueError("empty trajectory")
+        if self.indptr[0] != 0 or not self.indptr[-1] == self.columns.shape[0] == self.data.shape[0]:
+            raise ValueError("trajectory observation arrays disagree")
+
+    @classmethod
+    def from_observations(
+        cls, observations: list[tuple[np.ndarray, np.ndarray]], actions: np.ndarray,
+        log_probs: np.ndarray, rewards: np.ndarray, values: np.ndarray,
+    ) -> "Trajectory":
+        """The trajectory of one (columns, values) observation per step."""
+        indptr = np.zeros(len(observations) + 1, dtype=np.int64)
+        np.cumsum([columns.size for columns, _ in observations], out=indptr[1:])
+        columns = np.concatenate([np.empty(0, np.int64)] + [columns for columns, _ in observations])
+        data = np.concatenate([np.empty(0)] + [values for _, values in observations])
+        return cls(indptr, columns, data, actions, log_probs, rewards, values)
+
+
+def _dense_rows(trajectory: Trajectory, columns: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """The observations of steps rows as a dense (len(rows), width) matrix,
+    entry j of the trajectory going to column columns[j]."""
+    starts = trajectory.indptr[rows]
+    counts = trajectory.indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    entries = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    out = np.zeros((rows.size, width))
+    out[np.repeat(np.arange(rows.size), counts), columns[entries]] = trajectory.data[entries]
+    return out
 
 
 def compute_gae(
@@ -440,7 +470,7 @@ def ppo_update(
     if std > 1e-8:
         adv = (adv - adv.mean()) / std
     rng = generator(update_seed, "ppo-minibatch")
-    t_len = trajectory.obs.shape[0]
+    t_len = trajectory.actions.shape[0]
     mb = min(cfg.minibatch_size, t_len)
 
     weights = {k: v.copy() for k, v in state.weights.items()}
@@ -451,11 +481,13 @@ def ppo_update(
     # Any other row gets no gradient, and its Adam step would keep
     # m = v = +0.0 and subtract +0.0 from w, so it keeps every bit.
     # Moments are tested by their bits because a step may turn a -0.0
-    # moment into +0.0.
+    # moment into +0.0.  Each minibatch's observations are written
+    # straight from the trajectory's entries onto the live columns.
     full = weights["w1"], adam_m["w1"], adam_v["w1"]
-    live = np.flatnonzero(trajectory.obs.any(axis=0) | adam_m["w1"].view(np.int64).any(axis=1)
-                          | adam_v["w1"].view(np.int64).any(axis=1))
-    obs = trajectory.obs[:, live]
+    live = adam_m["w1"].view(np.int64).any(axis=1) | adam_v["w1"].view(np.int64).any(axis=1)
+    live[trajectory.columns] = True
+    columns = (np.cumsum(live) - 1)[trajectory.columns]
+    live = np.flatnonzero(live)
     weights["w1"], adam_m["w1"], adam_v["w1"] = (a[live] for a in full)
     scratch = {k: np.empty_like(v) for k, v in weights.items()}
     step = state.adam_step
@@ -465,7 +497,7 @@ def ppo_update(
         for lo in range(0, t_len, mb):
             sel = perm[lo: lo + mb]
             loss, kl, grads = ppo_loss_and_grads(
-                weights, cfg, obs[sel], trajectory.actions[sel],
+                weights, cfg, _dense_rows(trajectory, columns, sel, live.size), trajectory.actions[sel],
                 trajectory.log_probs[sel], adv[sel], returns[sel],
             )
             losses.append(loss)
@@ -482,22 +514,26 @@ def ppo_update(
             v_bias = 1.0 - 0.999**step
             for key in WEIGHT_KEYS:
                 # w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8), in place on the
-                # copies above with the same operations in the same order;
-                # the gradient's own array is spent as the second buffer
-                g, w, m, v, tmp = grads[key], weights[key], adam_m[key], adam_v[key], scratch[key]
-                m *= 0.9
-                m += np.multiply(g, 0.1, out=tmp)
-                v *= 0.999
-                g *= g
-                g *= 0.001
-                v += g
-                np.divide(m, m_bias, out=tmp)
-                tmp *= cfg.learning_rate
-                np.divide(v, v_bias, out=g)
-                np.sqrt(g, out=g)
-                g += 1e-8
-                tmp /= g
-                w -= tmp
+                # copies above with the same operations in the same order,
+                # one row block at a time; the gradient's own array is
+                # spent as the second buffer
+                arrays = grads[key], weights[key], adam_m[key], adam_v[key], scratch[key]
+                rows = max(1, ADAM_BLOCK // int(np.prod(arrays[0].shape[1:])))
+                for lo in range(0, arrays[0].shape[0], rows):
+                    g, w, m, v, tmp = (a[lo: lo + rows] for a in arrays)
+                    m *= 0.9
+                    m += np.multiply(g, 0.1, out=tmp)
+                    v *= 0.999
+                    g *= g
+                    g *= 0.001
+                    v += g
+                    np.divide(m, m_bias, out=tmp)
+                    tmp *= cfg.learning_rate
+                    np.divide(v, v_bias, out=g)
+                    np.sqrt(g, out=g)
+                    g += 1e-8
+                    tmp /= g
+                    w -= tmp
     for key in WEIGHT_KEYS:
         if not np.isfinite(weights[key]).all():
             raise ValueError(f"PPO update left non-finite values in {key}")
@@ -512,12 +548,6 @@ def ppo_update(
         "return_mean": float(returns.mean()),
     }
     return new_state, stats
-
-
-def build_observation(x_summary: np.ndarray, index_mask: np.ndarray) -> np.ndarray:
-    """Concatenate the clean-input summary with the previous round's mask."""
-    return np.concatenate([np.asarray(x_summary, dtype=np.float64).ravel(),
-                           np.asarray(index_mask, dtype=np.float64).ravel()])
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
             "first_mean_reward": result.mean_reward_slice(0.0, 0.1),
             "window": [result.window.start, result.window.end],
         }
-        _write_common_outputs(args.out, exp, "train", outputs, summary, started)
+        _write_common_outputs(args.out, exp, "train", outputs, summary, started, **result.stage_seconds)
     return 0
 
 

@@ -94,11 +94,6 @@ class RoundRecord:
     round_number: int
     indices: np.ndarray
 
-    def mask(self, total_params: int) -> np.ndarray:
-        m = np.zeros(total_params, dtype=np.float64)
-        m[self.indices] = 1.0
-        return m
-
 
 @dataclass
 class FederationState:
@@ -178,11 +173,13 @@ def init_federation(
 
 
 def _unpack(fed: FederationState, theta: np.ndarray):
-    offsets = fed.spec.layer_offsets
-    w1 = theta[offsets[0]: offsets[1]].reshape(fed.in_dim, fed.hidden_dim)
-    b1 = theta[offsets[1]: offsets[2]]
-    w2 = theta[offsets[2]: offsets[3]].reshape(fed.hidden_dim, fed.out_dim)
-    b2 = theta[offsets[3]: offsets[4]]
+    """Views of the layers in theta's last axis: (w1, b1, w2, b2) of one
+    parameter vector, or of every row of a (C, M) stack."""
+    offsets, lead = fed.spec.layer_offsets, theta.shape[:-1]
+    w1 = theta[..., offsets[0]: offsets[1]].reshape(*lead, fed.in_dim, fed.hidden_dim)
+    b1 = theta[..., offsets[1]: offsets[2]]
+    w2 = theta[..., offsets[2]: offsets[3]].reshape(*lead, fed.hidden_dim, fed.out_dim)
+    b2 = theta[..., offsets[3]: offsets[4]]
     return w1, b1, w2, b2
 
 
@@ -199,6 +196,9 @@ def local_train(fed: FederationState, x: np.ndarray, y: np.ndarray) -> np.ndarra
         raise ValueError(f"bad batch shapes {x.shape}, {y.shape}")
     w1, b1, w2, b2 = _unpack(fed, fed.theta)
     clients, n, _ = x.shape
+    # the gradient blocks are written straight into their columns of delta
+    delta = np.empty((clients, fed.spec.total_params))
+    g_w1, g_b1, g_w2, g_b2 = _unpack(fed, delta)
 
     pre = x @ w1 + b1
     h = np.maximum(pre, 0.0)
@@ -206,18 +206,14 @@ def local_train(fed: FederationState, x: np.ndarray, y: np.ndarray) -> np.ndarra
     logits -= logits.max(axis=2, keepdims=True)
     exp = np.exp(logits)
     d_logits = exp / exp.sum(axis=2, keepdims=True)
-    d_logits[np.arange(clients)[:, None], np.arange(n), y] -= 1.0
+    d_logits.reshape(-1)[np.arange(y.size) * fed.out_dim + y.reshape(-1)] -= 1.0
     d_logits /= n
-    g_w2 = h.transpose(0, 2, 1) @ d_logits
-    g_b2 = d_logits.sum(axis=1)
+    np.matmul(h.transpose(0, 2, 1), d_logits, out=g_w2)
+    d_logits.sum(axis=1, out=g_b2)
     d_h = (d_logits @ w2.T) * (pre > 0.0)
-    g_w1 = x.transpose(0, 2, 1) @ d_h
-    g_b1 = d_h.sum(axis=1)
-
-    grad = np.concatenate(
-        [g_w1.reshape(clients, -1), g_b1, g_w2.reshape(clients, -1), g_b2], axis=1
-    )
-    delta = -fed.learning_rate * grad
+    np.matmul(x.transpose(0, 2, 1), d_h, out=g_w1)
+    d_h.sum(axis=1, out=g_b1)
+    delta *= -fed.learning_rate
     # catches a non-finite gradient and a learning rate that overflows it
     finite = np.isfinite(delta).all(axis=1)
     if not finite.all():
@@ -243,29 +239,38 @@ def sparsify_topk(delta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # at the cut; its highest-indexed ties then go
     cut = np.partition(av, m - k, axis=1)[:, m - k: m - k + 1]
     keep = av >= cut
-    surplus = np.count_nonzero(keep, axis=1) - k
-    for c in np.flatnonzero(surplus):
-        ties = np.flatnonzero(av[c] == cut[c])
-        keep[c, ties[ties.size - surplus[c]:]] = False
-    indices = np.flatnonzero(keep).reshape(clients, k) % m
-    return indices, np.take_along_axis(delta, indices, axis=1)
+    flat = np.flatnonzero(keep)
+    # every row keeps at least k entries, so C * k in all means k in each
+    if flat.size != clients * k:
+        surplus = np.count_nonzero(keep, axis=1) - k
+        for c in np.flatnonzero(surplus):
+            ties = np.flatnonzero(av[c] == cut[c])
+            keep[c, ties[ties.size - surplus[c]:]] = False
+        flat = np.flatnonzero(keep)
+    flat = flat.reshape(clients, k)
+    return flat - np.arange(0, clients * m, m)[:, None], delta.reshape(-1)[flat]
 
 
-def aggregate(theta: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+def aggregate(
+    theta: np.ndarray, indices: np.ndarray, values: np.ndarray, union: np.ndarray | None = None
+) -> np.ndarray:
     """Mean-of-contributions aggregation; returns the new parameter vector.
 
     indices and values are (C, k), row c client c's update with no index
     twice.  Per touched index, the sum of the contributions (added in
-    client order) over their count is added to theta.
+    client order) over their count is added to theta.  union is the
+    touched indices, metrics.sorted_unique(indices), when the caller has
+    them already.
     """
-    sums = np.zeros(theta.size)
-    for c in range(indices.shape[0]):
-        sums[indices[c]] += values[c]
-    counts = np.bincount(indices.ravel(), minlength=theta.size)
-    touched = np.flatnonzero(counts)
+    if union is None:
+        union = metrics.sorted_unique(indices)
+    slots = np.searchsorted(union, indices).ravel()
+    # bincount adds each slot's weights in input order: client order
+    sums = np.bincount(slots, weights=values.ravel(), minlength=union.size)
+    counts = np.bincount(slots, minlength=union.size)
     new_theta = theta.copy()
-    new_theta[touched] += sums[touched] / counts[touched]
-    if not np.isfinite(new_theta[touched]).all():
+    new_theta[union] += sums / counts
+    if not np.isfinite(new_theta[union]).all():
         raise ValueError("aggregation left non-finite parameter values")
     return new_theta
 
@@ -279,9 +284,10 @@ def run_round(fed: FederationState, x: np.ndarray) -> RoundRecord:
     """
     t = fed.round_number
     indices, values = sparsify_topk(local_train(fed, x, fed.y), fed.k)
-    fed.theta = aggregate(fed.theta, indices, values)
+    union = metrics.sorted_unique(indices)
+    fed.theta = aggregate(fed.theta, indices, values, union)
     fed.round_number = t + 1
-    return RoundRecord(t, metrics.sorted_unique(indices))
+    return RoundRecord(t, union)
 
 
 def write_round_records(path, records: list[RoundRecord], header: dict[str, str] | None = None) -> None:

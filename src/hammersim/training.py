@@ -10,7 +10,8 @@ for comparison.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .adversary import (
     RewardBreakdown,
     TargetWindow,
     Trajectory,
-    build_observation,
     compute_reward,
     init_policy,
     sample_action,
@@ -47,6 +47,12 @@ class AttackEnv:
     agent's actions.  That holds for the channel noise too: round t's
     noise is drawn once, the first time round t is reached, and every
     later episode reuses it.
+
+    An observation is the clean-input summary followed by the previous
+    round's 0/1 update mask (all zero after a reset), obs_dim entries in
+    all.  reset and step return it as (columns, values): its nonzero
+    entries, columns ascending.  step also sums its seconds per stage in
+    stage_seconds.
     """
 
     def __init__(self, exp: ExperimentConfig, seed: int):
@@ -71,23 +77,29 @@ class AttackEnv:
         self.window: TargetWindow | None = None
         self.u_prev: np.ndarray | None = None
         self.x_summary: np.ndarray | None = None
+        self.head: tuple[np.ndarray, np.ndarray] | None = None
         self.clean_spectrum: np.ndarray | None = None
         self.noise_store: dict[int, np.ndarray] = {}
+        self.stage_seconds = {"round_seconds": 0.0, "reward_seconds": 0.0}
 
     @property
     def obs_dim(self) -> int:
         return self.in_dim + self.total_params
 
-    def reset(self) -> np.ndarray:
+    def reset(self) -> tuple[np.ndarray, np.ndarray]:
         self.fed = init_federation(self.n_clients, self.seed, **self._init_kwargs)
         if self.x_summary is None:
             self.x_summary = np.mean(self.fed.x.reshape(-1, self.in_dim), axis=0)
+            columns = np.flatnonzero(self.x_summary)
+            self.head = columns, self.x_summary[columns]
+            for a in self.head:
+                a.flags.writeable = False
             if self.modality == "audio" and self.reward_cfg.lambda1 != 0.0:
                 self.clean_spectrum = stft(
                     self.x_summary, self.reward_cfg.stft_frame, self.reward_cfg.stft_hop
                 )
         self.u_prev = None
-        return build_observation(self.x_summary, np.zeros(self.total_params))
+        return self.head
 
     def action_to_delta(self, z: np.ndarray) -> np.ndarray:
         return clip_linf(decode_latent(z, (self.in_dim,)), self.epsilon)
@@ -118,6 +130,7 @@ class AttackEnv:
         reward uses the currently frozen window; the caller freezes it
         after the warmup rounds of the first episode.
         """
+        started = time.perf_counter()
         delta = self.action_to_delta(np.asarray(z, dtype=np.float64))
         x = audio_channel(
             self.fed.x, np.broadcast_to(delta, (self.n_clients, self.in_dim)),
@@ -125,13 +138,18 @@ class AttackEnv:
         )
         record = run_round(self.fed, x)
         u = record.indices
+        scored = time.perf_counter()
         breakdown = compute_reward(
             self.u_prev, u, self.window, delta, self.x_summary,
             self.reward_cfg, self.modality, self.total_params,
             clean_spectrum=self.clean_spectrum,
         )
+        self.stage_seconds["round_seconds"] += scored - started
+        self.stage_seconds["reward_seconds"] += time.perf_counter() - scored
         self.u_prev = u
-        obs = build_observation(self.x_summary, record.mask(self.total_params))
+        head_columns, head_values = self.head
+        obs = (np.concatenate([head_columns, self.in_dim + u]),
+               np.concatenate([head_values, np.ones(u.size)]))
         return obs, breakdown, record
 
 
@@ -168,6 +186,9 @@ class TrainResult:
     log_path: str | None = None
     checkpoint_path: str | None = None
     records_path: str | None = None
+    # wall seconds per stage: policy (sample_action), round (channel and
+    # run_round), reward (compute_reward), update (ppo_update)
+    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def final_fraction_rur(self, fraction: float = 0.1) -> float:
         n = max(1, int(round(len(self.stats) * fraction)))
@@ -218,10 +239,11 @@ def train(
     warm_sets: list[np.ndarray] = []
     stats: list[IterationStats] = []
     final_records: list[RoundRecord] = []
+    policy_seconds = update_seconds = 0.0
 
     for it in range(iterations):
         obs = env.reset()
-        obs_buf = np.empty((rounds, env.obs_dim))
+        observations: list[tuple[np.ndarray, np.ndarray]] = []
         act_buf = np.empty((rounds, env.latent_dim))
         logp_buf = np.empty(rounds)
         val_buf = np.empty(rounds)
@@ -234,8 +256,10 @@ def train(
                 z = base_rng.standard_normal(env.latent_dim)
                 logp, value = 0.0, 0.0
             else:
+                started = time.perf_counter()
                 z, logp, value = sample_action(agent, obs, act_rng)
-            obs_buf[t] = obs
+                policy_seconds += time.perf_counter() - started
+                observations.append(obs)
             act_buf[t] = z
             logp_buf[t] = logp
             val_buf[t] = value
@@ -254,8 +278,11 @@ def train(
         cd = np.mean([metrics.compute_cd(r.indices, env.total_params) for r in episode_records])
         update = {}
         if mode == "ppo":
-            traj = Trajectory(obs_buf, act_buf, logp_buf, rew_buf, val_buf)
+            started = time.perf_counter()
+            traj = Trajectory.from_observations(observations, act_buf, logp_buf, rew_buf, val_buf)
+            del observations
             agent, out = adversary.ppo_update(traj, agent, update_seed=(seed << 20) ^ it)
+            update_seconds += time.perf_counter() - started
             update = dict(ppo_loss=out["loss"], adv_std=out["adv_std"], kl=out["kl"])
         stats.append(
             IterationStats(
@@ -274,7 +301,9 @@ def train(
                 RoundRecord(it * rounds + r.round_number, r.indices) for r in episode_records
             ]
 
-    result = TrainResult(mode, stats, env.window, final_records, agent)
+    result = TrainResult(mode, stats, env.window, final_records, agent, stage_seconds={
+        "policy_seconds": policy_seconds, **env.stage_seconds, "update_seconds": update_seconds,
+    })
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         result.log_path = os.path.join(out_dir, "training_log.csv")

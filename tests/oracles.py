@@ -11,8 +11,9 @@ exhaustive grids and subset enumeration, and the spectrum uses the
 direct transform sum.  Slow on purpose.
 
 It also holds what only the tests use: events as tuples, the replay
-stream as tuples, the PPO loss on its own, the checkpoint reader and a
-map where every row is vulnerable.
+stream as tuples, the attacker's observations as dense vectors, the PPO
+loss on its own, the checkpoint reader and a map where every row is
+vulnerable.
 """
 from __future__ import annotations
 
@@ -47,12 +48,13 @@ from hammersim.adversary import (
     AgentState,
     PolicyConfig,
     TargetWindow,
+    Trajectory,
     compute_gae,
     gaussian_log_prob,
     ppo_loss_and_grads,
 )
 from hammersim.channel import ChannelConfig
-from hammersim.federation import PARAM_BITS, FederationState, ModelSpec
+from hammersim.federation import PARAM_BITS, FederationState, ModelSpec, RoundRecord
 from hammersim.memlayout import (
     PAGE_BYTES,
     DramMapping,
@@ -107,6 +109,52 @@ def dense_forward(weights, obs):
     log_std = np.clip(h2 @ weights["ws"] + weights["bs"], *LOG_STD_RANGE)
     value = (h2 @ weights["wv"] + weights["bv"])[:, 0]
     return mean, log_std, value, (obs, h1, h2)
+
+
+def record_mask(record: RoundRecord, total_params: int) -> np.ndarray:
+    """The record's indices as a 0/1 vector over the parameter space."""
+    m = np.zeros(total_params, dtype=np.float64)
+    m[record.indices] = 1.0
+    return m
+
+
+def build_observation(x_summary: np.ndarray, index_mask: np.ndarray) -> np.ndarray:
+    """The attacker's dense observation: the clean-input summary, then the
+    previous round's mask."""
+    return np.concatenate([np.asarray(x_summary, dtype=np.float64).ravel(),
+                           np.asarray(index_mask, dtype=np.float64).ravel()])
+
+
+def nonzero_entries(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dense observation as the (columns, values) of its nonzero entries."""
+    columns = np.flatnonzero(obs)
+    return columns, np.asarray(obs, dtype=np.float64)[columns]
+
+
+def csr_trajectory(obs, actions, log_probs, rewards, values) -> Trajectory:
+    """The trajectory of a dense (T, obs_dim) observation matrix."""
+    return Trajectory.from_observations([nonzero_entries(o) for o in obs],
+                                        actions, log_probs, rewards, values)
+
+
+def dense_observations(trajectory: Trajectory, obs_dim: int) -> np.ndarray:
+    """A trajectory's observations as a dense (T, obs_dim) matrix."""
+    obs = np.zeros((trajectory.indptr.size - 1, obs_dim))
+    for t in range(obs.shape[0]):
+        lo, hi = trajectory.indptr[t], trajectory.indptr[t + 1]
+        obs[t, trajectory.columns[lo:hi]] = trajectory.data[lo:hi]
+    return obs
+
+
+def policy_forward(obs: np.ndarray, state: AgentState) -> tuple[np.ndarray, np.ndarray, float]:
+    """(action mean, action log-std, state value) of one dense observation,
+    from the rows of w1 under its nonzero columns."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.shape != (state.cfg.obs_dim,):
+        raise ValueError(f"obs shape {obs.shape} != ({state.cfg.obs_dim},)")
+    nz = np.flatnonzero(obs)
+    mean, log_std, value, _ = dense_forward(dict(state.weights, w1=state.weights["w1"][nz]), obs[None, nz])
+    return mean[0], log_std[0], float(value[0])
 
 
 def ppo_loss(weights, cfg: PolicyConfig, obs, actions, old_log_probs, advantages, returns) -> float:
@@ -976,15 +1024,17 @@ def reference_aggregate(theta: np.ndarray, updates) -> np.ndarray:
 def ppo_update_reference(
     trajectory, state: AgentState, update_seed: int = 0
 ) -> tuple[AgentState, dict[str, float]]:
-    """The PPO iteration over every column of w1, with every clip and Adam
-    step building new arrays; returns (state, stats) as ppo_update does."""
+    """The PPO iteration over every column of w1 and a dense observation
+    matrix, with every clip and Adam step building new arrays; returns
+    (state, stats) as ppo_update does."""
     cfg = state.cfg
+    obs = dense_observations(trajectory, cfg.obs_dim)
     adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
     std = adv.std()
     if std > 1e-8:
         adv = (adv - adv.mean()) / std
     rng = generator(update_seed, "ppo-minibatch")
-    t_len = trajectory.obs.shape[0]
+    t_len = obs.shape[0]
     mb = min(cfg.minibatch_size, t_len)
     weights, adam_m, adam_v = dict(state.weights), dict(state.adam_m), dict(state.adam_v)
     step = state.adam_step
@@ -994,7 +1044,7 @@ def ppo_update_reference(
         for lo in range(0, t_len, mb):
             sel = perm[lo: lo + mb]
             loss, kl, grads = ppo_loss_and_grads(
-                weights, cfg, trajectory.obs[sel], trajectory.actions[sel],
+                weights, cfg, obs[sel], trajectory.actions[sel],
                 trajectory.log_probs[sel], adv[sel], returns[sel],
             )
             losses.append(loss)

@@ -10,7 +10,6 @@ from hammersim.adversary import (
     TargetWindow,
     Trajectory,
     WEIGHT_KEYS,
-    build_observation,
     compute_emd,
     compute_gae,
     compute_reward,
@@ -18,7 +17,6 @@ from hammersim.adversary import (
     init_policy,
     perceptibility_audio,
     perceptibility_image,
-    policy_forward,
     ppo_loss_and_grads,
     ppo_update,
     sample_action,
@@ -32,7 +30,7 @@ from hammersim.seeding import generator
 from hammersim.training import AttackEnv
 
 import oracles
-from oracles import load_checkpoint, ppo_loss
+from oracles import csr_trajectory, load_checkpoint, nonzero_entries, policy_forward, ppo_loss
 
 
 # -- earth mover's distance -------------------------------------------------
@@ -243,8 +241,8 @@ def test_gaussian_log_prob_matches_scipy():
 def test_sample_action_is_seeded_and_consistent():
     state = agent_for_test()
     obs = generator(4, "obs").standard_normal(6)
-    a1, logp1, v1 = sample_action(state, obs, generator(7, "act"))
-    a2, logp2, v2 = sample_action(state, obs, generator(7, "act"))
+    a1, logp1, v1 = sample_action(state, nonzero_entries(obs), generator(7, "act"))
+    a2, logp2, v2 = sample_action(state, nonzero_entries(obs), generator(7, "act"))
     np.testing.assert_array_equal(a1, a2)
     assert logp1 == logp2 and v1 == v2
     mean, log_std, _ = policy_forward(obs, state)
@@ -328,7 +326,7 @@ def test_ppo_update_zero_advantage_is_noop():
     obs = rng.standard_normal((t_len, 6))
     actions = rng.standard_normal((t_len, 3))
     logp = np.zeros(t_len)
-    traj = Trajectory(obs, actions, logp, np.zeros(t_len), np.zeros(t_len))
+    traj = csr_trajectory(obs, actions, logp, np.zeros(t_len), np.zeros(t_len))
     new_state, _ = ppo_update(traj, state, update_seed=1)
     for key in WEIGHT_KEYS:
         np.testing.assert_array_equal(new_state.weights[key], state.weights[key])
@@ -341,7 +339,7 @@ def test_ppo_update_improves_surrogate_direction():
     mean, log_std, _ = policy_forward(obs[0], state)
     actions = np.tile(mean + 0.3, (4, 1))
     old_logp = gaussian_log_prob(actions, np.tile(mean, (4, 1)), np.tile(log_std, (4, 1)))
-    traj = Trajectory(obs, actions, old_logp, np.ones(4), np.zeros(4))
+    traj = csr_trajectory(obs, actions, old_logp, np.ones(4), np.zeros(4))
     new_state, _ = ppo_update(traj, state, update_seed=2)
     new_mean, new_log_std, _ = policy_forward(obs[0], new_state)
     new_logp = gaussian_log_prob(actions[:1], new_mean[None, :], new_log_std[None, :])[0]
@@ -351,9 +349,9 @@ def test_ppo_update_improves_surrogate_direction():
 def test_ppo_update_is_deterministic():
     state = agent_for_test()
     rng = generator(31, "det")
-    traj = Trajectory(rng.standard_normal((10, 6)), rng.standard_normal((10, 3)),
-                      rng.standard_normal(10), rng.standard_normal(10),
-                      rng.standard_normal(10))
+    traj = csr_trajectory(rng.standard_normal((10, 6)), rng.standard_normal((10, 3)),
+                          rng.standard_normal(10), rng.standard_normal(10),
+                          rng.standard_normal(10))
     a, _ = ppo_update(traj, state, update_seed=5)
     b, _ = ppo_update(traj, state, update_seed=5)
     c, _ = ppo_update(traj, state, update_seed=6)
@@ -362,11 +360,15 @@ def test_ppo_update_is_deterministic():
     assert any(not np.array_equal(a.weights[k], c.weights[k]) for k in WEIGHT_KEYS)
 
 
-def ppo_trajectory(seed, t_len=30, obs_dim=6, action_dim=3):
+def ppo_arrays(seed, t_len=30, obs_dim=6, action_dim=3):
+    """Dense observations, actions, log-probs, rewards and values."""
     rng = generator(seed, "ppo-traj")
-    return Trajectory(rng.standard_normal((t_len, obs_dim)), rng.standard_normal((t_len, action_dim)),
-                      rng.standard_normal(t_len), rng.standard_normal(t_len),
-                      rng.standard_normal(t_len))
+    return (rng.standard_normal((t_len, obs_dim)), rng.standard_normal((t_len, action_dim)),
+            rng.standard_normal(t_len), rng.standard_normal(t_len), rng.standard_normal(t_len))
+
+
+def ppo_trajectory(seed, t_len=30, obs_dim=6, action_dim=3):
+    return csr_trajectory(*ppo_arrays(seed, t_len, obs_dim, action_dim))
 
 
 def assert_same_bits(a, b):
@@ -396,12 +398,14 @@ def test_ppo_update_matches_out_of_place_adam_exactly(max_grad_norm):
 
 def mask_trajectory(seed, set_cols, t_len=30, n_dense=4, obs_dim=64, action_dim=3):
     """Observations shaped like the attacker's: n_dense dense columns, then a
-    sparse 0/1 mask whose nonzero entries fall in set_cols only."""
-    traj = ppo_trajectory(seed, t_len, obs_dim, action_dim)
+    sparse 0/1 mask whose nonzero entries fall in set_cols only.  Returns
+    the dense observations and the trajectory."""
+    arrays = ppo_arrays(seed, t_len, obs_dim, action_dim)
+    obs = arrays[0]
     rng = generator(seed, "mask-obs")
-    traj.obs[:, n_dense:] = 0.0
-    traj.obs[:, set_cols] = rng.random((t_len, len(set_cols))) < 0.3
-    return traj
+    obs[:, n_dense:] = 0.0
+    obs[:, set_cols] = rng.random((t_len, len(set_cols))) < 0.3
+    return obs, csr_trajectory(*arrays)
 
 
 @pytest.mark.parametrize("max_grad_norm", [0.0, 0.05, 1e3])
@@ -419,14 +423,14 @@ def test_ppo_update_matches_reference_on_mask_observations(max_grad_norm):
     updates = [(61, [4, 5, 6, 9, 12, once]), (67, [4, 5, 7, 8, 12, 13]), (71, [5, 6, 13, 14])]
     want = state
     for it, (seed, cols) in enumerate(updates):
-        traj = mask_trajectory(seed, cols)
+        obs, traj = mask_trajectory(seed, cols)
         before = state
         state, _ = ppo_update(traj, state, update_seed=it)
         want, _ = oracles.ppo_update_reference(traj, want, update_seed=it)
         assert_same_state(state, want)
         if it > 0:
             # an unobserved row with nonzero moments is still stepped
-            assert not np.any(traj.obs[:, once])
+            assert not np.any(obs[:, once])
             assert np.all(state.weights["w1"][once] != before.weights["w1"][once])
         assert_same_bits(state.weights["w1"][never], init_w1[never])
         for moments in (state.adam_m["w1"], state.adam_v["w1"]):
@@ -457,8 +461,8 @@ def test_ppo_update_leaves_caller_state_unchanged():
 def test_grad_norm_clip_bounds_update():
     base = agent_for_test(entropy_coef=0.0, value_coef=0.0, max_grad_norm=1e-6)
     rng = generator(37, "clip")
-    traj = Trajectory(rng.standard_normal((8, 6)), rng.standard_normal((8, 3)),
-                      rng.standard_normal(8), rng.standard_normal(8), np.zeros(8))
+    traj = csr_trajectory(rng.standard_normal((8, 6)), rng.standard_normal((8, 3)),
+                          rng.standard_normal(8), rng.standard_normal(8), np.zeros(8))
     new_state, _ = ppo_update(traj, base, update_seed=3)
     # with a vanishing norm budget Adam still moves, but the raw gradient
     # scale cannot blow up the weights
@@ -474,8 +478,8 @@ def test_log_std_bound_keeps_update_finite():
     state.weights["bs"][:] = 400.0
     rng = generator(79, "bound")
     obs = rng.standard_normal((30, 6))
-    actions, logps, values = map(np.array, zip(*(sample_action(state, o, rng) for o in obs)))
-    traj = Trajectory(obs, actions, logps, rng.standard_normal(30), values)
+    actions, logps, values = map(np.array, zip(*(sample_action(state, nonzero_entries(o), rng) for o in obs)))
+    traj = csr_trajectory(obs, actions, logps, rng.standard_normal(30), values)
     assert np.isfinite(actions).all() and np.isfinite(logps).all()
     _, _, grads = ppo_loss_and_grads(state.weights, state.cfg, obs, actions, logps,
                                      rng.standard_normal(30), rng.standard_normal(30))
@@ -488,12 +492,14 @@ def test_log_std_bound_keeps_update_finite():
         assert np.all((LOG_STD_RANGE[0] <= log_std) & (log_std <= LOG_STD_RANGE[1]))
 
 
-# -- the first layer reads only nonzero columns ------------------------------
+# -- observations as nonzero entries -----------------------------------------
 
 @pytest.fixture(scope="module")
 def attack_rollout():
-    """A default-config policy and a 30-round trajectory of its own
-    AttackEnv observations: 100 dense columns, then a 0/1 update mask."""
+    """A default-config policy and 30 rounds of its own AttackEnv
+    observations (100 dense columns, then a 0/1 update mask): the policy,
+    the observations as (columns, values), their trajectory, the same
+    observations as a dense matrix, and in_dim."""
     exp = load_config(None)
     env = AttackEnv(exp, seed=3)
     state = init_policy(exp.policy_config(env.obs_dim, env.latent_dim), seed=3)
@@ -508,34 +514,42 @@ def attack_rollout():
         logps.append(logp)
         values.append(value)
         rewards.append(breakdown.total)
-    traj = Trajectory(np.array(obs[:-1]), np.array(actions), np.array(logps),
-                      np.array(rewards), np.array(values))
-    return state, traj, env.in_dim
+    traj = Trajectory.from_observations(obs[:-1], np.array(actions), np.array(logps),
+                                        np.array(rewards), np.array(values))
+    return state, obs[:-1], traj, oracles.dense_observations(traj, env.obs_dim), env.in_dim
 
 
 def test_policy_forward_matches_dense_oracle(attack_rollout):
-    # the gather-sum over nonzero columns adds the same products as the dense
-    # product in another order: equal to a few ulps of the O(1) outputs
-    state, traj, in_dim = attack_rollout
-    assert 0 < np.count_nonzero(traj.obs[1, in_dim:]) < traj.obs.shape[1] // 10
-    zero_mask = traj.obs[0]
+    # sample_action on (columns, values) gives the bits of the dense-vector
+    # forward pass over the nonzero columns; that gather-sum adds the same
+    # products as the product over every column in another order: equal to
+    # a few ulps of the O(1) outputs
+    state, observations, _, dense, in_dim = attack_rollout
+    assert 0 < np.count_nonzero(dense[1, in_dim:]) < dense.shape[1] // 10
+    zero_mask = dense[0]
     assert zero_mask[:in_dim].all() and not zero_mask[in_dim:].any()
-    for obs in [*traj.obs, zero_mask]:
-        got = policy_forward(obs, state)
-        want = oracles.dense_forward(state.weights, obs[None, :])
-        for g, w in zip(got, want[:3]):
+    for obs, row in zip(observations, dense):
+        action, logp, value = sample_action(state, obs, generator(5, "draw"))
+        mean, log_std, want_value = policy_forward(row, state)
+        want = mean + np.exp(log_std) * generator(5, "draw").standard_normal(mean.shape)
+        assert_same_bits(action, want)
+        assert logp == float(gaussian_log_prob(want[None, :], mean[None, :], log_std[None, :])[0])
+        assert value == want_value
+        for g, w in zip(policy_forward(row, state), oracles.dense_forward(state.weights, row[None, :])):
             np.testing.assert_allclose(g, w[0], rtol=1e-12, atol=1e-14)
     # an all-zero observation reads no row of w1: the biases alone, exactly
     zero = np.zeros(state.cfg.obs_dim)
     for g, w in zip(policy_forward(zero, state), oracles.dense_forward(state.weights, zero[None, :])):
         np.testing.assert_array_equal(g, w[0])
+    _, _, value = sample_action(state, nonzero_entries(zero), generator(5, "draw"))
+    assert value == oracles.dense_forward(state.weights, zero[None, :])[2][0]
 
 
 def test_ppo_update_matches_dense_oracle_on_attack_observations(attack_rollout):
     # chained updates: the compact first layer against the dense reference,
     # within a tolerance set by the few-ulp reordering of each sum; rows
     # outside the live set keep every bit of w1 and of both moments
-    state, traj, _ = attack_rollout
+    state, _, traj, dense, _ = attack_rollout
     want = state
     for it in range(2):
         before = state
@@ -548,7 +562,7 @@ def test_ppo_update_matches_dense_oracle_on_attack_observations(attack_rollout):
                                            rtol=1e-9, atol=1e-14, err_msg=f"{name}[{key}]")
         for key in ("loss", "kl", "adv_std"):
             assert stats[key] == pytest.approx(want_stats[key], rel=1e-9, abs=1e-14)
-        dead = ~traj.obs.any(axis=0)
+        dead = ~dense.any(axis=0)
         dead &= ~before.adam_m["w1"].view(np.int64).any(axis=1)
         dead &= ~before.adam_v["w1"].view(np.int64).any(axis=1)
         assert dead.sum() > 9000
@@ -556,10 +570,58 @@ def test_ppo_update_matches_dense_oracle_on_attack_observations(attack_rollout):
             assert_same_bits(getattr(state, name)["w1"][dead], getattr(before, name)["w1"][dead])
 
 
+@pytest.mark.parametrize("max_grad_norm", [0.0, 0.05, 1e3])
+def test_ppo_update_on_index_observations_matches_dense_reference(max_grad_norm):
+    # observations built as AttackEnv builds them, a summary head with one
+    # zero entry and then in_dim + the previous record's indices, straight
+    # into a trajectory, over chained updates: what no update reads keeps
+    # its bits, and every other bit matches the dense reference unless the
+    # norm clip binds.  A binding clip scales by the norm, whose pairwise
+    # sum over the compact w1 rows groups the squares differently from the
+    # sum over every row; on this data that moves a few last bits (at the
+    # parent commit's dense-trajectory update too), so that case compares
+    # to a few ulps.
+    in_dim, obs_dim, t_len = 6, 64, 30
+    state = agent_for_test(obs_dim=obs_dim, entropy_coef=0.01, value_coef=0.5,
+                           max_grad_norm=max_grad_norm, minibatch_size=7)
+    negative_zero = in_dim + 50  # never observed; the dense step may flip its -0.0 moments to +0.0
+    state.adam_m["w1"][negative_zero] = -0.0
+    head = generator(83, "head").standard_normal(in_dim)
+    head[2] = 0.0
+    head_columns = np.flatnonzero(head)
+    once = 45  # an index in the first update's records only
+    pools = [np.r_[10:30, once], np.r_[12:36], np.r_[20:44]]
+    init_w1 = state.weights["w1"].copy()
+    want = state
+    for it, pool in enumerate(pools):
+        rng = generator(89, "index-obs", it)
+        observations = [(head_columns, head[head_columns])]
+        for t in range(1, t_len):
+            u = np.sort(rng.choice(pool, size=8, replace=False))
+            observations.append((np.r_[head_columns, in_dim + u], np.r_[head[head_columns], np.ones(u.size)]))
+        traj = Trajectory.from_observations(observations, *ppo_arrays(97 + it, t_len, obs_dim)[1:])
+        assert (in_dim + once in traj.columns) == (it == 0)
+        state, stats = ppo_update(traj, state, update_seed=it)
+        want, want_stats = oracles.ppo_update_reference(traj, want, update_seed=it)
+        if max_grad_norm == 0.05:
+            for name in ("weights", "adam_m", "adam_v"):
+                for key in WEIGHT_KEYS:
+                    np.testing.assert_allclose(getattr(state, name)[key], getattr(want, name)[key],
+                                               rtol=1e-12, atol=1e-300, err_msg=f"{name}[{key}]")
+        else:
+            assert_same_state(state, want)
+            assert stats == want_stats
+    untouched = np.r_[2, in_dim + 44: obs_dim]
+    untouched = untouched[(untouched != negative_zero) & (untouched != in_dim + once)]
+    assert_same_bits(state.weights["w1"][untouched], init_w1[untouched])
+    for moments in (state.adam_m["w1"], state.adam_v["w1"]):
+        assert_same_bits(moments[untouched], np.zeros_like(moments[untouched]))
+
+
 # -- observation and checkpoints --------------------------------------------
 
 def test_build_observation_concat():
-    obs = build_observation(np.array([1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
+    obs = oracles.build_observation(np.array([1.0, 2.0]), np.array([0.0, 1.0, 0.0]))
     np.testing.assert_array_equal(obs, [1.0, 2.0, 0.0, 1.0, 0.0])
 
 

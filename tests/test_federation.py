@@ -26,6 +26,7 @@ from oracles import (
     layer_of,
     local_train_client,
     model_loss,
+    record_mask,
     reference_round,
     sparsify_client,
 )
@@ -448,4 +449,4 @@ def test_round_records_rejects_malformed(tmp_path):
 
 def test_record_mask():
     rec = RoundRecord(0, np.array([1, 4]))
-    np.testing.assert_array_equal(rec.mask(6), [0, 1, 0, 0, 1, 0])
+    np.testing.assert_array_equal(record_mask(rec, 6), [0, 1, 0, 0, 1, 0])

@@ -1,13 +1,18 @@
 """Unit tests for the episode environment and the training loop."""
+import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hammersim import adversary, training
+from hammersim.cli import main
 from hammersim.config import ConfigError, load_config
 from hammersim.federation import read_round_records
-from hammersim.metrics import compute_cd, compute_rur
+from hammersim.metrics import compute_cd, compute_rur, topk_count
 from hammersim.training import LOG_HEADER, AttackEnv, train
 from hammersim.seeding import generator
 
@@ -32,31 +37,47 @@ def quick_config(rounds=15, iterations=3, extra=None):
 
 # -- environment ------------------------------------------------------------
 
+def assert_same_observation(obs, want):
+    """obs and want are (columns, values) pairs with equal arrays."""
+    assert len(obs) == len(want) == 2
+    for got, expected in zip(obs, want):
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_env_reset_restarts_federation():
     env = AttackEnv(quick_config(), seed=3)
     obs0 = env.reset()
     _, _, rec_a = env.step(np.zeros(env.latent_dim))
     obs1 = env.reset()
     _, _, rec_b = env.step(np.zeros(env.latent_dim))
-    np.testing.assert_array_equal(obs0, obs1)
+    assert_same_observation(obs0, obs1)
     np.testing.assert_array_equal(rec_a.indices, rec_b.indices)
     assert env.fed.round_number == 1
 
 
 def test_env_observation_layout():
+    # (columns, values) are the nonzero entries of the dense observation:
+    # the clean-input summary, then an all-zero mask
     env = AttackEnv(quick_config(), seed=3)
     obs = env.reset()
-    assert obs.shape == (env.obs_dim,) == (env.in_dim + env.total_params,)
-    np.testing.assert_array_equal(obs[: env.in_dim], env.x_summary)
-    np.testing.assert_array_equal(obs[env.in_dim:], 0.0)
+    assert env.obs_dim == env.in_dim + env.total_params
+    dense = oracles.build_observation(env.x_summary, np.zeros(env.total_params))
+    assert dense.shape == (env.obs_dim,)
+    assert_same_observation(obs, oracles.nonzero_entries(dense))
+    columns, values = obs
+    np.testing.assert_array_equal(values, env.x_summary[columns])
+    assert columns.dtype == np.int64 and columns.max() < env.in_dim
 
 
 def test_env_step_reports_record_mask():
     env = AttackEnv(quick_config(), seed=4)
     env.reset()
     obs, breakdown, rec = env.step(np.zeros(env.latent_dim))
-    mask = obs[env.in_dim:]
-    np.testing.assert_array_equal(np.flatnonzero(mask), rec.indices)
+    dense = oracles.build_observation(env.x_summary, oracles.record_mask(rec, env.total_params))
+    assert_same_observation(obs, oracles.nonzero_entries(dense))
+    columns, values = obs
+    np.testing.assert_array_equal(columns[columns >= env.in_dim] - env.in_dim, rec.indices)
+    np.testing.assert_array_equal(values[columns >= env.in_dim], 1.0)
     assert breakdown.total == pytest.approx(
         breakdown.stability + 0.8 * breakdown.focus - 0.6 * breakdown.stealth)
 
@@ -200,6 +221,68 @@ def test_train_bytes_match_reference_update(tmp_path, monkeypatch):
     fast = run("fast")
     monkeypatch.setattr(adversary, "ppo_update", oracles.ppo_update_reference)
     assert run("reference") == fast
+
+
+def test_train_trajectory_holds_only_nonzero_entries(monkeypatch):
+    # the trajectory handed to ppo_update holds each observation's nonzero
+    # entries, not a rounds x obs_dim matrix (16 MB at 200 rounds)
+    seen = []
+
+    def spy(traj, state, update_seed=0):
+        seen.append(traj)
+        return ppo_update(traj, state, update_seed)
+
+    ppo_update = adversary.ppo_update
+    monkeypatch.setattr(adversary, "ppo_update", spy)
+    exp = load_config(None, {("run", "rounds_per_episode"): 200})
+    train(exp, seed=3, iterations=1)
+    (traj,) = seen
+    g = exp.get
+    in_dim, clients = g("federation", "in_dim"), g("federation", "n_clients")
+    k = topk_count(g("federation", "sparsity"), AttackEnv(exp, seed=3).total_params)
+    held = sum(a.nbytes for a in vars(traj).values())
+    assert held < 200 * (in_dim + clients * k) * 16
+    assert traj.data.all()
+
+
+def test_train_times_its_stages(tmp_path):
+    # timing.txt lists train's four stages after the elapsed time
+    out = tmp_path / "run"
+    config = tmp_path / "quick.toml"
+    config.write_text("[run]\niterations = 2\nrounds_per_episode = 12\n")
+    assert main(["train", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+    timing = dict(line.split("=") for line in (out / "timing.txt").read_text().splitlines())
+    stages = ["policy_seconds", "round_seconds", "reward_seconds", "update_seconds"]
+    assert list(timing) == ["elapsed_seconds", *stages]
+    seconds = {name: float(value) for name, value in timing.items()}
+    assert all(seconds[name] >= 0 for name in stages)
+    assert sum(seconds[name] for name in stages) <= seconds["elapsed_seconds"]
+
+
+# SHA-256 of the outputs of `hammersim train --seed 1` on the default config
+# with [run] iterations = 3, at one BLAS thread
+PINNED_TRAIN_SHA256 = {
+    "training_log.csv": "2aa6dde3a0e407ab2dd6c522354e181a60e6b3dbc4b6f95092a8bb595e6104fd",
+    "records.txt": "b338ab710cc3189f995d4f37446e83c2aa96937e9f72e1bad0c16396cf89ca35",
+    "agent.ckpt": "b4eed6e2a80433791f74fdf92000b2fdfa4def23168a9ab4d3a4b827284aa0de",
+}
+
+
+def test_train_bytes_are_pinned(tmp_path):
+    config = tmp_path / "three.toml"
+    config.write_text("[run]\niterations = 3\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from hammersim.cli import main; sys.exit(main())",
+         "train", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+           for name in PINNED_TRAIN_SHA256}
+    assert got == PINNED_TRAIN_SHA256
 
 
 def test_train_seeds_differ():
