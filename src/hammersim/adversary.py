@@ -262,11 +262,17 @@ class PolicyConfig:
 
 @dataclass
 class AgentState:
+    """The policy's weights and Adam state.  Adam's w1 moments are held
+    only for the ascending rows moment_rows: adam_m["w1"] and adam_v["w1"]
+    have one row per entry of moment_rows, and every other row's moments
+    are +0.0."""
+
     cfg: PolicyConfig
     weights: dict[str, np.ndarray]
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     adam_step: int = 0
+    moment_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
 
 def init_policy(cfg: PolicyConfig, seed: int) -> AgentState:
@@ -288,10 +294,11 @@ def init_policy(cfg: PolicyConfig, seed: int) -> AgentState:
         "wv": dense(cfg.hidden2, 1, scale=0.1),
         "bv": np.zeros(1),
     }
-    state = AgentState(cfg, weights)
-    state.adam_m = {k: np.zeros_like(v) for k, v in weights.items()}
-    state.adam_v = {k: np.zeros_like(v) for k, v in weights.items()}
-    return state
+
+    def zero_moments() -> dict[str, np.ndarray]:  # w1's for no row yet
+        return {k: np.zeros((0, cfg.hidden1)) if k == "w1" else np.zeros_like(v) for k, v in weights.items()}
+
+    return AgentState(cfg, weights, zero_moments(), zero_moments())
 
 
 def _forward(weights: dict[str, np.ndarray], obs: np.ndarray):
@@ -473,22 +480,28 @@ def ppo_update(
     t_len = trajectory.actions.shape[0]
     mb = min(cfg.minibatch_size, t_len)
 
-    weights = {k: v.copy() for k, v in state.weights.items()}
-    adam_m = {k: v.copy() for k, v in state.adam_m.items()}
-    adam_v = {k: v.copy() for k, v in state.adam_v.items()}
     # The first layer reads and steps only the live rows of w1: the
-    # columns some observation sets and the rows with nonzero moments.
-    # Any other row gets no gradient, and its Adam step would keep
-    # m = v = +0.0 and subtract +0.0 from w, so it keeps every bit.
+    # columns some observation sets and the held rows with nonzero
+    # moments.  Any other row gets no gradient, and its Adam step would
+    # keep m = v = +0.0 and subtract +0.0 from w, so it keeps every bit.
     # Moments are tested by their bits because a step may turn a -0.0
-    # moment into +0.0.  Each minibatch's observations are written
-    # straight from the trajectory's entries onto the live columns.
-    full = weights["w1"], adam_m["w1"], adam_v["w1"]
-    live = adam_m["w1"].view(np.int64).any(axis=1) | adam_v["w1"].view(np.int64).any(axis=1)
-    live[trajectory.columns] = True
-    columns = (np.cumsum(live) - 1)[trajectory.columns]
-    live = np.flatnonzero(live)
-    weights["w1"], adam_m["w1"], adam_v["w1"] = (a[live] for a in full)
+    # moment into +0.0.  The live set is formed exactly, never a superset:
+    # its size is the inner dimension of the first layer's products, and
+    # BLAS blocks that dimension.  Each minibatch's observations are
+    # written straight from the trajectory's entries onto the live columns.
+    held = state.adam_m["w1"].view(np.int64).any(axis=1) | state.adam_v["w1"].view(np.int64).any(axis=1)
+    live = np.union1d(state.moment_rows[held], trajectory.columns)
+    columns = np.searchsorted(live, trajectory.columns)
+    kept = np.searchsorted(live, state.moment_rows[held])
+
+    def live_moments(held_moments: np.ndarray) -> np.ndarray:
+        out = np.zeros((live.size, cfg.hidden1))
+        out[kept] = held_moments[held]
+        return out
+
+    weights = {k: v[live] if k == "w1" else v.copy() for k, v in state.weights.items()}
+    adam_m = {k: live_moments(v) if k == "w1" else v.copy() for k, v in state.adam_m.items()}
+    adam_v = {k: live_moments(v) if k == "w1" else v.copy() for k, v in state.adam_v.items()}
     scratch = {k: np.empty_like(v) for k, v in weights.items()}
     step = state.adam_step
     losses, kls = [], []
@@ -537,10 +550,11 @@ def ppo_update(
     for key in WEIGHT_KEYS:
         if not np.isfinite(weights[key]).all():
             raise ValueError(f"PPO update left non-finite values in {key}")
-    for arrays, rows in zip((weights, adam_m, adam_v), full):
-        rows[live] = arrays["w1"]
-        arrays["w1"] = rows
-    new_state = AgentState(cfg, weights, adam_m, adam_v, step)
+    # the one full-size array a new state needs: its own w1
+    w1 = state.weights["w1"].copy()
+    w1[live] = weights["w1"]
+    weights["w1"] = w1
+    new_state = AgentState(cfg, weights, adam_m, adam_v, step, live)
     stats = {
         "loss": float(np.mean(losses)),
         "kl": float(np.mean(kls)),

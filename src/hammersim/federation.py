@@ -10,6 +10,7 @@ turns into the server's buffer accesses.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -275,18 +276,29 @@ def aggregate(
     return new_theta
 
 
-def run_round(fed: FederationState, x: np.ndarray) -> RoundRecord:
+def run_round(fed: FederationState, x: np.ndarray, seconds: dict[str, float] | None = None) -> RoundRecord:
     """One communication round; advances fed.round_number and fed.theta.
 
     x is the (C, n, in_dim) client stack the round trains on: fed.x as
     the clients received it, perturbed or not.  All clients train in one
-    batched pass.  Returns the round's record.
+    batched pass.  Returns the round's record.  seconds, if given, gains
+    the wall seconds of the round's stages under local_train_seconds,
+    sparsify_seconds and aggregate_seconds (the index union included).
     """
     t = fed.round_number
-    indices, values = sparsify_topk(local_train(fed, x, fed.y), fed.k)
+    started = time.perf_counter()
+    deltas = local_train(fed, x, fed.y)
+    trained = time.perf_counter()
+    indices, values = sparsify_topk(deltas, fed.k)
+    sparsified = time.perf_counter()
     union = metrics.sorted_unique(indices)
     fed.theta = aggregate(fed.theta, indices, values, union)
     fed.round_number = t + 1
+    if seconds is not None:
+        stages = {"local_train_seconds": trained - started, "sparsify_seconds": sparsified - trained,
+                  "aggregate_seconds": time.perf_counter() - sparsified}
+        for key, value in stages.items():
+            seconds[key] = seconds.get(key, 0.0) + value
     return RoundRecord(t, union)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import os
+import resource
+import sys
 from fractions import Fraction
 
 from .config import ConfigError
@@ -200,12 +202,16 @@ def write_manifest(out_dir: str, payload: dict) -> str:
 
 
 def write_timing(out_dir: str, seconds: float, **stage_seconds: float) -> str:
-    """Wall-clock sidecar, kept out of the manifest on purpose: elapsed, then per-stage seconds."""
+    """Wall-clock sidecar, kept out of the manifest on purpose: elapsed, then
+    per-stage seconds, then the process's peak resident set in MiB."""
     path = os.path.join(out_dir, "timing.txt")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_mib = peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB elsewhere
     with open(path, "w", encoding="ascii") as f:
         f.write(f"elapsed_seconds={seconds:.3f}\n")
         for name, value in stage_seconds.items():
             f.write(f"{name}={value:.3f}\n")
+        f.write(f"peak_rss_mb={peak_mib:.1f}\n")
     return path
 
 

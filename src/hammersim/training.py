@@ -80,7 +80,9 @@ class AttackEnv:
         self.head: tuple[np.ndarray, np.ndarray] | None = None
         self.clean_spectrum: np.ndarray | None = None
         self.noise_store: dict[int, np.ndarray] = {}
-        self.stage_seconds = {"round_seconds": 0.0, "reward_seconds": 0.0}
+        self.stage_seconds = dict.fromkeys(
+            ("channel_seconds", "local_train_seconds", "sparsify_seconds", "aggregate_seconds", "reward_seconds"), 0.0
+        )
 
     @property
     def obs_dim(self) -> int:
@@ -136,7 +138,8 @@ class AttackEnv:
             self.fed.x, np.broadcast_to(delta, (self.n_clients, self.in_dim)),
             self.channel_cfg, self.round_noise(self.fed.round_number),
         )
-        record = run_round(self.fed, x)
+        self.stage_seconds["channel_seconds"] += time.perf_counter() - started
+        record = run_round(self.fed, x, seconds=self.stage_seconds)
         u = record.indices
         scored = time.perf_counter()
         breakdown = compute_reward(
@@ -144,7 +147,6 @@ class AttackEnv:
             self.reward_cfg, self.modality, self.total_params,
             clean_spectrum=self.clean_spectrum,
         )
-        self.stage_seconds["round_seconds"] += scored - started
         self.stage_seconds["reward_seconds"] += time.perf_counter() - scored
         self.u_prev = u
         head_columns, head_values = self.head
@@ -186,8 +188,9 @@ class TrainResult:
     log_path: str | None = None
     checkpoint_path: str | None = None
     records_path: str | None = None
-    # wall seconds per stage: policy (sample_action), round (channel and
-    # run_round), reward (compute_reward), update (ppo_update)
+    # wall seconds per stage: policy (sample_action), channel (the
+    # perturbed client inputs), run_round's local_train, sparsify and
+    # aggregate, reward (compute_reward), update (ppo_update)
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def final_fraction_rur(self, fraction: float = 0.1) -> float:

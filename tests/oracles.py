@@ -1021,13 +1021,43 @@ def reference_aggregate(theta: np.ndarray, updates) -> np.ndarray:
 # PPO update with out-of-place Adam
 # ---------------------------------------------------------------------------
 
+def with_dense_moments(state: AgentState) -> AgentState:
+    """The state with Adam's w1 moments held for every row of w1, as two
+    new (obs_dim, hidden1) arrays; every other array is shared."""
+    dense = {}
+    for name in ("adam_m", "adam_v"):
+        moments = getattr(state, name)
+        w1 = np.zeros_like(state.weights["w1"])
+        w1[state.moment_rows] = moments["w1"]
+        dense[name] = dict(moments, w1=w1)
+    return AgentState(state.cfg, dict(state.weights), dense["adam_m"], dense["adam_v"], state.adam_step,
+                      np.arange(state.cfg.obs_dim))
+
+
+def with_compact_moments(state: AgentState) -> AgentState:
+    """The state with Adam's w1 moments held only for the rows where
+    either moment has some bit set (-0.0 included)."""
+    m, v = state.adam_m["w1"], state.adam_v["w1"]
+    held = m.view(np.int64).any(axis=1) | v.view(np.int64).any(axis=1)
+    return AgentState(state.cfg, dict(state.weights), dict(state.adam_m, w1=m[held]),
+                      dict(state.adam_v, w1=v[held]), state.adam_step, state.moment_rows[held])
+
+
 def ppo_update_reference(
     trajectory, state: AgentState, update_seed: int = 0
 ) -> tuple[AgentState, dict[str, float]]:
     """The PPO iteration over every column of w1 and a dense observation
-    matrix, with every clip and Adam step building new arrays; returns
-    (state, stats) as ppo_update does."""
+    matrix, with dense Adam moments and every clip and Adam step building
+    new arrays; returns (state, stats) as ppo_update does, the state's
+    moments compacted.
+
+    The clip norm's w1 term sums the squared gradient over the rows the
+    update steps, in ascending order: the rows where a moment has some bit
+    set at the update's start, and the observed columns.  Every other row's
+    gradient is zero, so the norm is the same number, summed in
+    ppo_update's grouping."""
     cfg = state.cfg
+    state = with_dense_moments(state)
     obs = dense_observations(trajectory, cfg.obs_dim)
     adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
     std = adv.std()
@@ -1037,6 +1067,8 @@ def ppo_update_reference(
     t_len = obs.shape[0]
     mb = min(cfg.minibatch_size, t_len)
     weights, adam_m, adam_v = dict(state.weights), dict(state.adam_m), dict(state.adam_v)
+    live = adam_m["w1"].view(np.int64).any(axis=1) | adam_v["w1"].view(np.int64).any(axis=1)
+    live[trajectory.columns] = True
     step = state.adam_step
     losses, kls = [], []
     for _ in range(cfg.epochs):
@@ -1050,7 +1082,8 @@ def ppo_update_reference(
             losses.append(loss)
             kls.append(kl)
             if cfg.max_grad_norm > 0:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                stepped = {k: g[live] if k == "w1" else g for k, g in grads.items()}
+                norm = np.sqrt(sum(float(np.sum(g * g)) for g in stepped.values()))
                 if norm > cfg.max_grad_norm:
                     grads = {k: g * (cfg.max_grad_norm / norm) for k, g in grads.items()}
             step += 1
@@ -1063,4 +1096,5 @@ def ppo_update_reference(
                 weights[key] = weights[key] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
     stats = {"loss": float(np.mean(losses)), "kl": float(np.mean(kls)), "adv_std": float(std),
              "return_mean": float(returns.mean())}
-    return AgentState(cfg, weights, adam_m, adam_v, step), stats
+    new_state = AgentState(cfg, weights, adam_m, adam_v, step, state.moment_rows)
+    return with_compact_moments(new_state), stats

@@ -1,4 +1,6 @@
 """Unit tests for reward shaping, the policy network and PPO updates."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -376,6 +378,8 @@ def assert_same_bits(a, b):
 
 
 def assert_same_state(state, want):
+    # Adam's w1 moments compared over every row of w1
+    state, want = oracles.with_dense_moments(state), oracles.with_dense_moments(want)
     assert state.adam_step == want.adam_step
     for name in ("weights", "adam_m", "adam_v"):
         for key in WEIGHT_KEYS:
@@ -416,7 +420,9 @@ def test_ppo_update_matches_reference_on_mask_observations(max_grad_norm):
     state = agent_for_test(obs_dim=64, entropy_coef=0.01, value_coef=0.5,
                            max_grad_norm=max_grad_norm, minibatch_size=7)
     negative_zero = 19  # never observed; the dense step may flip its -0.0 moments to +0.0
+    state = oracles.with_dense_moments(state)
     state.adam_m["w1"][negative_zero] = -0.0
+    state = oracles.with_compact_moments(state)
     once = 20  # observed in the first update only
     never = np.arange(21, 64)
     init_w1 = state.weights["w1"].copy()
@@ -433,8 +439,33 @@ def test_ppo_update_matches_reference_on_mask_observations(max_grad_norm):
             assert not np.any(obs[:, once])
             assert np.all(state.weights["w1"][once] != before.weights["w1"][once])
         assert_same_bits(state.weights["w1"][never], init_w1[never])
-        for moments in (state.adam_m["w1"], state.adam_v["w1"]):
+        dense = oracles.with_dense_moments(state)
+        for moments in (dense.adam_m["w1"], dense.adam_v["w1"]):
             assert_same_bits(moments[never], np.zeros_like(moments[never]))
+
+
+def test_ppo_update_clip_norm_sums_the_stepped_rows():
+    # a binding clip scales by the gradient norm, whose w1 term ppo_update
+    # sums over the rows it steps; numpy's pairwise sum over every row of
+    # w1 groups the same squares differently, and on this data already
+    # gives another number in the first minibatch.  The reference sums over
+    # the stepped rows too, so every bit matches.
+    cols = [6, 7, 9, 10, 14, 15, 17, 24, 25, 28, 30, 33, 36, 37, 38, 40, 41, 42, 45, 50, 54, 57, 59, 63]
+    state = agent_for_test(obs_dim=64, entropy_coef=0.01, value_coef=0.5, max_grad_norm=0.05,
+                           minibatch_size=7)
+    obs, traj = mask_trajectory(61, cols)
+    adv, returns = compute_gae(traj.rewards, traj.values, state.cfg.discount, state.cfg.gae_lambda)
+    adv = (adv - adv.mean()) / adv.std()
+    sel = generator(0, "ppo-minibatch").permutation(obs.shape[0])[:7]
+    _, _, grads = ppo_loss_and_grads(state.weights, state.cfg, obs[sel], traj.actions[sel],
+                                     traj.log_probs[sel], adv[sel], returns[sel])
+    g, stepped = grads["w1"], np.unique(traj.columns)
+    assert float(np.sum(g * g)) > state.cfg.max_grad_norm**2
+    assert float(np.sum(g * g)) != float(np.sum(g[stepped] * g[stepped]))
+    new_state, stats = ppo_update(traj, state, update_seed=0)
+    want, want_stats = oracles.ppo_update_reference(traj, state, update_seed=0)
+    assert_same_state(new_state, want)
+    assert stats == want_stats
 
 
 def test_ppo_update_rejects_non_finite_result():
@@ -450,12 +481,40 @@ def test_ppo_update_leaves_caller_state_unchanged():
     first, _ = ppo_update(ppo_trajectory(47), state, update_seed=1)
     before = {name: {k: v.copy() for k, v in getattr(first, name).items()}
               for name in ("weights", "adam_m", "adam_v")}
+    rows = first.moment_rows.copy()
     second, _ = ppo_update(ppo_trajectory(53), first, update_seed=2)
     assert first.adam_step == second.adam_step - 8
     for name, arrays in before.items():
         for key in WEIGHT_KEYS:
             np.testing.assert_array_equal(getattr(first, name)[key], arrays[key])
             assert getattr(second, name)[key] is not getattr(first, name)[key]
+    np.testing.assert_array_equal(first.moment_rows, rows)
+    assert second.moment_rows is not first.moment_rows
+
+
+def test_ppo_update_memory_follows_the_live_rows():
+    # a wide first layer, one w1-sized array being 5.1 MB, and trajectories
+    # that touch about 200 of its 40,000 rows: besides the new state's own
+    # w1 an update allocates only arrays the size of the live rows
+    cfg = PolicyConfig(obs_dim=40_000, action_dim=3, hidden1=16, hidden2=8)
+    state = init_policy(cfg, seed=5)
+    pool = np.sort(generator(101, "wide-pool").choice(cfg.obs_dim, size=200, replace=False))
+
+    def trajectory(seed):
+        rng = generator(seed, "wide-obs")
+        columns = (np.sort(rng.choice(pool, size=20, replace=False)) for _ in range(30))
+        observations = [(c, np.ones(c.size)) for c in columns]
+        return Trajectory.from_observations(observations, *ppo_arrays(seed, 30, 1)[1:])
+
+    state, _ = ppo_update(trajectory(103), state, update_seed=0)
+    second = trajectory(107)
+    tracemalloc.start()
+    try:
+        ppo_update(second, state, update_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state.weights["w1"].nbytes
 
 
 def test_grad_norm_clip_bounds_update():
@@ -555,19 +614,21 @@ def test_ppo_update_matches_dense_oracle_on_attack_observations(attack_rollout):
         before = state
         state, stats = ppo_update(traj, state, update_seed=it)
         want, want_stats = oracles.ppo_update_reference(traj, want, update_seed=it)
-        assert state.adam_step == want.adam_step
+        got, full = oracles.with_dense_moments(state), oracles.with_dense_moments(want)
+        assert got.adam_step == full.adam_step
         for name in ("weights", "adam_m", "adam_v"):
             for key in WEIGHT_KEYS:
-                np.testing.assert_allclose(getattr(state, name)[key], getattr(want, name)[key],
+                np.testing.assert_allclose(getattr(got, name)[key], getattr(full, name)[key],
                                            rtol=1e-9, atol=1e-14, err_msg=f"{name}[{key}]")
         for key in ("loss", "kl", "adv_std"):
             assert stats[key] == pytest.approx(want_stats[key], rel=1e-9, abs=1e-14)
+        before = oracles.with_dense_moments(before)
         dead = ~dense.any(axis=0)
         dead &= ~before.adam_m["w1"].view(np.int64).any(axis=1)
         dead &= ~before.adam_v["w1"].view(np.int64).any(axis=1)
         assert dead.sum() > 9000
         for name in ("weights", "adam_m", "adam_v"):
-            assert_same_bits(getattr(state, name)["w1"][dead], getattr(before, name)["w1"][dead])
+            assert_same_bits(getattr(got, name)["w1"][dead], getattr(before, name)["w1"][dead])
 
 
 @pytest.mark.parametrize("max_grad_norm", [0.0, 0.05, 1e3])
@@ -575,17 +636,15 @@ def test_ppo_update_on_index_observations_matches_dense_reference(max_grad_norm)
     # observations built as AttackEnv builds them, a summary head with one
     # zero entry and then in_dim + the previous record's indices, straight
     # into a trajectory, over chained updates: what no update reads keeps
-    # its bits, and every other bit matches the dense reference unless the
-    # norm clip binds.  A binding clip scales by the norm, whose pairwise
-    # sum over the compact w1 rows groups the squares differently from the
-    # sum over every row; on this data that moves a few last bits (at the
-    # parent commit's dense-trajectory update too), so that case compares
-    # to a few ulps.
+    # its bits, and every other bit matches the dense reference, a binding
+    # norm clip included (its w1 term is summed over the stepped rows).
     in_dim, obs_dim, t_len = 6, 64, 30
     state = agent_for_test(obs_dim=obs_dim, entropy_coef=0.01, value_coef=0.5,
                            max_grad_norm=max_grad_norm, minibatch_size=7)
     negative_zero = in_dim + 50  # never observed; the dense step may flip its -0.0 moments to +0.0
+    state = oracles.with_dense_moments(state)
     state.adam_m["w1"][negative_zero] = -0.0
+    state = oracles.with_compact_moments(state)
     head = generator(83, "head").standard_normal(in_dim)
     head[2] = 0.0
     head_columns = np.flatnonzero(head)
@@ -603,18 +662,13 @@ def test_ppo_update_on_index_observations_matches_dense_reference(max_grad_norm)
         assert (in_dim + once in traj.columns) == (it == 0)
         state, stats = ppo_update(traj, state, update_seed=it)
         want, want_stats = oracles.ppo_update_reference(traj, want, update_seed=it)
-        if max_grad_norm == 0.05:
-            for name in ("weights", "adam_m", "adam_v"):
-                for key in WEIGHT_KEYS:
-                    np.testing.assert_allclose(getattr(state, name)[key], getattr(want, name)[key],
-                                               rtol=1e-12, atol=1e-300, err_msg=f"{name}[{key}]")
-        else:
-            assert_same_state(state, want)
-            assert stats == want_stats
+        assert_same_state(state, want)
+        assert stats == want_stats
     untouched = np.r_[2, in_dim + 44: obs_dim]
     untouched = untouched[(untouched != negative_zero) & (untouched != in_dim + once)]
     assert_same_bits(state.weights["w1"][untouched], init_w1[untouched])
-    for moments in (state.adam_m["w1"], state.adam_v["w1"]):
+    dense = oracles.with_dense_moments(state)
+    for moments in (dense.adam_m["w1"], dense.adam_v["w1"]):
         assert_same_bits(moments[untouched], np.zeros_like(moments[untouched]))
 
 

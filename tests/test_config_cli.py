@@ -541,9 +541,16 @@ def test_simulate_timing_lists_its_stages(tmp_path, capsys):
         "rounds", "total_events", "total_acts", "h_max_analytic", "measured_max_row_acts", "act_ratio", "flips"}
     for name in ("a", "b"):
         timing = dict(line.split("=") for line in (tmp_path / name / "timing.txt").read_text().splitlines())
-        assert list(timing) == ["elapsed_seconds", "trace_seconds", "engine_seconds"]
-        elapsed, trace, engine = map(float, timing.values())
+        assert list(timing) == ["elapsed_seconds", "trace_seconds", "engine_seconds", "peak_rss_mb"]
+        elapsed, trace, engine, _ = map(float, timing.values())
         assert min(trace, engine) >= 0 and trace + engine <= elapsed + 0.002
+
+
+def test_timing_ends_with_peak_rss(tmp_path):
+    # every command's timing.txt ends with the process's peak RSS in MiB
+    assert main(["feasibility", "--out", str(tmp_path)]) == 0
+    name, value = (tmp_path / "timing.txt").read_text().splitlines()[-1].split("=")
+    assert name == "peak_rss_mb" and float(value) > 0
 
 
 def test_simulate_requires_records(tmp_path, monkeypatch, capsys):

@@ -246,14 +246,15 @@ def test_train_trajectory_holds_only_nonzero_entries(monkeypatch):
 
 
 def test_train_times_its_stages(tmp_path):
-    # timing.txt lists train's four stages after the elapsed time
+    # timing.txt lists train's stages after the elapsed time, then the peak RSS
     out = tmp_path / "run"
     config = tmp_path / "quick.toml"
     config.write_text("[run]\niterations = 2\nrounds_per_episode = 12\n")
     assert main(["train", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
     timing = dict(line.split("=") for line in (out / "timing.txt").read_text().splitlines())
-    stages = ["policy_seconds", "round_seconds", "reward_seconds", "update_seconds"]
-    assert list(timing) == ["elapsed_seconds", *stages]
+    stages = ["policy_seconds", "channel_seconds", "local_train_seconds", "sparsify_seconds",
+              "aggregate_seconds", "reward_seconds", "update_seconds"]
+    assert list(timing) == ["elapsed_seconds", *stages, "peak_rss_mb"]
     seconds = {name: float(value) for name, value in timing.items()}
     assert all(seconds[name] >= 0 for name in stages)
     assert sum(seconds[name] for name in stages) <= seconds["elapsed_seconds"]
