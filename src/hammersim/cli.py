@@ -14,9 +14,11 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import metrics, report
 from .config import ConfigError, ExperimentConfig, load_config
-from .federation import read_round_records
+from .federation import PARAM_BITS, read_round_records
 from .replay import replay_records
 from .report import GoldenMismatchError
 from .training import train
@@ -175,13 +177,22 @@ def cmd_simulate(args) -> int:
                 f"records file {path!r}: round {r.round_number} holds index {r.indices[-1]}, "
                 f"outside the config's {total_params}-parameter model"
             )
+    meta, ingress = g("metrics", "metadata_bytes_per_entry"), g("memory", "ingress_bytes")
+    sizes = metrics.update_bytes(np.array([r.indices.size for r in records]), PARAM_BITS, meta)
+    too_large = sizes > ingress
+    if too_large.any():
+        r = int(too_large.argmax())
+        raise ConfigError(
+            f"records file {path!r}: round {records[r].round_number} sends an update of {sizes[r]} bytes, "
+            f"larger than [memory] ingress_bytes = {ingress}"
+        )
     summary = replay_records(
         records, exp.layout(seed), exp.dram_config(), exp.bandwidth(), exp.threshold_table(),
         trr=exp.trr_config(),
         vmap=exp.vulnerability_map(seed),
         contents=exp.row_contents(),
         sim_seed=seed,
-        metadata_bytes_per_entry=g("metrics", "metadata_bytes_per_entry"),
+        metadata_bytes_per_entry=meta,
     )
     res = summary.result
     print(

@@ -386,6 +386,9 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"[adversary] stft_frame = {reward.stft_frame} is longer than the {in_dim}-sample "
                 f"input ([federation] in_dim); lambda1 != 0 needs one full frame")
 
+    # 0 picks the default target window (see training.train)
+    if g("adversary", "window_len") < 0:
+        raise ConfigError(f"[adversary] window_len must be non-negative, got {g('adversary', 'window_len')}")
     if g("adversary", "window_len") > spec.total_params:
         raise ConfigError(
             f"[adversary] window_len = {g('adversary', 'window_len')} exceeds the "

@@ -1,4 +1,4 @@
-"""Server-side buffer layout and physical access-trace generation.
+"""Server-side buffer layout and physical address mapping.
 
 Aggregation state lives in pinned 2 MB huge pages: per-layer metadata and
 value blocks, per-layer accumulator and writeback buffers, and one global
@@ -6,18 +6,11 @@ ingress queue.  A page table maps 2 MB-aligned virtual pages to physical
 frames; a configurable DRAM address hash then splits physical addresses
 into (bank, row, column).
 
-An AccessScript is the logical access pattern of a block of consecutive
-rounds: per round its update message, and either per entry run its layer
-and range, or per round the PieceTemplates entry it plays.  A template is
-a round's events after its ingress write, built once from the round's
-runs and played any number of times.  trace_update_processing turns a
-script into time-stamped physical event columns, playing a script of runs
-as one template per round.  Each message occupies size_bytes / bandwidth
-seconds, its events are spaced uniformly, and the writeback events land
-on the round boundary.
-Contiguous element runs become single burst events, split at row and page
-borders, which leaves the per-bank row-activation sequence identical to
-per-element events while keeping traces tractable.
+The address helpers work on columns: ranges gives the virtual byte
+ranges of element runs of the regions an update touches, row_pieces cuts
+ranges at row borders, and translate maps virtual addresses to physical
+ones through the page table.  hammersim.replay builds its access traces
+from them as EventColumns.
 """
 from __future__ import annotations
 
@@ -27,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .federation import PARAM_BITS, ModelSpec
-from .metrics import BandwidthModel
 from .seeding import generator
 
 __all__ = [
@@ -37,13 +29,12 @@ __all__ = [
     "MemoryLayout",
     "build_layout",
     "SCRIPT_REGIONS",
-    "AccessScript",
-    "PieceTemplates",
     "physical_to_dram",
     "dram_to_physical",
     "EventColumns",
-    "AccessTrace",
-    "trace_update_processing",
+    "ranges",
+    "row_pieces",
+    "translate",
 ]
 
 PAGE_BYTES = 2 * 1024 * 1024  # pinned huge pages
@@ -149,7 +140,7 @@ class MemoryLayout:
         except KeyError:
             raise KeyError(f"no region {name!r} for layer {layer}") from None
 
-    # Lookup tables for the columnar trace stage, built on first use (a
+    # Lookup tables for the address helpers, built on first use (a
     # layout is not changed after build_layout).
     @cached_property
     def _script_region_table(self) -> np.ndarray:
@@ -167,7 +158,7 @@ class MemoryLayout:
 
     @cached_property
     def _frame_table(self) -> np.ndarray:
-        """Physical frame per virtual page, -1 where unmapped; never empty, so _translate can index it."""
+        """Physical frame per virtual page, -1 where unmapped; never empty, so translate can index it."""
         frames = np.full(max(self.page_table, default=0) + 1, -1, dtype=np.int64)
         frames[list(self.page_table)] = list(self.page_table.values())
         return frames
@@ -232,32 +223,8 @@ def build_layout(
     return MemoryLayout(spec, mapping, regions, page_table, int(seed))
 
 
-# Regions an access script touches, in the order of the layout's region table.
+# Regions a round's events touch, in the order of the layout's region table.
 SCRIPT_REGIONS = ("ingress", "accumulator", "writeback", "values")
-
-
-@dataclass(frozen=True)
-class AccessScript:
-    """A block of consecutive rounds: per round its message, and its entry
-    runs or the template it plays.
-
-    Round r's message lands at ingress_offset[r].  When template is given,
-    round r plays entry template[r] of a PieceTemplates and has no runs
-    (runs[r] is 0); otherwise its runs[r] entry runs follow those of the
-    rounds before it.  A run is count entries from offset of layer, in the layer's
-    accumulator, writeback and values buffers.  In trace order a round is:
-    ingress write, an accumulator read and write per run, then at the
-    round's end an accumulator read, writeback write and values write per
-    run.
-    """
-
-    size_bytes: np.ndarray  # per round: update message bytes
-    ingress_offset: np.ndarray  # per round: where the message lands in the ingress queue
-    runs: np.ndarray  # per round: number of entry runs
-    layer: np.ndarray  # per run
-    offset: np.ndarray  # per run: first entry, within the layer
-    count: np.ndarray  # per run: entries
-    template: np.ndarray | None = None  # per round: the template it plays
 
 
 @dataclass(frozen=True)
@@ -272,13 +239,7 @@ class EventColumns:
         return self.time_ns.size
 
 
-@dataclass
-class AccessTrace:
-    events: EventColumns
-    end_ns: int  # end of the last round
-
-
-def _ranges(layout: MemoryLayout, region, layer, offset, count, by_column=False) -> tuple[np.ndarray, np.ndarray]:
+def ranges(layout: MemoryLayout, region, layer, offset, count, by_column=False) -> tuple[np.ndarray, np.ndarray]:
     """Virtual [start, end) byte ranges of count elements from offset, in
     region SCRIPT_REGIONS[region] of layer, flattened in broadcast order
     (of the transposed broadcast with by_column)."""
@@ -299,7 +260,7 @@ def _ranges(layout: MemoryLayout, region, layer, offset, count, by_column=False)
     return start.ravel(), end.ravel()
 
 
-def _row_pieces(start: np.ndarray, end: np.ndarray, row_size: int) -> tuple[np.ndarray, ...]:
+def row_pieces(start: np.ndarray, end: np.ndarray, row_size: int) -> tuple[np.ndarray, ...]:
     """Cut every [start, end) range at row borders.
 
     Returns (pieces per range, piece start, piece size); piece k of a
@@ -323,7 +284,7 @@ def _row_pieces(start: np.ndarray, end: np.ndarray, row_size: int) -> tuple[np.n
 _PAGE_SHIFT = PAGE_BYTES.bit_length() - 1
 
 
-def _translate(layout: MemoryLayout, addr: np.ndarray) -> None:
+def translate(layout: MemoryLayout, addr: np.ndarray) -> None:
     """Turn virtual addresses into physical ones in place, through the page table."""
     frames = layout._frame_table
     page = addr >> _PAGE_SHIFT
@@ -334,168 +295,3 @@ def _translate(layout: MemoryLayout, addr: np.ndarray) -> None:
     frame -= page
     frame <<= _PAGE_SHIFT
     addr += frame
-
-
-def _segments(runs: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rounds' events after their ingress writes, as segments of consecutive
-    piece positions, in trace order.
-
-    Round r is its runs[r] runs' ops: an accumulator read and write per
-    run, then an accumulator read, writeback write and values write per
-    run.  Run j touches three ranges, 3j (accumulator), 3j + 1 (writeback)
-    and 3j + 2 (values), and first holds each range's first piece (then the
-    end), so a round's writeback ops are one segment.  Returns per segment
-    its start and length, each round's first segment (then the end), and
-    each round's writeback segment.
-    """
-    round_seg = np.zeros(runs.size + 1, dtype=np.int64)
-    (2 * runs + 1).cumsum(out=round_seg[1:])
-    writeback = round_seg[1:] - 1
-    start = np.empty(round_seg[-1], dtype=np.int64)
-    length = np.empty_like(start)
-    # run j of round r reads and writes its accumulator range 3j at
-    # round_seg[r] + 2 * (j - runs before r); the round's ranges, run by
-    # run, are its writeback ops
-    round_runs = np.zeros(runs.size + 1, dtype=np.int64)
-    runs.cumsum(out=round_runs[1:])
-    message_op = 2 * np.arange(round_runs[-1]) + (round_seg[:-1] - 2 * round_runs[:-1]).repeat(runs)
-    accumulator = first[:-1:3]
-    start[message_op] = start[message_op + 1] = accumulator
-    length[message_op] = length[message_op + 1] = first[1::3] - accumulator
-    ends = first[3 * round_runs]
-    start[writeback], length[writeback] = ends[:-1], ends[1:] - ends[:-1]
-    return start, length, round_seg, writeback
-
-
-def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Source position of every event of the segments, and each segment's
-    first event (then the end)."""
-    bounds = np.zeros(start.size + 1, dtype=np.int64)
-    length.cumsum(out=bounds[1:])
-    return np.arange(bounds[-1]) + (start - bounds[:-1]).repeat(length), bounds
-
-
-class PieceTemplates:
-    """Time-free events of rounds, built once and played any number of times.
-
-    Template s is one round's events after its ingress write, in trace
-    order: an accumulator read and write per entry run (the message), then
-    an accumulator read, writeback write and values write per run (the
-    writeback).  It holds events[s] events of the paddr and size columns
-    from start[s], the first message[s] of them in the message.  The
-    columns grow by doubling; past the templates' events they stage a
-    block's ingress pieces.
-    """
-
-    def __init__(self):
-        self.paddr = np.zeros(0, dtype=np.int64)  # the first n_events are kept and dropped templates' events
-        self.size = np.zeros(0, dtype=np.int64)
-        self.n_events = 0
-        self.start = np.zeros(0, dtype=np.int64)
-        self.message = np.zeros(0, dtype=np.int64)
-        self.events = np.zeros(0, dtype=np.int64)
-
-    def add(self, layout: MemoryLayout, script: AccessScript) -> None:
-        """Build one template per round of script, from its runs (its ingress
-        columns are not read).
-
-        Only each run's three byte ranges are cut at rows and translated."""
-        start, end = _ranges(layout, np.arange(1, 4)[:, None], script.layer, script.offset, script.count,
-                             by_column=True)
-        n_pieces, paddr, size = _row_pieces(start, end, layout.mapping.row_size_bytes)
-        _translate(layout, paddr)
-        first = np.zeros(n_pieces.size + 1, dtype=np.int64)
-        n_pieces.cumsum(out=first[1:])
-        start, length, round_seg, writeback_seg = _segments(script.runs, first)
-        src, bounds = _gather_index(start, length)
-        at = self._reserve(src.size)
-        np.take(paddr, src, out=self.paddr[at:at + src.size], mode="clip")  # clip: unbuffered
-        np.take(size, src, out=self.size[at:at + src.size], mode="clip")
-        self.n_events += src.size
-        first = bounds[round_seg]  # each template's first event, then the end
-        self.start = np.concatenate((self.start, at + first[:-1]))
-        self.message = np.concatenate((self.message, bounds[writeback_seg] - first[:-1]))
-        self.events = np.concatenate((self.events, first[1:] - first[:-1]))
-
-    def keep(self, kept: np.ndarray) -> None:
-        """Keep only the templates kept (ascending), numbered 0, 1, ... in
-        that order, and drop the others.
-
-        The kept templates' events stay where they are until the dropped
-        events reach them in number; then one gather moves them to the front
-        of the columns.  So the columns hold at most twice the kept events
-        (and what was added since).
-        """
-        self.start, self.message, self.events = self.start[kept], self.message[kept], self.events[kept]
-        live = int(self.events.sum())
-        if self.n_events - live >= live:
-            src, bounds = _gather_index(self.start, self.events)
-            self.paddr[:src.size] = self.paddr.take(src)
-            self.size[:src.size] = self.size.take(src)
-            self.start, self.n_events = bounds[:-1], src.size
-
-    def _reserve(self, n: int) -> int:
-        """Room for n events right after the templates' ones, growing the
-        columns as needed; returns where it starts.  Events written there
-        stay templates' events only if n_events then grows over them."""
-        used = self.n_events
-        if used + n > self.paddr.size:
-            capacity = max(2 * self.paddr.size, used + n)
-            for name in ("paddr", "size"):
-                grown = np.empty(capacity, dtype=np.int64)
-                grown[:used] = getattr(self, name)[:used]
-                setattr(self, name, grown)
-        return used
-
-
-def trace_update_processing(
-    layout: MemoryLayout,
-    script: AccessScript,
-    bw: BandwidthModel,
-    start_time_ns: int = 0,
-    templates: PieceTemplates | None = None,
-) -> AccessTrace:
-    """Physical access trace of a block of consecutive aggregation rounds.
-
-    Rounds play back to back from start_time_ns.  A round's message
-    occupies size_bytes / bandwidth, its events at int(i * step + start);
-    its writeback events land on the round's integer end.  Each event is
-    one burst inside one DRAM row (the row size divides the huge page).
-    A round is its ingress pieces, then its template's events: from
-    templates for a script that plays templates, else from one built here
-    out of the round's runs.
-    """
-    played = script.template
-    if played is None:
-        templates = PieceTemplates()
-        templates.add(layout, script)
-        played = np.arange(script.size_bytes.size)
-    n_ingress, ingress_addr, ingress_size = _row_pieces(*_ranges(
-        layout, 0, -1, script.ingress_offset, script.size_bytes), layout.mapping.row_size_bytes)
-    _translate(layout, ingress_addr)
-
-    # stage the ingress pieces after the templates' events, and build the
-    # block with one gather: per round, its ingress pieces, then its template
-    at, n = templates._reserve(ingress_addr.size), ingress_addr.size
-    templates.paddr[at:at + n], templates.size[at:at + n] = ingress_addr, ingress_size
-    start = np.empty(2 * played.size, dtype=np.int64)
-    length = np.empty_like(start)
-    start[0::2], length[0::2] = at + n_ingress.cumsum() - n_ingress, n_ingress
-    start[1::2], length[1::2] = templates.start[played], templates.events[played]
-    src, bounds = _gather_index(start, length)
-    paddr, size = templates.paddr[src], templates.size[src]
-
-    # times, per segment: a round's message, then its writeback (step 0)
-    time_bounds = bounds.copy()
-    time_bounds[1::2] += templates.message[played]
-    seg_events = time_bounds[1:] - time_bounds[:-1]
-    budget_ns = script.size_bytes * 1e9 / bw.bytes_per_second
-    seg_t0, t = [], start_time_ns
-    for budget in budget_ns.tolist():  # the only per-round recurrence
-        seg_t0 += [t, int(t + budget)]
-        t = seg_t0[-1]
-    seg_step = np.zeros(seg_events.size)
-    seg_step[::2] = budget_ns / seg_events[::2]
-    time_ns = (np.arange(time_bounds[-1]) - time_bounds[:-1].repeat(seg_events)) * seg_step.repeat(seg_events)
-    time_ns += np.array(seg_t0, dtype=np.float64).repeat(seg_events)
-    return AccessTrace(EventColumns(time_ns.astype(np.int64), paddr, size), t)

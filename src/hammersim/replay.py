@@ -7,6 +7,18 @@ bandwidth, which makes the accumulator rows the hottest rows of the
 module and lets the measured per-window ACT counts be compared against
 the analytic budget floor(window_bytes / S_update).
 
+This module owns a round's access model.  ReplayCache numbers a replay's
+index arrays and holds, per array, its template: the time-free physical
+events of its rounds after the ingress write, built once from the
+array's entry runs and played any number of times.  round_script cuts the
+rounds into blocks, and trace_update_processing turns a block into
+time-stamped event columns.  Each message occupies size_bytes / bandwidth
+seconds, its events are spaced uniformly, and the writeback events land
+on the round boundary.  Contiguous element runs become single burst
+events, split at row and page borders, which leaves the per-bank
+row-activation sequence identical to per-element events while keeping
+traces tractable.
+
 Note on open-row semantics: a row only re-activates each round if some
 other access to the same bank closes it in between.  Single-bank module
 configs guarantee that; on multi-bank hashes the interleaving depends on
@@ -17,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,11 +45,12 @@ from .dram import (
     simulate_trace,
 )
 from .federation import PARAM_BITS, RoundRecord
-from .memlayout import AccessScript, EventColumns, MemoryLayout, PieceTemplates, trace_update_processing
+from .memlayout import EventColumns, MemoryLayout, ranges, row_pieces, translate
 from .metrics import BandwidthModel
 
 __all__ = [
-    "BLOCK_EVENTS", "BATCH_INDICES", "ReplayCache", "ReplaySummary", "runs_script", "round_script", "replay_records",
+    "BLOCK_EVENTS", "BATCH_INDICES", "AccessTrace", "ReplayCache", "ReplaySummary", "round_script",
+    "trace_update_processing", "replay_records",
 ]
 
 
@@ -49,9 +63,9 @@ BLOCK_EVENTS = 1 << 15
 BATCH_INDICES = 1 << 14
 
 
-def _ring(records: Sequence[RoundRecord], sizes: np.ndarray, capacity: int, offset: int) -> np.ndarray:
+def _ring(records: Sequence[RoundRecord], sizes: np.ndarray, capacity: int) -> np.ndarray:
     """Where each message of sizes (records[i] sends message i) lands in the
-    ingress ring of capacity bytes: the first at offset, each next one right
+    ingress ring of capacity bytes: the first at 0, each next one right
     after it, and one that would overflow the ring at 0; one step per wrap."""
     too_large = sizes > capacity
     if too_large.any():
@@ -59,39 +73,31 @@ def _ring(records: Sequence[RoundRecord], sizes: np.ndarray, capacity: int, offs
     start = np.zeros(sizes.size + 1, dtype=np.int64)  # each message's start in the stream, then the end
     sizes.cumsum(out=start[1:])
     ring = np.empty_like(sizes)
-    i, base = 0, -offset  # messages from i on land at their start minus base
-    while i < sizes.size:
-        wrap = int(start[1:].searchsorted(base + capacity, "right"))
-        ring[i:wrap] = start[i:wrap] - base
-        i, base = wrap, start[wrap]
+    i = 0
+    while i < sizes.size:  # messages from i on land at their start minus start[i]
+        wrap = int(start[1:].searchsorted(start[i] + capacity, "right"))
+        ring[i:wrap] = start[i:wrap] - start[i]
+        i = wrap
     return ring
 
 
-def runs_script(
-    layout: MemoryLayout,
-    records: Sequence[RoundRecord],
-    metadata_bytes_per_entry: int = 0,
-    ingress_offset: int = 0,
-) -> AccessScript:
-    """Access script replaying consecutive recorded rounds, one message each,
-    with every record's entry runs.
+def _entry_runs(layout: MemoryLayout, records: Sequence[RoundRecord]) -> tuple[np.ndarray, ...]:
+    """Entry runs of the records' index arrays: per record its number of
+    runs, and per run its layer, first entry within the layer and entries.
 
-    Each record's indices must be sorted ascending, without repeats, and
-    inside the model.  The ingress queue is a ring buffer: the first
-    message lands at ingress_offset (see _ring).
+    Each record's indices must be nonempty, sorted ascending without
+    repeats and inside the model; an error names the record's round.
     """
-    if not records:
-        raise ValueError("no rounds to script")
     spec = layout.spec
     n_params = spec.total_params
     counts = np.array([record.indices.size for record in records], dtype=np.int64)
     if not counts.all():
         raise ValueError(f"round {records[counts.argmin()].round_number}: empty record")
-    round_bounds = np.zeros(counts.size + 1, dtype=np.int64)  # where each round's indices start, then the end
+    round_bounds = np.zeros(counts.size + 1, dtype=np.int64)  # where each record's indices start, then the end
     counts.cumsum(out=round_bounds[1:])
     idx = np.concatenate([r.indices for r in records])
     unsorted = idx[1:] <= idx[:-1]
-    unsorted[round_bounds[1:-1] - 1] = False  # a round may start below the one before it ends
+    unsorted[round_bounds[1:-1] - 1] = False  # a record may start below the one before it ends
     if unsorted.any():
         r = round_bounds.searchsorted(unsorted.argmax(), "right") - 1
         raise ValueError(f"round {records[r].round_number}: record indices must be sorted and unique")
@@ -101,12 +107,10 @@ def runs_script(
         r = outside.argmax()
         bad = low[r] if low[r] < 0 else high[r]
         raise ValueError(f"round {records[r].round_number}: index {bad} outside the model [0, {n_params})")
-    sizes = metrics.update_bytes(counts, PARAM_BITS, metadata_bytes_per_entry)
-    ring = _ring(records, sizes, layout.region("ingress").size_bytes, ingress_offset)
 
-    # entry runs, split at index gaps, round changes and layer borders:
-    # adding the number of layer borders at or below each index turns a
-    # border into a gap.  run_bounds holds each run's start, then the end.
+    # runs split at index gaps, record changes and layer borders: adding
+    # the number of layer borders at or below each index turns a border
+    # into a gap.  run_bounds holds each run's start, then the end.
     stepped = idx
     for border in spec.layer_offsets[1:-1]:
         stepped = stepped + (idx >= border)
@@ -117,70 +121,154 @@ def runs_script(
     run_start = run_bounds[:-1]
     run_layer = stepped[run_start] - idx[run_start]
     run_offset = idx[run_start] - np.array(spec.layer_offsets)[run_layer]
-    round_runs = run_bounds.searchsorted(round_bounds)  # each round's first run, then n_runs
-    return AccessScript(
-        size_bytes=sizes,
-        ingress_offset=ring,
-        runs=round_runs[1:] - round_runs[:-1],
-        layer=run_layer,
-        offset=run_offset,
-        count=run_bounds[1:] - run_start,
-    )
+    round_runs = run_bounds.searchsorted(round_bounds)  # each record's first run, then n_runs
+    return round_runs[1:] - round_runs[:-1], run_layer, run_offset, run_bounds[1:] - run_start
+
+
+def _segments(runs: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rounds' events after their ingress writes, as segments of consecutive
+    piece positions, in trace order.
+
+    Round r is its runs[r] runs' ops: an accumulator read and write per
+    run, then an accumulator read, writeback write and values write per
+    run.  Run j touches three ranges, 3j (accumulator), 3j + 1 (writeback)
+    and 3j + 2 (values), and first holds each range's first piece (then the
+    end), so a round's writeback ops are one segment.  Returns per segment
+    its start and length, each round's first segment (then the end), and
+    each round's writeback segment.
+    """
+    round_seg = np.zeros(runs.size + 1, dtype=np.int64)
+    (2 * runs + 1).cumsum(out=round_seg[1:])
+    writeback = round_seg[1:] - 1
+    start = np.empty(round_seg[-1], dtype=np.int64)
+    length = np.empty_like(start)
+    # run j of round r reads and writes its accumulator range 3j at
+    # round_seg[r] + 2 * (j - runs before r); the round's ranges, run by
+    # run, are its writeback ops
+    round_runs = np.zeros(runs.size + 1, dtype=np.int64)
+    runs.cumsum(out=round_runs[1:])
+    message_op = 2 * np.arange(round_runs[-1]) + (round_seg[:-1] - 2 * round_runs[:-1]).repeat(runs)
+    accumulator = first[:-1:3]
+    start[message_op] = start[message_op + 1] = accumulator
+    length[message_op] = length[message_op + 1] = first[1::3] - accumulator
+    ends = first[3 * round_runs]
+    start[writeback], length[writeback] = ends[:-1], ends[1:] - ends[:-1]
+    return start, length, round_seg, writeback
+
+
+def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source position of every event of the segments, and each segment's
+    first event (then the end)."""
+    bounds = np.zeros(start.size + 1, dtype=np.int64)
+    length.cumsum(out=bounds[1:])
+    return np.arange(bounds[-1]) + (start - bounds[:-1]).repeat(length), bounds
 
 
 class ReplayCache:
-    """What one replay knows of its rounds, and keeps from block to block.
+    """What one replay knows of its rounds, and the store of its templates.
 
     Each round's index array is numbered once, here, by the array object
     (the records hold them all, so no key is reused; equal-content copies
     get numbers of their own), in the order the arrays first play, so the
     arrays built so far are 0 .. built - 1.  Per round it holds its array's
     number, message bytes, ingress ring offset and ingress piece count; per
-    array its first and last round and its template's slot in templates
-    (-1 until it is built and once it is dropped).
+    array its first and last round.
+
+    Array a's template is its rounds' events after the ingress write, in
+    trace order: an accumulator read and write per entry run (the message),
+    then an accumulator read, writeback write and values write per run (the
+    writeback).  It is events[a] events of the paddr and size columns from
+    start[a], the first message[a] of them in the message.  kept lists the
+    arrays whose templates the store holds, ascending.  The columns grow by
+    doubling; past the templates' events they stage a block's ingress
+    pieces.
     """
 
     def __init__(self, layout: MemoryLayout, records: Sequence[RoundRecord], meta: int):
-        number: dict[int, int] = {}
-        self.owner = np.fromiter((number.setdefault(id(r.indices), len(number)) for r in records),
-                                 np.int64, len(records))
-        _, first = np.unique(self.owner, return_index=True)
-        _, from_end = np.unique(self.owner[::-1], return_index=True)
-        self.first = np.append(first, len(records))  # then the end
-        self.last = len(records) - 1 - from_end
-        self.length = np.array([records[r].indices.size for r in first.tolist()], dtype=np.int64)
-        self.meta = meta
+        ids = np.fromiter(map(id, map(attrgetter("indices"), records)), np.uintp, len(records))
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        _, from_end = np.unique(ids[::-1], return_index=True)
+        # the arrays in first-play order (first's values are distinct, so any
+        # sort gives it; np.unique above already ran the stable one)
+        order = first.argsort(kind="stable")
+        number = np.empty_like(order)
+        number[order] = np.arange(order.size)
+        self.owner = number[inverse]
+        self.first = np.append(first[order], len(records))  # then the end
+        self.last = len(records) - 1 - from_end[order]
+        self.length = np.array([records[r].indices.size for r in self.first[:-1].tolist()], dtype=np.int64)
         self.size_bytes = metrics.update_bytes(self.length, PARAM_BITS, meta)[self.owner]
         ingress = layout.region("ingress")
-        self.ingress_offset = _ring(records, self.size_bytes, ingress.size_bytes, 0)
+        self.ingress_offset = _ring(records, self.size_bytes, ingress.size_bytes)
         shift = layout.mapping.row_size_bytes.bit_length() - 1
         start = ingress.virtual_start + self.ingress_offset
         self.ingress_pieces = ((start + self.size_bytes - 1) >> shift) - (start >> shift) + 1
-        self.templates = PieceTemplates()
+        self.paddr = np.zeros(0, dtype=np.int64)  # the first n_events are kept and dropped templates' events
+        self.size = np.zeros(0, dtype=np.int64)
+        self.n_events = 0
+        self.start, self.message, self.events = (np.zeros(self.length.size, dtype=np.int64) for _ in range(3))
         self.built = 0
-        self.slot = np.full(self.length.size, -1, dtype=np.int64)
-        self.arrays = np.zeros(0, dtype=np.int64)  # per template: its array
+        self.kept = np.zeros(0, dtype=np.int64)
 
     def build(self, layout: MemoryLayout, records: Sequence[RoundRecord], at: int) -> None:
         """Templates of every unbuilt array in the window of rounds from
         records[at] on, the first round of the first unbuilt array, with at
-        most BATCH_INDICES indices between them (at least one round)."""
+        most BATCH_INDICES indices between them (at least one round).
+
+        Only each entry run's three byte ranges are cut at rows and
+        translated."""
         indices = self.length[self.owner[at:at + BATCH_INDICES]].cumsum()  # a round holds at least one index
-        end = at + max(1, int(indices.searchsorted(BATCH_INDICES, "right")))
-        new = np.arange(self.built, self.owner[at:end].max() + 1)
-        self.templates.add(layout, runs_script(layout, [records[r] for r in self.first[new].tolist()], self.meta))
-        self.slot[new] = np.arange(self.arrays.size, self.arrays.size + new.size)
-        self.arrays = np.concatenate((self.arrays, new))
+        stop = at + max(1, int(indices.searchsorted(BATCH_INDICES, "right")))
+        new = np.arange(self.built, self.owner[at:stop].max() + 1)
+        runs, layer, offset, count = _entry_runs(layout, [records[r] for r in self.first[new].tolist()])
+        start, end = ranges(layout, np.arange(1, 4)[:, None], layer, offset, count, by_column=True)
+        n_pieces, paddr, size = row_pieces(start, end, layout.mapping.row_size_bytes)
+        translate(layout, paddr)
+        first = np.zeros(n_pieces.size + 1, dtype=np.int64)
+        n_pieces.cumsum(out=first[1:])
+        start, length, round_seg, writeback_seg = _segments(runs, first)
+        src, bounds = _gather_index(start, length)
+        base = self._reserve(src.size)
+        np.take(paddr, src, out=self.paddr[base:base + src.size], mode="clip")  # clip: unbuffered
+        np.take(size, src, out=self.size[base:base + src.size], mode="clip")
+        self.n_events += src.size
+        first = bounds[round_seg]  # each template's first event, then the end
+        self.start[new] = base + first[:-1]
+        self.message[new] = bounds[writeback_seg] - first[:-1]
+        self.events[new] = first[1:] - first[:-1]
+        self.kept = np.concatenate((self.kept, new))
         self.built = int(new[-1]) + 1
 
     def drop_before(self, first: int) -> None:
-        """Drop the templates that no round from records[first] on plays."""
-        kept = (self.last[self.arrays] >= first).nonzero()[0]
-        if kept.size < self.arrays.size:
-            self.templates.keep(kept)
-            self.slot[self.arrays] = -1
-            self.arrays = self.arrays[kept]
-            self.slot[self.arrays] = np.arange(kept.size)
+        """Drop the templates that no round from records[first] on plays.
+
+        The kept templates' events stay where they are until the dropped
+        events reach them in number; then one gather moves them to the front
+        of the columns.  So the columns hold at most twice the kept events
+        (and what was added since).
+        """
+        kept = self.kept[self.last[self.kept] >= first]
+        if kept.size < self.kept.size:
+            self.kept = kept
+            live = int(self.events[kept].sum())
+            if self.n_events - live >= live:
+                src, bounds = _gather_index(self.start[kept], self.events[kept])
+                self.paddr[:src.size] = self.paddr.take(src)
+                self.size[:src.size] = self.size.take(src)
+                self.start[kept], self.n_events = bounds[:-1], src.size
+
+    def _reserve(self, n: int) -> int:
+        """Room for n events right after the templates' ones, growing the
+        columns as needed; returns where it starts.  Events written there
+        stay templates' events only if n_events then grows over them."""
+        used = self.n_events
+        if used + n > self.paddr.size:
+            capacity = max(2 * self.paddr.size, used + n)
+            for name in ("paddr", "size"):
+                grown = np.empty(capacity, dtype=np.int64)
+                grown[:used] = getattr(self, name)[:used]
+                setattr(self, name, grown)
+        return used
 
 
 def round_script(
@@ -188,10 +276,9 @@ def round_script(
     records: Sequence[RoundRecord],
     cache: ReplayCache,
     first: int,
-) -> AccessScript:
-    """Access script of the next block of a replay: the rounds from
-    records[first] on, as many as fit in BLOCK_EVENTS events (at least one),
-    one message each, at the ingress ring offsets of cache.
+) -> slice:
+    """The next block of a replay: the rounds from records[first] on, as
+    many as fit in BLOCK_EVENTS events (at least one).
 
     Every round plays the template of its index array.  The cache first
     drops the templates whose array's last round has passed.  The block
@@ -202,25 +289,70 @@ def round_script(
     cache.drop_before(first)
     end, n = first, 0  # the block so far: its rounds end before end, with n events
     while end < cache.owner.size:
-        if cache.slot[cache.owner[end]] < 0:
+        if cache.owner[end] >= cache.built:
             cache.build(layout, records, end)
         stop = min(int(cache.first[cache.built]), end + BLOCK_EVENTS)  # a round has at least one event
-        events = cache.templates.events[cache.slot[cache.owner[end:stop]]] + cache.ingress_pieces[end:stop]
+        events = cache.events[cache.owner[end:stop]] + cache.ingress_pieces[end:stop]
         total = events.cumsum() + n
         fit = max(int(total.searchsorted(BLOCK_EVENTS, "right")), int(end == first))
         end += fit
         if end < stop:
             break
         n = int(total[-1])
+    return slice(first, end)
 
-    block = slice(first, end)
-    empty = np.zeros(0, dtype=np.int64)
-    return AccessScript(
-        size_bytes=cache.size_bytes[block],
-        ingress_offset=cache.ingress_offset[block],
-        runs=np.zeros(end - first, dtype=np.int64), layer=empty, offset=empty, count=empty,
-        template=cache.slot[cache.owner[block]],
-    )
+
+@dataclass
+class AccessTrace:
+    events: EventColumns
+    end_ns: int  # end of the last round
+
+
+def trace_update_processing(
+    layout: MemoryLayout,
+    cache: ReplayCache,
+    block: slice,
+    bw: BandwidthModel,
+    start_time_ns: int,
+) -> AccessTrace:
+    """Physical access trace of a block of consecutive rounds of a replay.
+
+    Rounds play back to back from start_time_ns.  A round's message
+    occupies size_bytes / bandwidth, its events at int(i * step + start);
+    its writeback events land on the round's integer end.  Each event is
+    one burst inside one DRAM row (the row size divides the huge page).
+    A round is its ingress pieces, then its array's template.
+    """
+    size_bytes, played = cache.size_bytes[block], cache.owner[block]
+    n_ingress, ingress_addr, ingress_size = row_pieces(*ranges(
+        layout, 0, -1, cache.ingress_offset[block], size_bytes), layout.mapping.row_size_bytes)
+    translate(layout, ingress_addr)
+
+    # stage the ingress pieces after the templates' events, and build the
+    # block with one gather: per round, its ingress pieces, then its template
+    at, n = cache._reserve(ingress_addr.size), ingress_addr.size
+    cache.paddr[at:at + n], cache.size[at:at + n] = ingress_addr, ingress_size
+    start = np.empty(2 * played.size, dtype=np.int64)
+    length = np.empty_like(start)
+    start[0::2], length[0::2] = at + n_ingress.cumsum() - n_ingress, n_ingress
+    start[1::2], length[1::2] = cache.start[played], cache.events[played]
+    src, bounds = _gather_index(start, length)
+    paddr, size = cache.paddr[src], cache.size[src]
+
+    # times, per segment: a round's message, then its writeback (step 0)
+    time_bounds = bounds.copy()
+    time_bounds[1::2] += cache.message[played]
+    seg_events = time_bounds[1:] - time_bounds[:-1]
+    budget_ns = size_bytes * 1e9 / bw.bytes_per_second
+    seg_t0, t = [], start_time_ns
+    for budget in budget_ns.tolist():  # the only per-round recurrence
+        seg_t0 += [t, int(t + budget)]
+        t = seg_t0[-1]
+    seg_step = np.zeros(seg_events.size)
+    seg_step[::2] = budget_ns / seg_events[::2]
+    time_ns = (np.arange(time_bounds[-1]) - time_bounds[:-1].repeat(seg_events)) * seg_step.repeat(seg_events)
+    time_ns += np.array(seg_t0, dtype=np.float64).repeat(seg_events)
+    return AccessTrace(EventColumns(time_ns.astype(np.int64), paddr, size), t)
 
 
 def _event_blocks(
@@ -241,11 +373,10 @@ def _event_blocks(
     cache = ReplayCache(layout, records, metadata_bytes_per_entry)
     t = played = 0
     while played < len(records):
-        script = round_script(layout, records, cache, played)
-        played += script.size_bytes.size
-        trace = trace_update_processing(layout, script, bw, t, cache.templates)
-        blocks.append((time.perf_counter() - started, int(script.size_bytes.sum())))
-        t = trace.end_ns
+        block = round_script(layout, records, cache, played)
+        trace = trace_update_processing(layout, cache, block, bw, t)
+        blocks.append((time.perf_counter() - started, int(cache.size_bytes[block].sum())))
+        played, t = block.stop, trace.end_ns
         yield trace.events
         del trace  # free the block's columns before building the next block
         started = time.perf_counter()

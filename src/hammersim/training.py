@@ -229,7 +229,7 @@ def train(
 
     env = AttackEnv(exp, seed)
     window_len = g("adversary", "window_len")
-    if window_len <= 0:
+    if window_len == 0:
         # default target: the densest 2% stretch of the parameter space
         window_len = -(-env.total_params // 50)
 

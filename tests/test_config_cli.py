@@ -222,6 +222,7 @@ REJECTED_AT_LOAD = {
     "hidden2 zero": ("train", "[adversary]\nhidden2 = 0\n", "hidden2"),
     "latent_dim zero": ("train", "[adversary]\nlatent_dim = 0\n", "latent_dim"),
     "window_len past the model": ("train", "[adversary]\nwindow_len = 100000\n", "window_len"),
+    "window_len negative": ("train", "[adversary]\nwindow_len = -7\n", "window_len must be non-negative"),
     "latent_dim past in_dim": ("train", "[federation]\nin_dim = 24\n[adversary]\nlatent_dim = 30\n",
                                "latent_dim"),
     "stft_frame past in_dim": ("train", "[federation]\nin_dim = 24\n[adversary]\nstft_frame = 32\n",
@@ -626,6 +627,34 @@ def test_simulate_rejects_a_bad_records_file(tmp_path, capsys, case):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and str(records) in err and message in err, err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_round_larger_than_the_ingress_queue(tmp_path, capsys):
+    # the config's own updates fit the queue (5 clients x 3 entries, 60
+    # bytes), but the records file was written by a run with denser rounds
+    records = tmp_path / "records.txt"
+    records.write_text("# total_params=283\n0 1 2 3\n5 " + " ".join(map(str, range(200))) + "\n")
+    cfg = _write_cfg(tmp_path, f"""\
+        [run]
+        records_file = {records}
+
+        [federation]
+        in_dim = 24
+        hidden_dim = 10
+
+        [adversary]
+        stft_frame = 16
+        stft_hop = 8
+
+        [memory]
+        ingress_bytes = 64
+        """)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(records) in err, err
+    assert "round 5 sends an update of 800 bytes, larger than [memory] ingress_bytes = 64" in err, err
     assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from hammersim.federation import (
 )
 from hammersim.memlayout import DramMapping, build_layout
 from hammersim.metrics import topk_count
-from hammersim.replay import runs_script
+from hammersim.replay import _entry_runs
 from hammersim.seeding import generator
 
 from oracles import (
@@ -202,8 +202,9 @@ def test_local_train_rejects_bad_batches():
 def record_runs(spec, indices):
     """(layer, offset within layer, count) of the runs replay makes of one record."""
     mapping = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192)
-    script = runs_script(build_layout(spec, None, mapping, seed=1), [RoundRecord(0, np.array(indices))])
-    return list(zip(script.layer.tolist(), script.offset.tolist(), script.count.tolist()))
+    layout = build_layout(spec, None, mapping, seed=1)
+    _, layer, offset, count = _entry_runs(layout, [RoundRecord(0, np.array(indices))])
+    return list(zip(layer.tolist(), offset.tolist(), count.tolist()))
 
 
 def test_runs_grouping():

@@ -1,24 +1,22 @@
-"""Unit tests for address mapping, region placement and trace building."""
+"""Unit tests for address mapping, region placement, address pieces and trace building."""
 import numpy as np
 import pytest
 
+from hammersim import memlayout, replay
 from hammersim.federation import RoundRecord, make_mlp_spec
 from hammersim.memlayout import (
     PAGE_BYTES,
-    AccessScript,
     DramMapping,
     MemoryLayout,
-    PieceTemplates,
     build_layout,
     dram_to_physical,
     physical_to_dram,
-    trace_update_processing,
 )
 from hammersim.metrics import BandwidthModel
-from hammersim.replay import runs_script
+from hammersim.replay import ReplayCache, round_script, trace_update_processing
 from hammersim.seeding import generator
 
-from oracles import byte_range_of_elems, event_tuples, virtual_to_physical
+from oracles import byte_range_of_elems, event_tuples, reference_replay_events, virtual_to_physical
 
 
 TOY = DramMapping(bank_count=4, rows_per_bank=64, row_size_bytes=1024, bank_xor=True)
@@ -120,25 +118,32 @@ def test_virtual_to_physical_uses_page_table():
         virtual_to_physical(layout, 10**12)
 
 
-# -- per-run scripts --------------------------------------------------------
+# -- round traces -------------------------------------------------------------
 
-def one_round_script(runs=(), size_bytes=64, ingress_offset=0):
-    """AccessScript of one round: a size_bytes message, then (layer, offset, count) runs."""
-    col = lambda i: np.array([run[i] for run in runs], dtype=np.int64)
-    return AccessScript(
-        size_bytes=np.array([size_bytes]),
-        ingress_offset=np.array([ingress_offset]),
-        runs=np.array([len(runs)]),
-        layer=col(0),
-        offset=col(1),
-        count=col(2),
-    )
+def one_block_trace(layout, records, meta=0, start_time_ns=0):
+    """The replay trace of records, played as one block."""
+    cache = ReplayCache(layout, records, meta)
+    block = round_script(layout, records, cache, 0)
+    assert block == slice(0, len(records))
+    return trace_update_processing(layout, cache, block, BandwidthModel(), start_time_ns)
 
 
-def trace_pieces(layout, script):
-    """(paddr, size) of every event of the script's trace, in trace order."""
-    trace = trace_update_processing(layout, script, BandwidthModel())
-    return [(paddr, size) for _, paddr, size in event_tuples(trace.events)]
+def trace_pieces(layout, records, meta=0):
+    """(paddr, size) of every event of the records' trace, in trace order."""
+    return [(paddr, size) for _, paddr, size in event_tuples(one_block_trace(layout, records, meta).events)]
+
+
+def record(*indices):
+    return RoundRecord(0, np.array(indices, dtype=np.int64))
+
+
+def address_pieces(layout, region, layer, offset, count):
+    """(paddr, size) pieces of count elements from offset of region code
+    region (see SCRIPT_REGIONS) of layer, cut at rows and translated."""
+    start, end = memlayout.ranges(layout, region, layer, np.array([offset]), np.array([count]))
+    _, paddr, size = memlayout.row_pieces(start, end, layout.mapping.row_size_bytes)
+    memlayout.translate(layout, paddr)
+    return list(zip(paddr.tolist(), size.tolist()))
 
 
 def range_start(layout, name, layer, offset):
@@ -153,12 +158,15 @@ def test_pieces_never_cross_row_borders():
     spec = make_mlp_spec(64, 32, 4)
     mapping = DramMapping(bank_count=4, rows_per_bank=16384, row_size_bytes=256)
     layout = build_layout(spec, None, mapping, seed=3)
-    # a long run spans several 256-byte rows of each of its three buffers
-    pieces = trace_pieces(layout, one_round_script([(0, 0, 300)], size_bytes=1000))
+    # a long run spans several 256-byte rows of the ingress queue and of each
+    # of its three buffers
+    pieces = trace_pieces(layout, [record(*range(300))])
     assert len(pieces) > 6
-    assert sum(n for _, n in pieces) == 1000 + 5 * 1200
+    assert sum(n for _, n in pieces) == 6 * 1200
     for paddr, size in pieces:
         assert paddr // 256 == (paddr + size - 1) // 256
+    ingress = address_pieces(layout, 0, -1, 0, 1200)
+    assert len(ingress) == 5 and pieces[:5] == ingress
 
 
 def test_pieces_cover_exact_byte_range():
@@ -167,27 +175,34 @@ def test_pieces_cover_exact_byte_range():
     region = layout.region("accumulator", 0)
     start, end = byte_range_of_elems(region, 5, 7)
     assert (start, end) == (region.virtual_start + 20, region.virtual_start + 48)
+    assert address_pieces(layout, 1, 0, 5, 7) == [(virtual_to_physical(layout, start), 28)]
     # each range sits in one row: ingress write, accumulator read and write,
-    # then accumulator read, writeback write and values write
+    # then accumulator read, writeback write and values write; a 100-byte
+    # update before it puts the message at ring offset 100
     acc, wb, values = (range_start(layout, name, 0, 5) for name in ("accumulator", "writeback", "values"))
     ingress = virtual_to_physical(layout, layout.region("ingress").virtual_start + 100)
-    assert trace_pieces(layout, one_round_script([(0, 5, 7)], ingress_offset=100)) == [
-        (ingress, 64), (acc, 28), (acc, 28), (acc, 28), (wb, 28), (values, 28)]
+    records = [record(*range(100, 125)), RoundRecord(1, np.arange(5, 12))]
+    assert trace_pieces(layout, records)[-6:] == [
+        (ingress, 28), (acc, 28), (acc, 28), (acc, 28), (wb, 28), (values, 28)]
 
 
 def test_op_outside_region_rejected():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     n = layout.region("accumulator", 0).size_bytes // 4
-    trace_pieces(layout, one_round_script([(1, 0, 1), (0, n - 1, 1)]))
+
+    def accumulator_ranges(layer, offset, count):  # region code 1: the accumulator
+        return memlayout.ranges(layout, 1, np.array([1, layer]), np.array([0, offset]), np.array([1, count]))
+
+    accumulator_ranges(0, n - 1, 1)
     for run in ((0, n - 1, 2), (0, -1, 1), (0, 0, 0)):
         with pytest.raises(ValueError, match="accumulator/0"):
-            trace_pieces(layout, one_round_script([(1, 0, 1), run]))
+            accumulator_ranges(*run)
     ingress = layout.region("ingress").size_bytes
-    trace_pieces(layout, one_round_script([(0, 0, 1)], size_bytes=64, ingress_offset=ingress - 64))
+    address_pieces(layout, 0, -1, ingress - 64, 64)
     for size, at in ((64, ingress - 63), (64, -1), (0, 0)):  # past the queue, before it, empty message
         with pytest.raises(ValueError, match="ingress/-1"):
-            trace_pieces(layout, one_round_script([(0, 0, 1)], size_bytes=size, ingress_offset=at))
+            address_pieces(layout, 0, -1, at, size)
 
 
 def test_unmapped_page_rejected():
@@ -195,35 +210,33 @@ def test_unmapped_page_rejected():
     full = build_layout(spec, None, LAYOUT_MAP, seed=4, ingress_bytes=PAGE_BYTES)
     # the ingress queue runs from page 0 into page 1, which is left unmapped
     layout = MemoryLayout(full.spec, full.mapping, full.regions, {0: full.page_table[0]}, full.seed)
-    trace_pieces(layout, one_round_script([(0, 0, 1)]))
+    trace_pieces(layout, [record(0)])
+    address_pieces(layout, 0, -1, 0, 64)
     with pytest.raises(ValueError, match="not mapped"):
-        trace_pieces(layout, one_round_script([(0, 0, 1)], ingress_offset=PAGE_BYTES - 64))
+        address_pieces(layout, 0, -1, PAGE_BYTES - 64, 64)
 
 
 def test_empty_page_table_rejected():
     full = build_layout(make_mlp_spec(20, 8, 3), None, LAYOUT_MAP, seed=4)
     layout = MemoryLayout(full.spec, full.mapping, full.regions, {}, full.seed)
     with pytest.raises(ValueError, match="vaddr 0x[0-9a-f]+ not mapped"):
-        trace_pieces(layout, one_round_script([(0, 0, 1)]))
+        trace_pieces(layout, [record(0)])
 
 
 # -- trace building ---------------------------------------------------------
-
-def one_run_script():
-    return one_round_script([(0, 0, 16)], size_bytes=64)
-
 
 def test_round_script_shape():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
     records = [RoundRecord(0, np.array([0, 1])), RoundRecord(1, np.array([3, 159, 160, 170]))]
-    script = runs_script(layout, records, metadata_bytes_per_entry=4)
+    cache = ReplayCache(layout, records, 4)
     # k entries * 32 bits / 8 + k * 4 metadata bytes
-    assert script.size_bytes.tolist() == [16, 32]
-    assert script.ingress_offset.tolist() == [0, 16]
+    assert cache.size_bytes.tolist() == [16, 32]
+    assert cache.ingress_offset.tolist() == [0, 16]
     # runs split at index gaps and at the layer borders 160 and 168
-    assert script.runs.tolist() == [1, 4]
-    assert list(zip(script.layer.tolist(), script.offset.tolist(), script.count.tolist())) == [
+    runs, layer, offset, count = replay._entry_runs(layout, records)
+    assert runs.tolist() == [1, 4]
+    assert list(zip(layer.tolist(), offset.tolist(), count.tolist())) == [
         (0, 0, 2), (0, 3, 1), (0, 159, 1), (1, 0, 1), (2, 2, 1)]
 
 
@@ -231,7 +244,7 @@ def test_trace_times_monotone_and_budgeted():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=5)
     bw = BandwidthModel()
-    trace = trace_update_processing(layout, one_run_script(), bw, start_time_ns=1000)
+    trace = one_block_trace(layout, [record(*range(16))], start_time_ns=1000)
     times = trace.events.time_ns.tolist()
     assert times == sorted(times)
     assert times[0] == 1000
@@ -242,42 +255,21 @@ def test_trace_times_monotone_and_budgeted():
 def test_trace_addresses_follow_page_table():
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=6)
-    trace = trace_update_processing(layout, one_run_script(), BandwidthModel())
+    trace = one_block_trace(layout, [record(*range(16))])
     region = layout.region("ingress")
     expected = virtual_to_physical(layout, region.virtual_start)
     assert trace.events.paddr[0] == expected
 
 
 def test_script_of_runs_plays_as_its_templates():
-    # rounds that play templates in any order give the events of their
-    # records' runs, round after round
+    # rounds that play their arrays' templates in any order give the events
+    # of their records' runs, round after round; each array is built once
     spec = make_mlp_spec(20, 8, 3)
     layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
-    records = [RoundRecord(r, np.array(s)) for r, s in enumerate(([0, 1, 2, 40], [3, 159, 160, 170], [191]))]
-    templates = PieceTemplates()
-    script = runs_script(layout, records, metadata_bytes_per_entry=4)
-    templates.add(layout, script)
-    order = [2, 0, 2, 1]
-    sizes = script.size_bytes[order]
-    offsets = np.concatenate(([0], sizes.cumsum()[:-1]))
-    empty = np.zeros(0, dtype=np.int64)
-    played = AccessScript(sizes, offsets, np.zeros(4, dtype=np.int64), empty, empty, empty, template=np.array(order))
-    expected, t = [], 100
-    for r, offset in zip(order, offsets.tolist()):
-        trace = trace_update_processing(layout, runs_script(layout, [records[r]], 4, offset), BandwidthModel(), t)
-        expected += event_tuples(trace.events)
-        t = trace.end_ns
-    trace = trace_update_processing(layout, played, BandwidthModel(), 100, templates)
-    assert event_tuples(trace.events) == expected and trace.end_ns == t
-
-
-def test_rounds_without_runs():
-    # a round may have no entry runs: it is its ingress write alone
-    spec = make_mlp_spec(20, 8, 3)
-    layout = build_layout(spec, None, LAYOUT_MAP, seed=4)
-    script = AccessScript(size_bytes=np.array([64, 64, 64]), ingress_offset=np.array([0, 64, 128]),
-                          runs=np.array([0, 0, 1]), layer=np.array([0]), offset=np.array([5]), count=np.array([1]))
-    ingress = virtual_to_physical(layout, layout.region("ingress").virtual_start)
-    acc, wb, values = (range_start(layout, name, 0, 5) for name in ("accumulator", "writeback", "values"))
-    assert trace_pieces(layout, script) == [(ingress, 64), (ingress + 64, 64), (ingress + 128, 64),
-                                            (acc, 4), (acc, 4), (acc, 4), (wb, 4), (values, 4)]
+    arrays = [np.array(s) for s in ([0, 1, 2, 40], [3, 159, 160, 170], [191])]
+    records = [RoundRecord(r, arrays[a]) for r, a in enumerate([2, 0, 2, 1])]
+    cache = ReplayCache(layout, records, 4)
+    block = round_script(layout, records, cache, 0)
+    assert cache.owner.tolist() == [0, 1, 0, 2] and cache.built == 3
+    trace = trace_update_processing(layout, cache, block, BandwidthModel(), 0)
+    assert event_tuples(trace.events) == reference_replay_events(layout, records, BandwidthModel(), 4)

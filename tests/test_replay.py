@@ -9,9 +9,9 @@ from oracles import iter_replay_events
 from hammersim import dram, replay
 from hammersim.dram import DramConfig, ThresholdEntry, ThresholdTable, TrrConfig
 from hammersim.federation import LayerSpec, ModelSpec, RoundRecord, make_mlp_spec
-from hammersim.memlayout import PAGE_BYTES, DramMapping, EventColumns, PieceTemplates, build_layout
+from hammersim.memlayout import PAGE_BYTES, DramMapping, EventColumns, build_layout
 from hammersim.metrics import BandwidthModel
-from hammersim.replay import BLOCK_EVENTS, runs_script
+from hammersim.replay import BLOCK_EVENTS, ReplayCache
 
 BW = BandwidthModel()
 LAYOUT_MAP = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192, bank_xor=True)
@@ -103,10 +103,10 @@ def test_events_match_reference(monkeypatch, case):
 
 def test_ingress_ring_wraps():
     layout, records, meta = ingress_wrap_case()
-    script = runs_script(layout, records, meta)
-    ring = script.ingress_offset.tolist()
+    cache = ReplayCache(layout, records, meta)
+    ring = cache.ingress_offset.tolist()
     assert ring[0] == 0 and 0 in ring[1:]
-    assert (script.ingress_offset + script.size_bytes).max() <= layout.region("ingress").size_bytes
+    assert (cache.ingress_offset + cache.size_bytes).max() <= layout.region("ingress").size_bytes
 
 
 def test_ingress_ring_fills_exactly_before_wrapping():
@@ -114,9 +114,9 @@ def test_ingress_ring_fills_exactly_before_wrapping():
     layout = build_layout(spec, None, DramMapping(), seed=7, ingress_bytes=4096)
     # 256 entries of 4 value bytes and 4 metadata bytes: two updates fill the ring
     records = [RoundRecord(r, np.arange(256) + 300 * r) for r in range(5)]
-    script = runs_script(layout, records, 4, ingress_offset=2048)
-    assert script.size_bytes.tolist() == [2048] * 5
-    assert script.ingress_offset.tolist() == [2048, 0, 2048, 0, 2048]
+    cache = ReplayCache(layout, records, 4)
+    assert cache.size_bytes.tolist() == [2048] * 5
+    assert cache.ingress_offset.tolist() == [0, 2048, 0, 2048, 0]
 
 
 def counting_blocks(monkeypatch):
@@ -124,9 +124,9 @@ def counting_blocks(monkeypatch):
     blocks = []
     real = replay.trace_update_processing
 
-    def counting(layout, script, *args):
-        trace = real(layout, script, *args)
-        blocks.append((len(trace.events), script.size_bytes.size))
+    def counting(layout, cache, block, *args):
+        trace = real(layout, cache, block, *args)
+        blocks.append((len(trace.events), block.stop - block.start))
         return trace
 
     monkeypatch.setattr(replay, "trace_update_processing", counting)
@@ -158,8 +158,12 @@ def small_layout():
 def test_indices_at_both_ends_of_the_model_accepted():
     layout = small_layout()
     last = layout.spec.total_params - 1
-    script = runs_script(layout, [RoundRecord(0, np.array([0])), RoundRecord(1, np.array([last]))])
-    assert script.size_bytes.size == 2
+    records = [RoundRecord(0, np.array([0])), RoundRecord(1, np.array([last]))]
+    runs, layer, offset, count = replay._entry_runs(layout, records)
+    assert runs.tolist() == [1, 1] and count.tolist() == [1, 1]
+    assert layer.tolist() == [0, len(layout.spec.layers) - 1]
+    assert offset.tolist() == [0, last - layout.spec.layer_offsets[-2]]
+    assert len(list(iter_replay_events(layout, records, BW))) == 2 * 6
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [-5], [190, 195], [196]])
@@ -167,7 +171,7 @@ def test_indices_outside_the_model_rejected(bad):
     layout = small_layout()  # 195 parameters
     records = [RoundRecord(6, np.array([1])), RoundRecord(7, np.array(bad))]
     with pytest.raises(ValueError, match=r"round 7: index -?\d+ outside the model \[0, 195\)"):
-        runs_script(layout, records)
+        replay._entry_runs(layout, records)
     with pytest.raises(ValueError, match="round 7"):
         list(iter_replay_events(layout, records, BW))
 
@@ -176,7 +180,7 @@ def test_empty_record_rejected():
     layout = small_layout()
     records = [RoundRecord(2, np.array([1])), RoundRecord(3, np.array([], dtype=np.int64))]
     with pytest.raises(ValueError, match="round 3: empty record"):
-        runs_script(layout, records)
+        replay._entry_runs(layout, records)
     with pytest.raises(ValueError, match="round 3: empty record"):
         list(iter_replay_events(layout, records, BW))
 
@@ -310,18 +314,18 @@ def record_builds(monkeypatch):
     """Round numbers of the records each template build makes, and the cache
     of every replay, in order."""
     builds, caches = [], []
-    real_runs, real_round = replay.runs_script, replay.round_script
+    real_runs, real_round = replay._entry_runs, replay.round_script
 
-    def counting_runs(layout, records, *args):
+    def counting_runs(layout, records):
         builds.append([r.round_number for r in records])
-        return real_runs(layout, records, *args)
+        return real_runs(layout, records)
 
     def counting_round(layout, records, cache, first):
         if not any(c is cache for c in caches):
             caches.append(cache)
         return real_round(layout, records, cache, first)
 
-    monkeypatch.setattr(replay, "runs_script", counting_runs)
+    monkeypatch.setattr(replay, "_entry_runs", counting_runs)
     monkeypatch.setattr(replay, "round_script", counting_round)
     return builds, caches
 
@@ -329,21 +333,39 @@ def record_builds(monkeypatch):
 def store_per_block(monkeypatch):
     """Per block, as it is built: its first round, its template events, the
     store's events, the events of the templates the store keeps and their
-    arrays' last rounds."""
+    arrays' last rounds.
+
+    After every block the store keeps, in ascending order, exactly the
+    built arrays that a round from the block's first on plays, and their
+    templates are disjoint ranges of the columns' first n_events."""
     blocks = []
     real = replay.round_script
 
     def recording(layout, records, cache, first):
-        script = real(layout, records, cache, first)
-        templates = cache.templates
-        assert (cache.slot[cache.arrays] == np.arange(templates.start.size)).all()
-        blocks.append(dict(first=first, events=int(templates.events[script.template].sum()),
-                           store=templates.n_events, live=int(templates.events.sum()),
-                           last=cache.last[cache.arrays].tolist()))
-        return script
+        block = real(layout, records, cache, first)
+        kept = cache.kept
+        assert (kept[1:] > kept[:-1]).all()
+        assert kept.tolist() == (cache.last[:cache.built] >= first).nonzero()[0].tolist()
+        order = cache.start[kept].argsort()
+        start, end = cache.start[kept][order], (cache.start + cache.events)[kept][order]
+        assert (start >= 0).all() and (end[:-1] <= start[1:]).all() and (end <= cache.n_events).all()
+        blocks.append(dict(first=first, events=int(cache.events[cache.owner[block]].sum()),
+                           store=cache.n_events, live=int(cache.events[kept].sum()),
+                           last=cache.last[kept].tolist()))
+        return block
 
     monkeypatch.setattr(replay, "round_script", recording)
     return blocks
+
+
+def built_cache(monkeypatch, layout, records, meta=4):
+    """A ReplayCache of records with every array's template built, in one window."""
+    with monkeypatch.context() as m:
+        m.setattr(replay, "BATCH_INDICES", sum(r.indices.size for r in records))
+        cache = ReplayCache(layout, records, meta)
+        cache.build(layout, records, 0)
+    assert cache.built == cache.length.size
+    return cache
 
 
 def assert_replay_matches_reference(layout, records, meta=4):
@@ -422,11 +444,13 @@ def test_each_record_built_once_per_replay(monkeypatch):
     records = learned_like(8, 150, layout.spec.total_params)
     shared = records[3].indices
     records += [RoundRecord(150 + r, shared) for r in range(4)]  # one array played 5 times
-    largest = max(len(replay.trace_update_processing(layout, runs_script(layout, [r], 4), BW).events) for r in records)
+    cache = built_cache(monkeypatch, layout, records)
+    largest = int((cache.events[cache.owner] + cache.ingress_pieces).max())
     monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
     monkeypatch.setattr(replay, "BATCH_INDICES", 5000)
     builds, _ = record_builds(monkeypatch)
     shapes = counting_blocks(monkeypatch)
+    store_per_block(monkeypatch)
     assert_replay_matches_reference(layout, records)
     assert sorted(r for b in builds for r in b) == sorted([3] * 2 + [r for r in range(150) if r != 3] * 2)
     assert 4 < len(builds) < len(shapes)  # several windows, most played in several blocks
@@ -445,7 +469,7 @@ def test_consecutive_replays_build_their_own_templates(monkeypatch):
     second = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
     assert first == second
     assert n == sum(map(len, builds)) - n == len({id(r.indices) for r in records})
-    assert len(caches) == 2 and caches[0].templates is not caches[1].templates
+    assert len(caches) == 2 and caches[0].paddr is not caches[1].paddr
 
 
 def test_store_bounded_by_live_templates_not_records(monkeypatch):
@@ -454,8 +478,7 @@ def test_store_bounded_by_live_templates_not_records(monkeypatch):
     layout = template_layout()
     rng = np.random.default_rng(4)
     records = [RoundRecord(r, np.unique(rng.choice(layout.spec.total_params, 30))) for r in range(1200)]
-    alone = PieceTemplates()
-    alone.add(layout, runs_script(layout, records, 4))
+    alone = built_cache(monkeypatch, layout, records)
     monkeypatch.setattr(replay, "BLOCK_EVENTS", 2000)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 20 records
     # the most template events one window of records can build: the records
@@ -464,7 +487,7 @@ def test_store_bounded_by_live_templates_not_records(monkeypatch):
         n, end = records[i].indices.size, i + 1
         while end < len(records) and n + records[end].indices.size <= 600:
             n, end = n + records[end].indices.size, end + 1
-        return alone.events[i:end].sum()
+        return alone.events[alone.owner[i:end]].sum()
 
     window = max(window_events(i) for i in range(len(records)))
     builds, _ = record_builds(monkeypatch)
