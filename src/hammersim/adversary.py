@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import stft
-from .metrics import index_array
+from .metrics import index_array, sorted_unique
 from .seeding import generator
 
 __all__ = [
@@ -416,7 +416,7 @@ def ppo_loss_and_grads(
     mean, log_std, value, (obs_c, h1, h2) = _forward(weights, obs)
     var = np.exp(2.0 * log_std)
     diff = actions - mean
-    logp = -0.5 * np.sum(diff**2 / var + 2.0 * log_std + LOG_2PI, axis=-1)
+    logp = gaussian_log_prob(actions, mean, log_std)
     ratio = np.exp(logp - old_log_probs)
     surr1 = ratio * advantages
     clipped = np.clip(ratio, 1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio)
@@ -490,7 +490,7 @@ def ppo_update(
     # BLAS blocks that dimension.  Each minibatch's observations are
     # written straight from the trajectory's entries onto the live columns.
     held = state.adam_m["w1"].view(np.int64).any(axis=1) | state.adam_v["w1"].view(np.int64).any(axis=1)
-    live = np.union1d(state.moment_rows[held], trajectory.columns)
+    live = sorted_unique(np.concatenate((state.moment_rows[held], trajectory.columns)))
     columns = np.searchsorted(live, trajectory.columns)
     kept = np.searchsorted(live, state.moment_rows[held])
 

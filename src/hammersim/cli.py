@@ -14,12 +14,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import metrics, report
 from .config import ConfigError, ExperimentConfig, load_config
-from .federation import PARAM_BITS, read_round_records
-from .replay import replay_records
+from .federation import read_round_records
+from .replay import RecordError, replay_records
 from .report import GoldenMismatchError
 from .training import train
 
@@ -160,8 +158,6 @@ def cmd_simulate(args) -> int:
         records, header = read_round_records(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad records file {path!r}: {exc}") from exc
-    if not records:
-        raise ConfigError(f"records file {path!r} holds no rounds")
 
     seed = g("run", "seed")
     total_params = exp.model_spec().total_params
@@ -171,29 +167,17 @@ def cmd_simulate(args) -> int:
             f"records file {path!r} was written for a {recorded}-parameter model, "
             f"but the config's model has {total_params} parameters"
         )
-    for r in records:
-        if r.indices[-1] >= total_params:
-            raise ConfigError(
-                f"records file {path!r}: round {r.round_number} holds index {r.indices[-1]}, "
-                f"outside the config's {total_params}-parameter model"
-            )
-    meta, ingress = g("metrics", "metadata_bytes_per_entry"), g("memory", "ingress_bytes")
-    sizes = metrics.update_bytes(np.array([r.indices.size for r in records]), PARAM_BITS, meta)
-    too_large = sizes > ingress
-    if too_large.any():
-        r = int(too_large.argmax())
-        raise ConfigError(
-            f"records file {path!r}: round {records[r].round_number} sends an update of {sizes[r]} bytes, "
-            f"larger than [memory] ingress_bytes = {ingress}"
+    try:
+        summary = replay_records(
+            records, exp.layout(seed), exp.dram_config(), exp.bandwidth(), exp.threshold_table(),
+            trr=exp.trr_config(),
+            vmap=exp.vulnerability_map(seed),
+            contents=exp.row_contents(),
+            sim_seed=seed,
+            metadata_bytes_per_entry=g("metrics", "metadata_bytes_per_entry"),
         )
-    summary = replay_records(
-        records, exp.layout(seed), exp.dram_config(), exp.bandwidth(), exp.threshold_table(),
-        trr=exp.trr_config(),
-        vmap=exp.vulnerability_map(seed),
-        contents=exp.row_contents(),
-        sim_seed=seed,
-        metadata_bytes_per_entry=meta,
-    )
+    except RecordError as exc:
+        raise ConfigError(f"records file {path!r}: {exc}") from exc
     res = summary.result
     print(
         f"rounds={summary.rounds} events={res.total_events} acts={res.total_acts} "

@@ -505,33 +505,11 @@ class _ColumnEngine:
             acts = (w_rank * (nb * nr * (n + 1)) + row_key)[by_key]
         ent = sorted_unique(acts // (n + 1), presorted=True)
         first = np.searchsorted(acts, ent * (n + 1))  # where each entity starts in acts
-        self._check_rate(acts, ent, first, wins)
         # ticks[p]: refresh commands issued before ACT p (p = n: by the chunk's last event)
         ticks = _multiples(np.append(act_t, t[-1]), self.cfg.trefi_ns)
         self._refresh_and_flip(act_t, w, ticks, row_key, by_row, acts, ent, wins)
-        self._count_windows(ent, np.diff(first, append=n), wins)
+        self._count_windows(acts, ent, first, wins)
         self.ticks = int(ticks[-1])
-
-    def _check_rate(self, acts, ent, first, wins) -> None:
-        """Raise at the first ACT that takes its bank past act_cap in its window.
-
-        The chunk's entities are sorted, so their (rank, bank) keys are too:
-        each bank's ACTs per window are one run of acts.
-        """
-        cap, nb = self.cfg.act_cap, self.nb
-        key = ent // self.nr  # rank * nb + bank
-        groups = sorted_unique(key, presorted=True)
-        start = first[np.searchsorted(key, groups)]
-        end = np.append(start[1:], acts.size)
-        before = np.where(groups < nb, self.bank_acts[groups % nb], 0)
-        over = np.flatnonzero(before + end - start > cap)
-        if not over.size:
-            return
-        pos, i = min((np.sort(acts[start[i]:end[i]] % (acts.size + 1))[cap - before[i]], i) for i in over)
-        raise TraceRateError(
-            f"bank {groups[i] % nb} exceeds {cap} activations in window "
-            f"{wins[groups[i] // nb]}: the trace outruns the row-cycle budget"
-        )
 
     # -- refresh schedule and flips ----------------------------------------
     def _refresh_and_flip(self, act_t, w, ticks, row_key, by_row, acts, ent, wins) -> None:
@@ -721,19 +699,35 @@ class _ColumnEngine:
         return vic[f], p[f]
 
     # -- windows -------------------------------------------------------------
-    def _count_windows(self, ent: np.ndarray, count: np.ndarray, wins: np.ndarray) -> None:
-        """Add the chunk's ACTs per entity to the window counts, closing finished windows."""
-        N = self.nb * self.nr
+    def _count_windows(self, acts: np.ndarray, ent: np.ndarray, first: np.ndarray, wins: np.ndarray) -> None:
+        """Add the chunk's ACTs per entity to the window counts, closing finished windows.
+
+        Raises at the first ACT that takes its bank past act_cap in its
+        window.  The chunk's entities are sorted, so each bank's ACTs in a
+        window are one run of acts.
+        """
+        N, nr, cap = self.nb * self.nr, self.nr, self.cfg.act_cap
+        bounds = np.append(first, acts.size)  # each entity's first ACT in acts, then the end
         rank = ent // N
         ranks = sorted_unique(rank, presorted=True)
-        bounds = np.searchsorted(rank, ranks).tolist()
-        for r, a, b in zip(ranks.tolist(), bounds, bounds[1:] + [ent.size]):
+        ends = np.searchsorted(rank, ranks).tolist() + [ent.size]
+        for r, a, b in zip(ranks.tolist(), ends, ends[1:]):
             if r:
                 self._roll_to(int(wins[r]))
-            rows, c = ent[a:b] % N, count[a:b]
+            rows, c = ent[a:b] % N, bounds[a + 1:b + 1] - bounds[a:b]
             self.win_counts[rows] += c
             self.win_rows = sorted_unique(np.concatenate((self.win_rows, rows)))
-            self.bank_acts += np.bincount(rows // self.nr, weights=c, minlength=self.nb).astype(np.int64)
+            before = self.bank_acts
+            self.bank_acts = before + np.bincount(rows // nr, weights=c, minlength=self.nb).astype(np.int64)
+            over = np.flatnonzero(self.bank_acts > cap)
+            if over.size:  # each over bank's ACTs, and the one past the cap, in trace order
+                runs = bounds[a + np.searchsorted(rows // nr, np.stack((over, over + 1)))]
+                _, bank = min((np.sort(acts[i:j] % (acts.size + 1))[cap - before[k]], k)
+                              for k, i, j in zip(over.tolist(), *runs.tolist()))
+                raise TraceRateError(
+                    f"bank {bank} exceeds {cap} activations in window "
+                    f"{self.window}: the trace outruns the row-cycle budget"
+                )
 
     def _roll_to(self, index: int) -> None:
         """Close the held window and every empty window before index."""

@@ -315,7 +315,9 @@ def write_round_records(path, records: list[RoundRecord], header: dict[str, str]
 
 
 def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
-    """Records and header of a records file; round numbers must be unique and >= 0."""
+    """Records and header of a records file; round numbers must be unique and >= 0.
+
+    Indices come back sorted and deduplicated; replay checks them against the model."""
     records = []
     rounds: set[int] = set()
     header: dict[str, str] = {}
@@ -336,16 +338,11 @@ def read_round_records(path) -> tuple[list[RoundRecord], dict[str, str]]:
             # fromstring stops at a token it cannot read and saturates past int64
             if numbers.size != len(line.split()) or numbers.min() <= -limit or numbers.max() >= limit:
                 raise ValueError(f"{path}:{line_no}: bad record line")
-            if numbers.size < 2:
-                raise ValueError(f"{path}:{line_no}: record needs a round and at least one index")
             round_number = int(numbers[0])
             if round_number < 0:
                 raise ValueError(f"{path}:{line_no}: negative round {round_number}")
             if round_number in rounds:
                 raise ValueError(f"{path}:{line_no}: repeated round {round_number}")
             rounds.add(round_number)
-            indices = metrics.sorted_unique(numbers[1:])
-            if indices[0] < 0:
-                raise ValueError(f"{path}:{line_no}: negative index {indices[0]}")
-            records.append(RoundRecord(round_number, indices))
+            records.append(RoundRecord(round_number, metrics.sorted_unique(numbers[1:])))
     return records, header

@@ -49,7 +49,7 @@ from .memlayout import EventColumns, MemoryLayout, ranges, row_pieces, translate
 from .metrics import BandwidthModel
 
 __all__ = [
-    "BLOCK_EVENTS", "BATCH_INDICES", "AccessTrace", "ReplayCache", "ReplaySummary", "round_script",
+    "BLOCK_EVENTS", "BATCH_INDICES", "AccessTrace", "RecordError", "ReplayCache", "ReplaySummary", "round_script",
     "trace_update_processing", "replay_records",
 ]
 
@@ -63,13 +63,14 @@ BLOCK_EVENTS = 1 << 15
 BATCH_INDICES = 1 << 14
 
 
-def _ring(records: Sequence[RoundRecord], sizes: np.ndarray, capacity: int) -> np.ndarray:
-    """Where each message of sizes (records[i] sends message i) lands in the
+class RecordError(ValueError):
+    """A round that cannot be replayed; the message names the round."""
+
+
+def _ring(sizes: np.ndarray, capacity: int) -> np.ndarray:
+    """Where each message of sizes, none larger than capacity, lands in the
     ingress ring of capacity bytes: the first at 0, each next one right
     after it, and one that would overflow the ring at 0; one step per wrap."""
-    too_large = sizes > capacity
-    if too_large.any():
-        raise ValueError(f"round {records[too_large.argmax()].round_number}: update larger than the ingress queue")
     start = np.zeros(sizes.size + 1, dtype=np.int64)  # each message's start in the stream, then the end
     sizes.cumsum(out=start[1:])
     ring = np.empty_like(sizes)
@@ -85,14 +86,11 @@ def _entry_runs(layout: MemoryLayout, records: Sequence[RoundRecord]) -> tuple[n
     """Entry runs of the records' index arrays: per record its number of
     runs, and per run its layer, first entry within the layer and entries.
 
-    Each record's indices must be nonempty, sorted ascending without
-    repeats and inside the model; an error names the record's round.
+    Each record's indices must be sorted ascending without repeats (a
+    RecordError names the record's round); ReplayCache checked the rest.
     """
     spec = layout.spec
-    n_params = spec.total_params
     counts = np.array([record.indices.size for record in records], dtype=np.int64)
-    if not counts.all():
-        raise ValueError(f"round {records[counts.argmin()].round_number}: empty record")
     round_bounds = np.zeros(counts.size + 1, dtype=np.int64)  # where each record's indices start, then the end
     counts.cumsum(out=round_bounds[1:])
     idx = np.concatenate([r.indices for r in records])
@@ -100,13 +98,7 @@ def _entry_runs(layout: MemoryLayout, records: Sequence[RoundRecord]) -> tuple[n
     unsorted[round_bounds[1:-1] - 1] = False  # a record may start below the one before it ends
     if unsorted.any():
         r = round_bounds.searchsorted(unsorted.argmax(), "right") - 1
-        raise ValueError(f"round {records[r].round_number}: record indices must be sorted and unique")
-    low, high = idx[round_bounds[:-1]], idx[round_bounds[1:] - 1]
-    outside = (low < 0) | (high >= n_params)
-    if outside.any():
-        r = outside.argmax()
-        bad = low[r] if low[r] < 0 else high[r]
-        raise ValueError(f"round {records[r].round_number}: index {bad} outside the model [0, {n_params})")
+        raise RecordError(f"round {records[r].round_number}: record indices must be sorted and unique")
 
     # runs split at index gaps, record changes and layer borders: adding
     # the number of layer borders at or below each index turns a border
@@ -172,7 +164,10 @@ class ReplayCache:
     get numbers of their own), in the order the arrays first play, so the
     arrays built so far are 0 .. built - 1.  Per round it holds its array's
     number, message bytes, ingress ring offset and ingress piece count; per
-    array its first and last round.
+    array its first and last round.  It checks, before any event is built,
+    that there are rounds and that each array holds indices, all inside the
+    model, and its message fits the ingress queue (build checks that it is
+    sorted); a RecordError names the first round of the first bad array.
 
     Array a's template is its rounds' events after the ingress write, in
     trace order: an accumulator read and write per entry run (the message),
@@ -185,6 +180,8 @@ class ReplayCache:
     """
 
     def __init__(self, layout: MemoryLayout, records: Sequence[RoundRecord], meta: int):
+        if not records:
+            raise RecordError("no rounds to replay")
         ids = np.fromiter(map(id, map(attrgetter("indices"), records)), np.uintp, len(records))
         _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         _, from_end = np.unique(ids[::-1], return_index=True)
@@ -196,10 +193,22 @@ class ReplayCache:
         self.owner = number[inverse]
         self.first = np.append(first[order], len(records))  # then the end
         self.last = len(records) - 1 - from_end[order]
-        self.length = np.array([records[r].indices.size for r in self.first[:-1].tolist()], dtype=np.int64)
-        self.size_bytes = metrics.update_bytes(self.length, PARAM_BITS, meta)[self.owner]
-        ingress = layout.region("ingress")
-        self.ingress_offset = _ring(records, self.size_bytes, ingress.size_bytes)
+        arrays = [records[r].indices for r in self.first[:-1].tolist()]
+        self.length = np.fromiter(map(len, arrays), np.int64, len(arrays))
+        ingress, n_params = layout.region("ingress"), layout.spec.total_params
+        sizes = metrics.update_bytes(self.length, PARAM_BITS, meta)
+        held = self.length > 0
+        # each array's first index if negative, else its last (0 if it is empty)
+        index = np.array([(a[0] if a[0] < 0 else a[-1]) if a.size else 0 for a in arrays], dtype=np.int64)
+        bad = ~held | (index < 0) | (index >= n_params) | (sizes > ingress.size_bytes)
+        if bad.any():
+            a = int(bad.argmax())
+            fault = ("empty record" if not held[a] else
+                     f"index {index[a]} outside the model [0, {n_params})" if not 0 <= index[a] < n_params else
+                     f"an update of {sizes[a]} bytes does not fit the {ingress.size_bytes}-byte ingress queue")
+            raise RecordError(f"round {records[self.first[a]].round_number}: {fault}")
+        self.size_bytes = sizes[self.owner]
+        self.ingress_offset = _ring(self.size_bytes, ingress.size_bytes)
         shift = layout.mapping.row_size_bytes.bit_length() - 1
         start = ingress.virtual_start + self.ingress_offset
         self.ingress_pieces = ((start + self.size_bytes - 1) >> shift) - (start >> shift) + 1
@@ -420,8 +429,6 @@ def replay_records(
     trace this is exact.
     """
     started = time.perf_counter()
-    if not records:
-        raise ValueError("no rounds to replay")
     blocks: list[tuple[float, int]] = []
     result = simulate_trace(
         _event_blocks(layout, records, bw, metadata_bytes_per_entry, blocks), dram_cfg, layout.mapping,

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hammersim
+from hammersim import dram
 from hammersim.cli import main
 from hammersim.config import SCHEMA, ConfigError, load_config
 from hammersim.dram import VulnerabilityMap
@@ -597,13 +598,27 @@ def test_simulate_rejects_records_of_another_model(tmp_path, capsys):
 
 
 BAD_RECORDS = {
-    "negative index": ("0 -1 3 5\n", ":1: negative index -1"),
-    "index past the model": ("1 3 999\n", "round 1 holds index 999, outside the config's 283-parameter"),
-    "not a number": ("0 x 3\n", ":1: bad record line"),
-    "round without indices": ("7\n", ":1: record needs a round and at least one index"),
-    "negative round": ("-3 1 2\n", ":1: negative round -3"),
-    "repeated round": ("4 1 2\n5 3\n4 1 2\n", ":3: repeated round 4"),
+    "negative index": ("0 -1 3 5\n", "records file {path!r}: round 0: index -1 outside the model [0, 283)"),
+    "index past the model": ("1 3 999\n", "records file {path!r}: round 1: index 999 outside the model [0, 283)"),
+    "not a number": ("0 x 3\n", "bad records file {path!r}: {path}:1: bad record line"),
+    "round without indices": ("7\n", "records file {path!r}: round 7: empty record"),
+    "no rounds": ("# total_params=283\n", "records file {path!r}: no rounds to replay"),
+    "negative round": ("-3 1 2\n", "bad records file {path!r}: {path}:1: negative round -3"),
+    "repeated round": ("4 1 2\n5 3\n4 1 2\n", "bad records file {path!r}: {path}:3: repeated round 4"),
 }
+
+SIM_CONFIG = """\
+    [run]
+    records_file = {records}
+
+    [federation]
+    in_dim = 24
+    hidden_dim = 10
+
+    [adversary]
+    stft_frame = 16
+    stft_hop = 8
+    """
 
 
 @pytest.mark.parametrize("case", list(BAD_RECORDS))
@@ -611,23 +626,27 @@ def test_simulate_rejects_a_bad_records_file(tmp_path, capsys, case):
     text, message = BAD_RECORDS[case]
     records = tmp_path / "records.txt"
     records.write_text(text)
-    cfg = _write_cfg(tmp_path, f"""\
-        [run]
-        records_file = {records}
-
-        [federation]
-        in_dim = 24
-        hidden_dim = 10
-
-        [adversary]
-        stft_frame = 16
-        stft_hop = 8
-        """)
+    cfg = _write_cfg(tmp_path, SIM_CONFIG.format(records=records))
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and str(records) in err and message in err, err
+    assert f"config error: {message.format(path=str(records))}\n" == err, err
     assert not out.exists()
+
+
+def test_simulate_checks_every_round_before_the_engine(tmp_path, capsys, monkeypatch):
+    # the last of 10,000 rounds holds an index past the 283-parameter model
+    records = tmp_path / "records.txt"
+    lines = [f"{r} {r % 200} {r % 200 + 3} 250" for r in range(9999)] + ["9999 3 999"]
+    records.write_text("# total_params=283\n" + "\n".join(lines) + "\n")
+    fed = []
+    monkeypatch.setattr(dram._ColumnEngine, "feed", lambda *args: fed.append(args))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", _write_cfg(tmp_path, SIM_CONFIG.format(records=records)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: records file {str(records)!r}: round 9999: index 999 outside the model [0, 283)\n"
+    assert not out.exists() and fed == []
 
 
 def test_simulate_rejects_a_round_larger_than_the_ingress_queue(tmp_path, capsys):
@@ -635,26 +654,12 @@ def test_simulate_rejects_a_round_larger_than_the_ingress_queue(tmp_path, capsys
     # bytes), but the records file was written by a run with denser rounds
     records = tmp_path / "records.txt"
     records.write_text("# total_params=283\n0 1 2 3\n5 " + " ".join(map(str, range(200))) + "\n")
-    cfg = _write_cfg(tmp_path, f"""\
-        [run]
-        records_file = {records}
-
-        [federation]
-        in_dim = 24
-        hidden_dim = 10
-
-        [adversary]
-        stft_frame = 16
-        stft_hop = 8
-
-        [memory]
-        ingress_bytes = 64
-        """)
+    cfg = _write_cfg(tmp_path, SIM_CONFIG.format(records=records) + "[memory]\n    ingress_bytes = 64\n")
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and str(records) in err, err
-    assert "round 5 sends an update of 800 bytes, larger than [memory] ingress_bytes = 64" in err, err
+    assert err == (f"config error: records file {str(records)!r}: "
+                   "round 5: an update of 800 bytes does not fit the 64-byte ingress queue\n"), err
     assert not out.exists()
 
 

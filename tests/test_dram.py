@@ -678,6 +678,8 @@ def error_cases():
         "outside before backwards": (base + outside + backwards, ValueError),
         "negative size": (base + negative_size, ValueError),
         "cap before negative size": (base + over_cap + negative_size, TraceRateError),
+        # bank 1 passes the cap first, bank 0 later in the same window
+        "two banks over cap": (base + hammer(1, 5, 5, start=1000) + hammer(0, 5, 5, start=3000), TraceRateError),
     }
 
 

@@ -8,10 +8,10 @@ import oracles
 from oracles import iter_replay_events
 from hammersim import dram, replay
 from hammersim.dram import DramConfig, ThresholdEntry, ThresholdTable, TrrConfig
-from hammersim.federation import LayerSpec, ModelSpec, RoundRecord, make_mlp_spec
+from hammersim.federation import LayerSpec, ModelSpec, RoundRecord, make_mlp_spec, read_round_records
 from hammersim.memlayout import PAGE_BYTES, DramMapping, EventColumns, build_layout
 from hammersim.metrics import BandwidthModel
-from hammersim.replay import BLOCK_EVENTS, ReplayCache
+from hammersim.replay import BLOCK_EVENTS, RecordError, ReplayCache
 
 BW = BandwidthModel()
 LAYOUT_MAP = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192, bank_xor=True)
@@ -151,6 +151,9 @@ def test_events_stream_block_by_block(monkeypatch):
 
 # -- record checks ------------------------------------------------------------
 
+THRESHOLDS = ThresholdTable([ThresholdEntry(0, 0, 30, 20)])
+
+
 def small_layout():
     return build_layout(make_mlp_spec(20, 8, 3), None, LAYOUT_MAP, seed=1)
 
@@ -170,25 +173,71 @@ def test_indices_at_both_ends_of_the_model_accepted():
 def test_indices_outside_the_model_rejected(bad):
     layout = small_layout()  # 195 parameters
     records = [RoundRecord(6, np.array([1])), RoundRecord(7, np.array(bad))]
-    with pytest.raises(ValueError, match=r"round 7: index -?\d+ outside the model \[0, 195\)"):
-        replay._entry_runs(layout, records)
-    with pytest.raises(ValueError, match="round 7"):
+    message = rf"^round 7: index {bad[0] if bad[0] < 0 else bad[-1]} outside the model \[0, 195\)$"
+    with pytest.raises(RecordError, match=message):
+        ReplayCache(layout, records, 0)
+    with pytest.raises(RecordError, match=message):
         list(iter_replay_events(layout, records, BW))
 
 
 def test_empty_record_rejected():
     layout = small_layout()
     records = [RoundRecord(2, np.array([1])), RoundRecord(3, np.array([], dtype=np.int64))]
-    with pytest.raises(ValueError, match="round 3: empty record"):
-        replay._entry_runs(layout, records)
-    with pytest.raises(ValueError, match="round 3: empty record"):
+    with pytest.raises(RecordError, match="^round 3: empty record$"):
+        ReplayCache(layout, records, 0)
+    with pytest.raises(RecordError, match="^round 3: empty record$"):
         list(iter_replay_events(layout, records, BW))
+
+
+def test_no_rounds_rejected():
+    with pytest.raises(RecordError, match="^no rounds to replay$"):
+        replay.replay_records([], small_layout(), DramConfig(), BW, THRESHOLDS)
+
+
+def test_read_records_are_checked_by_replay(tmp_path):
+    # the reader sorts each line and checks only its syntax and round numbers
+    layout = small_layout()
+    path = tmp_path / "records.txt"
+    for text, message in (("0 3 5\n1 -1 3 5\n", r"^round 1: index -1 outside the model \[0, 195\)$"),
+                          ("0 3 5\n7\n", "^round 7: empty record$")):
+        path.write_text("# total_params=195\n" + text)
+        records, _ = read_round_records(path)
+        with pytest.raises(RecordError, match=message):
+            ReplayCache(layout, records, 0)
+
+
+def cycled_records(bad):
+    """Rounds 100-159 cycling a pool of two arrays, with bad first playing at round 132."""
+    pool = [np.array([1, 2]), np.array([7, 8, 9])]
+    cycle = [pool[r % 2] if r < 30 else (pool + [bad])[r % 3] for r in range(60)]
+    return [RoundRecord(100 + r, a) for r, a in enumerate(cycle)]
+
+
+CHECKED_BEFORE_THE_ENGINE = {
+    "empty": ([], "empty record"),
+    "negative": ([-1, 0, 3], r"index -1 outside the model \[0, 195\)"),
+    "past the model": ([5, 195], r"index 195 outside the model \[0, 195\)"),
+    "larger than the queue": (range(20), "an update of 80 bytes does not fit the 64-byte ingress queue"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKED_BEFORE_THE_ENGINE))
+def test_record_rules_checked_before_the_engine(monkeypatch, case):
+    bad, message = CHECKED_BEFORE_THE_ENGINE[case]
+    layout = build_layout(make_mlp_spec(20, 8, 3), None, LAYOUT_MAP, seed=1, ingress_bytes=64)
+    calls = []
+    monkeypatch.setattr(replay, "round_script", lambda *args: calls.append("round_script"))
+    monkeypatch.setattr(dram._ColumnEngine, "feed", lambda *args: calls.append("feed"))
+    with pytest.raises(RecordError, match=f"^round 132: {message}$"):
+        replay.replay_records(cycled_records(np.array(bad, dtype=np.int64)), layout, DramConfig(), BW, THRESHOLDS)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [[5, 3], [4, 4], [1, 9, 8]])
 def test_unsorted_or_repeating_array_rejected(monkeypatch, bad):
-    # records take any array; replay checks each distinct array once, before
-    # its events are built, and names the first round that plays it
+    # records take any array; replay checks that each distinct array is
+    # sorted once, before its events are built, and names the first round
+    # that plays it
     monkeypatch.setattr(replay, "BLOCK_EVENTS", 64)
     monkeypatch.setattr(replay, "BATCH_INDICES", 4)  # a window of one or two rounds
     layout = small_layout()
@@ -196,14 +245,12 @@ def test_unsorted_or_repeating_array_rejected(monkeypatch, bad):
     assert RoundRecord(0, bad).indices is bad  # construction checks nothing
     blocks = counting_blocks(monkeypatch)
     records = [RoundRecord(100 + r, a) for r, a in enumerate([bad] + pool * 3)]
-    with pytest.raises(ValueError, match=r"^round 100: record indices must be sorted and unique$"):
+    with pytest.raises(RecordError, match=r"^round 100: record indices must be sorted and unique$"):
         list(iter_replay_events(layout, records, BW))
     assert blocks == []
     # cycled from round 100 on, the bad array first playing at round 132
-    cycle = [pool[r % 2] if r < 30 else (pool + [bad])[r % 3] for r in range(60)]
-    records = [RoundRecord(100 + r, a) for r, a in enumerate(cycle)]
-    with pytest.raises(ValueError, match=r"^round 132: record indices must be sorted and unique$"):
-        list(iter_replay_events(layout, records, BW))
+    with pytest.raises(RecordError, match=r"^round 132: record indices must be sorted and unique$"):
+        list(iter_replay_events(layout, cycled_records(bad), BW))
     assert len(blocks) > 2 and sum(r for _, r in blocks) <= 32
 
 

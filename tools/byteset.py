@@ -60,7 +60,7 @@ def main(out: str) -> int:
     total_params = load_config(None).model_spec().total_params
     write_round_records(os.path.join(out, "synthetic.txt"), synthetic_records(total_params),
                         {"total_params": str(total_params)})
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(hammersim.__file__))))
     for name, text, command in STEPS:
         args = command + ["--out", name]
