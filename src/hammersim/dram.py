@@ -451,27 +451,24 @@ class _ColumnEngine:
         self.last_t = int(t[-1])
 
         # every row-sized block an event covers (a piece), and its event's time
-        block = paddr >> m.col_bits
         if ((paddr & (m.row_size_bytes - 1)) + size).max() > m.row_size_bytes:  # an event crosses a row
+            block = paddr >> m.col_bits
             n_pieces = np.where(size > 0, ((paddr + size - 1) >> m.col_bits) - block + 1, 0)
             ev = np.repeat(np.arange(t.size), n_pieces)
-            block = block[ev] + np.arange(ev.size) - np.repeat(n_pieces.cumsum() - n_pieces, n_pieces)
+            paddr = (block[ev] + np.arange(ev.size) - np.repeat(n_pieces.cumsum() - n_pieces, n_pieces)) << m.col_bits
             piece_t = t[ev]
         elif size.min() == 0:
             nonempty = size > 0
-            block, piece_t = block[nonempty], t[nonempty]
+            paddr, piece_t = paddr[nonempty], t[nonempty]
         else:
             piece_t = t
-        # a piece in the block of the piece before it finds its row open
+        # a piece in the row of the piece before it finds its row open
         # (a row hit), so only the others take part in the open-row collapse
-        misses = np.ones(block.size, dtype=bool)
-        np.not_equal(block[1:], block[:-1], out=misses[1:])
-        block, piece_t = block[misses], piece_t[misses]
-        row = block >> m.bank_bits
-        bank = block & (nb - 1)
-        if m.bank_xor:
-            bank ^= row & (nb - 1)
-        g = bank * nr + row
+        g = m.flat_row(paddr)
+        misses = np.ones(g.size, dtype=bool)
+        np.not_equal(g[1:], g[:-1], out=misses[1:])
+        g, piece_t = g[misses], piece_t[misses]
+        bank = g // nr
 
         # open-row collapse: a piece activates when its bank had another row open
         order = np.argsort(bank.astype(np.min_scalar_type(nb - 1)), kind="stable")  # radix sort

@@ -83,6 +83,15 @@ class DramMapping:
     def capacity_bytes(self) -> int:
         return self.bank_count * self.rows_per_bank * self.row_size_bytes
 
+    def flat_row(self, paddr: np.ndarray) -> np.ndarray:
+        """bank * rows_per_bank + row per physical address: physical_to_dram's hash on arrays, unchecked."""
+        block = paddr >> self.col_bits
+        row = block >> self.bank_bits
+        bank = block & (self.bank_count - 1)
+        if self.bank_xor:
+            bank ^= row & (self.bank_count - 1)
+        return bank * self.rows_per_bank + row
+
 
 def physical_to_dram(paddr: int, m: DramMapping) -> tuple[int, int, int]:
     """(bank, row, column) of a physical byte address."""

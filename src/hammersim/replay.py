@@ -15,9 +15,10 @@ rounds into blocks, and trace_update_processing turns a block into
 time-stamped event columns.  Each message occupies size_bytes / bandwidth
 seconds, its events are spaced uniformly, and the writeback events land
 on the round boundary.  Contiguous element runs become single burst
-events, split at row and page borders, which leaves the per-bank
+events, split at row and page borders, and the engine is handed only
+each template's events that can open a row.  That leaves the per-bank
 row-activation sequence identical to per-element events while keeping
-traces tractable.
+traces tractable; total_events still counts every event of the trace.
 
 Note on open-row semantics: a row only re-activates each round if some
 other access to the same bank closes it in between.  Single-bank module
@@ -45,7 +46,7 @@ from .dram import (
     simulate_trace,
 )
 from .federation import PARAM_BITS, RoundRecord
-from .memlayout import EventColumns, MemoryLayout, ranges, row_pieces, translate
+from .memlayout import DramMapping, EventColumns, MemoryLayout, ranges, row_pieces, translate
 from .metrics import BandwidthModel
 
 __all__ = [
@@ -148,6 +149,32 @@ def _segments(runs: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...]:
     return start, length, round_seg, writeback
 
 
+def _row_opening(mapping: DramMapping, paddr, start, length, full, round_seg, writeback_seg) -> tuple[np.ndarray, ...]:
+    """The events of the templates' segments (see _segments) that can open a
+    row: a bank's first in its template, one in another row than its bank's
+    event before, and the template's last (the round's end).  Any other finds
+    its row open, whatever played before.  Returns the kept events' pieces,
+    their places in their templates (full: each segment's first event, then
+    the end), each template's first kept event (then the end) and its kept
+    message events."""
+    g = mapping.flat_row(paddr)
+    bank = (g // mapping.rows_per_bank).astype(np.min_scalar_type(mapping.bank_count - 1))
+    # number each template's rows apart (its pieces are its writeback segment's)
+    g += np.arange(writeback_seg.size).repeat(length[writeback_seg]) * (mapping.bank_count * mapping.rows_per_bank)
+    # drop row hits on the piece before: no two pieces of a segment share a row
+    hit = np.append(False, g[start[1:]] == g[start[:-1] + length[:-1] - 1])
+    src, bounds = _gather_index(start + hit, length - hit)
+    order = np.argsort(bank[src], kind="stable")  # radix sort: a bank's events stay in trace order
+    row = g[src[order]]
+    keep = np.zeros(src.size, dtype=bool)
+    keep[order[np.append(True, row[1:] != row[:-1])]] = True
+    keep[bounds[writeback_seg + 1] - 1] = True
+    at = keep.nonzero()[0]
+    src, first, writeback = src[at], at.searchsorted(bounds[round_seg]), at.searchsorted(bounds[writeback_seg])
+    offset = full[:-1] - full[round_seg[:-1]].repeat(np.diff(round_seg)) - start  # segment start in its template
+    return src, src + offset[bounds.searchsorted(at, "right") - 1], first, writeback - first[:-1]
+
+
 def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Source position of every event of the segments, and each segment's
     first event (then the end)."""
@@ -172,11 +199,12 @@ class ReplayCache:
     Array a's template is its rounds' events after the ingress write, in
     trace order: an accumulator read and write per entry run (the message),
     then an accumulator read, writeback write and values write per run (the
-    writeback).  It is events[a] events of the paddr and size columns from
-    start[a], the first message[a] of them in the message.  kept lists the
-    arrays whose templates the store holds, ascending.  The columns grow by
-    doubling; past the templates' events they stage a block's ingress
-    pieces.
+    writeback), full_events[a] events, full_message[a] in the message.  The
+    store holds those that can open a row (_row_opening): events[a] events of
+    the paddr, size and pos (place in the template) columns from start[a],
+    the first message[a] in the message.  kept lists the arrays whose
+    templates the store holds, ascending.  The columns grow by doubling;
+    past the templates' events they stage a block's ingress pieces.
     """
 
     def __init__(self, layout: MemoryLayout, records: Sequence[RoundRecord], meta: int):
@@ -212,10 +240,11 @@ class ReplayCache:
         shift = layout.mapping.row_size_bytes.bit_length() - 1
         start = ingress.virtual_start + self.ingress_offset
         self.ingress_pieces = ((start + self.size_bytes - 1) >> shift) - (start >> shift) + 1
-        self.paddr = np.zeros(0, dtype=np.int64)  # the first n_events are kept and dropped templates' events
-        self.size = np.zeros(0, dtype=np.int64)
+        # columns whose first n_events are kept and dropped templates' events
+        self.paddr, self.size, self.pos = (np.zeros(0, dtype=np.int64) for _ in range(3))
         self.n_events = 0
-        self.start, self.message, self.events = (np.zeros(self.length.size, dtype=np.int64) for _ in range(3))
+        self.start, self.message, self.events, self.full_message, self.full_events = (
+            np.zeros(self.length.size, dtype=np.int64) for _ in range(5))
         self.built = 0
         self.kept = np.zeros(0, dtype=np.int64)
 
@@ -225,7 +254,7 @@ class ReplayCache:
         most BATCH_INDICES indices between them (at least one round).
 
         Only each entry run's three byte ranges are cut at rows and
-        translated."""
+        translated, and only the row-opening events are stored."""
         indices = self.length[self.owner[at:at + BATCH_INDICES]].cumsum()  # a round holds at least one index
         stop = at + max(1, int(indices.searchsorted(BATCH_INDICES, "right")))
         new = np.arange(self.built, self.owner[at:stop].max() + 1)
@@ -236,15 +265,16 @@ class ReplayCache:
         first = np.zeros(n_pieces.size + 1, dtype=np.int64)
         n_pieces.cumsum(out=first[1:])
         start, length, round_seg, writeback_seg = _segments(runs, first)
-        src, bounds = _gather_index(start, length)
+        full = np.append(0, length.cumsum())  # each segment's first event, then the end, row hits counted
+        src, pos, stored, message = _row_opening(layout.mapping, paddr, start, length, full, round_seg, writeback_seg)
         base = self._reserve(src.size)
-        np.take(paddr, src, out=self.paddr[base:base + src.size], mode="clip")  # clip: unbuffered
-        np.take(size, src, out=self.size[base:base + src.size], mode="clip")
-        self.n_events += src.size
-        first = bounds[round_seg]  # each template's first event, then the end
-        self.start[new] = base + first[:-1]
-        self.message[new] = bounds[writeback_seg] - first[:-1]
-        self.events[new] = first[1:] - first[:-1]
+        end = self.n_events = base + src.size
+        np.take(paddr, src, out=self.paddr[base:end], mode="clip")  # clip: unbuffered
+        np.take(size, src, out=self.size[base:end], mode="clip")
+        self.pos[base:end] = pos
+        self.start[new], self.message[new], self.events[new] = base + stored[:-1], message, np.diff(stored)
+        first = full[round_seg]
+        self.full_message[new], self.full_events[new] = full[writeback_seg] - first[:-1], np.diff(first)
         self.kept = np.concatenate((self.kept, new))
         self.built = int(new[-1]) + 1
 
@@ -262,8 +292,8 @@ class ReplayCache:
             live = int(self.events[kept].sum())
             if self.n_events - live >= live:
                 src, bounds = _gather_index(self.start[kept], self.events[kept])
-                self.paddr[:src.size] = self.paddr.take(src)
-                self.size[:src.size] = self.size.take(src)
+                for column in (self.paddr, self.size, self.pos):
+                    column[:src.size] = column.take(src)
                 self.start[kept], self.n_events = bounds[:-1], src.size
 
     def _reserve(self, n: int) -> int:
@@ -273,7 +303,7 @@ class ReplayCache:
         used = self.n_events
         if used + n > self.paddr.size:
             capacity = max(2 * self.paddr.size, used + n)
-            for name in ("paddr", "size"):
+            for name in ("paddr", "size", "pos"):
                 grown = np.empty(capacity, dtype=np.int64)
                 grown[:used] = getattr(self, name)[:used]
                 setattr(self, name, grown)
@@ -327,20 +357,21 @@ def trace_update_processing(
     """Physical access trace of a block of consecutive rounds of a replay.
 
     Rounds play back to back from start_time_ns.  A round's message
-    occupies size_bytes / bandwidth, its events at int(i * step + start);
-    its writeback events land on the round's integer end.  Each event is
-    one burst inside one DRAM row (the row size divides the huge page).
-    A round is its ingress pieces, then its array's template.
+    occupies size_bytes / bandwidth, its i-th event (row hits counted) at
+    int(i * step + start); its writeback events land on the round's integer
+    end.  Each event is one burst inside one DRAM row (the row size divides
+    the huge page).  A round is its ingress pieces, then its template.
     """
     size_bytes, played = cache.size_bytes[block], cache.owner[block]
     n_ingress, ingress_addr, ingress_size = row_pieces(*ranges(
         layout, 0, -1, cache.ingress_offset[block], size_bytes), layout.mapping.row_size_bytes)
     translate(layout, ingress_addr)
 
-    # stage the ingress pieces after the templates' events, and build the
-    # block with one gather: per round, its ingress pieces, then its template
+    # stage the ingress pieces after the templates' events (at places -n_ingress .. -1),
+    # and build the block with one gather: per round, its ingress pieces, then its template
     at, n = cache._reserve(ingress_addr.size), ingress_addr.size
     cache.paddr[at:at + n], cache.size[at:at + n] = ingress_addr, ingress_size
+    cache.pos[at:at + n] = np.arange(n) - n_ingress.cumsum().repeat(n_ingress)
     start = np.empty(2 * played.size, dtype=np.int64)
     length = np.empty_like(start)
     start[0::2], length[0::2] = at + n_ingress.cumsum() - n_ingress, n_ingress
@@ -358,8 +389,8 @@ def trace_update_processing(
         seg_t0 += [t, int(t + budget)]
         t = seg_t0[-1]
     seg_step = np.zeros(seg_events.size)
-    seg_step[::2] = budget_ns / seg_events[::2]
-    time_ns = (np.arange(time_bounds[-1]) - time_bounds[:-1].repeat(seg_events)) * seg_step.repeat(seg_events)
+    seg_step[::2] = budget_ns / (n_ingress + cache.full_message[played])
+    time_ns = (cache.pos[src] + n_ingress.repeat(bounds[2::2] - bounds[:-1:2])) * seg_step.repeat(seg_events)
     time_ns += np.array(seg_t0, dtype=np.float64).repeat(seg_events)
     return AccessTrace(EventColumns(time_ns.astype(np.int64), paddr, size), t)
 
@@ -369,14 +400,15 @@ def _event_blocks(
     records: Sequence[RoundRecord],
     bw: BandwidthModel,
     metadata_bytes_per_entry: int,
-    blocks: list[tuple[float, int]],
+    blocks: list[tuple[float, int, int]],
 ) -> Iterator[EventColumns]:
     """Physical event columns of consecutive rounds, back to back, one block at a time.
 
     The clock and the cache carry over from block to block, never from one
     call to the next.  For each block, its wall time in round_script and
-    trace_update_processing and its message bytes are appended to blocks;
-    the first block's time includes setting up the cache.
+    trace_update_processing, its message bytes and its event count with row
+    hits are appended to blocks; the first block's time includes setting up
+    the cache.
     """
     started = time.perf_counter()
     cache = ReplayCache(layout, records, metadata_bytes_per_entry)
@@ -384,7 +416,8 @@ def _event_blocks(
     while played < len(records):
         block = round_script(layout, records, cache, played)
         trace = trace_update_processing(layout, cache, block, bw, t)
-        blocks.append((time.perf_counter() - started, int(cache.size_bytes[block].sum())))
+        blocks.append((time.perf_counter() - started, int(cache.size_bytes[block].sum()),
+                       int(cache.ingress_pieces[block].sum() + cache.full_events[cache.owner[block]].sum())))
         played, t = block.stop, trace.end_ns
         yield trace.events
         del trace  # free the block's columns before building the next block
@@ -434,8 +467,9 @@ def replay_records(
         _event_blocks(layout, records, bw, metadata_bytes_per_entry, blocks), dram_cfg, layout.mapping,
         thresholds, trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
     )
-    trace = sum(seconds for seconds, _ in blocks)
-    mean_size = Fraction(sum(n for _, n in blocks), len(records))
+    result.total_events = sum(full for _, _, full in blocks)  # the engine saw no row hits of templates
+    trace = sum(seconds for seconds, _, _ in blocks)
+    mean_size = Fraction(sum(n for _, n, _ in blocks), len(records))
     return ReplaySummary(
         result=result,
         rounds=len(records),

@@ -736,6 +736,7 @@ def reference_replay_events(
     records,
     bw: BandwidthModel,
     metadata_bytes_per_entry: int = 0,
+    row_opening: bool = False,
 ) -> list[tuple[int, int, int]]:
     """Replay events (time_ns, paddr, size) built one round, one op and one piece at a time.
 
@@ -744,7 +745,8 @@ def reference_replay_events(
     writeback ops (accumulator read, writeback write, values write per
     run) at the round's integer end, where the next round starts.  The
     ingress queue is a ring that wraps when the next update would
-    overflow it.
+    overflow it.  With row_opening, each round's events after its ingress
+    pieces are cut to those row_opening_events keeps.
     """
     spec = layout.spec
     ingress_size = layout.region("ingress").size_bytes
@@ -770,13 +772,31 @@ def reference_replay_events(
         pieces = [piece for op in ops for piece in _reference_pieces(layout, op)]
         t = float(t_ns)
         step = budget_ns / len(pieces)
-        events.extend((int(t + i * step), p, n) for i, (p, n) in enumerate(pieces))
+        timed = [(int(t + i * step), p, n) for i, (p, n) in enumerate(pieces)]
         round_end = int(t + budget_ns)
         for op in writeback_ops:
-            events.extend((round_end, p, n) for p, n in _reference_pieces(layout, op))
+            timed.extend((round_end, p, n) for p, n in _reference_pieces(layout, op))
+        if row_opening:  # the round's ingress pieces all stay
+            n_ingress = len(_reference_pieces(layout, ops[0]))
+            timed[n_ingress:] = row_opening_events(timed[n_ingress:], layout.mapping)
+        events.extend(timed)
         t_ns = round_end
         offset += size
     return events
+
+
+def row_opening_events(events, mapping: DramMapping) -> list:
+    """The events (time_ns, paddr, size), each inside one row, that can open
+    a row wherever they play: each bank's first, each in another row than
+    its bank's event before it, and the last.  Every other event finds its
+    row open, as the one before it in its bank left it."""
+    kept, open_row = [], {}
+    for i, event in enumerate(events):
+        bank, row, _ = physical_to_dram(event[1], mapping)
+        if open_row.get(bank) != row or i == len(events) - 1:
+            kept.append(event)
+        open_row[bank] = row
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,14 @@ def test_mapping_xor_disabled_roundtrip():
         assert dram_to_physical(*physical_to_dram(paddr, plain), plain) == paddr
 
 
+@pytest.mark.parametrize("xor", [True, False])
+def test_flat_row_is_the_hash_on_arrays(xor):
+    # the array form the engine and the replay use, against the scalar one
+    m = DramMapping(bank_count=4, rows_per_bank=48, row_size_bytes=1024, bank_xor=xor)
+    paddr = np.arange(0, m.capacity_bytes, 97)
+    assert m.flat_row(paddr).tolist() == [bank * 48 + row for bank, row, _ in (physical_to_dram(int(a), m) for a in paddr)]
+
+
 def test_mapping_validation():
     with pytest.raises(ValueError):
         DramMapping(bank_count=3)
@@ -159,14 +167,20 @@ def test_pieces_never_cross_row_borders():
     mapping = DramMapping(bank_count=4, rows_per_bank=16384, row_size_bytes=256)
     layout = build_layout(spec, None, mapping, seed=3)
     # a long run spans several 256-byte rows of the ingress queue and of each
-    # of its three buffers
-    pieces = trace_pieces(layout, [record(*range(300))])
-    assert len(pieces) > 6
-    assert sum(n for _, n in pieces) == 6 * 1200
-    for paddr, size in pieces:
+    # of its three buffers: every byte of the round's ops (ingress write,
+    # accumulator read, write and read, writeback and values write)
+    ops = [address_pieces(layout, 0, -1, 0, 1200)] + [address_pieces(layout, code, 0, 0, 300)
+                                                      for code in (1, 1, 1, 2, 3)]
+    assert all(len(op) > 1 for op in ops)
+    assert [sum(n for _, n in op) for op in ops] == [1200] * 6
+    for paddr, size in (piece for op in ops for piece in op):
         assert paddr // 256 == (paddr + size - 1) // 256
-    ingress = address_pieces(layout, 0, -1, 0, 1200)
-    assert len(ingress) == 5 and pieces[:5] == ingress
+    # the trace holds the ingress pieces, then the others' row-opening ones
+    pieces = trace_pieces(layout, [record(*range(300))])
+    assert len(ops[0]) == 5 and pieces[:5] == ops[0]
+    assert pieces == [(p, n) for _, p, n in reference_replay_events(
+        layout, [record(*range(300))], BandwidthModel(), row_opening=True)]
+    assert set(pieces) == {piece for op in ops for piece in op}
 
 
 def test_pieces_cover_exact_byte_range():
@@ -180,10 +194,12 @@ def test_pieces_cover_exact_byte_range():
     # then accumulator read, writeback write and values write; a 100-byte
     # update before it puts the message at ring offset 100
     acc, wb, values = (range_start(layout, name, 0, 5) for name in ("accumulator", "writeback", "values"))
+    assert [address_pieces(layout, code, 0, 5, 7) for code in (2, 3)] == [[(wb, 28)], [(values, 28)]]
     ingress = virtual_to_physical(layout, layout.region("ingress").virtual_start + 100)
+    assert address_pieces(layout, 0, -1, 100, 28) == [(ingress, 28)]
     records = [record(*range(100, 125)), RoundRecord(1, np.arange(5, 12))]
-    assert trace_pieces(layout, records)[-6:] == [
-        (ingress, 28), (acc, 28), (acc, 28), (acc, 28), (wb, 28), (values, 28)]
+    # the accumulator's write and second read find its row open
+    assert trace_pieces(layout, records)[-4:] == [(ingress, 28), (acc, 28), (wb, 28), (values, 28)]
 
 
 def test_op_outside_region_rejected():
@@ -272,4 +288,5 @@ def test_script_of_runs_plays_as_its_templates():
     block = round_script(layout, records, cache, 0)
     assert cache.owner.tolist() == [0, 1, 0, 2] and cache.built == 3
     trace = trace_update_processing(layout, cache, block, BandwidthModel(), 0)
-    assert event_tuples(trace.events) == reference_replay_events(layout, records, BandwidthModel(), 4)
+    assert event_tuples(trace.events) == reference_replay_events(layout, records, BandwidthModel(), 4,
+                                                                 row_opening=True)

@@ -31,7 +31,7 @@ def learned_like(seed, n_rounds, total_params, hot=(3000, 3120)):
     return records
 
 
-POOL_BLOCK_EVENTS = 1 << 14
+POOL_BLOCK_EVENTS = 1 << 8
 
 
 def pool_case(meta):
@@ -39,7 +39,8 @@ def pool_case(meta):
     layout = build_layout(spec, None, DramMapping(), seed=3)
     records = learned_like(11, 61, spec.total_params)
     # with POOL_BLOCK_EVENTS blocks the last block is partial, and one round
-    # (4,900 single-entry runs, over 24,500 events) is a block of its own
+    # (4,900 single-entry runs: over 24,500 events, over 320 of them
+    # row-opening) is a block of its own
     records.append(RoundRecord(61, np.arange(100, 9900, 2)))
     records += learned_like(12, 5, spec.total_params)
     records = [RoundRecord(r, rec.indices) for r, rec in enumerate(records)]
@@ -97,7 +98,7 @@ CASES = {
 def test_events_match_reference(monkeypatch, case):
     monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
     layout, records, meta = CASES[case]()
-    expected = oracles.reference_replay_events(layout, records, BW, meta)
+    expected = oracles.reference_replay_events(layout, records, BW, meta, row_opening=True)
     assert list(iter_replay_events(layout, records, BW, meta)) == expected
 
 
@@ -166,7 +167,11 @@ def test_indices_at_both_ends_of_the_model_accepted():
     assert runs.tolist() == [1, 1] and count.tolist() == [1, 1]
     assert layer.tolist() == [0, len(layout.spec.layers) - 1]
     assert offset.tolist() == [0, last - layout.spec.layer_offsets[-2]]
-    assert len(list(iter_replay_events(layout, records, BW))) == 2 * 6
+    # per round its ingress piece, then the accumulator (read, write, read:
+    # one row opening), writeback and values pieces
+    events = list(iter_replay_events(layout, records, BW))
+    assert events == oracles.reference_replay_events(layout, records, BW, row_opening=True)
+    assert len(events) == 2 * 4
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [-5], [190, 195], [196]])
@@ -238,7 +243,7 @@ def test_unsorted_or_repeating_array_rejected(monkeypatch, bad):
     # records take any array; replay checks that each distinct array is
     # sorted once, before its events are built, and names the first round
     # that plays it
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 64)
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 24)  # 4 row-opening events a round
     monkeypatch.setattr(replay, "BATCH_INDICES", 4)  # a window of one or two rounds
     layout = small_layout()
     bad, pool = np.array(bad), [np.array([1, 2]), np.array([7, 8, 9])]
@@ -303,18 +308,21 @@ def test_engine_joins_consecutive_small_blocks(monkeypatch):
 
 
 def assert_blocks_fill_on_saturating_rounds(monkeypatch, records):
-    # criterion 10's record shape: one 2048-index run per round, 6 events;
-    # the engine must not take them a few at a time
+    # criterion 10's record shape: one 2048-index run per round, 6 events,
+    # 4 of them row-opening; the engine must not take them a few at a time
     spec = ModelSpec((LayerSpec("block", 20480),))
     mapping = DramMapping(bank_count=1, rows_per_bank=512, row_size_bytes=8192, bank_xor=False)
     layout = build_layout(spec, None, mapping, seed=3)
+    per_round = len(oracles.reference_replay_events(layout, records[:1], BW, row_opening=True))
+    assert per_round == 4
     chunks, blocks = engine_chunks(monkeypatch)
-    replay.replay_records(records, layout, DramConfig(), BW, dram.builtin_thresholds(),
-                          trr=TrrConfig(capacity=0), vmap=oracles.all_vulnerable(mapping))
-    assert sum(blocks) == 6 * len(records) and chunks == blocks
-    assert all(BLOCK_EVENTS - 6 < n <= BLOCK_EVENTS for n in blocks[:-1])
-    # no looser than the 8,192-event join this replaced
-    assert len(chunks) <= -(-sum(chunks) // (BLOCK_EVENTS - 6)) + 1 <= -(-sum(chunks) // (8192 - 24)) + 1
+    summary = replay.replay_records(records, layout, DramConfig(), BW, dram.builtin_thresholds(),
+                                    trr=TrrConfig(capacity=0), vmap=oracles.all_vulnerable(mapping))
+    assert sum(blocks) == per_round * len(records) and chunks == blocks
+    assert summary.result.total_events == 6 * len(records)
+    assert all(BLOCK_EVENTS - per_round < n <= BLOCK_EVENTS for n in blocks[:-1])
+    # no looser than the 8,192-event join of 6-event rounds this replaced
+    assert len(chunks) <= -(-sum(chunks) // (BLOCK_EVENTS - per_round)) + 1 <= -(-sum(chunks) // (8192 - 24)) + 1
 
 
 def test_engine_chunks_on_saturating_rounds(monkeypatch):
@@ -416,11 +424,12 @@ def built_cache(monkeypatch, layout, records, meta=4):
 
 
 def assert_replay_matches_reference(layout, records, meta=4):
-    """Events equal to the one-op reference, and the replay's result equal to
-    the engine's on the reference events."""
-    expected = oracles.reference_replay_events(layout, records, BW, meta)
+    """Events equal to the one-op reference's row-opening events, and the
+    replay's result equal to the engine's on all the reference events."""
+    expected = oracles.reference_replay_events(layout, records, BW, meta, row_opening=True)
     assert list(iter_replay_events(layout, records, BW, meta)) == expected
-    t, paddr, size = (np.array(c, dtype=np.int64) for c in zip(*expected))
+    full = oracles.reference_replay_events(layout, records, BW, meta)
+    t, paddr, size = (np.array(c, dtype=np.int64) for c in zip(*full))
     kw = dict(trr=TrrConfig(capacity=1), vmap=oracles.all_vulnerable(layout.mapping))
     result = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta,
                                    **kw).result
@@ -470,7 +479,7 @@ def test_templates_dropped_after_their_last_round(monkeypatch):
     layout = template_layout()
     pool = [r.indices for r in learned_like(6, 12, layout.spec.total_params)]
     records = [RoundRecord(r, pool[r % (12 if r < 60 else 3)]) for r in range(120)]
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 300)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 2 records
     builds, _ = record_builds(monkeypatch)
     blocks = store_per_block(monkeypatch)
@@ -493,7 +502,8 @@ def test_each_record_built_once_per_replay(monkeypatch):
     records += [RoundRecord(150 + r, shared) for r in range(4)]  # one array played 5 times
     cache = built_cache(monkeypatch, layout, records)
     largest = int((cache.events[cache.owner] + cache.ingress_pieces).max())
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 3000)
+    block_events = 300
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", block_events)
     monkeypatch.setattr(replay, "BATCH_INDICES", 5000)
     builds, _ = record_builds(monkeypatch)
     shapes = counting_blocks(monkeypatch)
@@ -504,7 +514,7 @@ def test_each_record_built_once_per_replay(monkeypatch):
     # each replay's blocks: all in bounds, and only its last one short
     replays = [shapes[:len(shapes) // 2], shapes[len(shapes) // 2:]]
     assert replays[0] == replays[1]
-    assert all(3000 - largest < e <= 3000 for e, _ in replays[0][:-1])
+    assert all(block_events - largest < e <= block_events for e, _ in replays[0][:-1])
 
 
 def test_consecutive_replays_build_their_own_templates(monkeypatch):
@@ -526,7 +536,7 @@ def test_store_bounded_by_live_templates_not_records(monkeypatch):
     rng = np.random.default_rng(4)
     records = [RoundRecord(r, np.unique(rng.choice(layout.spec.total_params, 30))) for r in range(1200)]
     alone = built_cache(monkeypatch, layout, records)
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 2000)
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", 400)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 20 records
     # the most template events one window of records can build: the records
     # from any on with at most 600 indices between them (at least one)
@@ -567,3 +577,26 @@ def test_bench_bindings_called_once_per_block(monkeypatch):
     replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
     assert len(blocks) > 2
     assert calls == {"round_script": len(blocks), "trace_update_processing": len(blocks)}
+
+
+@pytest.mark.parametrize("capacity", [0, 1])
+@pytest.mark.parametrize("block_events, chunk_events", [(BLOCK_EVENTS, dram.CHUNK_EVENTS), (64, 100)])
+def test_replay_equals_engine_on_every_reference_event(monkeypatch, capacity, block_events, chunk_events):
+    # the engine is handed only each template's row-opening events; on every
+    # event of the trace, row hits included, it gives the same windows, flips
+    # and ACTs, and replay_records counts every event
+    layout, records, meta = pool_case(4)
+    kw = dict(trr=TrrConfig(capacity=capacity), vmap=oracles.all_vulnerable(layout.mapping))
+    full = oracles.reference_replay_events(layout, records, BW, meta)
+    t, paddr, size = (np.array(c, dtype=np.int64) for c in zip(*full))
+    expected = dram.simulate_trace(EventColumns(t, paddr, size), FLIP_CFG, layout.mapping, FLIP_TABLE, **kw)
+    assert expected.flips and len(expected.windows) > 1 and expected.total_events == len(full)
+    monkeypatch.setattr(replay, "BLOCK_EVENTS", block_events)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk_events)
+    chunks, blocks = engine_chunks(monkeypatch)
+    result = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta,
+                                   **kw).result
+    assert sum(chunks) < len(full) / 10 and max(chunks) <= chunk_events
+    assert result.windows == expected.windows  # every window's row and bank counts
+    assert result.flips == expected.flips  # every flip, with its time
+    assert (result.total_acts, result.total_events) == (expected.total_acts, expected.total_events)

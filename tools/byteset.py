@@ -8,6 +8,8 @@ thread and with its stdout kept in <step>.stdout:
   train          a default `train` with [run] iterations = 3
   sim-trr        `simulate` on train's records, default TRR
   sim-no-trr     the same with [dram] trr_capacity = 0
+  sim-flips      the same with the low thresholds of flips_thresholds.txt,
+                 so that rows flip and flips.txt is not empty
   feasibility    `feasibility --golden`
   sim-synthetic  `simulate` on a seeded synthetic 10,000-round records file
 
@@ -31,11 +33,15 @@ from hammersim.federation import RoundRecord, write_round_records
 
 SYNTHETIC_ROUNDS = 10_000
 SYNTHETIC_SEED = 2024
+# one pattern class, low enough that the default train's hottest rows flip
+FLIPS_THRESHOLDS = "# published_average=300\n00,00,single,300\n00,00,double,200\n"
 
 STEPS = [  # (name, config text or None, command line)
     ("train", "[run]\niterations = 3\n", ["train"]),
     ("sim-trr", "[run]\nrecords_file = train/records.txt\n", ["simulate"]),
     ("sim-no-trr", "[run]\nrecords_file = train/records.txt\n[dram]\ntrr_capacity = 0\n", ["simulate"]),
+    ("sim-flips", "[run]\nrecords_file = train/records.txt\n[dram]\ntrr_capacity = 0\n"
+                  "[thresholds]\nsource = flips_thresholds.txt\n", ["simulate"]),
     ("feasibility", None, ["feasibility", "--golden"]),
     ("sim-synthetic", "[run]\nrecords_file = synthetic.txt\n", ["simulate"]),
 ]
@@ -60,6 +66,8 @@ def main(out: str) -> int:
     total_params = load_config(None).model_spec().total_params
     write_round_records(os.path.join(out, "synthetic.txt"), synthetic_records(total_params),
                         {"total_params": str(total_params)})
+    with open(os.path.join(out, "flips_thresholds.txt"), "w", encoding="ascii") as f:
+        f.write(FLIPS_THRESHOLDS)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(hammersim.__file__))))
     for name, text, command in STEPS:
