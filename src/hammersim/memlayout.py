@@ -251,7 +251,7 @@ class EventColumns:
 def ranges(layout: MemoryLayout, region, layer, offset, count, by_column=False) -> tuple[np.ndarray, np.ndarray]:
     """Virtual [start, end) byte ranges of count elements from offset, in
     region SCRIPT_REGIONS[region] of layer, flattened in broadcast order
-    (of the transposed broadcast with by_column)."""
+    (column by column with by_column, for a 2-D broadcast)."""
     width = len(layout.spec.layers) + 1
     key = np.asarray(region * width + layer + 1)
     base, bits, limit = layout._script_region_table.take(key.ravel(), axis=1).reshape((3,) + key.shape)
@@ -264,8 +264,8 @@ def ranges(layout: MemoryLayout, region, layer, offset, count, by_column=False) 
         region, layer = divmod(int(key), width)
         raise ValueError(f"op [{offset}, {offset + count}) invalid or outside "
                          f"region {SCRIPT_REGIONS[region]}/{layer - 1}")
-    if by_column:
-        start, end = start.T, end.T
+    if by_column:  # stacking the rows as columns copies them faster than .T.ravel()
+        start, end = np.stack(start, axis=-1), np.stack(end, axis=-1)
     return start.ravel(), end.ravel()
 
 

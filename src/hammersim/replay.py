@@ -118,61 +118,63 @@ def _entry_runs(layout: MemoryLayout, records: Sequence[RoundRecord]) -> tuple[n
     return round_runs[1:] - round_runs[:-1], run_layer, run_offset, run_bounds[1:] - run_start
 
 
-def _segments(runs: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rounds' events after their ingress writes, as segments of consecutive
-    piece positions, in trace order.
+def _row_opening(
+    mapping: DramMapping, paddr: np.ndarray, runs: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The events of rounds' templates that can open a row: a bank's first in
+    its template, one in another row than its bank's event before, and the
+    template's last (the round's end).  Any other finds its row open,
+    whatever played before.
 
-    Round r is its runs[r] runs' ops: an accumulator read and write per
-    run, then an accumulator read, writeback write and values write per
-    run.  Run j touches three ranges, 3j (accumulator), 3j + 1 (writeback)
-    and 3j + 2 (values), and first holds each range's first piece (then the
-    end), so a round's writeback ops are one segment.  Returns per segment
-    its start and length, each round's first segment (then the end), and
-    each round's writeback segment.
+    Round r's template is, per run of its runs[r], the run's accumulator
+    range read and written (the message), then every run's accumulator,
+    writeback and values ranges (the writeback).  Run j's ranges are 3j ..
+    3j + 2, and first holds each range's first piece in paddr (then the
+    end).  Returns the kept events' pieces and places in their templates,
+    each template's first kept event (then the end), its kept message
+    events, and its message and event counts, row hits counted.
     """
-    round_seg = np.zeros(runs.size + 1, dtype=np.int64)
-    (2 * runs + 1).cumsum(out=round_seg[1:])
-    writeback = round_seg[1:] - 1
-    start = np.empty(round_seg[-1], dtype=np.int64)
-    length = np.empty_like(start)
-    # run j of round r reads and writes its accumulator range 3j at
-    # round_seg[r] + 2 * (j - runs before r); the round's ranges, run by
-    # run, are its writeback ops
     round_runs = np.zeros(runs.size + 1, dtype=np.int64)
     runs.cumsum(out=round_runs[1:])
-    message_op = 2 * np.arange(round_runs[-1]) + (round_seg[:-1] - 2 * round_runs[:-1]).repeat(runs)
-    accumulator = first[:-1:3]
-    start[message_op] = start[message_op + 1] = accumulator
-    length[message_op] = length[message_op + 1] = first[1::3] - accumulator
-    ends = first[3 * round_runs]
-    start[writeback], length[writeback] = ends[:-1], ends[1:] - ends[:-1]
-    return start, length, round_seg, writeback
-
-
-def _row_opening(mapping: DramMapping, paddr, start, length, full, round_seg, writeback_seg) -> tuple[np.ndarray, ...]:
-    """The events of the templates' segments (see _segments) that can open a
-    row: a bank's first in its template, one in another row than its bank's
-    event before, and the template's last (the round's end).  Any other finds
-    its row open, whatever played before.  Returns the kept events' pieces,
-    their places in their templates (full: each segment's first event, then
-    the end), each template's first kept event (then the end) and its kept
-    message events."""
+    ends = first[3 * round_runs]  # each template's first piece, then the end
     g = mapping.flat_row(paddr)
     bank = (g // mapping.rows_per_bank).astype(np.min_scalar_type(mapping.bank_count - 1))
-    # number each template's rows apart (its pieces are its writeback segment's)
-    g += np.arange(writeback_seg.size).repeat(length[writeback_seg]) * (mapping.bank_count * mapping.rows_per_bank)
-    # drop row hits on the piece before: no two pieces of a segment share a row
-    hit = np.append(False, g[start[1:]] == g[start[:-1] + length[:-1] - 1])
-    src, bounds = _gather_index(start + hit, length - hit)
+    g += (np.arange(runs.size) * (mapping.bank_count * mapping.rows_per_bank)).repeat(np.diff(ends))  # templates apart
+    # an op's pieces lie in distinct rows (regions are row-aligned), so only
+    # its first event can hit the event right before it: a read the write of
+    # the run before, a write its read, and the writeback the message's last
+    # write.  Such a hit is dropped here, and others are left to the sort
+    acc = first[:-1:3]
+    n = first[1::3] - acc
+    head, tail = g[acc], g[acc + n - 1]
+    read, write = np.append(False, head[1:] == tail[:-1]), head == tail
+    wb = head[round_runs[:-1]] == tail[round_runs[1:] - 1]
+    done = np.zeros(n.size + 1, dtype=np.int64)  # accumulator pieces before each run, then all
+    n.cumsum(out=done[1:])
+    message = 2 * np.diff(done[round_runs])
+    # the reads, writes and writebacks left holding events, in trace order
+    # (run j's read and write as 4j and 4j + 2), and each one's place in its
+    # template less its first piece
+    r, w = (n > read).nonzero()[0], (n > write).nonzero()[0]
+    ops = np.concatenate((4 * r, 4 * w + 2, 4 * round_runs[1:] - 1)).argsort()
+    start = np.concatenate((acc[r] + read[r], acc[w] + write[w], ends[:-1] + wb))[ops]
+    length = np.concatenate((n[r] - read[r], n[w] - write[w], np.diff(ends) - wb))[ops]
+    msg = np.concatenate((r, w))
+    place = 2 * (done[msg] - done[round_runs[round_runs.searchsorted(msg, "right") - 1]]) - acc[msg]
+    place[r.size:] += n[w]
+    offset = np.append(place, message - ends[:-1])[ops]
+    writeback = (ops >= msg.size).nonzero()[0]  # each template's writeback op
+    src, bounds = _gather_index(start, length)
     order = np.argsort(bank[src], kind="stable")  # radix sort: a bank's events stay in trace order
     row = g[src[order]]
     keep = np.zeros(src.size, dtype=bool)
     keep[order[np.append(True, row[1:] != row[:-1])]] = True
-    keep[bounds[writeback_seg + 1] - 1] = True
+    keep[bounds[writeback + 1] - 1] = True
     at = keep.nonzero()[0]
-    src, first, writeback = src[at], at.searchsorted(bounds[round_seg]), at.searchsorted(bounds[writeback_seg])
-    offset = full[:-1] - full[round_seg[:-1]].repeat(np.diff(round_seg)) - start  # segment start in its template
-    return src, src + offset[bounds.searchsorted(at, "right") - 1], first, writeback - first[:-1]
+    stored = at.searchsorted(bounds[np.append(0, writeback + 1)])
+    src = src[at]
+    return (src, src + offset[bounds.searchsorted(at, "right") - 1], stored,
+            at.searchsorted(bounds[writeback]) - stored[:-1], message, message + np.diff(ends))
 
 
 def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,17 +266,14 @@ class ReplayCache:
         translate(layout, paddr)
         first = np.zeros(n_pieces.size + 1, dtype=np.int64)
         n_pieces.cumsum(out=first[1:])
-        start, length, round_seg, writeback_seg = _segments(runs, first)
-        full = np.append(0, length.cumsum())  # each segment's first event, then the end, row hits counted
-        src, pos, stored, message = _row_opening(layout.mapping, paddr, start, length, full, round_seg, writeback_seg)
+        src, pos, stored, message, full_message, full_events = _row_opening(layout.mapping, paddr, runs, first)
         base = self._reserve(src.size)
         end = self.n_events = base + src.size
         np.take(paddr, src, out=self.paddr[base:end], mode="clip")  # clip: unbuffered
         np.take(size, src, out=self.size[base:end], mode="clip")
         self.pos[base:end] = pos
         self.start[new], self.message[new], self.events[new] = base + stored[:-1], message, np.diff(stored)
-        first = full[round_seg]
-        self.full_message[new], self.full_events[new] = full[writeback_seg] - first[:-1], np.diff(first)
+        self.full_message[new], self.full_events[new] = full_message, full_events
         self.kept = np.concatenate((self.kept, new))
         self.built = int(new[-1]) + 1
 
@@ -462,7 +461,7 @@ def replay_records(
     trace this is exact.
     """
     started = time.perf_counter()
-    blocks: list[tuple[float, int]] = []
+    blocks: list[tuple[float, int, int]] = []
     result = simulate_trace(
         _event_blocks(layout, records, bw, metadata_bytes_per_entry, blocks), dram_cfg, layout.mapping,
         thresholds, trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
