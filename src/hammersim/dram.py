@@ -21,8 +21,7 @@ with the same timestamp, and before the aligned-window rollover when a
 command lands exactly on a window boundary.
 
 The engine works on chunks of event columns: it decodes and splits them
-into row pieces, drops each piece in the row of the piece before it (a
-row hit), collapses the other open-row hits per bank, counts ACTs per window
+into row pieces, collapses open-row hits per bank, counts ACTs per window
 with array operations, builds the chunk's refresh schedule as arrays and
 finds flips as first crossings of cumulative neighbor ACTs between a
 victim's refreshes.  What it carries from chunk to chunk is sized by
@@ -340,18 +339,20 @@ def _event_chunks(trace, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
             yield block.time_ns[a:a + chunk], block.paddr[a:a + chunk], block.size[a:a + chunk]
 
 
-def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
-    """Per element of non-decreasing t, the number of k >= 1 with k * step <= t (< t if strict).
+def _steps(t: np.ndarray, step: float, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(m, at) of non-decreasing t: how many k >= 1 have k * step <= t[i]
+    (< t[i] if strict) is m[np.searchsorted(at, i, "right")].
 
     The products k * step are the float products of the refresh clock, so
     an event or a command on an exact tick or window boundary lands on the
     same side of it as in a one-step-at-a-time replay.  A count is
-    floor(t / step) or a neighbour, so only those k are located in t: the
-    range spanned by t if no longer than t, else t's distinct floor(t / step)
-    and their neighbours.  Nothing is sized by the time t spans.
+    floor(t / step) or a neighbour, so only those k are located in t (at),
+    after a 0 (m): the range spanned by t if no longer than t, else t's
+    distinct floor(t / step) and their neighbours.  Nothing is sized by the
+    time t spans.
     """
     if not t.size:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     lo, hi = math.floor(t[0] / step), math.floor(t[-1] / step)
     if hi - lo < t.size:
         k = np.arange(max(lo - 1, 1), hi + 2)
@@ -359,8 +360,13 @@ def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
         f = sorted_unique(np.floor(t / step), presorted=True)
         k = sorted_unique(np.concatenate((f - 1, f, f + 1))).astype(np.int64)
         k = k[k >= 1]
-    at = np.searchsorted(t, k * step, "right" if strict else "left")
-    return np.repeat(np.concatenate(([0], k)), np.diff(np.concatenate(([0], at, [t.size]))))
+    return np.concatenate(([0], k)), np.searchsorted(t, k * step, "right" if strict else "left")
+
+
+def _multiples(t: np.ndarray, step: float, strict: bool = False) -> np.ndarray:
+    """Per element of non-decreasing t, the number of k >= 1 with k * step <= t (< t if strict)."""
+    m, at = _steps(t, step, strict)
+    return np.repeat(m, np.diff(np.concatenate(([0], at, [t.size]))))
 
 
 def _locate(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,11 +377,6 @@ def _locate(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return i, found
 
 
-def _group_rank(key: np.ndarray) -> np.ndarray:
-    """Rank of every element of a sorted key array within its run of equal keys."""
-    return np.arange(key.size) - np.searchsorted(key, key)
-
-
 class _ColumnEngine:
     """Open-row engine that consumes events a chunk of columns at a time.
 
@@ -384,6 +385,11 @@ class _ColumnEngine:
     its last refresh and whether it may still flip (rows with any such
     state are "dirty"); the current window's ACT counts; the number of
     refresh commands issued; and the last event time.
+
+    Every key the engine sorts or searches packs an entity above a
+    position, (entity << sh) + position, with positions 0..n of a chunk of
+    n ACTs in sh = n.bit_length() bits; an ACT's entity is its row, or
+    rank * N + row in the chunk's rank-th window.
     """
 
     def __init__(self, cfg: DramConfig, mapping: DramMapping, thresholds: ThresholdTable,
@@ -462,54 +468,51 @@ class _ColumnEngine:
             paddr, piece_t = paddr[nonempty], t[nonempty]
         else:
             piece_t = t
-        # a piece in the row of the piece before it finds its row open
-        # (a row hit), so only the others take part in the open-row collapse
+        # open-row collapse: a piece activates unless the piece before it in
+        # its bank, or the bank's open row for its first, is in its row
         g = m.flat_row(paddr)
-        misses = np.ones(g.size, dtype=bool)
-        np.not_equal(g[1:], g[:-1], out=misses[1:])
-        g, piece_t = g[misses], piece_t[misses]
-        bank = g // nr
-
-        # open-row collapse: a piece activates when its bank had another row open
-        order = np.argsort(bank.astype(np.min_scalar_type(nb - 1)), kind="stable")  # radix sort
-        gs, bs = g[order], bank[order]
-        new_bank = np.ones(gs.size, dtype=bool)
-        new_bank[1:] = bs[1:] != bs[:-1]
-        prev = np.empty_like(gs)
-        prev[1:] = gs[:-1]
-        prev[new_bank] = self.open_g[bs[new_bank]]
-        last_of_bank = np.empty_like(new_bank)
-        last_of_bank[:-1] = new_bank[1:]
-        last_of_bank[-1:] = True
-        self.open_g[bs[last_of_bank]] = gs[last_of_bank]
-        is_act = np.empty(gs.size, dtype=bool)
-        is_act[order] = gs != prev
-        act_g = g[is_act]
-        act_t = piece_t[is_act]
+        psh = g.size.bit_length()  # sorted (bank << psh) + position keys put the pieces in bank order
+        order = (g // nr).astype(np.min_scalar_type((nb << psh) - 1)) << psh
+        order += np.arange(g.size, dtype=order.dtype)
+        order = (np.sort(order) & (1 << psh) - 1).astype(np.intp)
+        gs = g[order]
+        bounds = np.searchsorted(gs, np.arange(nb + 1) * nr)  # g < b * nr holds just before bank b's run
+        busy = np.flatnonzero(bounds[1:] > bounds[:-1])
+        opens = np.empty(gs.size, dtype=bool)
+        np.not_equal(gs[1:], gs[:-1], out=opens[1:])
+        opens[bounds[busy]] = gs[bounds[busy]] != self.open_g[busy]
+        self.open_g[busy] = gs[bounds[busy + 1] - 1]
+        is_act = np.empty_like(opens)
+        is_act[order] = opens
+        act_g, act_t = g[is_act], piece_t[is_act]
         n = act_g.size
         self.total_acts += n
 
-        w = _multiples(act_t, self.cfg.window_ns)
-        # the chunk's one sort, of (row, position) keys; re-sorted stably on the window
-        # rank (rank 0: the carried window) it is by (entity = rank * N + row, position)
-        row_key = np.sort(act_g * (n + 1) + np.arange(n))
-        by_row = row_key % (n + 1)
+        # the ACTs' one sort, of (row << sh) + position keys; re-sorted stably on
+        # the window rank (rank 0: the carried window) it is by entity = rank * N + row
+        sh = n.bit_length()  # positions 0..n fit below bit sh
+        row_key = np.left_shift(act_g, sh, out=act_g)
+        row_key += np.arange(n)
+        row_key.sort()
         wins, acts = np.array([self.window]), row_key
-        if n and w[-1] > self.window:
+        if n and _multiples(act_t[-1:], self.cfg.window_ns)[0] > self.window:
+            w = _multiples(act_t, self.cfg.window_ns)
             wins = sorted_unique(np.append(self.window, w), presorted=True)  # w never decreases
-            w_rank = np.searchsorted(wins, w)[by_row]
+            w_rank = np.searchsorted(wins, w)[row_key & (1 << sh) - 1]
             by_key = np.argsort(w_rank.astype(np.min_scalar_type(wins.size - 1)), kind="stable")
-            acts = (w_rank * (nb * nr * (n + 1)) + row_key)[by_key]
-        ent = sorted_unique(acts // (n + 1), presorted=True)
-        first = np.searchsorted(acts, ent * (n + 1))  # where each entity starts in acts
-        # ticks[p]: refresh commands issued before ACT p (p = n: by the chunk's last event)
-        ticks = _multiples(np.append(act_t, t[-1]), self.cfg.trefi_ns)
-        self._refresh_and_flip(act_t, w, ticks, row_key, by_row, acts, ent, wins)
-        self._count_windows(acts, ent, first, wins)
-        self.ticks = int(ticks[-1])
+            acts = ((w_rank * (nb * nr) << sh) + row_key)[by_key]
+        ent = sorted_unique(acts >> sh, presorted=True)
+        first = np.searchsorted(acts, ent << sh)  # where each entity starts in acts
+        # refresh commands issued before ACT p (p = n: by the chunk's last event)
+        # are ticks[np.searchsorted(tick_at, p, "right")]
+        ticks, tick_at = _steps(np.append(act_t, t[-1]), self.cfg.trefi_ns)
+        issued = int(ticks[np.searchsorted(tick_at, n, "right")])
+        self._refresh_and_flip(act_t, ticks, tick_at, issued, row_key, acts, ent, wins, sh)
+        self._count_windows(acts, ent, first, wins, sh)
+        self.ticks = issued
 
     # -- refresh schedule and flips ----------------------------------------
-    def _refresh_and_flip(self, act_t, w, ticks, row_key, by_row, acts, ent, wins) -> None:
+    def _refresh_and_flip(self, act_t, ticks, tick_at, issued, row_key, acts, ent, wins, sh) -> None:
         """Apply the chunk's refresh commands and neighbor ACTs to the dirty rows.
 
         A command before ACT p resets its rows before that ACT.  Victims
@@ -518,11 +521,10 @@ class _ColumnEngine:
         every other row only needs its exposure after its last refresh.
         """
         nr = self.nr
-        n = act_t.size
 
         def acts_from(u: np.ndarray, q) -> np.ndarray:
             """ACTs of rows u at positions >= q."""
-            return np.searchsorted(row_key, (u + 1) * (n + 1)) - np.searchsorted(row_key, u * (n + 1) + q)
+            return np.searchsorted(row_key, (u + 1) << sh) - np.searchsorted(row_key, (u << sh) + q)
 
         acted = sorted_unique(ent % (self.nb * nr))
         acted_row = acted % nr
@@ -541,19 +543,21 @@ class _ColumnEngine:
         # last round-robin refresh: sweep position x refreshes row x % nr at
         # command x // rows_per_ref + 1; take the last x of each row
         rpr = self.rows_per_ref
-        end = int(ticks[-1]) * rpr
+        end = issued * rpr
         x = end - 1 - (end - 1 - vrow) % nr
-        last = np.where(x >= self.ticks * rpr, np.searchsorted(ticks, x // rpr + 1), -1)
+        last = np.full(touched.size, -1)
+        swept = x >= self.ticks * rpr  # at the first position whose ticks reach x // rpr + 1
+        last[swept] = tick_at[np.searchsorted(ticks, x[swept] // rpr + 1) - 1]
 
         trr_pos, trr_vic = [last[:0]], [last[:0]]
-        for pos, ref in self._trr_refreshes(w, ticks, acts, ent, wins):
+        for pos, ref in self._trr_refreshes(act_t, ticks, tick_at, acts, ent, wins, sh):
             i, hit = _locate(touched, ref)
             np.maximum.at(last, i[hit], pos[hit])
             i, hit = _locate(cand, ref)
             trr_pos.append(pos[hit])
             trr_vic.append(i[hit])
 
-        flip_vic, flip_pos = self._sweep(cand, row_key, act_t, ticks, by_row, trr_pos, trr_vic)
+        flip_vic, flip_pos = self._sweep(cand, row_key, act_t, ticks, tick_at, sh, trr_pos, trr_vic)
 
         fresh = last >= 0
         q = np.maximum(last, 0)
@@ -567,7 +571,7 @@ class _ColumnEngine:
         self.armed[touched] = armed
         self.dirty = touched[(lo > 0) | (hi > 0) | ~armed]
 
-    def _trr_refreshes(self, w, ticks, acts, ent, wins) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _trr_refreshes(self, act_t, ticks, tick_at, acts, ent, wins, sh) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(position, refreshed row) of the sampler's refreshes, in batches.
 
         A command ranks the rows of each bank by their ACTs in the current
@@ -578,47 +582,52 @@ class _ColumnEngine:
         covers all of them.
         """
         cap = self.trr.capacity
-        n = w.size
-        issued = ticks.copy()
-        issued[1:] -= ticks[:-1]
-        issued[0] -= self.ticks
-        pos = np.flatnonzero(issued)
-        if cap == 0 or not pos.size:
+        if cap == 0:
             return
-        nb, nr = self.nb, self.nr
-        N = nb * nr
+        # the positions of the chunk's commands, and the first command at each
+        pos = sorted_unique(tick_at[(ticks[1:] > self.ticks) & (tick_at <= act_t.size)], presorted=True)
+        first_tick = np.maximum(ticks[np.searchsorted(tick_at, pos - 1, "right")], self.ticks) + 1
         w_before = np.full(pos.size, self.window)
         after_act = pos > 0
-        w_before[after_act] = w[pos[after_act] - 1]
-        first_tick = (ticks[pos] - issued[pos] + 1) * self.cfg.trefi_ns
-        ranked = _multiples(first_tick, self.cfg.window_ns, strict=True) == w_before
+        w_before[after_act] = _multiples(act_t[pos[after_act] - 1], self.cfg.window_ns)
+        ranked = _multiples(first_tick * self.cfg.trefi_ns, self.cfg.window_ns, strict=True) == w_before
         pos, w_before = pos[ranked], w_before[ranked]
         if not pos.size:
             return
+        nb, nr, N = self.nb, self.nr, self.nb * self.nr
 
         # the carried window's rows are rank-0 entities too, its counts the base
         ent = sorted_unique(np.concatenate((self.win_rows, ent)))
-        base = np.where(ent < N, self.win_counts[ent % N], 0)
-        first = np.searchsorted(acts, ent * (n + 1))
-        row = ent % nr
+        before = np.searchsorted(acts, ent << sh) - np.where(ent < N, self.win_counts[ent % N], 0)
         bank = ent % N // nr
 
-        rank = np.searchsorted(wins, w_before)
+        rank = np.searchsorted(wins, w_before)  # never decreases
         lo_e = np.searchsorted(ent, rank * N)
         n_cells = np.searchsorted(ent, (rank + 1) * N) - lo_e
         bounds = np.concatenate(([0], n_cells.cumsum()))
+        ent_rank = ent // N
         a = 0
         while a < pos.size:
             b = max(a + 1, int(np.searchsorted(bounds, bounds[a] + _TRR_CELLS, "right")) - 1)
-            state = np.repeat(np.arange(a, b), n_cells[a:b])
-            cell = np.arange(state.size) + np.repeat(lo_e[a:b] - bounds[a:b] + bounds[a], n_cells[a:b])
-            p = pos[state]
-            count = base[cell] + np.searchsorted(acts, ent[cell] * (n + 1) + p) - first[cell]
-            live = count > 0
-            state, cell, p, count = state[live], cell[live], p[live], count[live]
+            # a cell per position and entity of its rank, by entity then
+            # position, so that the count search runs over sorted keys
+            lo, hi = lo_e[a], lo_e[b - 1] + n_cells[b - 1]
+            s0 = np.searchsorted(rank[a:b], ent_rank[lo:hi])
+            n_states = np.searchsorted(rank[a:b], ent_rank[lo:hi], "right") - s0
+            cell = np.repeat(np.arange(lo, hi), n_states)
+            state = np.arange(cell.size) + np.repeat(s0 - n_states.cumsum() + n_states, n_states)
+            p = pos[a:b][state]
+            count = np.searchsorted(acts, (ent[cell] << sh) + p) - before[cell]
+            # one stable sort ranks each (position, bank) group by count; a group's cells come in
+            # row order, so ties go to the lower row.  The key is below (b - a) * nb * cmax, with
+            # b - a <= 2**20 + 1 and cmax <= act_cap + n + 1: 2**46 at 16 banks, 64 ms, 49 ns
             group = state * nb + bank[cell]
-            order = np.lexsort((row[cell], -count, group))
-            top = order[_group_rank(group[order]) < cap]
+            cmax = int(count.max(initial=0)) + 1
+            top = np.argsort(group * cmax + (cmax - 1 - count), kind="stable")
+            by_group = group[top]
+            in_top = count[top] > 0  # and fewer than cap cells of its group before it
+            in_top[cap:] &= by_group[cap:] != by_group[:-cap]
+            top = top[in_top]
             p, g = p[top], ent[cell[top]] % N
             r = g % nr
             out_p, out_g = [], []
@@ -629,7 +638,7 @@ class _ColumnEngine:
             yield np.concatenate(out_p), np.concatenate(out_g)
             a = b
 
-    def _sweep(self, cand, row_key, act_t, ticks, by_row, trr_pos, trr_vic) -> tuple[np.ndarray, np.ndarray]:
+    def _sweep(self, cand, row_key, act_t, ticks, tick_at, sh, trr_pos, trr_vic) -> tuple[np.ndarray, np.ndarray]:
         """Record the flips of candidate victims; returns (candidate index, position) per flip.
 
         Each victim's neighbor ACTs are cut into segments by its refreshes
@@ -642,24 +651,23 @@ class _ColumnEngine:
         if not cand.size:
             return none, none
         nr = self.nr
-        n = row_key.size
         vrow = cand % nr
         aggressor = np.concatenate((np.where(vrow > 0, cand - 1, -1), np.where(vrow < nr - 1, cand + 1, -1)))
-        a = np.searchsorted(row_key, aggressor * (n + 1))
-        count = np.searchsorted(row_key, (aggressor + 1) * (n + 1)) - a
+        a = np.searchsorted(row_key, aggressor << sh)
+        count = np.searchsorted(row_key, (aggressor + 1) << sh) - a
         vic = np.repeat(np.tile(np.arange(cand.size), 2), count)
         is_lo = np.repeat(np.arange(2 * cand.size) < cand.size, count)
-        p = by_row[np.arange(vic.size) + np.repeat(a - count.cumsum() + count, count)]
-        order = np.lexsort((p, vic))
+        p = row_key[np.arange(vic.size) + np.repeat(a - count.cumsum() + count, count)] & (1 << sh) - 1
+        order = np.argsort((vic << sh) + p)  # distinct keys: a victim's two sides are two rows
         vic, is_lo, p = vic[order], is_lo[order], p[order]
 
         # segment number: round-robin sweeps past the victim plus TRR
         # refreshes of it, both counted up to each ACT
         rpr = self.rows_per_ref
-        rr = (ticks[p] * rpr - 1 - vrow[vic]) // nr
-        trr = np.concatenate(trr_vic) * (n + 1) + np.concatenate(trr_pos)
+        rr = (ticks[np.searchsorted(tick_at, p, "right")] * rpr - 1 - vrow[vic]) // nr
+        trr = (np.concatenate(trr_vic) << sh) + np.concatenate(trr_pos)
         trr.sort()
-        seg = rr + np.searchsorted(trr, vic * (n + 1) + p, "right") - np.searchsorted(trr, vic * (n + 1))
+        seg = rr + np.searchsorted(trr, (vic << sh) + p, "right") - np.searchsorted(trr, vic << sh)
         carried = seg == ((self.ticks * rpr - 1 - vrow) // nr)[vic]
         new = np.ones(vic.size, dtype=bool)
         new[1:] = (vic[1:] != vic[:-1]) | (seg[1:] != seg[:-1])
@@ -696,7 +704,7 @@ class _ColumnEngine:
         return vic[f], p[f]
 
     # -- windows -------------------------------------------------------------
-    def _count_windows(self, acts: np.ndarray, ent: np.ndarray, first: np.ndarray, wins: np.ndarray) -> None:
+    def _count_windows(self, acts: np.ndarray, ent: np.ndarray, first: np.ndarray, wins: np.ndarray, sh: int) -> None:
         """Add the chunk's ACTs per entity to the window counts, closing finished windows.
 
         Raises at the first ACT that takes its bank past act_cap in its
@@ -719,7 +727,7 @@ class _ColumnEngine:
             over = np.flatnonzero(self.bank_acts > cap)
             if over.size:  # each over bank's ACTs, and the one past the cap, in trace order
                 runs = bounds[a + np.searchsorted(rows // nr, np.stack((over, over + 1)))]
-                _, bank = min((np.sort(acts[i:j] % (acts.size + 1))[cap - before[k]], k)
+                _, bank = min((np.sort(acts[i:j] & (1 << sh) - 1)[cap - before[k]], k)
                               for k, i, j in zip(over.tolist(), *runs.tolist()))
                 raise TraceRateError(
                     f"bank {bank} exceeds {cap} activations in window "

@@ -85,12 +85,14 @@ class DramMapping:
 
     def flat_row(self, paddr: np.ndarray) -> np.ndarray:
         """bank * rows_per_bank + row per physical address: physical_to_dram's hash on arrays, unchecked."""
-        block = paddr >> self.col_bits
-        row = block >> self.bank_bits
-        bank = block & (self.bank_count - 1)
+        g = paddr >> self.col_bits  # the block number, turned into the flat row in place
+        row = g >> self.bank_bits
         if self.bank_xor:
-            bank ^= row & (self.bank_count - 1)
-        return bank * self.rows_per_bank + row
+            g ^= row
+        g &= self.bank_count - 1
+        g *= self.rows_per_bank
+        g += row
+        return g
 
 
 def physical_to_dram(paddr: int, m: DramMapping) -> tuple[int, int, int]:

@@ -197,7 +197,7 @@ def test_trace_rate_error():
         run(events, cfg=tight)
 
 
-def test_negative_size_rejected_zero_size_counted():
+def test_negative_size_rejected_zero_size_counted(monkeypatch):
     # a negative size is rejected like an event outside the module, after
     # the events before it ran; a zero size is an event with no ACT
     with pytest.raises(ValueError, match="negative size -64"):
@@ -208,6 +208,13 @@ def test_negative_size_rejected_zero_size_counted():
     events = [(0, 4096, "R", 64), (10, 8192, "R", 0), (20, 0, "R", 64), (30, 0, "R", 0)]
     res = assert_engines_agree(events)
     assert (res.total_events, res.total_acts) == (4, 2)
+    # a chunk of zero-size events only (no piece, no ACT) across a tick, between hammering chunks
+    trefi = int(TOY_CFG.trefi_ns)
+    events = hammer(0, 5, 2) + [ev(trefi + dt, 1, 3, size=0) for dt in (-1, 0, 1, 2)]
+    events += hammer(0, 5, 2, start=trefi + 10)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", 4)
+    res = assert_engines_agree(events, trr=TrrConfig(capacity=1))
+    assert (res.total_events, res.total_acts) == (12, 8)
 
 
 def test_time_must_not_go_backwards():
@@ -644,6 +651,65 @@ def test_small_chunks_carry_state(monkeypatch, chunk):
             for trace in (EventColumns(*columns), blocks):
                 assert simulate_trace(trace, TOY_CFG, TOY, TABLE_12_8, trr,
                                       oracles.all_vulnerable(TOY), RowContents()) == expected
+
+
+# -- the engine's packed (entity << sh) + position keys -----------------------
+
+def ticked_chunks(chunk, ticks=16):
+    """One chunk per tick interval: chunk - 1 ACTs of bank 1's decoyed pair
+    pattern, then a row hit on the next tick, so the chunk's command lands
+    after its last ACT, at position n = chunk - 1."""
+    trefi = int(TOY_CFG.trefi_ns)
+    decoys = [20, 23, 26, 29]
+    per_window = TOY_CFG.ref_commands * (chunk - 1)
+    seq = (decoys + (decoys + [9, 11]) * (per_window // 6))[:per_window]
+    step = trefi // chunk
+    events = []
+    for k in range(ticks):
+        rows = seq[k % TOY_CFG.ref_commands * (chunk - 1):][:chunk - 1]
+        events += [ev(k * trefi + (i + 1) * step, 1, r) for i, r in enumerate(rows)]
+        events.append(ev((k + 1) * trefi, 1, rows[-1]))
+    return events
+
+
+@pytest.mark.parametrize("chunk", [127, 128, 129])
+def test_chunks_around_a_power_of_two_match_references(monkeypatch, chunk):
+    # n = 126, 127 and 128 ACTs per chunk: positions 0..n take sh = 7, 7 and
+    # 8 bits, and each chunk's refresh command sits at position n itself
+    events = ticked_chunks(chunk)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
+    for cap in (1, 4):
+        res = assert_engines_agree(events, trr=TrrConfig(capacity=cap), thresholds=TABLE_12_8)
+        assert len(res.windows) == 3 and res.total_acts == 16 * (chunk - 1)
+        assert {(f.bank, f.row, f.time_ns // int(TOY_CFG.window_ns)) for f in res.flips} >= {(1, 10, 0), (1, 10, 1)}
+
+
+def test_last_row_across_a_window_boundary_matches_references():
+    # one chunk: bank 3's rows 61 and 63 (flat rows N - 3 and N - 1) alternate
+    # across the window boundary and end on row 63, then a hit on it past the
+    # next tick; the chunk's largest key is ((N + N - 1) << sh) + n - 1
+    window_ns, trefi = int(TOY_CFG.window_ns), int(TOY_CFG.trefi_ns)
+    start = window_ns - 2 * trefi
+    events = [ev(start + 100_000 * i, 3, (61, 63)[i % 2]) for i in range(4 * trefi // 100_000)]
+    events.append(ev(start + 4 * trefi + 1, 3, 63))
+    assert len(events) <= dram.CHUNK_EVENTS
+    for trr in (NO_TRR, TrrConfig(capacity=1), TrrConfig(capacity=2)):
+        res = assert_engines_agree(events, trr=trr, thresholds=TABLE_12_8)
+        assert [w.row_acts.get((3, 63)) for w in res.windows] == [80, 80]
+        assert {f.time_ns // window_ns for f in res.flips if (f.bank, f.row) == (3, 62)} == {0, 1}
+
+
+def test_trr_tie_goes_to_the_lower_row():
+    # capacity 2 in bank 0: row 40 leads and rows 10 and 20 tie at the first
+    # tick, so the sampler refreshes the neighbors of 40 and 10 only.  Rows
+    # 19 and 21 then reach 12 single-sided ACTs before tick 2; 9 and 11 stay at 6
+    trefi = int(TOY_CFG.trefi_ns)
+    rows = [10, 40, 20] * 6 + [40]
+    events = [ev(1000 * (i + 1), 0, r) for i, r in enumerate(rows)]
+    events += [ev(trefi + 1000 * (i + 1), 0, r) for i, r in enumerate([10, 20] * 6)]
+    res = assert_engines_agree(events, trr=TrrConfig(capacity=2), thresholds=TABLE_12_8)
+    assert res.windows[0].row_acts == {(0, 10): 12, (0, 20): 12, (0, 40): 7}
+    assert sorted((f.row, f.mode) for f in res.flips) == [(19, "single"), (21, "single")]
 
 
 # -- error parity with the incremental engine -------------------------------

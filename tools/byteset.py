@@ -12,6 +12,8 @@ thread and with its stdout kept in <step>.stdout:
                  so that rows flip and flips.txt is not empty
   feasibility    `feasibility --golden`
   sim-synthetic  `simulate` on a seeded synthetic 10,000-round records file
+  sim-synthetic-flips  the same with flips_thresholds.txt and the default
+                 TRR, so that flips.txt depends on the sampler's ranking
 
 Then it prints `sha256  path` for every file under OUT except timing.txt,
 which holds wall-clock times.  Every config path is relative to OUT, since
@@ -44,6 +46,8 @@ STEPS = [  # (name, config text or None, command line)
                   "[thresholds]\nsource = flips_thresholds.txt\n", ["simulate"]),
     ("feasibility", None, ["feasibility", "--golden"]),
     ("sim-synthetic", "[run]\nrecords_file = synthetic.txt\n", ["simulate"]),
+    ("sim-synthetic-flips", "[run]\nrecords_file = synthetic.txt\n[thresholds]\nsource = flips_thresholds.txt\n",
+     ["simulate"]),
 ]
 
 
