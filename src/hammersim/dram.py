@@ -20,12 +20,12 @@ Event ordering at coincident times: refresh commands fire before events
 with the same timestamp, and before the aligned-window rollover when a
 command lands exactly on a window boundary.
 
-The engine works on chunks of event columns: it decodes and splits them
-into row pieces, collapses open-row hits per bank, counts ACTs per window
-with array operations, builds the chunk's refresh schedule as arrays and
-finds flips as first crossings of cumulative neighbor ACTs between a
-victim's refreshes.  What it carries from chunk to chunk is sized by
-banks x rows, never by the trace.
+The engine works on chunks of event columns: it cuts them into row
+pieces, collapses open-row hits per bank (row_activations, as replay does
+for its templates), counts ACTs per window, builds the chunk's refresh
+schedule as arrays and finds flips as first crossings of cumulative
+neighbor ACTs between a victim's refreshes.  What it carries from chunk
+to chunk is sized by banks x rows, never by the trace.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .memlayout import DramMapping, EventColumns
+from .memlayout import DramMapping, EventColumns, row_pieces
 from .metrics import sorted_unique
 from .seeding import generator
 
@@ -54,6 +54,7 @@ __all__ = [
     "SimulationResult",
     "TraceRateError",
     "simulate_trace",
+    "row_activations",
     "builtin_thresholds",
     "read_threshold_file",
 ]
@@ -303,9 +304,10 @@ def _bit_positions(victim_fill: int, aggressor_fill: int) -> tuple[int, ...]:
     return tuple(b for b in range(8) if (diff >> b) & 1)
 
 
-# Events enter the engine in chunks of at most this many.  Every array the
-# engine allocates is sized by one chunk, or by banks x rows for the state
-# it carries from one chunk to the next.
+# Events enter the engine in chunks of at most this many, and replay cuts
+# its blocks of rounds at it too.  Every array the engine allocates is sized
+# by one chunk, or by banks x rows for the state it carries from one chunk
+# to the next.
 CHUNK_EVENTS = 1 << 16
 # At most this many (refresh command, row) cells are ranked for TRR at once.
 _TRR_CELLS = 1 << 20
@@ -375,6 +377,27 @@ def _locate(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     found = i < sorted_values.size
     found[found] = sorted_values[i[found]] == x[found]
     return i, found
+
+
+def row_activations(g: np.ndarray, bank: np.ndarray, open_rows: np.ndarray) -> np.ndarray:
+    """Which accesses, to rows g in banks bank in trace order, open their row:
+    those whose bank's access before, or open_rows[bank] (-1: none) for the
+    first, is in another row.  Leaves each bank's last row in open_rows."""
+    nb, psh = open_rows.size, g.size.bit_length()  # sorted (bank << psh) + position keys: bank order
+    key = bank.astype(np.min_scalar_type((nb << psh) - 1)) << psh
+    key += np.arange(g.size, dtype=key.dtype)
+    key.sort()
+    order = (key & (1 << psh) - 1).astype(np.intp)
+    gs = g[order]
+    bounds = np.append(np.searchsorted(key, np.arange(nb, dtype=key.dtype) << psh), g.size)  # each bank's run
+    busy = np.flatnonzero(bounds[1:] > bounds[:-1])
+    opens = np.empty(gs.size, dtype=bool)
+    np.not_equal(gs[1:], gs[:-1], out=opens[1:])
+    opens[bounds[busy]] = gs[bounds[busy]] != open_rows[busy]
+    open_rows[busy] = gs[bounds[busy + 1] - 1]
+    is_act = np.empty_like(opens)
+    is_act[order] = opens
+    return is_act
 
 
 class _ColumnEngine:
@@ -456,34 +479,14 @@ class _ColumnEngine:
         self.total_events += t.size
         self.last_t = int(t[-1])
 
-        # every row-sized block an event covers (a piece), and its event's time
-        if ((paddr & (m.row_size_bytes - 1)) + size).max() > m.row_size_bytes:  # an event crosses a row
-            block = paddr >> m.col_bits
-            n_pieces = np.where(size > 0, ((paddr + size - 1) >> m.col_bits) - block + 1, 0)
-            ev = np.repeat(np.arange(t.size), n_pieces)
-            paddr = (block[ev] + np.arange(ev.size) - np.repeat(n_pieces.cumsum() - n_pieces, n_pieces)) << m.col_bits
-            piece_t = t[ev]
-        elif size.min() == 0:
+        # the events' row pieces, each at its event's time; cut only if an event is empty or crosses a row
+        piece_t = t
+        if size.min() == 0 or ((paddr & (m.row_size_bytes - 1)) + size).max() > m.row_size_bytes:
             nonempty = size > 0
-            paddr, piece_t = paddr[nonempty], t[nonempty]
-        else:
-            piece_t = t
-        # open-row collapse: a piece activates unless the piece before it in
-        # its bank, or the bank's open row for its first, is in its row
+            n_pieces, paddr, _ = row_pieces(paddr[nonempty], (paddr + size)[nonempty], m.row_size_bytes)
+            piece_t = t[nonempty].repeat(n_pieces)
         g = m.flat_row(paddr)
-        psh = g.size.bit_length()  # sorted (bank << psh) + position keys put the pieces in bank order
-        order = (g // nr).astype(np.min_scalar_type((nb << psh) - 1)) << psh
-        order += np.arange(g.size, dtype=order.dtype)
-        order = (np.sort(order) & (1 << psh) - 1).astype(np.intp)
-        gs = g[order]
-        bounds = np.searchsorted(gs, np.arange(nb + 1) * nr)  # g < b * nr holds just before bank b's run
-        busy = np.flatnonzero(bounds[1:] > bounds[:-1])
-        opens = np.empty(gs.size, dtype=bool)
-        np.not_equal(gs[1:], gs[:-1], out=opens[1:])
-        opens[bounds[busy]] = gs[bounds[busy]] != self.open_g[busy]
-        self.open_g[busy] = gs[bounds[busy + 1] - 1]
-        is_act = np.empty_like(opens)
-        is_act[order] = opens
+        is_act = row_activations(g, g // nr, self.open_g)
         act_g, act_t = g[is_act], piece_t[is_act]
         n = act_g.size
         self.total_acts += n

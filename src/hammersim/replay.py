@@ -11,14 +11,14 @@ This module owns a round's access model.  ReplayCache numbers a replay's
 index arrays and holds, per array, its template: the time-free physical
 events of its rounds after the ingress write, built once from the
 array's entry runs and played any number of times.  round_script cuts the
-rounds into blocks, and trace_update_processing turns a block into
-time-stamped event columns.  Each message occupies size_bytes / bandwidth
-seconds, its events are spaced uniformly, and the writeback events land
-on the round boundary.  Contiguous element runs become single burst
-events, split at row and page borders, and the engine is handed only
-each template's events that can open a row.  That leaves the per-bank
-row-activation sequence identical to per-element events while keeping
-traces tractable; total_events still counts every event of the trace.
+rounds into blocks of one engine chunk, and trace_update_processing turns
+a block into time-stamped event columns.  Each message occupies
+size_bytes / bandwidth seconds, its events are spaced uniformly, and the
+writeback events land on the round boundary.  Contiguous element runs
+become single burst events, split at row and page borders, and the engine
+is handed only each template's events that can open a row.  That leaves
+the per-bank row-activation sequence identical to per-element events
+while keeping traces tractable; total_events still counts every event.
 
 Note on open-row semantics: a row only re-activates each round if some
 other access to the same bank closes it in between.  Single-bank module
@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import metrics
+from . import dram, metrics
 from .dram import (
     DramConfig,
     RowContents,
@@ -50,15 +50,11 @@ from .memlayout import DramMapping, EventColumns, MemoryLayout, ranges, row_piec
 from .metrics import BandwidthModel
 
 __all__ = [
-    "BLOCK_EVENTS", "BATCH_INDICES", "AccessTrace", "RecordError", "ReplayCache", "ReplaySummary", "round_script",
+    "BATCH_INDICES", "AccessTrace", "RecordError", "ReplayCache", "ReplaySummary", "round_script",
     "trace_update_processing", "replay_records",
 ]
 
 
-# Rounds become events a block at a time.  A block holds whole consecutive
-# rounds with at most this many events between them (a larger round is a
-# block of its own), which bounds the memory of the columns.
-BLOCK_EVENTS = 1 << 15
 # Templates are built in windows of consecutive records with at most this
 # many indices between them (at least one record).
 BATCH_INDICES = 1 << 14
@@ -134,23 +130,21 @@ def _row_opening(
     each template's first kept event (then the end), its kept message
     events, and its message and event counts, row hits counted.
     """
-    round_runs = np.zeros(runs.size + 1, dtype=np.int64)
-    runs.cumsum(out=round_runs[1:])
+    round_runs = np.append(0, runs.cumsum())
     ends = first[3 * round_runs]  # each template's first piece, then the end
     g = mapping.flat_row(paddr)
     bank = (g // mapping.rows_per_bank).astype(np.min_scalar_type(mapping.bank_count - 1))
     g += (np.arange(runs.size) * (mapping.bank_count * mapping.rows_per_bank)).repeat(np.diff(ends))  # templates apart
+    # dram.row_activations' rule for an event and the one right before it:
     # an op's pieces lie in distinct rows (regions are row-aligned), so only
-    # its first event can hit the event right before it: a read the write of
-    # the run before, a write its read, and the writeback the message's last
-    # write.  Such a hit is dropped here, and others are left to the sort
+    # its first event can hit it (a read the write of the run before, a write
+    # its read, the writeback the message's last write); dropped here early
     acc = first[:-1:3]
     n = first[1::3] - acc
     head, tail = g[acc], g[acc + n - 1]
     read, write = np.append(False, head[1:] == tail[:-1]), head == tail
     wb = head[round_runs[:-1]] == tail[round_runs[1:] - 1]
-    done = np.zeros(n.size + 1, dtype=np.int64)  # accumulator pieces before each run, then all
-    n.cumsum(out=done[1:])
+    done = np.append(0, n.cumsum())  # accumulator pieces before each run, then all
     message = 2 * np.diff(done[round_runs])
     # the reads, writes and writebacks left holding events, in trace order
     # (run j's read and write as 4j and 4j + 2), and each one's place in its
@@ -165,10 +159,7 @@ def _row_opening(
     offset = np.append(place, message - ends[:-1])[ops]
     writeback = (ops >= msg.size).nonzero()[0]  # each template's writeback op
     src, bounds = _gather_index(start, length)
-    order = np.argsort(bank[src], kind="stable")  # radix sort: a bank's events stay in trace order
-    row = g[src[order]]
-    keep = np.zeros(src.size, dtype=bool)
-    keep[order[np.append(True, row[1:] != row[:-1])]] = True
+    keep = dram.row_activations(g[src], bank[src], np.full(mapping.bank_count, -1))  # no row open
     keep[bounds[writeback + 1] - 1] = True
     at = keep.nonzero()[0]
     stored = at.searchsorted(bounds[np.append(0, writeback + 1)])
@@ -180,8 +171,7 @@ def _row_opening(
 def _gather_index(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Source position of every event of the segments, and each segment's
     first event (then the end)."""
-    bounds = np.zeros(start.size + 1, dtype=np.int64)
-    length.cumsum(out=bounds[1:])
+    bounds = np.append(0, length.cumsum())
     return np.arange(bounds[-1]) + (start - bounds[:-1]).repeat(length), bounds
 
 
@@ -239,9 +229,8 @@ class ReplayCache:
             raise RecordError(f"round {records[self.first[a]].round_number}: {fault}")
         self.size_bytes = sizes[self.owner]
         self.ingress_offset = _ring(self.size_bytes, ingress.size_bytes)
-        shift = layout.mapping.row_size_bytes.bit_length() - 1
         start = ingress.virtual_start + self.ingress_offset
-        self.ingress_pieces = ((start + self.size_bytes - 1) >> shift) - (start >> shift) + 1
+        self.ingress_pieces = row_pieces(start, start + self.size_bytes, layout.mapping.row_size_bytes)[0]
         # columns whose first n_events are kept and dropped templates' events
         self.paddr, self.size, self.pos = (np.zeros(0, dtype=np.int64) for _ in range(3))
         self.n_events = 0
@@ -264,8 +253,7 @@ class ReplayCache:
         start, end = ranges(layout, np.arange(1, 4)[:, None], layer, offset, count, by_column=True)
         n_pieces, paddr, size = row_pieces(start, end, layout.mapping.row_size_bytes)
         translate(layout, paddr)
-        first = np.zeros(n_pieces.size + 1, dtype=np.int64)
-        n_pieces.cumsum(out=first[1:])
+        first = np.append(0, n_pieces.cumsum())
         src, pos, stored, message, full_message, full_events = _row_opening(layout.mapping, paddr, runs, first)
         base = self._reserve(src.size)
         end = self.n_events = base + src.size
@@ -316,7 +304,8 @@ def round_script(
     first: int,
 ) -> slice:
     """The next block of a replay: the rounds from records[first] on, as
-    many as fit in BLOCK_EVENTS events (at least one).
+    many as fit in one engine chunk, dram.CHUNK_EVENTS events (at least one
+    round; a longer round is a block of its own, which the engine cuts).
 
     Every round plays the template of its index array.  The cache first
     drops the templates whose array's last round has passed.  The block
@@ -329,11 +318,10 @@ def round_script(
     while end < cache.owner.size:
         if cache.owner[end] >= cache.built:
             cache.build(layout, records, end)
-        stop = min(int(cache.first[cache.built]), end + BLOCK_EVENTS)  # a round has at least one event
+        stop = min(int(cache.first[cache.built]), end + dram.CHUNK_EVENTS)  # a round has at least one event
         events = cache.events[cache.owner[end:stop]] + cache.ingress_pieces[end:stop]
         total = events.cumsum() + n
-        fit = max(int(total.searchsorted(BLOCK_EVENTS, "right")), int(end == first))
-        end += fit
+        end += max(int(total.searchsorted(dram.CHUNK_EVENTS, "right")), int(end == first))
         if end < stop:
             break
         n = int(total[-1])
@@ -397,30 +385,25 @@ def trace_update_processing(
 def _event_blocks(
     layout: MemoryLayout,
     records: Sequence[RoundRecord],
+    cache: ReplayCache,
     bw: BandwidthModel,
-    metadata_bytes_per_entry: int,
-    blocks: list[tuple[float, int, int]],
+    seconds: list[float],
 ) -> Iterator[EventColumns]:
-    """Physical event columns of consecutive rounds, back to back, one block at a time.
+    """Physical event columns of the rounds of cache, back to back, one block at a time.
 
-    The clock and the cache carry over from block to block, never from one
-    call to the next.  For each block, its wall time in round_script and
-    trace_update_processing, its message bytes and its event count with row
-    hits are appended to blocks; the first block's time includes setting up
-    the cache.
+    The clock carries over from block to block, never from one call to the
+    next.  Each block's wall time in round_script and
+    trace_update_processing is appended to seconds.
     """
-    started = time.perf_counter()
-    cache = ReplayCache(layout, records, metadata_bytes_per_entry)
     t = played = 0
     while played < len(records):
+        started = time.perf_counter()
         block = round_script(layout, records, cache, played)
         trace = trace_update_processing(layout, cache, block, bw, t)
-        blocks.append((time.perf_counter() - started, int(cache.size_bytes[block].sum()),
-                       int(cache.ingress_pieces[block].sum() + cache.full_events[cache.owner[block]].sum())))
+        seconds.append(time.perf_counter() - started)
         played, t = block.stop, trace.end_ns
         yield trace.events
         del trace  # free the block's columns before building the next block
-        started = time.perf_counter()
 
 
 @dataclass
@@ -461,14 +444,15 @@ def replay_records(
     trace this is exact.
     """
     started = time.perf_counter()
-    blocks: list[tuple[float, int, int]] = []
+    cache = ReplayCache(layout, records, metadata_bytes_per_entry)
+    seconds = [time.perf_counter() - started]
     result = simulate_trace(
-        _event_blocks(layout, records, bw, metadata_bytes_per_entry, blocks), dram_cfg, layout.mapping,
+        _event_blocks(layout, records, cache, bw, seconds), dram_cfg, layout.mapping,
         thresholds, trr=trr, vmap=vmap, contents=contents, seed=sim_seed,
     )
-    result.total_events = sum(full for _, _, full in blocks)  # the engine saw no row hits of templates
-    trace = sum(seconds for seconds, _, _ in blocks)
-    mean_size = Fraction(sum(n for _, n, _ in blocks), len(records))
+    # every round's ingress pieces and template events: the engine saw no row hits of templates
+    result.total_events = int(cache.ingress_pieces.sum() + cache.full_events[cache.owner].sum())
+    trace, mean_size = sum(seconds), Fraction(int(cache.size_bytes.sum()), len(records))
     return ReplaySummary(
         result=result,
         rounds=len(records),

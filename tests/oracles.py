@@ -90,7 +90,8 @@ def iter_replay_events(layout: MemoryLayout, records, bw: BandwidthModel, metada
 
     Built a block of rounds at a time, as the package builds it.
     """
-    for columns in replay._event_blocks(layout, records, bw, metadata_bytes_per_entry, []):
+    cache = replay.ReplayCache(layout, records, metadata_bytes_per_entry)
+    for columns in replay._event_blocks(layout, records, cache, bw, []):
         yield from event_tuples(columns)
 
 
@@ -227,6 +228,18 @@ def multiples_reference(t: np.ndarray, step: float, strict: bool = False) -> np.
         k -= (k > 0) & (k * step > t)
         k += (k + 1) * step <= t
     return k
+
+
+def row_activations_reference(rows, banks, open_rows) -> tuple[list[bool], list[int]]:
+    """Per access, in trace order, whether it opens its row, and each bank's
+    open row afterwards: one access at a time, an open row per bank in a
+    dict, -1 for none."""
+    open_row = dict(enumerate(open_rows))
+    opens = []
+    for row, bank in zip(rows, banks):
+        opens.append(open_row[bank] != row)
+        open_row[bank] = row
+    return opens, [open_row[b] for b in range(len(open_rows))]
 
 
 def expand_acts(events, mapping: DramMapping) -> list[tuple[int, int, int]]:

@@ -166,6 +166,27 @@ def test_open_row_absorbs_repeat_hits():
     assert res.windows[0].row_acts == {(0, 5): 1}
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_row_activations_match_per_access_reference(seed):
+    rng = generator(seed, "row-activations")
+    rows = 64
+    bank = rng.integers(0, 4, 300)  # bank 4 takes no access
+    g = bank * rows + rng.integers(0, 3, bank.size)  # a few rows per bank, so many accesses hit
+    # carried open rows: bank 0's is the row of its first access (a hit), the
+    # others one of their rows or none
+    open_rows = np.array([g[bank == 0][0], 1 * rows + 2, -1, 3 * rows, 4 * rows + 7])
+    expected, expected_open = oracles.row_activations_reference(g.tolist(), bank.tolist(), open_rows.tolist())
+    assert not expected[int(np.argmax(bank == 0))]
+    carried = open_rows.copy()
+    assert dram.row_activations(g, bank, carried).tolist() == expected
+    assert carried.tolist() == expected_open and carried[4] == 4 * rows + 7
+    # two calls that carry the open rows over equal one call on both parts
+    cut = int(rng.integers(1, g.size))
+    carried = open_rows.copy()
+    parts = [dram.row_activations(g[a:b], bank[a:b], carried) for a, b in ((0, cut), (cut, g.size))]
+    assert np.concatenate(parts).tolist() == expected and carried.tolist() == expected_open
+
+
 def test_row_crossing_event_activates_each_row():
     big = AccessEvent(0, dram_to_physical(0, 8, 1000, TOY), "R", 2000)
     res = run([big])

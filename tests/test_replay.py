@@ -11,7 +11,7 @@ from hammersim.dram import DramConfig, ThresholdEntry, ThresholdTable, TrrConfig
 from hammersim.federation import LayerSpec, ModelSpec, RoundRecord, make_mlp_spec, read_round_records
 from hammersim.memlayout import PAGE_BYTES, DramMapping, EventColumns, build_layout
 from hammersim.metrics import BandwidthModel
-from hammersim.replay import BLOCK_EVENTS, RecordError, ReplayCache
+from hammersim.replay import RecordError, ReplayCache
 
 BW = BandwidthModel()
 LAYOUT_MAP = DramMapping(bank_count=4, rows_per_bank=256, row_size_bytes=8192, bank_xor=True)
@@ -96,7 +96,7 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_events_match_reference(monkeypatch, case):
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", POOL_BLOCK_EVENTS)
     layout, records, meta = CASES[case]()
     expected = oracles.reference_replay_events(layout, records, BW, meta, row_opening=True)
     assert list(iter_replay_events(layout, records, BW, meta)) == expected
@@ -135,7 +135,7 @@ def counting_blocks(monkeypatch):
 
 
 def test_events_stream_block_by_block(monkeypatch):
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", POOL_BLOCK_EVENTS)
     layout, records, meta = pool_case(0)
     blocks = counting_blocks(monkeypatch)
     events = iter_replay_events(layout, records, BW, meta)
@@ -243,7 +243,7 @@ def test_unsorted_or_repeating_array_rejected(monkeypatch, bad):
     # records take any array; replay checks that each distinct array is
     # sorted once, before its events are built, and names the first round
     # that plays it
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 24)  # 4 row-opening events a round
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", 24)  # 4 row-opening events a round
     monkeypatch.setattr(replay, "BATCH_INDICES", 4)  # a window of one or two rounds
     layout = small_layout()
     bad, pool = np.array(bad), [np.array([1, 2]), np.array([7, 8, 9])]
@@ -292,19 +292,27 @@ def engine_chunks(monkeypatch):
     return chunks, blocks
 
 
+def cut_at(blocks, chunk):
+    """The chunks the engine cuts blocks of these event counts into."""
+    return [min(chunk, e - a) for e in blocks for a in range(0, e, chunk)]
+
+
 def test_engine_joins_consecutive_small_blocks(monkeypatch):
-    # rounds are joined into blocks of up to BLOCK_EVENTS events, and each
-    # block goes to the engine as one chunk; the result does not depend on
-    # where the blocks end
+    # rounds are joined into blocks of up to CHUNK_EVENTS events, and each
+    # block goes to the engine as one chunk (a longer round, a block of its
+    # own, as several); the result does not depend on where the blocks end
     expected = flipping_replay()
     assert expected.flips and len(expected.windows) > 1
-    for block_events in (64, 1000, 5000, BLOCK_EVENTS):
-        monkeypatch.setattr(replay, "BLOCK_EVENTS", block_events)
+    cut = []
+    for block_events in (64, 1000, 5000, dram.CHUNK_EVENTS):
+        monkeypatch.setattr(dram, "CHUNK_EVENTS", block_events)
         chunks, blocks = engine_chunks(monkeypatch)
         shapes = counting_blocks(monkeypatch)
         assert flipping_replay() == expected
-        assert chunks == blocks == [e for e, _ in shapes]
+        assert blocks == [e for e, _ in shapes] and chunks == cut_at(blocks, block_events)
         assert all(e <= block_events or r == 1 for e, r in shapes)
+        cut.append(len(chunks) > len(blocks))
+    assert cut[0] and not cut[-1]  # the pool's oversized round is cut at 64 events, and whole at the default
 
 
 def assert_blocks_fill_on_saturating_rounds(monkeypatch, records):
@@ -315,14 +323,16 @@ def assert_blocks_fill_on_saturating_rounds(monkeypatch, records):
     layout = build_layout(spec, None, mapping, seed=3)
     per_round = len(oracles.reference_replay_events(layout, records[:1], BW, row_opening=True))
     assert per_round == 4
+    chunk = 1 << 15  # so that the 48,000 row-opening events fill more than one block
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
     chunks, blocks = engine_chunks(monkeypatch)
     summary = replay.replay_records(records, layout, DramConfig(), BW, dram.builtin_thresholds(),
                                     trr=TrrConfig(capacity=0), vmap=oracles.all_vulnerable(mapping))
     assert sum(blocks) == per_round * len(records) and chunks == blocks
     assert summary.result.total_events == 6 * len(records)
-    assert all(BLOCK_EVENTS - per_round < n <= BLOCK_EVENTS for n in blocks[:-1])
+    assert len(blocks) > 1 and all(chunk - per_round < n <= chunk for n in blocks[:-1])
     # no looser than the 8,192-event join of 6-event rounds this replaced
-    assert len(chunks) <= -(-sum(chunks) // (BLOCK_EVENTS - per_round)) + 1 <= -(-sum(chunks) // (8192 - 24)) + 1
+    assert len(chunks) <= -(-sum(chunks) // (chunk - per_round)) + 1 <= -(-sum(chunks) // (8192 - 24)) + 1
 
 
 def test_engine_chunks_on_saturating_rounds(monkeypatch):
@@ -341,12 +351,13 @@ def test_engine_chunks_on_saturating_rounds_with_own_arrays(monkeypatch):
 
 
 def test_engine_cuts_blocks_longer_than_a_chunk(monkeypatch):
+    # a round longer than a chunk is a block of its own, which the engine cuts
     expected = flipping_replay()
-    chunks, blocks = engine_chunks(monkeypatch)
-    flipping_replay()
-    chunk = max(blocks) // 3
-    del chunks[:], blocks[:]
+    layout, records, meta = pool_case(4)
+    cache = built_cache(monkeypatch, layout, records, meta)
+    chunk = int((cache.events[cache.owner] + cache.ingress_pieces).max()) // 3
     monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk)
+    chunks, blocks = engine_chunks(monkeypatch)
     assert flipping_replay() == expected
     assert sum(chunks) == sum(blocks) and len(chunks) > len(blocks) and max(chunks) == chunk
 
@@ -479,7 +490,7 @@ def test_templates_dropped_after_their_last_round(monkeypatch):
     layout = template_layout()
     pool = [r.indices for r in learned_like(6, 12, layout.spec.total_params)]
     records = [RoundRecord(r, pool[r % (12 if r < 60 else 3)]) for r in range(120)]
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 300)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", 300)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 2 records
     builds, _ = record_builds(monkeypatch)
     blocks = store_per_block(monkeypatch)
@@ -503,7 +514,7 @@ def test_each_record_built_once_per_replay(monkeypatch):
     cache = built_cache(monkeypatch, layout, records)
     largest = int((cache.events[cache.owner] + cache.ingress_pieces).max())
     block_events = 300
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", block_events)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", block_events)
     monkeypatch.setattr(replay, "BATCH_INDICES", 5000)
     builds, _ = record_builds(monkeypatch)
     shapes = counting_blocks(monkeypatch)
@@ -536,7 +547,7 @@ def test_store_bounded_by_live_templates_not_records(monkeypatch):
     rng = np.random.default_rng(4)
     records = [RoundRecord(r, np.unique(rng.choice(layout.spec.total_params, 30))) for r in range(1200)]
     alone = built_cache(monkeypatch, layout, records)
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", 400)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", 400)
     monkeypatch.setattr(replay, "BATCH_INDICES", 600)  # about 20 records
     # the most template events one window of records can build: the records
     # from any on with at most 600 indices between them (at least one)
@@ -571,7 +582,7 @@ def test_bench_bindings_called_once_per_block(monkeypatch):
             calls[name] += 1
             return real(*args, **kw)
         monkeypatch.setattr(replay, name, counting)
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", POOL_BLOCK_EVENTS)
+    monkeypatch.setattr(dram, "CHUNK_EVENTS", POOL_BLOCK_EVENTS)
     chunks, blocks = engine_chunks(monkeypatch)
     layout, records, meta = pool_case(4)
     replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta)
@@ -580,23 +591,24 @@ def test_bench_bindings_called_once_per_block(monkeypatch):
 
 
 @pytest.mark.parametrize("capacity", [0, 1])
-@pytest.mark.parametrize("block_events, chunk_events", [(BLOCK_EVENTS, dram.CHUNK_EVENTS), (64, 100)])
-def test_replay_equals_engine_on_every_reference_event(monkeypatch, capacity, block_events, chunk_events):
+@pytest.mark.parametrize("chunk_events", [dram.CHUNK_EVENTS, 64])
+def test_replay_equals_engine_on_every_reference_event(monkeypatch, capacity, chunk_events):
     # the engine is handed only each template's row-opening events; on every
     # event of the trace, row hits included, it gives the same windows, flips
-    # and ACTs, and replay_records counts every event
+    # and ACTs, and replay_records counts every event.  A 64-event chunk is
+    # shorter than the pool's oversized round, a block the engine cuts
     layout, records, meta = pool_case(4)
     kw = dict(trr=TrrConfig(capacity=capacity), vmap=oracles.all_vulnerable(layout.mapping))
     full = oracles.reference_replay_events(layout, records, BW, meta)
     t, paddr, size = (np.array(c, dtype=np.int64) for c in zip(*full))
     expected = dram.simulate_trace(EventColumns(t, paddr, size), FLIP_CFG, layout.mapping, FLIP_TABLE, **kw)
     assert expected.flips and len(expected.windows) > 1 and expected.total_events == len(full)
-    monkeypatch.setattr(replay, "BLOCK_EVENTS", block_events)
     monkeypatch.setattr(dram, "CHUNK_EVENTS", chunk_events)
     chunks, blocks = engine_chunks(monkeypatch)
     result = replay.replay_records(records, layout, FLIP_CFG, BW, FLIP_TABLE, metadata_bytes_per_entry=meta,
                                    **kw).result
     assert sum(chunks) < len(full) / 10 and max(chunks) <= chunk_events
+    assert (len(chunks) > len(blocks)) == (chunk_events == 64)
     assert result.windows == expected.windows  # every window's row and bank counts
     assert result.flips == expected.flips  # every flip, with its time
     assert (result.total_acts, result.total_events) == (expected.total_acts, expected.total_events)
