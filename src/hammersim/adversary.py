@@ -262,10 +262,10 @@ class PolicyConfig:
 
 @dataclass
 class AgentState:
-    """The policy's weights and Adam state.  Adam's w1 moments are held
-    only for the ascending rows moment_rows: adam_m["w1"] and adam_v["w1"]
-    have one row per entry of moment_rows, and every other row's moments
-    are +0.0."""
+    """The policy's weights and Adam state, which ppo_update steps in
+    place.  Adam's w1 moments are held only for the ascending rows
+    moment_rows: adam_m["w1"] and adam_v["w1"] have one row per entry of
+    moment_rows, and every other row's moments are +0.0."""
 
     cfg: PolicyConfig
     weights: dict[str, np.ndarray]
@@ -459,17 +459,16 @@ def ppo_loss_and_grads(
     return loss, approx_kl, grads
 
 
-def ppo_update(
-    trajectory: Trajectory, state: AgentState, update_seed: int = 0
-) -> tuple[AgentState, dict[str, float]]:
-    """One PPO iteration over a single-episode trajectory.
+def ppo_update(trajectory: Trajectory, state: AgentState, update_seed: int = 0) -> dict[str, float]:
+    """One PPO iteration over a single-episode trajectory, stepping state
+    in place.
 
     Runs cfg.epochs passes of shuffled minibatches with Adam, clipping
     each minibatch gradient to max_grad_norm.  With all advantages zero
     and entropy_coef zero the weights are unchanged.  Raises ValueError
-    naming the first weight array that the update left non-finite.
-    Returns the new state and the update's stats: the mean minibatch loss
-    and approximate KL, the advantage spread and the mean return.
+    naming the first weight array that the update left non-finite; state
+    is then part-stepped.  Returns the update's stats: the mean minibatch
+    loss and approximate KL, the advantage spread and the mean return.
     """
     cfg = state.cfg
     adv, returns = compute_gae(trajectory.rewards, trajectory.values, cfg.discount, cfg.gae_lambda)
@@ -499,9 +498,9 @@ def ppo_update(
         out[kept] = held_moments[held]
         return out
 
-    weights = {k: v[live] if k == "w1" else v.copy() for k, v in state.weights.items()}
-    adam_m = {k: live_moments(v) if k == "w1" else v.copy() for k, v in state.adam_m.items()}
-    adam_v = {k: live_moments(v) if k == "w1" else v.copy() for k, v in state.adam_v.items()}
+    weights = dict(state.weights, w1=state.weights["w1"][live])
+    adam_m = dict(state.adam_m, w1=live_moments(state.adam_m["w1"]))
+    adam_v = dict(state.adam_v, w1=live_moments(state.adam_v["w1"]))
     scratch = {k: np.empty_like(v) for k, v in weights.items()}
     step = state.adam_step
     losses, kls = [], []
@@ -527,7 +526,7 @@ def ppo_update(
             v_bias = 1.0 - 0.999**step
             for key in WEIGHT_KEYS:
                 # w -= (lr * m_hat) / (sqrt(v_hat) + 1e-8), in place on the
-                # copies above with the same operations in the same order,
+                # arrays above with the same operations in the same order,
                 # one row block at a time; the gradient's own array is
                 # spent as the second buffer
                 arrays = grads[key], weights[key], adam_m[key], adam_v[key], scratch[key]
@@ -550,18 +549,15 @@ def ppo_update(
     for key in WEIGHT_KEYS:
         if not np.isfinite(weights[key]).all():
             raise ValueError(f"PPO update left non-finite values in {key}")
-    # the one full-size array a new state needs: its own w1
-    w1 = state.weights["w1"].copy()
-    w1[live] = weights["w1"]
-    weights["w1"] = w1
-    new_state = AgentState(cfg, weights, adam_m, adam_v, step, live)
-    stats = {
+    state.weights["w1"][live] = weights["w1"]
+    state.adam_m["w1"], state.adam_v["w1"] = adam_m["w1"], adam_v["w1"]
+    state.adam_step, state.moment_rows = step, live
+    return {
         "loss": float(np.mean(losses)),
         "kl": float(np.mean(kls)),
         "adv_std": float(std),
         "return_mean": float(returns.mean()),
     }
-    return new_state, stats
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,11 @@ NO_UPDATE = "nan"
 class AttackEnv:
     """Federated-learning environment seen by the adversary.
 
-    Episodes restart the federation from the same seed, so the dynamics
-    are identical across episodes and all variation comes from the
-    agent's actions.  That holds for the channel noise too: round t's
-    noise is drawn once, the first time round t is reached, and every
-    later episode reuses it.
+    The federation is built once, and every episode restarts it from the
+    same initial theta, so the dynamics are identical across episodes and
+    all variation comes from the agent's actions.  That holds for the
+    channel noise too: round t's noise is drawn once, the first time
+    round t is reached, and every later episode reuses it.
 
     An observation is the clean-input summary followed by the previous
     round's 0/1 update mask (all zero after a reset), obs_dim entries in
@@ -59,7 +59,6 @@ class AttackEnv:
         g = exp.get
         self.in_dim = g("federation", "in_dim")
         self.n_clients = g("federation", "n_clients")
-        dims = {key: g("federation", key) for key in ("in_dim", "hidden_dim", "out_dim")}
         self.total_params = exp.model_spec().total_params
         self.seed = seed
         self.channel_cfg: ChannelConfig = exp.channel_config()
@@ -67,18 +66,21 @@ class AttackEnv:
         self.modality = self.channel_cfg.modality
         self.epsilon = g("adversary", "epsilon")
         self.latent_dim = g("adversary", "latent_dim")
-        self._init_kwargs = dict(
-            dims,
-            shard_size=g("federation", "shard_size"),
-            sparsity=g("federation", "sparsity"),
-            learning_rate=g("federation", "learning_rate"),
-        )
-        self.fed = None
+        self.fed = init_federation(self.n_clients, seed, **{
+            key: g("federation", key)
+            for key in ("in_dim", "hidden_dim", "out_dim", "shard_size", "sparsity", "learning_rate")
+        })
+        self.theta0 = self.fed.theta  # read-only: aggregate returns a new theta
+        self.theta0.flags.writeable = False
+        self.x_summary = np.mean(self.fed.x.reshape(-1, self.in_dim), axis=0)
+        columns = np.flatnonzero(self.x_summary)
+        self.head = columns, self.x_summary[columns]
+        for a in self.head:
+            a.flags.writeable = False
+        self.clean_spectrum = (stft(self.x_summary, self.reward_cfg.stft_frame, self.reward_cfg.stft_hop)
+                               if self.modality == "audio" and self.reward_cfg.lambda1 != 0.0 else None)
         self.window: TargetWindow | None = None
         self.u_prev: np.ndarray | None = None
-        self.x_summary: np.ndarray | None = None
-        self.head: tuple[np.ndarray, np.ndarray] | None = None
-        self.clean_spectrum: np.ndarray | None = None
         self.noise_store: dict[int, np.ndarray] = {}
         self.stage_seconds = dict.fromkeys(
             ("channel_seconds", "local_train_seconds", "sparsify_seconds", "aggregate_seconds", "reward_seconds"), 0.0
@@ -89,17 +91,7 @@ class AttackEnv:
         return self.in_dim + self.total_params
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        self.fed = init_federation(self.n_clients, self.seed, **self._init_kwargs)
-        if self.x_summary is None:
-            self.x_summary = np.mean(self.fed.x.reshape(-1, self.in_dim), axis=0)
-            columns = np.flatnonzero(self.x_summary)
-            self.head = columns, self.x_summary[columns]
-            for a in self.head:
-                a.flags.writeable = False
-            if self.modality == "audio" and self.reward_cfg.lambda1 != 0.0:
-                self.clean_spectrum = stft(
-                    self.x_summary, self.reward_cfg.stft_frame, self.reward_cfg.stft_hop
-                )
+        self.fed.theta, self.fed.round_number = self.theta0, 0
         self.u_prev = None
         return self.head
 
@@ -284,7 +276,7 @@ def train(
             started = time.perf_counter()
             traj = Trajectory.from_observations(observations, act_buf, logp_buf, rew_buf, val_buf)
             del observations
-            agent, out = adversary.ppo_update(traj, agent, update_seed=(seed << 20) ^ it)
+            out = adversary.ppo_update(traj, agent, update_seed=(seed << 20) ^ it)
             update_seconds += time.perf_counter() - started
             update = dict(ppo_loss=out["loss"], adv_std=out["adv_std"], kl=out["kl"])
         stats.append(

@@ -1081,8 +1081,8 @@ def ppo_update_reference(
 ) -> tuple[AgentState, dict[str, float]]:
     """The PPO iteration over every column of w1 and a dense observation
     matrix, with dense Adam moments and every clip and Adam step building
-    new arrays; returns (state, stats) as ppo_update does, the state's
-    moments compacted.
+    new arrays; returns a new state, its moments compacted, and the stats
+    that ppo_update returns after stepping its argument in place.
 
     The clip norm's w1 term sums the squared gradient over the rows the
     update steps, in ascending order: the rows where a moment has some bit

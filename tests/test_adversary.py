@@ -1,4 +1,5 @@
 """Unit tests for reward shaping, the policy network and PPO updates."""
+import copy
 import math
 import tracemalloc
 from statistics import NormalDist
@@ -331,9 +332,10 @@ def test_ppo_update_zero_advantage_is_noop():
     actions = rng.standard_normal((t_len, 3))
     logp = np.zeros(t_len)
     traj = csr_trajectory(obs, actions, logp, np.zeros(t_len), np.zeros(t_len))
-    new_state, _ = ppo_update(traj, state, update_seed=1)
+    before = copy.deepcopy(state)
+    ppo_update(traj, state, update_seed=1)
     for key in WEIGHT_KEYS:
-        np.testing.assert_array_equal(new_state.weights[key], state.weights[key])
+        np.testing.assert_array_equal(state.weights[key], before.weights[key])
 
 
 def test_ppo_update_improves_surrogate_direction():
@@ -344,8 +346,8 @@ def test_ppo_update_improves_surrogate_direction():
     actions = np.tile(mean + 0.3, (4, 1))
     old_logp = gaussian_log_prob(actions, np.tile(mean, (4, 1)), np.tile(log_std, (4, 1)))
     traj = csr_trajectory(obs, actions, old_logp, np.ones(4), np.zeros(4))
-    new_state, _ = ppo_update(traj, state, update_seed=2)
-    new_mean, new_log_std, _ = policy_forward(obs[0], new_state)
+    ppo_update(traj, state, update_seed=2)
+    new_mean, new_log_std, _ = policy_forward(obs[0], state)
     new_logp = gaussian_log_prob(actions[:1], new_mean[None, :], new_log_std[None, :])[0]
     assert new_logp > old_logp[0]
 
@@ -356,9 +358,10 @@ def test_ppo_update_is_deterministic():
     traj = csr_trajectory(rng.standard_normal((10, 6)), rng.standard_normal((10, 3)),
                           rng.standard_normal(10), rng.standard_normal(10),
                           rng.standard_normal(10))
-    a, _ = ppo_update(traj, state, update_seed=5)
-    b, _ = ppo_update(traj, state, update_seed=5)
-    c, _ = ppo_update(traj, state, update_seed=6)
+    a, b, c = (copy.deepcopy(state) for _ in range(3))
+    ppo_update(traj, a, update_seed=5)
+    ppo_update(traj, b, update_seed=5)
+    ppo_update(traj, c, update_seed=6)
     for key in WEIGHT_KEYS:
         np.testing.assert_array_equal(a.weights[key], b.weights[key])
     assert any(not np.array_equal(a.weights[k], c.weights[k]) for k in WEIGHT_KEYS)
@@ -394,10 +397,10 @@ def test_ppo_update_matches_out_of_place_adam_exactly(max_grad_norm):
     # over two chained updates so the moments and step count carry over
     state = agent_for_test(entropy_coef=0.01, value_coef=0.5, max_grad_norm=max_grad_norm,
                            minibatch_size=7)
-    want = state
+    want = copy.deepcopy(state)
     for it, seed in enumerate((41, 43)):
         traj = ppo_trajectory(seed)
-        state, _ = ppo_update(traj, state, update_seed=it)
+        ppo_update(traj, state, update_seed=it)
         want, _ = oracles.ppo_update_reference(traj, want, update_seed=it)
         assert_same_state(state, want)
 
@@ -429,11 +432,11 @@ def test_ppo_update_matches_reference_on_mask_observations(max_grad_norm):
     never = np.arange(21, 64)
     init_w1 = state.weights["w1"].copy()
     updates = [(61, [4, 5, 6, 9, 12, once]), (67, [4, 5, 7, 8, 12, 13]), (71, [5, 6, 13, 14])]
-    want = state
+    want = copy.deepcopy(state)
     for it, (seed, cols) in enumerate(updates):
         obs, traj = mask_trajectory(seed, cols)
-        before = state
-        state, _ = ppo_update(traj, state, update_seed=it)
+        before = copy.deepcopy(state)
+        ppo_update(traj, state, update_seed=it)
         want, _ = oracles.ppo_update_reference(traj, want, update_seed=it)
         assert_same_state(state, want)
         if it > 0:
@@ -464,9 +467,9 @@ def test_ppo_update_clip_norm_sums_the_stepped_rows():
     g, stepped = grads["w1"], np.unique(traj.columns)
     assert float(np.sum(g * g)) > state.cfg.max_grad_norm**2
     assert float(np.sum(g * g)) != float(np.sum(g[stepped] * g[stepped]))
-    new_state, stats = ppo_update(traj, state, update_seed=0)
-    want, want_stats = oracles.ppo_update_reference(traj, state, update_seed=0)
-    assert_same_state(new_state, want)
+    want, want_stats = oracles.ppo_update_reference(traj, copy.deepcopy(state), update_seed=0)
+    stats = ppo_update(traj, state, update_seed=0)
+    assert_same_state(state, want)
     assert stats == want_stats
 
 
@@ -478,26 +481,28 @@ def test_ppo_update_rejects_non_finite_result():
         ppo_update(traj, state, update_seed=1)
 
 
-def test_ppo_update_leaves_caller_state_unchanged():
-    state = agent_for_test(entropy_coef=0.01, value_coef=0.5)
-    first, _ = ppo_update(ppo_trajectory(47), state, update_seed=1)
-    before = {name: {k: v.copy() for k, v in getattr(first, name).items()}
-              for name in ("weights", "adam_m", "adam_v")}
-    rows = first.moment_rows.copy()
-    second, _ = ppo_update(ppo_trajectory(53), first, update_seed=2)
-    assert first.adam_step == second.adam_step - 8
-    for name, arrays in before.items():
-        for key in WEIGHT_KEYS:
-            np.testing.assert_array_equal(getattr(first, name)[key], arrays[key])
-            assert getattr(second, name)[key] is not getattr(first, name)[key]
-    np.testing.assert_array_equal(first.moment_rows, rows)
-    assert second.moment_rows is not first.moment_rows
+def test_ppo_update_steps_caller_state_in_place():
+    # chained updates on mask observations, so the live rows are a strict
+    # subset of w1's: the caller's w1 array is stepped where it is, the step
+    # count advances by one per minibatch (4 epochs of 30 // 7 + 1), and
+    # moment_rows becomes the live rows, the held rows and observed columns
+    state = agent_for_test(obs_dim=64, entropy_coef=0.01, value_coef=0.5, minibatch_size=7)
+    w1 = state.weights["w1"]
+    for it, (seed, cols) in enumerate([(61, [4, 5, 6, 9, 12]), (67, [4, 5, 7, 8, 13])]):
+        _, traj = mask_trajectory(seed, cols)
+        step, held = state.adam_step, state.moment_rows
+        stats = ppo_update(traj, state, update_seed=it)
+        assert sorted(stats) == ["adv_std", "kl", "loss", "return_mean"]
+        assert state.weights["w1"] is w1
+        assert state.adam_step == step + 20
+        np.testing.assert_array_equal(state.moment_rows, np.union1d(held, traj.columns))
+    np.testing.assert_array_equal(state.moment_rows, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13])
 
 
 def test_ppo_update_memory_follows_the_live_rows():
     # a wide first layer, one w1-sized array being 5.1 MB, and trajectories
-    # that touch about 200 of its 40,000 rows: besides the new state's own
-    # w1 an update allocates only arrays the size of the live rows
+    # that touch about 200 of its 40,000 rows: an update allocates only
+    # arrays the size of the live rows, never a w1-sized one
     cfg = PolicyConfig(obs_dim=40_000, action_dim=3, hidden1=16, hidden2=8)
     state = init_policy(cfg, seed=5)
     pool = np.sort(generator(101, "wide-pool").choice(cfg.obs_dim, size=200, replace=False))
@@ -508,7 +513,7 @@ def test_ppo_update_memory_follows_the_live_rows():
         observations = [(c, np.ones(c.size)) for c in columns]
         return Trajectory.from_observations(observations, *ppo_arrays(seed, 30, 1)[1:])
 
-    state, _ = ppo_update(trajectory(103), state, update_seed=0)
+    ppo_update(trajectory(103), state, update_seed=0)
     second = trajectory(107)
     tracemalloc.start()
     try:
@@ -516,7 +521,7 @@ def test_ppo_update_memory_follows_the_live_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * state.weights["w1"].nbytes
+    assert peak < 0.25 * state.weights["w1"].nbytes
 
 
 def test_grad_norm_clip_bounds_update():
@@ -524,11 +529,12 @@ def test_grad_norm_clip_bounds_update():
     rng = generator(37, "clip")
     traj = csr_trajectory(rng.standard_normal((8, 6)), rng.standard_normal((8, 3)),
                           rng.standard_normal(8), rng.standard_normal(8), np.zeros(8))
-    new_state, _ = ppo_update(traj, base, update_seed=3)
+    state = copy.deepcopy(base)
+    ppo_update(traj, state, update_seed=3)
     # with a vanishing norm budget Adam still moves, but the raw gradient
     # scale cannot blow up the weights
     for key in WEIGHT_KEYS:
-        drift = np.abs(new_state.weights[key] - base.weights[key]).max()
+        drift = np.abs(state.weights[key] - base.weights[key]).max()
         assert drift < 0.1
 
 
@@ -545,11 +551,11 @@ def test_log_std_bound_keeps_update_finite():
     _, _, grads = ppo_loss_and_grads(state.weights, state.cfg, obs, actions, logps,
                                      rng.standard_normal(30), rng.standard_normal(30))
     assert not grads["bs"].any() and not grads["ws"].any()  # clipped: no gradient
-    new_state, _ = ppo_update(traj, state, update_seed=1)
+    ppo_update(traj, state, update_seed=1)
     for key in WEIGHT_KEYS:
-        assert np.isfinite(new_state.weights[key]).all(), key
+        assert np.isfinite(state.weights[key]).all(), key
     for o in obs:
-        _, log_std, _ = policy_forward(o, new_state)
+        _, log_std, _ = policy_forward(o, state)
         assert np.all((LOG_STD_RANGE[0] <= log_std) & (log_std <= LOG_STD_RANGE[1]))
 
 
@@ -611,10 +617,10 @@ def test_ppo_update_matches_dense_oracle_on_attack_observations(attack_rollout):
     # within a tolerance set by the few-ulp reordering of each sum; rows
     # outside the live set keep every bit of w1 and of both moments
     state, _, traj, dense, _ = attack_rollout
-    want = state
+    state, want = copy.deepcopy(state), state
     for it in range(2):
-        before = state
-        state, stats = ppo_update(traj, state, update_seed=it)
+        before = copy.deepcopy(state)
+        stats = ppo_update(traj, state, update_seed=it)
         want, want_stats = oracles.ppo_update_reference(traj, want, update_seed=it)
         got, full = oracles.with_dense_moments(state), oracles.with_dense_moments(want)
         assert got.adam_step == full.adam_step
@@ -653,7 +659,7 @@ def test_ppo_update_on_index_observations_matches_dense_reference(max_grad_norm)
     once = 45  # an index in the first update's records only
     pools = [np.r_[10:30, once], np.r_[12:36], np.r_[20:44]]
     init_w1 = state.weights["w1"].copy()
-    want = state
+    want = copy.deepcopy(state)
     for it, pool in enumerate(pools):
         rng = generator(89, "index-obs", it)
         observations = [(head_columns, head[head_columns])]
@@ -662,7 +668,7 @@ def test_ppo_update_on_index_observations_matches_dense_reference(max_grad_norm)
             observations.append((np.r_[head_columns, in_dim + u], np.r_[head[head_columns], np.ones(u.size)]))
         traj = Trajectory.from_observations(observations, *ppo_arrays(97 + it, t_len, obs_dim)[1:])
         assert (in_dim + once in traj.columns) == (it == 0)
-        state, stats = ppo_update(traj, state, update_seed=it)
+        stats = ppo_update(traj, state, update_seed=it)
         want, want_stats = oracles.ppo_update_reference(traj, want, update_seed=it)
         assert_same_state(state, want)
         assert stats == want_stats

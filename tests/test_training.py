@@ -55,6 +55,30 @@ def test_env_reset_restarts_federation():
     assert env.fed.round_number == 1
 
 
+def test_env_builds_its_federation_once(monkeypatch):
+    # reset restarts the one federation from the read-only theta0, which
+    # aggregate replaces rather than writes into
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return init_federation(*args, **kwargs)
+
+    init_federation = training.init_federation
+    monkeypatch.setattr(training, "init_federation", spy)
+    env = AttackEnv(quick_config(), seed=3)
+    theta0 = env.theta0.copy()
+    for _ in range(3):
+        env.reset()
+        assert env.fed.theta is env.theta0 and env.fed.round_number == 0
+        env.step(np.zeros(env.latent_dim))
+        assert env.fed.theta is not env.theta0
+    assert calls == [(env.n_clients, 3)]
+    np.testing.assert_array_equal(env.theta0, theta0)
+    with pytest.raises(ValueError, match="read-only"):
+        env.theta0[0] = 1.0
+
+
 def test_env_observation_layout():
     # (columns, values) are the nonzero entries of the dense observation:
     # the clean-input summary, then an all-zero mask
@@ -218,8 +242,14 @@ def test_train_bytes_match_reference_update(tmp_path, monkeypatch):
         paths = (tmp_path / name / "training_log.csv", res.records_path, res.checkpoint_path)
         return [open(path, "rb").read() for path in paths]
 
+    def reference(traj, state, update_seed=0):
+        # the reference builds a new state; train keeps stepping its own
+        new_state, stats = oracles.ppo_update_reference(traj, state, update_seed)
+        vars(state).update(vars(new_state))
+        return stats
+
     fast = run("fast")
-    monkeypatch.setattr(adversary, "ppo_update", oracles.ppo_update_reference)
+    monkeypatch.setattr(adversary, "ppo_update", reference)
     assert run("reference") == fast
 
 

@@ -6,6 +6,7 @@ Under OUT (which must not exist yet) it runs, each command at one BLAS
 thread and with its stdout kept in <step>.stdout:
 
   train          a default `train` with [run] iterations = 3
+  train-random   the same with `--baseline random`
   sim-trr        `simulate` on train's records, default TRR
   sim-no-trr     the same with [dram] trr_capacity = 0
   sim-flips      the same with the low thresholds of flips_thresholds.txt,
@@ -40,6 +41,7 @@ FLIPS_THRESHOLDS = "# published_average=300\n00,00,single,300\n00,00,double,200\
 
 STEPS = [  # (name, config text or None, command line)
     ("train", "[run]\niterations = 3\n", ["train"]),
+    ("train-random", "[run]\niterations = 3\n", ["train", "--baseline", "random"]),
     ("sim-trr", "[run]\nrecords_file = train/records.txt\n", ["simulate"]),
     ("sim-no-trr", "[run]\nrecords_file = train/records.txt\n[dram]\ntrr_capacity = 0\n", ["simulate"]),
     ("sim-flips", "[run]\nrecords_file = train/records.txt\n[dram]\ntrr_capacity = 0\n"
